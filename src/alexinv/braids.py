@@ -202,11 +202,3 @@ def presentation_homology(p) -> tuple:
         rows.append(v)
     return cokernel_invariants(rows, p.generators)
 
-
-def braid_from_json(data: dict) -> MonodromyData:
-    d = int(data["strands"])
-    braids = [BraidWord(d, letters) for letters in data["braids"]]
-    labels = {int(k): str(v) for k, v in data.get("labels", {}).items()}
-    if not labels:
-        labels = {i + 1: "C" for i in range(d)}
-    return MonodromyData(d, braids, labels)

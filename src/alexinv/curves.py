@@ -18,7 +18,7 @@ from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import cyclotomic_polynomial, root_multiplicity
-from .errors import BadGerm, TheoremViolation, UnsupportedDimension
+from .errors import BadGerm, NotPolynomial, TheoremViolation, UnsupportedDimension
 from .laurent import (
     FormalCycloProduct,
     LaurentPolynomial,
@@ -336,24 +336,27 @@ def _monomials_up_to(m: int):
     return [(i, j) for total in range(m + 1) for i in range(total + 1) for j in [total - i]]
 
 
-def _condition_rows(spec: ProjectiveCurveSpec, kappa: Fraction, m: int):
+def _h1(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: int) -> int:
+    """h^1 of the twisted ideal sheaf at degree m: the colength of the
+    ideals (ideals[k] at spec.singularities[k]) minus the rank of the
+    linear conditions they impose on curves of degree m.  Each nonmember
+    x^alpha y^beta of an ideal gives one row, the Taylor coefficient of
+    every monomial of degree <= m at x^alpha y^beta around the point."""
     cols = _monomials_up_to(m)
-    col_index = {mono: idx for idx, mono in enumerate(cols)}
     rows = []
-    colength = 0
-    for point in spec.singularities:
-        ideal = point.data.ideal_at(kappa)
-        colength += ideal.colength
+    for point, ideal in zip(spec.singularities, ideals):
         x0, y0 = point.position
         for alpha, beta in ideal.nonmembers:
-            row = [Fraction(0)] * len(cols)
-            for (i, j) in cols:
-                if i >= alpha and j >= beta:
-                    row[col_index[(i, j)]] = (
-                        comb(i, alpha) * comb(j, beta) * x0 ** (i - alpha) * y0 ** (j - beta)
-                    )
-            rows.append(row)
-    return rows, colength, len(cols)
+            rows.append([
+                comb(i, alpha) * comb(j, beta) * x0 ** (i - alpha) * y0 ** (j - beta)
+                if i >= alpha and j >= beta else Fraction(0)
+                for i, j in cols
+            ])
+    rank = rational_rank(rows) if rows else 0
+    h1 = sum(ideal.colength for ideal in ideals) - rank
+    if h1 < 0:
+        raise AssertionError("condition rank exceeds the colength (internal error)")
+    return h1
 
 
 def superabundance(spec: ProjectiveCurveSpec, kappa: Fraction) -> int:
@@ -369,11 +372,7 @@ def superabundance(spec: ProjectiveCurveSpec, kappa: Fraction) -> int:
     m = spec.degree - 3 - int(dk)
     if m < 0:
         return 0
-    rows, colength, _ = _condition_rows(spec, kappa, m)
-    rank = rational_rank(rows) if rows else 0
-    h1 = colength - rank
-    assert h1 >= 0
-    return h1
+    return _h1(spec, [point.data.ideal_at(kappa) for point in spec.singularities], m)
 
 
 @dataclass
@@ -457,10 +456,6 @@ class DivisibilityReport:
     local_quotient: LaurentPolynomial
     infinity_quotient: LaurentPolynomial
 
-    @property
-    def passes(self) -> bool:
-        return True  # construction fails loudly otherwise
-
 
 def divisibility_check(spec: ProjectiveCurveSpec) -> DivisibilityReport:
     """Verify Delta_C | prod of local polynomials and Delta_C | Delta_inf.
@@ -475,7 +470,7 @@ def divisibility_check(spec: ProjectiveCurveSpec) -> DivisibilityReport:
     try:
         q_local = normalize_unit(exact_divide(local, delta))
         q_inf = normalize_unit(exact_divide(inf, delta))
-    except Exception as exc:  # noqa: BLE001 - reported as theorem violation
+    except NotPolynomial as exc:
         raise TheoremViolation(f"divisibility failed: {exc}") from exc
     return DivisibilityReport(
         alexander=delta,
@@ -653,32 +648,16 @@ def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
 
 
 def _face_h1(spec: ProjectiveCurveSpec, xi_global, m: int):
-    cols = _monomials_up_to(m)
-    col_index = {mono: idx for idx, mono in enumerate(cols)}
     labels = [lab for lab, _ in spec.components]
-    rows = []
-    colength_total = 0
-    colengths = {}
-    for idx, point in enumerate(spec.singularities):
+    ideals = []
+    for point in spec.singularities:
         if point.incidence:
             coords = [labels.index(lab) for lab in point.incidence]
         else:
             coords = list(range(len(labels)))[: point.data.branch_count()]
-        local_xi = [xi_global[c] for c in coords]
-        ideal = _ideal_at_vector(point.data, local_xi)
-        colength_total += ideal.colength
-        colengths[idx] = ideal.colength
-        x0, y0 = point.position
-        for alpha, beta in ideal.nonmembers:
-            row = [Fraction(0)] * len(cols)
-            for (i, j) in cols:
-                if i >= alpha and j >= beta:
-                    row[col_index[(i, j)]] = (
-                        comb(i, alpha) * comb(j, beta) * x0 ** (i - alpha) * y0 ** (j - beta)
-                    )
-            rows.append(row)
-    rank = rational_rank(rows) if rows else 0
-    return colength_total - rank, colengths
+        ideals.append(_ideal_at_vector(point.data, [xi_global[c] for c in coords]))
+    colengths = {idx: ideal.colength for idx, ideal in enumerate(ideals)}
+    return _h1(spec, ideals, m), colengths
 
 
 def _ideal_at_vector(data: LocalData, xi_local):

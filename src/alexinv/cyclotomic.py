@@ -126,6 +126,10 @@ class CyclotomicElement:
         inv = uni.scale(s0, Fraction(1) / a[0])
         return CyclotomicElement(self.conductor, inv)
 
+    def __rtruediv__(self, other) -> "CyclotomicElement":
+        """other / self for a rational other, so 1 / x is the field inverse."""
+        return self.inverse() * other
+
     def __repr__(self) -> str:
         return f"CyclotomicElement(M={self.conductor}, {uni.to_string(list(self.coeffs), 'z')})"
 

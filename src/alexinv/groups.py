@@ -16,7 +16,6 @@ from itertools import combinations, product
 from math import gcd
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from . import uni
 from .cyclotomic import (
     character_conductor,
     cyclotomic_polynomial,
@@ -57,13 +56,6 @@ def free_reduce(w: Word) -> Word:
         else:
             out.append(letter)
     return tuple(out)
-
-
-def exponent_sums(w: Word, generators: int) -> List[int]:
-    sums = [0] * generators
-    for g, e in w:
-        sums[g] += e
-    return sums
 
 
 @dataclass(frozen=True)
@@ -244,51 +236,6 @@ def fox_jacobian(p: GroupPresentation) -> AlexanderMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _laurent_matrix_rank(entries: List[List[LaurentPolynomial]], cols: int) -> int:
-    """Rank over Q(t) of a matrix of one-variable Laurent polynomials,
-    computed by cross-multiplication echelon reduction over Q[t]."""
-    # clear the whole matrix by one common power of t, then work with
-    # plain coefficient lists; a global unit does not change the rank
-    mins = [e.min_degree() for row in entries for e in row if not e.is_zero()]
-    if not mins:
-        return 0
-    shift = -min(mins)
-
-    def coeffs(e: LaurentPolynomial):
-        if e.is_zero():
-            return []
-        out = [Fraction(0)] * (e.max_degree() + shift + 1)
-        for (d,), c in e.terms.items():
-            out[d + shift] = c
-        return uni.trim(out)
-
-    rows = [[coeffs(e) for e in row] for row in entries]
-    rank = 0
-    col = 0
-    while rows and col < cols:
-        pivot = next((i for i, rw in enumerate(rows) if rw[col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[0], rows[pivot] = rows[pivot], rows[0]
-        prow = rows[0]
-        new_rows = []
-        for rw in rows[1:]:
-            if not rw[col]:
-                new_rows.append(rw)
-                continue
-            # rw := rw * pivot - prow * rw[col]
-            factor_a, factor_b = prow[col], rw[col]
-            combined = []
-            for a, b in zip(rw, prow):
-                combined.append(uni.sub(uni.mul(a, factor_a), uni.mul(b, factor_b)))
-            new_rows.append(combined)
-        rows = new_rows
-        rank += 1
-        col += 1
-    return rank
-
-
 def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
     """Order of the torsion of the Alexander module for r = 1, canonical up
     to +-t^a.
@@ -315,11 +262,8 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
     s = p.generators
     if s == 1:
         return LaurentPolynomial.one(1)
-    rank = _laurent_matrix_rank(matrix.entries, s)
-    if rank < s - 1:
-        raise NonTorsionModule(
-            "Alexander module has positive rank; no polynomial order"
-        )
+    # each row is orthogonal to (t^phi(x_j) - 1)_j, so the rank is at most
+    # s - 1, and the module is torsion exactly when an (s - 1)-minor is nonzero
     g = LaurentPolynomial.zero(1)
     size = s - 1
     for ri in combinations(range(matrix.rows), size):
@@ -332,6 +276,10 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
             g = minor if g.is_zero() else univariate_gcd(g, minor)
             if not g.is_zero() and g.max_degree() == g.min_degree():
                 return normalize_unit(g)  # unit gcd, stop early
+    if g.is_zero():
+        raise NonTorsionModule(
+            "Alexander module has positive rank; no polynomial order"
+        )
     return normalize_unit(g)
 
 

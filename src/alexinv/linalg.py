@@ -1,5 +1,12 @@
-"""Exact integer and rational linear algebra: Smith normal form,
-rank / nullspace over Q, and rank over cyclotomic fields.
+"""Exact linear algebra.
+
+Every rank, nullspace and point solve over a field goes through one
+kernel, ``echelon``: forward Gaussian elimination over an exact field,
+with entries of type ``Fraction`` (the field Q) or ``CyclotomicElement``
+(the cyclotomic field Q(zeta_M)).  Lattice results need unimodular
+integer operations, which a field kernel cannot give, so the Smith
+normal form and the integer kernel basis have their own loops, as does
+the minor-gcd test oracle.
 
 Matrices are plain lists of lists; everything is small and desk-scale.
 """
@@ -96,53 +103,62 @@ def cokernel_invariants(matrix: Sequence[Sequence[int]], ambient_rank: int) -> T
     return free, torsion
 
 
-def _kernel_echelon(matrix, rows, cols):
-    """Row-reduce over Q; return (pivots, reduced matrix)."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pr = i
-                break
+def echelon(a: List[list]) -> List[int]:
+    """Bring a to row echelon form in place and return its pivot columns.
+
+    Forward elimination over an exact field: the entries are ``Fraction``
+    or ``CyclotomicElement``, or anything else with +, -, *, a truth value
+    that is false exactly at zero, and a field inverse ``1 / x``, which is
+    taken once for each pivot that has nonzero entries below it.
+    Afterwards row i < len(pivots) is zero before column pivots[i] and
+    nonzero there, and every later row is zero.
+    """
+    pivots: List[int] = []
+    rows = len(a)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        top = a[r][c:]
+        below = [row for row in a[r + 1:] if row[c]]
+        if below:
+            inv = 1 / top[0]
+        for row in below:
+            f = row[c] * inv
+            row[c:] = [x - f * y for x, y in zip(row[c:], top)]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots, a
+    return pivots
+
+
+def _fractions(matrix: Sequence[Sequence]) -> List[List[Fraction]]:
+    return [[Fraction(x) for x in row] for row in matrix]
 
 
 def rational_rank(matrix: Sequence[Sequence]) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    pivots, _ = _kernel_echelon(matrix, len(matrix), len(matrix[0]))
-    return len(pivots)
+    return len(echelon(_fractions(matrix)))
 
 
 def rational_nullspace(matrix: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Basis of the right nullspace over Q."""
+    """Basis of the right nullspace over Q.
+
+    There is one basis vector per non-pivot column: it is 1 at that
+    column and 0 at the other non-pivot columns.
+    """
     if not matrix:
         return []
-    rows, cols = len(matrix), len(matrix[0])
-    pivots, a = _kernel_echelon(matrix, rows, cols)
-    free = [c for c in range(cols) if c not in pivots]
+    a = _fractions(matrix)
+    cols = len(a[0])
+    pivots = echelon(a)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+        for row, pc in reversed(list(zip(a, pivots))):
+            v[pc] = -sum(row[j] * v[j] for j in range(pc + 1, cols)) / row[pc]
         basis.append(v)
     return basis
 
@@ -199,30 +215,8 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> List[List[int]]:
 
 
 def cyclotomic_rank(matrix: Sequence[Sequence[CyclotomicElement]]) -> int:
-    """Rank of a matrix over the cyclotomic field by Gaussian elimination."""
-    if not matrix or not matrix[0]:
-        return 0
-    a = [list(row) for row in matrix]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for c in range(cols):
-        pr = None
-        for i in range(rank, rows):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[rank], a[pr] = a[pr], a[rank]
-        inv = a[rank][c].inverse()
-        for i in range(rank + 1, rows):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank of a matrix over the cyclotomic field."""
+    return len(echelon([list(row) for row in matrix]))
 
 
 def maximal_minor_gcd(matrix: Sequence[Sequence[int]]) -> int:

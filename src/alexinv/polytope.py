@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import List, Sequence, Tuple
 
 from .errors import UnsupportedDimension
-from .linalg import rational_rank
+from .linalg import rational_nullspace, rational_rank
 
 Vector = Tuple[Fraction, ...]
 Halfspace = Tuple[Vector, Fraction, bool]
@@ -88,12 +88,13 @@ class RationalPolytope:
         cons = self.constraints()
         seen = []
         for subset in combinations(range(len(cons)), self.dim):
-            rows = [cons[i][0] for i in subset]
-            if rational_rank([list(r) for r in rows]) < self.dim:
+            # the subset's hyperplanes meet in one point exactly when [A | -b]
+            # has a one-dimensional nullspace whose vector has a nonzero last
+            # coordinate; rational_nullspace makes that coordinate 1
+            kernel = rational_nullspace([list(cons[i][0]) + [-cons[i][1]] for i in subset])
+            if len(kernel) != 1 or not kernel[0][-1]:
                 continue
-            point = _solve([list(cons[i][0]) for i in subset], [cons[i][1] for i in subset])
-            if point is None:
-                continue
+            point = tuple(kernel[0][:-1])
             if all(_dot(n, point) >= b for n, b, _ in cons):
                 if point not in seen:
                     seen.append(point)
@@ -171,24 +172,6 @@ def _affine_dim(points: Sequence[Vector]) -> int:
     base = points[0]
     rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
     return rational_rank(rows)
-
-
-def _solve(rows, rhs):
-    """Solve a square rational system; None when singular/inconsistent."""
-    n = len(rows)
-    a = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            return None
-        a[c], a[pr] = a[pr], a[c]
-        inv = Fraction(1) / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(a[i][n] for i in range(n))
 
 
 def polytope_faces(p: RationalPolytope):

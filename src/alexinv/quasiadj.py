@@ -108,9 +108,8 @@ def _weight1_ok(tree: ResolutionTree, equal_ids: List[int]) -> bool:
     return True
 
 
-def germ_membership(tree: ResolutionTree, xi, phi: biv.Poly2, variant: str) -> bool:
-    """Membership of an arbitrary germ, by replaying the blow-ups on it."""
-    e = tree.pullback_orders(phi)
+def _is_member(tree: ResolutionTree, xi, e: Sequence[int], variant: str) -> bool:
+    """Membership in the variant's ideal of the germ with pullback orders e."""
     bad, equal = _classify(tree, xi, e)
     if variant == "strict":
         return not bad and not equal
@@ -119,6 +118,11 @@ def germ_membership(tree: ResolutionTree, xi, phi: biv.Poly2, variant: str) -> b
     if variant == "weight1":
         return not bad and _weight1_ok(tree, equal)
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def germ_membership(tree: ResolutionTree, xi, phi: biv.Poly2, variant: str) -> bool:
+    """Membership of an arbitrary germ, by replaying the blow-ups on it."""
+    return _is_member(tree, xi, tree.pullback_orders(phi), variant)
 
 
 @dataclass
@@ -186,16 +190,7 @@ def ideal_of_quasiadjunction(
     members = set()
     nonmembers = []
     for mono, e in sorted(_monomial_orders(tree, B - 1).items()):
-        bad, equal = _classify(tree, xi, e)
-        if variant == "strict":
-            ok = not bad and not equal
-        elif variant == "log":
-            ok = not bad
-        elif variant == "weight1":
-            ok = not bad and _weight1_ok(tree, equal)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        if ok:
+        if _is_member(tree, xi, e, variant):
             members.add(mono)
         else:
             nonmembers.append(mono)

@@ -15,7 +15,7 @@ from .braids import BraidWord, MonodromyData
 from .curves import ProjectiveCurveSpec, SingularPoint, local_data_for
 from .errors import ValidationError
 from .groups import GroupPresentation, CharacterPoint
-from .laurent import FormalCycloProduct, LaurentPolynomial
+from .laurent import LaurentPolynomial
 from .resolution import PlaneCurveGerm, ResolutionTree
 
 
@@ -44,17 +44,6 @@ def laurent_from_json(data: dict) -> LaurentPolynomial:
         for t in data["terms"]
     }
     return LaurentPolynomial(int(data["vars"]), terms)
-
-
-def cyclo_product_to_json(f: FormalCycloProduct) -> dict:
-    return {
-        "vars": f.var_count,
-        "sign": f.sign,
-        "shift": list(f.shift),
-        "factors": [
-            {"exp": list(v), "power": e} for v, e in sorted(f.factors.items())
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,6 @@ def trim(p: Poly) -> Poly:
     return p
 
 
-def from_coeffs(cs) -> Poly:
-    return trim([Fraction(c) for c in cs])
-
-
 def degree(p: Poly) -> int:
     """Degree, with deg 0 = -1 by convention."""
     return len(p) - 1
@@ -120,17 +116,6 @@ def evaluate(p: Poly, x) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
-    result = [Fraction(1)]
-    b = divmod_exact(base, modulus)[1]
-    while e:
-        if e & 1:
-            result = divmod_exact(mul(result, b), modulus)[1]
-        b = divmod_exact(mul(b, b), modulus)[1]
-        e >>= 1
-    return result
 
 
 def x_power(n: int) -> Poly:

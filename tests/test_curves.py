@@ -19,7 +19,8 @@ from alexinv.curves import (
     superabundance,
     transform_positions,
 )
-from alexinv.errors import BadGerm
+from alexinv import curves
+from alexinv.errors import BadGerm, TheoremViolation
 from alexinv.laurent import LaurentPolynomial, exact_divide, normalize_unit
 
 t = LaurentPolynomial.variable()
@@ -116,6 +117,22 @@ def test_divisibility_zariski(sextic_on_conic):
 def test_divisibility_trivial_alexander(sextic_generic):
     report = divisibility_check(sextic_generic)
     assert report.alexander == LaurentPolynomial.one()
+
+
+def test_divisibility_failure_is_a_theorem_violation(sextic_on_conic, monkeypatch):
+    # Delta_C = t^2 - t + 1 does not divide t - 1
+    monkeypatch.setattr(curves, "infinity_alexander", lambda d: t - 1)
+    with pytest.raises(TheoremViolation):
+        divisibility_check(sextic_on_conic)
+
+
+def test_overcounted_rank_is_an_internal_error(sextic_on_conic, monkeypatch):
+    true_rank = curves.rational_rank
+    monkeypatch.setattr(curves, "rational_rank", lambda rows: true_rank(rows) + 2)
+    with pytest.raises(AssertionError, match="internal error"):
+        superabundance(sextic_on_conic, F(1, 6))
+    with pytest.raises(AssertionError, match="internal error"):
+        global_faces_and_components(sextic_on_conic)
 
 
 def test_degree_gate_seven():

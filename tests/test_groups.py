@@ -68,6 +68,15 @@ def test_non_torsion_marker():
         one_variable_alexander(GroupPresentation(2, (), [[1], [1]]))
 
 
+@pytest.mark.parametrize("copies", [1, 2])
+def test_non_torsion_with_relators(copies):
+    """The trefoil relator on three generators, all mapped to t: one copy
+    leaves no 2x2 minor, two copies leave only vanishing ones."""
+    (rel,) = trefoil_presentation().relators
+    with pytest.raises(NonTorsionModule):
+        one_variable_alexander(GroupPresentation(3, (rel,) * copies, [[1], [1], [1]]))
+
+
 def test_rank_one_free_group():
     assert one_variable_alexander(free_group(1)) == LaurentPolynomial.one()
 

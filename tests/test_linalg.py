@@ -3,8 +3,10 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from alexinv.cyclotomic import CyclotomicElement
 from alexinv.linalg import (
     cokernel_invariants,
+    cyclotomic_rank,
     integer_kernel_basis,
     maximal_minor_gcd,
     rational_nullspace,
@@ -60,9 +62,25 @@ def test_nullspace_is_conic():
 
 @given(matrices)
 def test_nullspace_vectors_annihilate(m):
-    for v in rational_nullspace(m):
+    basis = rational_nullspace(m)
+    assert len(basis) == len(m[0]) - rational_rank(m)
+    for v in basis:
         for row in m:
             assert sum(Fraction(c) * x for c, x in zip(row, v)) == 0
+
+
+@given(matrices)
+def test_rank_matches_transpose_and_smith_form(m):
+    rank = rational_rank(m)
+    assert rank == rational_rank([list(col) for col in zip(*m)])
+    # the Smith form is independent integer code
+    assert rank == sum(1 for d in smith_normal_form(m) if d)
+
+
+@given(matrices, st.sampled_from([1, 2, 3, 4, 5, 6, 12]))
+def test_cyclotomic_rank_of_rational_matrix(m, conductor):
+    embedded = [[CyclotomicElement.from_rational(conductor, x) for x in row] for row in m]
+    assert cyclotomic_rank(embedded) == rational_rank(m)
 
 
 @given(matrices)

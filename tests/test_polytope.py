@@ -1,6 +1,7 @@
 from fractions import Fraction
+from itertools import combinations
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alexinv.polytope import EmptyPolytope, RationalPolytope
@@ -78,6 +79,46 @@ def test_vertices_satisfy_all_halfspaces(halfspaces):
             normal, bound, _ = cons[i]
             for v in f.vertices:
                 assert _dot(normal, v) == bound
+
+
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _polytopes(dim):
+    normal = st.tuples(*[st.integers(-3, 3)] * dim)
+    bound = st.fractions(min_value=-2, max_value=3, max_denominator=4)
+    return st.tuples(st.just(dim), st.lists(st.tuples(normal, bound), max_size=3))
+
+
+@given(st.integers(1, 3).flatmap(_polytopes))
+# the parallel lines 2x - y = -1 and 4x - 2y = -3/2 meet nowhere, though
+# the direction (1/2, 1) along them lies in the square
+@example((2, [((2, -1), Fraction(-1)), ((4, -2), Fraction(-3, 2))]))
+def test_vertices_match_cramer(case):
+    """Vertices are the points where dim constraint hyperplanes of nonzero
+    determinant meet, by Cramer's rule, that satisfy every constraint."""
+    dim, halfspaces = case
+    p = RationalPolytope(dim, [(n, b, False) for n, b in halfspaces])
+    cons = p.constraints()
+    expected = set()
+    for subset in combinations(cons, dim):
+        a = [list(n) for n, _, _ in subset]
+        det = _det(a)
+        if det == 0:
+            continue
+        point = tuple(
+            _det([row[:k] + [b] + row[k + 1:] for row, (_, b, _) in zip(a, subset)]) / det
+            for k in range(dim)
+        )
+        if all(_dot(n, point) >= b for n, b, _ in cons):
+            expected.add(point)
+    assert p.vertices() == sorted(expected)
 
 
 def test_dimension_cap():

@@ -72,6 +72,13 @@ def test_membership_of_polynomials(cusp_tree):
     assert germ_membership(cusp_tree, [F(1, 6)], biv.parse("y^2"), "strict")
 
 
+def test_unknown_variant(cusp_tree):
+    with pytest.raises(ValueError, match="unknown variant"):
+        ideal_of_quasiadjunction(cusp_tree, [F(1, 6)], "adjoint")
+    with pytest.raises(ValueError, match="unknown variant"):
+        germ_membership(cusp_tree, [F(1, 6)], biv.parse("y^2"), "adjoint")
+
+
 def test_constants(cusp_tree, t25_tree):
     assert constants_of_quasiadjunction(cusp_tree) == [F(1, 6)]
     assert constants_of_quasiadjunction(t25_tree) == [F(1, 10), F(3, 10)]
