@@ -47,7 +47,7 @@ from .laurent import (
     univariate_gcd,
 )
 from .linalg import rational_nullspace, rational_rank, smith_normal_form
-from .polytope import RationalPolytope, polytope_faces
+from .polytope import RationalPolytope
 from .quasiadj import (
     constants_of_quasiadjunction,
     ideal_of_quasiadjunction,

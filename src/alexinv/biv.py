@@ -10,14 +10,10 @@ import ast
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-import sympy
-
 from .errors import BadGerm, NotReduced
 
 Term = Tuple[int, int]
 Poly2 = Dict[Term, Fraction]
-
-_X, _Y = sympy.symbols("x y")
 
 
 def clean(p: Poly2) -> Poly2:
@@ -239,33 +235,43 @@ def _from_ast(node, src) -> Poly2:
 
 
 # ---------------------------------------------------------------------------
-# sympy-backed validation and factorization (utility work only)
+# sympy-backed validation and factorization (utility work only); sympy is
+# imported here, on first use, so that runs without germs never load it
 # ---------------------------------------------------------------------------
 
 
 def to_sympy(p: Poly2):
+    import sympy
+
+    x, y = sympy.symbols("x y")
     return sympy.Add(
         *[
-            sympy.Rational(c.numerator, c.denominator) * _X**i * _Y**j
+            sympy.Rational(c.numerator, c.denominator) * x**i * y**j
             for (i, j), c in p.items()
         ]
     )
 
 
 def is_squarefree(p: Poly2) -> bool:
-    expr = to_sympy(p)
-    _, factors = sympy.factor_list(expr, _X, _Y)
+    import sympy
+
+    _, factors = sympy.factor_list(to_sympy(p), *sympy.symbols("x y"))
     return all(mult == 1 for _, mult in factors)
 
 
 def are_coprime(p: Poly2, q: Poly2) -> bool:
-    g = sympy.gcd(sympy.Poly(to_sympy(p), _X, _Y), sympy.Poly(to_sympy(q), _X, _Y))
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    g = sympy.gcd(sympy.Poly(to_sympy(p), x, y), sympy.Poly(to_sympy(q), x, y))
     return g.total_degree() == 0
 
 
 def factor_univariate(coeffs: List[Fraction]):
     """Irreducible factorization over Q of a dense univariate coefficient
     list; returns (constant, [(factor coeff list, multiplicity)])."""
+    import sympy
+
     v = sympy.Symbol("v")
     expr = sympy.Add(
         *[sympy.Rational(c.numerator, c.denominator) * v**i for i, c in enumerate(coeffs)]

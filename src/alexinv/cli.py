@@ -31,8 +31,6 @@ from .groups import (
     CharacterPoint,
     GroupPresentation,
     branched_cover_betti,
-    charvar_membership,
-    depth,
     fox_jacobian,
     local_system_h1_dim,
     one_variable_alexander,
@@ -238,13 +236,14 @@ def _cmd_charvar(args) -> dict:
         raise ValidationError(["charvar: need --character or --character-file"])
     rows = []
     for chi in chars:
+        # depth is dim H_1, and chi lies in V_1 exactly when it is positive
         d = local_system_h1_dim(pres, chi)
         rows.append(
             {
                 "character": [_fr(c) for c in chi.coords],
                 "h1_dim": d,
-                "depth": depth(pres, chi),
-                "in_V1": charvar_membership(pres, 1, chi),
+                "depth": d,
+                "in_V1": d >= 1,
             }
         )
     return {"characters": rows}

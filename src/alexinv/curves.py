@@ -30,11 +30,10 @@ from .linalg import cokernel_invariants, rational_rank
 from .polytope import RationalPolytope
 from .quasiadj import (
     LocalIdealDescription,
-    jet_bound,
+    ideal_of_quasiadjunction,
+    jumping_values,
     kappa_constant,
-    monomial_kappa,
     polytopes_and_faces,
-    _monomial_orders,
 )
 from .resolution import (
     PlaneCurveGerm,
@@ -139,15 +138,7 @@ class ResolvedGermData(LocalData):
     def constants(self) -> List[Fraction]:
         """Jumping values of the diagonal family xi = (kappa, ..., kappa),
         i.e. of the ideals attached to the cyclic covers z^n = f."""
-        if not self.tree.nodes:
-            return []
-        bound = jet_bound(self.tree)
-        values = set()
-        for _, e in _monomial_orders(self.tree, bound - 1).items():
-            k = monomial_kappa(self.tree, e)
-            if 0 < k < 1:
-                values.add(k)
-        return sorted(values)
+        return jumping_values(self.tree)
 
     def ideal_at(self, kappa: Fraction) -> LocalIdealDescription:
         kappa = Fraction(kappa)
@@ -157,8 +148,6 @@ class ResolvedGermData(LocalData):
             return LocalIdealDescription(
                 "strict", (kappa,), bound, frozenset(members), (), None
             )
-        from .quasiadj import ideal_of_quasiadjunction
-
         return ideal_of_quasiadjunction(
             self.tree, (kappa,) * self.tree.r, "strict"
         )
@@ -558,11 +547,11 @@ def _lifted_constraints(spec: ProjectiveCurveSpec, point_idx: int, face_data):
     r = len(labels)
     constraints = []
 
-    def lift(normal_local, bound, strict=False):
+    def lift(normal_local, bound):
         normal = [Fraction(0)] * r
         for c, nl in zip(coords, normal_local):
             normal[c] += Fraction(nl)
-        constraints.append((tuple(normal), Fraction(bound), strict))
+        constraints.append((tuple(normal), Fraction(bound)))
 
     simple, rich = face_data
     if rich is None:
@@ -572,11 +561,11 @@ def _lifted_constraints(spec: ProjectiveCurveSpec, point_idx: int, face_data):
         lift((-1,), -kappa)
         return constraints
     face, saturated, poly = rich
-    for normal, bound, _ in saturated:
+    for normal, bound in saturated:
         lift(normal, bound)
         lift(tuple(-x for x in normal), -bound)
-    for normal, bound, strict in poly.halfspaces:
-        lift(normal, bound, strict)
+    for normal, bound in poly.halfspaces:
+        lift(normal, bound)
     return constraints
 
 
@@ -605,9 +594,8 @@ def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
     for size in range(1, max_size + 1):
         for combo in combinations(range(len(lifted)), size):
             constraints = [c for i in combo for c in lifted[i][1]]
-            poly = RationalPolytope(r, constraints)
-            verts = poly.vertices()
-            if not verts or poly.is_empty():
+            verts = RationalPolytope(r, constraints).vertices()
+            if not verts:
                 continue
             key = tuple(verts)
             interior = tuple(
@@ -662,8 +650,6 @@ def _face_h1(spec: ProjectiveCurveSpec, xi_global, m: int):
 
 def _ideal_at_vector(data: LocalData, xi_local):
     if isinstance(data, ResolvedGermData) and data.tree.nodes:
-        from .quasiadj import ideal_of_quasiadjunction
-
         if len(xi_local) == data.tree.r:
             return ideal_of_quasiadjunction(data.tree, xi_local, "strict")
         # single shared coordinate for a multibranch germ on one component

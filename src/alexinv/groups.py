@@ -309,16 +309,20 @@ def _divisors(n: int) -> List[int]:
 def local_system_h1_dim(p: GroupPresentation, chi: CharacterPoint) -> int:
     """dim H_1 of the rank-one local system chi (chi nontrivial):
     s - 1 - rank of the Alexander matrix evaluated at chi."""
+    return _h1_dim(fox_jacobian(p), chi)
+
+
+def _h1_dim(matrix: AlexanderMatrix, chi: CharacterPoint) -> int:
+    """local_system_h1_dim from the presentation's Fox matrix, which callers
+    that evaluate it at many characters build once."""
+    p = matrix.presentation
     if not chi.nontrivial:
         raise TrivialCharacterUnsupported("identity character excluded")
     if len(chi) != p.rank:
         raise ValueError("character length does not match abelianization rank")
     if not p.character_is_valid(chi):
         raise InvalidAbelianization("character does not kill all relators")
-    matrix = fox_jacobian(p)
-    evaluated = matrix.evaluate(chi)
-    rank = cyclotomic_rank(evaluated)
-    return p.generators - 1 - rank
+    return p.generators - 1 - cyclotomic_rank(matrix.evaluate(chi))
 
 
 def depth(p: GroupPresentation, chi: CharacterPoint) -> int:
@@ -357,11 +361,12 @@ def unbranched_cover_betti(p: GroupPresentation, orders: Sequence[int]) -> int:
     if any(n < 1 for n in orders):
         raise ValueError("orders must be >= 1")
     total = p.rank
+    matrix = fox_jacobian(p)
     for ks in product(*(range(n) for n in orders)):
         if all(k == 0 for k in ks):
             continue
         chi = CharacterPoint([Fraction(k, n) for k, n in zip(ks, orders)])
-        total += depth(p, chi)
+        total += _h1_dim(matrix, chi)
     return total
 
 
@@ -377,6 +382,7 @@ def branched_cover_betti(
     """
     r = len(orders)
     total = 0
+    matrices: Dict[FrozenSet[int], AlexanderMatrix] = {}
     for ks in product(*(range(n) for n in orders)):
         support = frozenset(i for i, k in enumerate(ks) if k != 0)
         if not support:
@@ -388,7 +394,9 @@ def branched_cover_betti(
         reduced = CharacterPoint(
             [Fraction(ks[i], orders[i]) for i in sorted(support)]
         )
-        total += depth(pres, reduced)
+        if key not in matrices:
+            matrices[key] = fox_jacobian(pres)
+        total += _h1_dim(matrices[key], reduced)
     return total
 
 

@@ -1,10 +1,9 @@
 """Rational polytopes in dimension <= 3, with exact vertex enumeration
 and a face lattice.
 
-A halfspace is (normal, bound, strict) meaning normal . x >= bound, or
-> bound when strict.  The unit cube constraints 0 <= x_i <= 1 are always
-added implicitly; strictness is carried because the ideals of
-quasiadjunction and log-quasiadjunction differ exactly by it.
+A halfspace is (normal, bound) meaning normal . x >= bound.  The unit
+cube constraints 0 <= x_i <= 1 are always added implicitly.  An empty
+polytope has no vertices and no faces.
 """
 
 from __future__ import annotations
@@ -12,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import UnsupportedDimension
 from .linalg import rational_nullspace, rational_rank
 
 Vector = Tuple[Fraction, ...]
-Halfspace = Tuple[Vector, Fraction, bool]
+Halfspace = Tuple[Vector, Fraction]
 
 
 def _vec(v) -> Vector:
@@ -45,16 +44,6 @@ class Face:
         )
 
 
-class EmptyPolytope:
-    """Marker for an empty polytope (valid output, not an error)."""
-
-    def __repr__(self):
-        return "EmptyPolytope()"
-
-    def __eq__(self, other):
-        return isinstance(other, EmptyPolytope)
-
-
 @dataclass
 class RationalPolytope:
     dim: int
@@ -65,26 +54,21 @@ class RationalPolytope:
             raise UnsupportedDimension(
                 f"polytopes supported only for dimension <= 3, got {self.dim}"
             )
-        self.halfspaces = [
-            (_vec(n), Fraction(b), bool(s)) for n, b, s in self.halfspaces
-        ]
-
-    def add(self, normal, bound, strict=False):
-        self.halfspaces.append((_vec(normal), Fraction(bound), bool(strict)))
+        self.halfspaces = [(_vec(n), Fraction(b)) for n, b in self.halfspaces]
 
     def constraints(self) -> List[Halfspace]:
         """User halfspaces followed by the implicit cube constraints."""
         cube: List[Halfspace] = []
         for i in range(self.dim):
             e = tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
-            cube.append((e, Fraction(0), False))
-            cube.append((tuple(-x for x in e), Fraction(-1), False))
+            cube.append((e, Fraction(0)))
+            cube.append((tuple(-x for x in e), Fraction(-1)))
         return self.halfspaces + cube
 
     # -- geometry -----------------------------------------------------
 
     def vertices(self) -> List[Vector]:
-        """Vertices of the closure, exact over Q."""
+        """Vertices, exact over Q."""
         cons = self.constraints()
         seen = []
         for subset in combinations(range(len(cons)), self.dim):
@@ -95,49 +79,25 @@ class RationalPolytope:
             if len(kernel) != 1 or not kernel[0][-1]:
                 continue
             point = tuple(kernel[0][:-1])
-            if all(_dot(n, point) >= b for n, b, _ in cons):
+            if all(_dot(n, point) >= b for n, b in cons):
                 if point not in seen:
                     seen.append(point)
         return sorted(seen)
 
-    def is_empty(self) -> bool:
-        verts = self.vertices()
-        if not verts:
-            return True
-        # the closure is nonempty; respect strict constraints at the centroid
-        n = len(verts)
-        centroid = tuple(
-            sum((v[i] for v in verts), Fraction(0)) / n for i in range(self.dim)
-        )
-        for normal, bound, strict in self.constraints():
-            if strict and _dot(normal, centroid) <= bound:
-                return True
-        return False
-
-    def contains(self, point, closed: bool = False) -> bool:
-        point = _vec(point)
-        for normal, bound, strict in self.constraints():
-            v = _dot(normal, point)
-            if strict and not closed:
-                if v <= bound:
-                    return False
-            elif v < bound:
-                return False
-        return True
-
-    def faces(self):
-        """Face lattice of the closure: list of Face, or EmptyPolytope.
+    def faces(self) -> List[Face]:
+        """Face lattice, sorted by (dim, vertices); [] when empty.
 
         Faces are the distinct vertex sets obtained by saturating
         constraint subsets; every vertex satisfies all halfspaces and every
-        facet's vertices saturate its defining halfspace.
+        facet's vertices saturate its defining halfspace.  The polytope
+        itself comes last.
         """
         verts = self.vertices()
-        if not verts or self.is_empty():
-            return EmptyPolytope()
+        if not verts:
+            return []
         cons = self.constraints()
         sat = {
-            v: tuple(i for i, (n, b, _) in enumerate(cons) if _dot(n, v) == b)
+            v: tuple(i for i, (n, b) in enumerate(cons) if _dot(n, v) == b)
             for v in verts
         }
         found = {}
@@ -165,6 +125,23 @@ class RationalPolytope:
         faces.sort(key=lambda f: (f.dim, f.vertices))
         return faces
 
+    def face_lookup(self) -> Callable[[Sequence], Face]:
+        """A map from a point of the polytope to the face that holds it in
+        its relative interior.  That face's vertices are exactly the
+        polytope's vertices on every constraint hyperplane through the
+        point.  The face lattice is computed once, here, not per point."""
+        faces = self.faces()
+        by_vertices = {f.vertices: f for f in faces}
+        verts = faces[-1].vertices if faces else ()
+        cons = self.constraints()
+        sat = {v: {i for i, (n, b) in enumerate(cons) if _dot(n, v) == b} for v in verts}
+
+        def face_of(point) -> Face:
+            through = {i for i, (n, b) in enumerate(cons) if _dot(n, point) == b}
+            return by_vertices[tuple(v for v in verts if through <= sat[v])]
+
+        return face_of
+
 
 def _affine_dim(points: Sequence[Vector]) -> int:
     if len(points) <= 1:
@@ -172,7 +149,3 @@ def _affine_dim(points: Sequence[Vector]) -> int:
     base = points[0]
     rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
     return rational_rank(rows)
-
-
-def polytope_faces(p: RationalPolytope):
-    return p.faces()

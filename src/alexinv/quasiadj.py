@@ -7,7 +7,10 @@ Membership in the three ideals is decided from a resolution: a germ phi
 belongs to the strict ideal at xi iff for every exceptional curve
     sum_i a_{k,i} xi_i  >  sum_i a_{k,i} - e_k(phi) - c_k - 1,
 to the log ideal iff the non-strict version holds, and to the weight-one
-ideal iff equality occurs only on pairwise non-adjacent curves.
+ideal iff equality occurs only on pairwise non-adjacent curves.  The
+left side, the level of node k at xi, is computed once per point; the
+right side is written once, in ``_rhs``; and one sweep of the monomials
+below the jet bound gives all three ideals.
 """
 
 from __future__ import annotations
@@ -17,16 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import biv
-from .errors import BadGerm, UnsupportedDimension, UseFacesForMultiComponent
-from .polytope import EmptyPolytope, Face, RationalPolytope
+from .errors import BadGerm, UnsupportedDimension, UseFacesForMultiComponent, ValidationError
+from .polytope import Face, RationalPolytope
 from .resolution import ResolutionTree
 
 Monomial = Tuple[int, int]
 
 JET_BOUND_ENV = "ALEXINV_JET_BOUND"
+VARIANTS = ("strict", "weight1", "log")
 
 
 # ---------------------------------------------------------------------------
@@ -72,33 +76,27 @@ def jet_bound(tree: ResolutionTree, override: Optional[int] = None) -> int:
     if override is not None:
         candidates.append(int(override))
     if env:
-        candidates.append(int(env))
+        try:
+            candidates.append(int(env))
+        except ValueError:
+            raise ValidationError(
+                [f"{JET_BOUND_ENV} must be an integer, got {env!r}"]
+            ) from None
     return max(candidates)
 
 
+def _node_levels(tree: ResolutionTree, xi) -> List[Fraction]:
+    """The level a_k . xi of every node k."""
+    return [sum((x * a for x, a in zip(xi, node.a)), Fraction(0)) for node in tree.nodes]
+
+
 def _rhs(tree: ResolutionTree, e: Sequence[int]) -> List[int]:
+    """sum a_k - e_k - c_k - 1 for every node k, for the germ with pullback
+    orders e."""
     return [
         node.total_multiplicity - e[k] - node.c - 1
         for k, node in enumerate(tree.nodes)
     ]
-
-
-def _xi_dot(node, xi) -> Fraction:
-    return sum((Fraction(x) * ai for x, ai in zip(xi, node.a)), Fraction(0))
-
-
-def _classify(tree: ResolutionTree, xi, e: Sequence[int]):
-    """Per-node comparison; returns (any strictly below, equality node ids)."""
-    bad = False
-    equal = []
-    for k, node in enumerate(tree.nodes):
-        lhs = _xi_dot(node, xi)
-        rhs = node.total_multiplicity - e[k] - node.c - 1
-        if lhs < rhs:
-            bad = True
-        elif lhs == rhs:
-            equal.append(node.id)
-    return bad, equal
 
 
 def _weight1_ok(tree: ResolutionTree, equal_ids: List[int]) -> bool:
@@ -108,21 +106,28 @@ def _weight1_ok(tree: ResolutionTree, equal_ids: List[int]) -> bool:
     return True
 
 
-def _is_member(tree: ResolutionTree, xi, e: Sequence[int], variant: str) -> bool:
-    """Membership in the variant's ideal of the germ with pullback orders e."""
-    bad, equal = _classify(tree, xi, e)
-    if variant == "strict":
-        return not bad and not equal
-    if variant == "log":
-        return not bad
-    if variant == "weight1":
-        return not bad and _weight1_ok(tree, equal)
-    raise ValueError(f"unknown variant {variant!r}")
+def _memberships(tree: ResolutionTree, levels: Sequence[Fraction], e: Sequence[int]):
+    """(strict, weight1, log) membership of the germ with pullback orders e
+    at the point whose node levels are given."""
+    equal = []
+    for node, lhs, rhs in zip(tree.nodes, levels, _rhs(tree, e)):
+        if lhs < rhs:
+            return False, False, False
+        if lhs == rhs:
+            equal.append(node.id)
+    return not equal, _weight1_ok(tree, equal), True
+
+
+def _variant_index(variant: str) -> int:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return VARIANTS.index(variant)
 
 
 def germ_membership(tree: ResolutionTree, xi, phi: biv.Poly2, variant: str) -> bool:
     """Membership of an arbitrary germ, by replaying the blow-ups on it."""
-    return _is_member(tree, xi, tree.pullback_orders(phi), variant)
+    levels = _node_levels(tree, [Fraction(x) for x in xi])
+    return _memberships(tree, levels, tree.pullback_orders(phi))[_variant_index(variant)]
 
 
 @dataclass
@@ -178,38 +183,40 @@ def _monomial_orders(tree: ResolutionTree, bound: int):
     return table
 
 
-def ideal_of_quasiadjunction(
-    tree: ResolutionTree, xi, variant: str = "strict", bound: Optional[int] = None
-) -> LocalIdealDescription:
+def ideal_triple(tree: ResolutionTree, xi, bound: Optional[int] = None):
+    """The strict, weight-one and log ideals at xi, from one sweep of the
+    monomials below the jet bound."""
     xi = tuple(Fraction(x) for x in xi)
     if len(xi) != tree.r:
         raise BadGerm("xi must have one coordinate per component")
     if any(not 0 < x <= 1 for x in xi):
         raise BadGerm("xi coordinates must lie in (0, 1]")
     B = jet_bound(tree, bound)
-    members = set()
-    nonmembers = []
+    levels = _node_levels(tree, xi)
+    members: Tuple[List[Monomial], ...] = ([], [], [])
+    nonmembers: Tuple[List[Monomial], ...] = ([], [], [])
     for mono, e in sorted(_monomial_orders(tree, B - 1).items()):
-        if _is_member(tree, xi, e, variant):
-            members.add(mono)
-        else:
-            nonmembers.append(mono)
-    return LocalIdealDescription(
-        variant=variant,
-        xi=xi,
-        jet_bound=B,
-        members=frozenset(members),
-        nonmembers=tuple(nonmembers),
-        tree=tree,
+        for i, member in enumerate(_memberships(tree, levels, e)):
+            (members if member else nonmembers)[i].append(mono)
+    return tuple(
+        LocalIdealDescription(
+            variant=variant,
+            xi=xi,
+            jet_bound=B,
+            members=frozenset(members[i]),
+            nonmembers=tuple(nonmembers[i]),
+            tree=tree,
+        )
+        for i, variant in enumerate(VARIANTS)
     )
 
 
-def ideal_triple(tree: ResolutionTree, xi, bound: Optional[int] = None):
-    return (
-        ideal_of_quasiadjunction(tree, xi, "strict", bound),
-        ideal_of_quasiadjunction(tree, xi, "weight1", bound),
-        ideal_of_quasiadjunction(tree, xi, "log", bound),
-    )
+def ideal_of_quasiadjunction(
+    tree: ResolutionTree, xi, variant: str = "strict", bound: Optional[int] = None
+) -> LocalIdealDescription:
+    """The ideal of one variant in VARIANTS at xi; ValueError for any other
+    variant."""
+    return ideal_triple(tree, xi, bound)[_variant_index(variant)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +224,19 @@ def ideal_triple(tree: ResolutionTree, xi, bound: Optional[int] = None):
 # ---------------------------------------------------------------------------
 
 
-def monomial_kappa(tree: ResolutionTree, e: Sequence[int]) -> Fraction:
-    """Jumping value of the germ with pullback orders e: the largest
-    per-node threshold (sum a - e - c - 1)/(sum a), clipped at 0."""
-    best = Fraction(0)
-    for k, node in enumerate(tree.nodes):
-        m = node.total_multiplicity
-        best = max(best, Fraction(m - e[k] - node.c - 1, m))
-    return best
+def jumping_values(tree: ResolutionTree) -> List[Fraction]:
+    """Jumping values in (0, 1) of the diagonal family xi = (kappa, ...,
+    kappa): for each monomial below the jet bound, the largest per-node
+    threshold (sum a - e - c - 1)/(sum a)."""
+    values = set()
+    for e in _monomial_orders(tree, jet_bound(tree) - 1).values():
+        kappa = max(
+            (Fraction(rhs, node.total_multiplicity) for node, rhs in zip(tree.nodes, _rhs(tree, e))),
+            default=Fraction(0),
+        )
+        if 0 < kappa < 1:
+            values.add(kappa)
+    return sorted(values)
 
 
 def constants_of_quasiadjunction(tree: ResolutionTree) -> List[Fraction]:
@@ -232,13 +244,7 @@ def constants_of_quasiadjunction(tree: ResolutionTree) -> List[Fraction]:
         raise UseFacesForMultiComponent(
             "constants are a one-branch notion; use polytopes_and_faces"
         )
-    B = jet_bound(tree)
-    values = set()
-    for mono, e in _monomial_orders(tree, B - 1).items():
-        kappa = monomial_kappa(tree, e)
-        if 0 < kappa < 1:
-            values.add(kappa)
-    result = sorted(values)
+    result = jumping_values(tree)
     _cross_validate_constants(tree, result)
     return result
 
@@ -293,18 +299,21 @@ class QuasiPolytope:
 
 def _region_halfspaces(tree: ResolutionTree, e: Sequence[int]):
     """Non-vacuous halfspaces sum a_k . xi >= rhs_k(phi) for one monomial."""
-    out = []
-    for k, node in enumerate(tree.nodes):
-        rhs = node.total_multiplicity - e[k] - node.c - 1
-        if rhs > 0:
-            out.append((tuple(node.a), Fraction(rhs)))
-    return out
+    return [
+        (tuple(node.a), Fraction(rhs))
+        for node, rhs in zip(tree.nodes, _rhs(tree, e))
+        if rhs > 0
+    ]
 
 
 def polytopes_and_faces(tree: ResolutionTree, bound: Optional[int] = None) -> List[QuasiPolytope]:
     """All polytopes of log-quasiadjunction that have faces of
     quasiadjunction in the open cube, with ideal triples and quotient
-    dimensions attached per face."""
+    dimensions attached per face.
+
+    Each candidate point gets its three ideals from one sweep, and its face
+    by a lookup in the face lattice of its polytope, computed once per
+    polytope."""
     r = tree.r
     if r > 3:
         raise UnsupportedDimension("faces supported for r <= 3 components")
@@ -322,82 +331,44 @@ def polytopes_and_faces(tree: ResolutionTree, bound: Optional[int] = None) -> Li
     depth = min(r, len(region_lists))
     for size in range(1, depth + 1):
         for combo in combinations(region_lists, size):
-            merged = [h for hs in combo for h in hs]
-            poly = RationalPolytope(r, [(n, b, False) for n, b in merged])
-            faces = poly.faces()
-            if isinstance(faces, EmptyPolytope):
-                continue
-            pool.extend(faces)
-    found: Dict[frozenset, QuasiPolytope] = {}
+            pool.extend(RationalPolytope(r, [h for hs in combo for h in hs]).faces())
+    found: Dict[frozenset, Tuple[QuasiPolytope, Callable]] = {}
     seen_faces = set()
     for face in pool:
         xi = face.relative_interior_point()
         if any(not 0 < x for x in xi):
             continue
-        strict_ideal = ideal_of_quasiadjunction(tree, xi, "strict", B)
-        log_ideal = ideal_of_quasiadjunction(tree, xi, "log", B)
+        ideals = ideal_triple(tree, xi, B)
+        strict_ideal, _, log_ideal = ideals
         if strict_ideal.members == log_ideal.members:
             continue
         key = log_ideal.members
         if key not in found:
-            halfspaces = []
-            for mono in sorted(key):
-                halfspaces.extend(_region_halfspaces(tree, orders[mono]))
-            poly = RationalPolytope(r, [(n, b, False) for n, b in sorted(set(halfspaces))])
-            found[key] = QuasiPolytope(polytope=poly, log_staircase=key, faces=[])
-        qp = found[key]
-        canonical = _face_of(qp.polytope, xi)
-        if canonical is None:
-            continue
+            halfspaces = set()
+            for mono in key:
+                halfspaces.update(_region_halfspaces(tree, orders[mono]))
+            poly = RationalPolytope(r, sorted(halfspaces))
+            found[key] = (QuasiPolytope(polytope=poly, log_staircase=key, faces=[]), poly.face_lookup())
+        qp, face_of = found[key]
+        # xi lies in the polytope: it satisfies every halfspace of its log ideal
+        canonical = face_of(xi)
         face_key = (key, canonical.vertices)
         if face_key in seen_faces:
             continue
         seen_faces.add(face_key)
-        weight1 = ideal_of_quasiadjunction(tree, xi, "weight1", B)
         qp.faces.append(
             QuasiFace(
                 face=canonical,
                 level_point=xi,
-                ideals=(strict_ideal, weight1, log_ideal),
+                ideals=ideals,
                 dim_quotient=len(log_ideal.members - strict_ideal.members),
             )
         )
-    result = [qp for qp in found.values() if qp.faces]
+    result = [qp for qp, _ in found.values() if qp.faces]
     for qp in result:
         qp.faces.sort(key=lambda f: (f.face.dim, f.face.vertices))
     result.sort(key=lambda qp: sorted(qp.log_staircase))
     return result
-
-
-def _face_of(poly: RationalPolytope, point) -> Optional[Face]:
-    """The face of poly whose relative interior contains the point."""
-    faces = poly.faces()
-    if isinstance(faces, EmptyPolytope):
-        return None
-    if not poly.contains(point, closed=True):
-        return None
-    cons = poly.constraints()
-    saturated = tuple(
-        i
-        for i, (n, b, _) in enumerate(cons)
-        if sum((Fraction(x) * y for x, y in zip(point, n)), Fraction(0)) == b
-    )
-    best = None
-    for face in faces:
-        if all(i in saturated for i in face.saturated) and all(
-            _saturates(cons, v, saturated) for v in face.vertices
-        ):
-            if best is None or face.dim < best.dim:
-                best = face
-    return best
-
-
-def _saturates(cons, vertex, indices) -> bool:
-    for i in indices:
-        n, b, _ = cons[i]
-        if sum((Fraction(x) * y for x, y in zip(vertex, n)), Fraction(0)) != b:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +420,8 @@ def lct_region(tree: ResolutionTree, gamma: Sequence) -> bool:
         raise BadGerm("gamma must have one entry per component")
     if any(not 0 <= g <= 1 for g in gamma):
         raise BadGerm("gamma coordinates must lie in [0, 1]")
-    x = [1 - g for g in gamma]
-    for node in tree.nodes:
-        if _xi_dot(node, x) < node.total_multiplicity - node.c - 1:
-            return False
-    return True
+    levels = _node_levels(tree, [1 - g for g in gamma])
+    return all(lhs >= rhs for lhs, rhs in zip(levels, _rhs(tree, [0] * len(tree.nodes))))
 
 
 def lct_threshold(tree: ResolutionTree, direction: Sequence) -> Fraction:
@@ -469,8 +437,7 @@ def lct_threshold(tree: ResolutionTree, direction: Sequence) -> Fraction:
         if d > 0:
             cap = Fraction(1) / d
             best = cap if best is None else min(best, cap)
-    for node in tree.nodes:
-        slope = _xi_dot(node, direction)
+    for node, slope in zip(tree.nodes, _node_levels(tree, direction)):
         if slope > 0:
             cap = Fraction(node.c + 1) / slope
             best = cap if best is None else min(best, cap)

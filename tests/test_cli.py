@@ -1,9 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alexinv
 from alexinv.cli import parse_and_validate, run
 from alexinv.errors import ValidationError
 
@@ -157,3 +162,21 @@ def test_schema_round_trip(files):
     assert spec.degree == 6
     pres = parse_and_validate(files["trefoil"], "presentation")
     assert pres.generators == 2
+
+
+def test_invalid_jet_bound_env_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("ALEXINV_JET_BOUND", "abc")
+    for sub in ("quasiadj", "local"):
+        code, _ = _run([sub, "--germ", "x^2 + y^3"])
+        assert code == 2
+        assert "ALEXINV_JET_BOUND" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_sympy():
+    # the child imports the same alexinv as this process
+    env = {**os.environ, "PYTHONPATH": str(Path(alexinv.__file__).parents[1])}
+    probe = "import sys, alexinv.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

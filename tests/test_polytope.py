@@ -4,7 +4,7 @@ from itertools import combinations
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alexinv.polytope import EmptyPolytope, RationalPolytope
+from alexinv.polytope import RationalPolytope
 
 
 def _dot(a, b):
@@ -22,27 +22,25 @@ def test_unit_square():
 
 def test_segment_on_line():
     # {x >= 1/6} inside [0, 1]
-    p = RationalPolytope(1, [((1,), Fraction(1, 6), False)])
+    p = RationalPolytope(1, [((1,), Fraction(1, 6))])
     verts = p.vertices()
     assert verts == [(Fraction(1, 6),), (Fraction(1),)]
 
 
 def test_empty_marker():
-    p = RationalPolytope(2, [((1, 0), Fraction(2), False)])
-    assert isinstance(p.faces(), EmptyPolytope)
-    # strictly empty: x > 0 and x <= 0
-    q = RationalPolytope(1, [((1,), 0, True), ((-1,), 0, False)])
-    assert q.is_empty()
-    assert isinstance(q.faces(), EmptyPolytope)
+    """An empty polytope has no vertices and no faces."""
+    p = RationalPolytope(2, [((1, 0), Fraction(2))])
+    assert p.vertices() == []
+    assert p.faces() == []
 
 
 def test_two_cusp_face_plane():
     halfspaces = [
-        ((2, 2), 2, False),
-        ((2, 3), 2, False),
-        ((3, 2), 2, False),
-        ((4, 6), 5, False),
-        ((6, 4), 5, False),
+        ((2, 2), 2),
+        ((2, 3), 2),
+        ((3, 2), 2),
+        ((4, 6), 5),
+        ((6, 4), 5),
     ]
     p = RationalPolytope(2, halfspaces)
     faces = p.faces()
@@ -58,7 +56,6 @@ def test_two_cusp_face_plane():
 halfspace = st.tuples(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
     st.fractions(min_value=-2, max_value=3, max_denominator=4),
-    st.booleans(),
 )
 
 
@@ -66,17 +63,16 @@ halfspace = st.tuples(
 def test_vertices_satisfy_all_halfspaces(halfspaces):
     p = RationalPolytope(2, halfspaces)
     faces = p.faces()
-    if isinstance(faces, EmptyPolytope):
-        return
+    assert (faces == []) == (p.vertices() == [])
     cons = p.constraints()
     for f in faces:
         for v in f.vertices:
-            for normal, bound, _ in cons:
+            for normal, bound in cons:
                 assert _dot(normal, v) >= bound
     # facet vertices saturate their defining halfspace
     for f in faces:
         for i in f.saturated:
-            normal, bound, _ = cons[i]
+            normal, bound = cons[i]
             for v in f.vertices:
                 assert _dot(normal, v) == bound
 
@@ -104,21 +100,52 @@ def test_vertices_match_cramer(case):
     """Vertices are the points where dim constraint hyperplanes of nonzero
     determinant meet, by Cramer's rule, that satisfy every constraint."""
     dim, halfspaces = case
-    p = RationalPolytope(dim, [(n, b, False) for n, b in halfspaces])
+    p = RationalPolytope(dim, halfspaces)
     cons = p.constraints()
     expected = set()
     for subset in combinations(cons, dim):
-        a = [list(n) for n, _, _ in subset]
+        a = [list(n) for n, _ in subset]
         det = _det(a)
         if det == 0:
             continue
         point = tuple(
-            _det([row[:k] + [b] + row[k + 1:] for row, (_, b, _) in zip(a, subset)]) / det
+            _det([row[:k] + [b] + row[k + 1:] for row, (_, b) in zip(a, subset)]) / det
             for k in range(dim)
         )
-        if all(_dot(n, point) >= b for n, b, _ in cons):
+        if all(_dot(n, point) >= b for n, b in cons):
             expected.add(point)
     assert p.vertices() == sorted(expected)
+
+
+def _face_of(poly, faces, point):
+    """The face of poly (whose face list is given) that holds the point in
+    its relative interior: the smallest face whose vertices saturate every
+    constraint through the point (the search that the lookup replaced)."""
+    cons = poly.constraints()
+    if not faces or any(_dot(n, point) < b for n, b in cons):
+        return None
+    saturated = tuple(i for i, (n, b) in enumerate(cons) if _dot(n, point) == b)
+    best = None
+    for face in faces:
+        if all(i in saturated for i in face.saturated) and all(
+            _dot(cons[i][0], v) == cons[i][1] for v in face.vertices for i in saturated
+        ):
+            if best is None or face.dim < best.dim:
+                best = face
+    return best
+
+
+@given(st.integers(1, 3).flatmap(_polytopes))
+def test_face_lookup_matches_search(case):
+    """At the relative-interior point of every face, the lookup and the
+    search both find that face."""
+    dim, halfspaces = case
+    p = RationalPolytope(dim, halfspaces)
+    face_of = p.face_lookup()
+    faces = p.faces()
+    for face in faces:
+        point = face.relative_interior_point()
+        assert face_of(point) == _face_of(p, faces, point) == face
 
 
 def test_dimension_cap():

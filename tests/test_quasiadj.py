@@ -96,18 +96,27 @@ def test_constants_multicomponent_rejected(node_tree):
         constants_of_quasiadjunction(node_tree)
 
 
+def _triple_matches_single_calls(tree, xi):
+    triple = ideal_triple(tree, xi)
+    assert triple == tuple(
+        ideal_of_quasiadjunction(tree, xi, variant) for variant in ("strict", "weight1", "log")
+    )
+    return triple
+
+
 def test_inclusion_chain_on_grid(cusp_tree, t25_tree, t34_tree, node_tree, two_cusp_tree):
-    """A(xi) <= A'(xi) <= A''(xi) over a denominator-bounded grid."""
+    """A(xi) <= A'(xi) <= A''(xi) over a denominator-bounded grid, with the
+    one-sweep triple equal to three single-variant calls."""
     one_branch = [cusp_tree, t25_tree, t34_tree]
     for tree in one_branch:
         for q in range(2, 13):
             for k in range(1, q + 1):
-                a, w, a2 = ideal_triple(tree, [F(k, q)])
+                a, w, a2 = _triple_matches_single_calls(tree, [F(k, q)])
                 assert a.members <= w.members <= a2.members
     for tree in (node_tree, two_cusp_tree):
         for k1 in range(1, 13, 3):
             for k2 in range(1, 13, 3):
-                a, w, a2 = ideal_triple(tree, [F(k1, 12), F(k2, 12)])
+                a, w, a2 = _triple_matches_single_calls(tree, [F(k1, 12), F(k2, 12)])
                 assert a.members <= w.members <= a2.members
 
 
