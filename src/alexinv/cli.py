@@ -1,6 +1,6 @@
 """Command-line front end tying the modules into reproducible runs.
 
-Exit codes: 0 success, 2 file-validation errors, 3 mathematical
+Exit codes: 0 success, 2 invalid files or option values, 3 mathematical
 precondition failures (with actionable messages), 64 unknown subcommand.
 Reports are deterministic byte-for-byte for identical inputs.
 """
@@ -108,8 +108,13 @@ def _fr(x) -> str:
     return serialize.fraction_str(x)
 
 
-def _parse_character(text: str) -> CharacterPoint:
-    return CharacterPoint([Fraction(part.strip()) for part in text.split(",")])
+def _parse_list(option: str, text: str, kind=Fraction) -> list:
+    """The comma-separated values of an option; a value that does not parse
+    is a validation error naming the option."""
+    try:
+        return [kind(part) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError([f"{option}: cannot parse {text!r}"]) from None
 
 
 def _emit(report: dict, fmt: str) -> str:
@@ -229,7 +234,7 @@ def _cmd_fox(args) -> dict:
 
 def _cmd_charvar(args) -> dict:
     pres = parse_and_validate(args.presentation, "presentation")
-    chars = [_parse_character(c) for c in args.character or []]
+    chars = [CharacterPoint(_parse_list("--character", c)) for c in args.character or []]
     for path in args.character_file or []:
         chars.append(parse_and_validate(path, "character"))
     if not chars:
@@ -260,7 +265,7 @@ def _cmd_covers(args) -> dict:
         report["unbranched_b1"] = unbranched_cover_betti(pres, (n,))
         report["branched_b1"] = branched_cover_betti({frozenset({0}): pres}, (n,))
     if args.abelian:
-        orders = tuple(int(x) for x in args.abelian.split(","))
+        orders = tuple(_parse_list("--abelian", args.abelian, int))
         report["abelian_orders"] = list(orders)
         report["unbranched_b1_abelian"] = unbranched_cover_betti(pres, orders)
     if not report:
@@ -285,7 +290,7 @@ def _cmd_quasiadj(args) -> dict:
     if tree.r == 1:
         report["constants"] = [_fr(k) for k in constants_of_quasiadjunction(tree)]
     if args.xi:
-        xi = [Fraction(part.strip()) for part in args.xi.split(",")]
+        xi = _parse_list("--xi", args.xi)
         ideal = ideal_of_quasiadjunction(tree, xi, args.variant, bound=args.jet_bound)
         report["ideal"] = {
             "xi": [_fr(x) for x in xi],
@@ -327,9 +332,7 @@ def _cmd_lct(args) -> dict:
     else:
         tree = resolve(_germ_from_args(args))
     direction = (
-        [Fraction(part.strip()) for part in args.direction.split(",")]
-        if args.direction
-        else [Fraction(1)] * tree.r
+        _parse_list("--direction", args.direction) if args.direction else [Fraction(1)] * tree.r
     )
     threshold = lct_threshold(tree, direction)
     return {

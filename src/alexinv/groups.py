@@ -16,6 +16,7 @@ from itertools import combinations, product
 from math import gcd
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+from . import uni
 from .cyclotomic import (
     character_conductor,
     cyclotomic_polynomial,
@@ -28,7 +29,7 @@ from .errors import (
     NonTorsionModule,
     TrivialCharacterUnsupported,
 )
-from .laurent import LaurentPolynomial, normalize_unit, univariate_gcd
+from .laurent import LaurentPolynomial, exact_divide, normalize_unit
 from .linalg import cyclotomic_rank, smith_normal_form
 
 Letter = Tuple[int, int]  # (generator index, +-1)
@@ -117,8 +118,8 @@ class GroupPresentation:
                 raise InvalidAbelianization(
                     f"phi does not kill relator {rel}: image {image}"
                 )
-        if self.torsion and r != 1:
-            raise InvalidAbelianization("torsion abelianizations supported for r = 1")
+        if self.torsion and (r != 1 or not any(v[0] for v in self.phi)):
+            raise InvalidAbelianization("torsion abelianizations need r = 1 and phi != 0")
         if not self.torsion:
             # surjectivity of phi onto Z^r, checked via Smith form
             diag = smith_normal_form([list(v) for v in self.phi])
@@ -237,8 +238,8 @@ def fox_jacobian(p: GroupPresentation) -> AlexanderMatrix:
 
 
 def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
-    """Order of the torsion of the Alexander module for r = 1, canonical up
-    to +-t^a.
+    """Order of the torsion of the Alexander module for r = 1: its monic
+    representative up to +-t^a, lowest term in degree 0.
 
     For presentations whose abelianization is finite cyclic (torsion mode)
     the order is assembled from the twisted homology at the characters of
@@ -247,58 +248,43 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
     """
     if p.rank != 1:
         raise ValueError("one-variable Alexander polynomial requires r = 1")
+    matrix = fox_jacobian(p)
     m = p.torsion_order() if p.torsion else 0
     if m:
         result = LaurentPolynomial.one(1)
-        for d in sorted(_divisors(m)):
-            if d == 1:
+        for d in range(2, m + 1):
+            if m % d:
                 continue
-            k = local_system_h1_dim(p, CharacterPoint([Fraction(1, d)]))
+            k = _h1_dim(matrix, CharacterPoint([Fraction(1, d)]))
             if k:
                 phi_d = LaurentPolynomial.from_univariate(list(cyclotomic_polynomial(d)))
                 result = result * phi_d**k
         return normalize_unit(result)
-    matrix = fox_jacobian(p)
-    s = p.generators
-    if s == 1:
-        return LaurentPolynomial.one(1)
-    # each row is orthogonal to (t^phi(x_j) - 1)_j, so the rank is at most
-    # s - 1, and the module is torsion exactly when an (s - 1)-minor is nonzero
-    g = LaurentPolynomial.zero(1)
-    size = s - 1
-    for ri in combinations(range(matrix.rows), size):
-        for ci in combinations(range(s), size):
-            minor = _poly_det(
-                [[matrix.entries[i][j] for j in ci] for i in ri]
-            )
-            if minor.is_zero():
-                continue
-            g = minor if g.is_zero() else univariate_gcd(g, minor)
-            if not g.is_zero() and g.max_degree() == g.min_degree():
-                return normalize_unit(g)  # unit gcd, stop early
-    if g.is_zero():
+    # The order is the gcd of the (s - 1)-minors.  Every row r satisfies
+    # sum_k r_k (t^n_k - 1) = 0 with n_k = phi(x_k), so on any s - 1 rows
+    # the minor without column k is +-(t^n_k - 1)/(t^n_j - 1) times the one
+    # without column j, and gcd_k (t^n_k - 1) = t^e - 1, e = gcd_k n_k (1 when
+    # phi is onto Z).  So the order is (t^e - 1)/(t^n_j - 1) times the gcd of
+    # the maximal minors of the matrix without column j, for any n_j != 0.
+    n = [v[0] for v in p.phi]
+    j = min((k for k in range(p.generators) if n[k]), key=lambda k: abs(n[k]))
+    rows = []
+    for row in matrix.entries:
+        row = [e for k, e in enumerate(row) if k != j]
+        low = min((e.min_degree() for e in row if not e.is_zero()), default=0)
+        # each entry times t^-low, as a coefficient list from degree 0
+        rows.append([
+            [Fraction(0)] * (e.min_degree() - low) + e.to_univariate() if not e.is_zero() else []
+            for e in row
+        ])
+    g = uni.maximal_minor_gcd(rows, p.generators - 1)
+    if not g:
         raise NonTorsionModule(
             "Alexander module has positive rank; no polynomial order"
         )
-    return normalize_unit(g)
-
-
-def _poly_det(entries: List[List[LaurentPolynomial]]) -> LaurentPolynomial:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    total = LaurentPolynomial.zero(entries[0][0].var_count)
-    for j in range(n):
-        if entries[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        term = entries[0][j] * _poly_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-def _divisors(n: int) -> List[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    t_e = LaurentPolynomial.monomial(1, (gcd(*n),)) - LaurentPolynomial.one(1)
+    t_j = LaurentPolynomial.monomial(1, (n[j],)) - LaurentPolynomial.one(1)
+    return normalize_unit(exact_divide(LaurentPolynomial.from_univariate(g) * t_e, t_j))
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +320,6 @@ def charvar_membership(p: GroupPresentation, k: int, chi: CharacterPoint) -> boo
     if k < 1:
         raise ValueError("k must be positive")
     return local_system_h1_dim(p, chi) >= k
-
-
-def fitting_minor_generators(p: GroupPresentation, k: int) -> List[LaurentPolynomial]:
-    """Raw generators (minors of size s - k) whose vanishing at chi != 1
-    characterizes membership in V_k.  For inspection only."""
-    matrix = fox_jacobian(p)
-    size = p.generators - k
-    if size <= 0:
-        return []
-    if size > matrix.rows:
-        return [LaurentPolynomial.zero(p.rank)]
-    minors = []
-    for ri in combinations(range(matrix.rows), size):
-        for ci in combinations(range(p.generators), size):
-            minors.append(_poly_det([[matrix.entries[i][j] for j in ci] for i in ri]))
-    return minors
 
 
 def unbranched_cover_betti(p: GroupPresentation, orders: Sequence[int]) -> int:

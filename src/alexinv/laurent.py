@@ -1,9 +1,9 @@
 """Multivariable Laurent polynomials over Q and formal products
 prod (1 - t^v)^e, the two carriers of every Alexander-type invariant here.
 
-All arithmetic is exact.  One-variable results are canonicalized only up
-to the unit group {+-t^a}: rational content is preserved so integral
-inputs stay integral.
+All arithmetic is exact.  ``normalize_unit`` canonicalizes one-variable
+results up to the unit group {+-t^a} and keeps rational content, so integral
+inputs stay integral; a gcd of two nonzero polynomials comes out monic.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ kernel, ``echelon``: forward Gaussian elimination over an exact field,
 with entries of type ``Fraction`` (the field Q) or ``CyclotomicElement``
 (the cyclotomic field Q(zeta_M)).  Lattice results need unimodular
 integer operations, which a field kernel cannot give, so the Smith
-normal form and the integer kernel basis have their own loops, as does
-the minor-gcd test oracle.
+normal form and the integer kernel basis have their own loops.
 
 Matrices are plain lists of lists; everything is small and desk-scale.
 """
@@ -14,7 +13,6 @@ Matrices are plain lists of lists; everything is small and desk-scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import List, Sequence, Tuple
 
 from .cyclotomic import CyclotomicElement
@@ -217,34 +215,3 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> List[List[int]]:
 def cyclotomic_rank(matrix: Sequence[Sequence[CyclotomicElement]]) -> int:
     """Rank of a matrix over the cyclotomic field."""
     return len(echelon([list(row) for row in matrix]))
-
-
-def maximal_minor_gcd(matrix: Sequence[Sequence[int]]) -> int:
-    """gcd of the rank-sized minors; 0 for the zero matrix.  Test oracle."""
-    from itertools import combinations
-
-    if not matrix or not matrix[0]:
-        return 0
-    r = rational_rank(matrix)
-    if r == 0:
-        return 0
-    rows, cols = len(matrix), len(matrix[0])
-
-    def det(sub):
-        n = len(sub)
-        if n == 1:
-            return sub[0][0]
-        total = 0
-        for j in range(n):
-            if sub[0][j] == 0:
-                continue
-            minor = [row[:j] + row[j + 1:] for row in sub[1:]]
-            total += (-1) ** j * sub[0][j] * det(minor)
-        return total
-
-    g = 0
-    for ri in combinations(range(rows), r):
-        for ci in combinations(range(cols), r):
-            sub = [[matrix[i][j] for j in ci] for i in ri]
-            g = gcd(g, det(sub))
-    return abs(g)

@@ -100,6 +100,33 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return monic(a)
 
 
+def maximal_minor_gcd(matrix: List[List[Poly]], cols: int) -> Poly:
+    """Monic gcd of the cols x cols minors of a matrix over Q[t] with cols
+    columns, or [] when its rank is below cols.
+
+    Euclidean row elimination: swapping rows and adding a Q[t]-multiple of
+    one row to another keep the gcd of the maximal minors, and the echelon
+    form they reach has one nonzero maximal minor, the product of the pivots.
+    """
+    a = [list(row) for row in matrix]
+    det: Poly = [Fraction(1)]
+    for c in range(cols):
+        while True:
+            live = [i for i in range(c, len(a)) if a[i][c]]
+            if not live:
+                return []
+            p = min(live, key=lambda i: len(a[i][c]))
+            a[c], a[p] = a[p], a[c]
+            if len(live) == 1:
+                break
+            for i in range(c + 1, len(a)):
+                if a[i][c]:
+                    q, _ = divmod_exact(a[i][c], a[c][c])
+                    a[i][c:] = [sub(x, mul(q, y)) for x, y in zip(a[i][c:], a[c][c:])]
+        det = mul(det, a[c][c])
+    return monic(det)
+
+
 def derivative(p: Poly) -> Poly:
     return trim([p[i] * i for i in range(1, len(p))])
 

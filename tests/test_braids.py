@@ -11,7 +11,7 @@ from alexinv.braids import (
     presentation_homology,
     vankampen_presentation,
 )
-from alexinv.errors import BadWord
+from alexinv.errors import BadWord, Unsupported
 from alexinv.groups import GroupPresentation, free_reduce, word, word_inverse
 
 
@@ -70,6 +70,12 @@ def test_vankampen_conic_fixture():
     assert isinstance(aff, GroupPresentation)
     assert presentation_homology(aff) == (1, [])
     assert aff.rank == 1  # single component label
+
+
+def test_vankampen_unknown_mode():
+    m = MonodromyData(2, [BraidWord(2, [1]), BraidWord(2, [1])])
+    with pytest.raises(Unsupported):
+        vankampen_presentation(m, "elliptic")
 
 
 def test_vankampen_single_strand():

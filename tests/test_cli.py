@@ -180,3 +180,20 @@ def test_cli_import_does_not_load_sympy():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["charvar", "--presentation", "{trefoil}", "--character", "1/0"], "--character"),
+        (["quasiadj", "--germ", "x^2 + y^3", "--xi", "abc"], "--xi"),
+        (["lct", "--germ", "x^2 + y^3", "--direction", "1,q"], "--direction"),
+        (["covers", "--presentation", "{trefoil}", "--abelian", "3,x"], "--abelian"),
+    ],
+)
+def test_unparsable_option_value_exit_2(files, argv, option, capsys):
+    argv = [a.format(**files) for a in argv]
+    code, _ = _run(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert option in err and argv[-1] in err

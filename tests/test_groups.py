@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from alexinv.braids import BraidWord, MonodromyData, vankampen_presentation
 from alexinv.errors import (
     InvalidAbelianization,
     MissingSublinkData,
@@ -17,7 +20,6 @@ from alexinv.groups import (
     charvar_membership,
     depth,
     diagonal_multiplicity,
-    fitting_minor_generators,
     fox_derivative,
     fox_jacobian,
     free_group,
@@ -31,7 +33,7 @@ from alexinv.groups import (
     unbranched_cover_betti,
     word,
 )
-from alexinv.laurent import LaurentPolynomial
+from alexinv.laurent import LaurentPolynomial, univariate_gcd
 from alexinv.linalg import integer_kernel_basis
 
 t = LaurentPolynomial.variable()
@@ -77,6 +79,22 @@ def test_non_torsion_with_relators(copies):
         one_variable_alexander(GroupPresentation(3, (rel,) * copies, [[1], [1], [1]]))
 
 
+def test_answer_is_monic_whatever_the_minor_order():
+    """<x, y | x^-1 y x^-1 y>: the minors are -2t^-1 and 2t^-1, so the order
+    over Q is 1, not the first minor's content 2."""
+    rel = word([(0, -1), (1, 1), (0, -1), (1, 1)])
+    pres = GroupPresentation(2, (rel,), [[1], [1]])
+    assert one_variable_alexander(pres) == LaurentPolynomial.one()
+
+
+def test_vankampen_rung_d5():
+    """Five braids (s1 s2 s3 s4)^2 on 5 strands: 5 generators, 25 relators."""
+    braid = BraidWord(5, [1, 2, 3, 4] * 2)
+    pres = vankampen_presentation(MonodromyData(5, [braid] * 5))
+    assert (pres.generators, len(pres.relators)) == (5, 25)
+    assert one_variable_alexander(pres) == t**4 - t**3 + t**2 - t + 1
+
+
 def test_rank_one_free_group():
     assert one_variable_alexander(free_group(1)) == LaurentPolynomial.one()
 
@@ -84,6 +102,8 @@ def test_rank_one_free_group():
 def test_invalid_abelianization():
     with pytest.raises(InvalidAbelianization):
         GroupPresentation(2, (word([(0, 1)]),), [[1], [1]])
+    with pytest.raises(InvalidAbelianization):
+        GroupPresentation(2, (), [[0], [0]], torsion=True)
 
 
 def test_local_system_dims():
@@ -112,12 +132,6 @@ def test_depth_antitone_in_k(chi0):
     for k in range(1, d + 1):
         assert charvar_membership(tref, k, chi)
     assert not charvar_membership(tref, d + 1, chi)
-
-
-def test_fitting_minors_exposed():
-    tref = trefoil_presentation()
-    minors = fitting_minor_generators(tref, 1)
-    assert minors and all(m.var_count == 1 for m in minors)
 
 
 def test_unbranched_cover_betti():
@@ -254,3 +268,83 @@ def test_semisimple_consistency_sphere_braid():
         chi = CharacterPoint([F(k, 6)])
         vanishes = evaluate_character(delta, chi.coords).is_zero()
         assert (local_system_h1_dim(b4, chi) >= 1) == vanishes
+
+
+# ---------------------------------------------------------------------------
+# the gcd of all (s - 1)-minors by cofactor expansion, as an oracle
+# ---------------------------------------------------------------------------
+
+
+def _poly_det(entries):
+    n = len(entries)
+    if n == 1:
+        return entries[0][0]
+    total = LaurentPolynomial.zero(entries[0][0].var_count)
+    for j in range(n):
+        if entries[0][j].is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
+        term = entries[0][j] * _poly_det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def fitting_minor_generators(p, k):
+    """Every minor of size s - k of the Fox matrix."""
+    matrix = fox_jacobian(p)
+    size = p.generators - k
+    if size <= 0:
+        return []
+    if size > matrix.rows:
+        return [LaurentPolynomial.zero(p.rank)]
+    minors = []
+    for ri in combinations(range(matrix.rows), size):
+        for ci in combinations(range(p.generators), size):
+            minors.append(_poly_det([[matrix.entries[i][j] for j in ci] for i in ri]))
+    return minors
+
+
+def _bezout(n):
+    """Small integers c with sum c_k n_k = 1."""
+    return min(
+        (c for c in product(range(-3, 4), repeat=len(n)) if sum(a * b for a, b in zip(c, n)) == 1),
+        key=lambda c: sum(map(abs, c)),
+    )
+
+
+@st.composite
+def killed_presentations(draw):
+    """2-4 generators, 1-4 relators, phi entries in {-1, 1, 2, 3}: each
+    relator is a random word closed off by a suffix that phi sends to minus
+    its image, then rotated."""
+    s = draw(st.integers(2, 4))
+    n = draw(st.lists(st.sampled_from([-1, 1, 2, 3]), min_size=s, max_size=s))
+    assume(gcd(*n) == 1)
+    c = _bezout(n)
+    relators = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.lists(st.tuples(st.integers(0, s - 1), st.sampled_from([1, -1])), max_size=5))
+        image = sum(n[g] * e for g, e in w)
+        sign = -1 if image > 0 else 1
+        for k in range(s):
+            w += [(k, sign if c[k] > 0 else -sign)] * (abs(image * c[k]))
+        if not w:
+            continue
+        cut = draw(st.integers(0, len(w) - 1))
+        relators.append(tuple(w[cut:] + w[:cut]))
+    return GroupPresentation(s, tuple(relators), [[x] for x in n])
+
+
+@settings(max_examples=150)
+@given(killed_presentations())
+def test_alexander_matches_minor_gcd_oracle(pres):
+    g = LaurentPolynomial.zero(1)
+    for minor in fitting_minor_generators(pres, 1):
+        if not minor.is_zero():
+            g = univariate_gcd(g, minor)
+    if g.is_zero():
+        with pytest.raises(NonTorsionModule):
+            one_variable_alexander(pres)
+        return
+    lead = g.terms[(g.max_degree(),)]
+    assert one_variable_alexander(pres) == g * LaurentPolynomial.constant(1 / lead)

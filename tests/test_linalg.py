@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from alexinv.linalg import (
     cokernel_invariants,
     cyclotomic_rank,
     integer_kernel_basis,
-    maximal_minor_gcd,
     rational_nullspace,
     rational_rank,
     smith_normal_form,
@@ -22,6 +23,34 @@ def test_smith_examples():
     assert cokernel_invariants([[2, 3]], 2) == (1, [])
     assert cokernel_invariants([[2, 2]], 2) == (1, [2])
     assert cokernel_invariants([[6]], 1) == (0, [6])
+
+
+def maximal_minor_gcd(matrix):
+    """gcd of the rank-sized minors; 0 for the zero matrix."""
+    if not matrix or not matrix[0]:
+        return 0
+    r = rational_rank(matrix)
+    if r == 0:
+        return 0
+    rows, cols = len(matrix), len(matrix[0])
+
+    def det(sub):
+        n = len(sub)
+        if n == 1:
+            return sub[0][0]
+        total = 0
+        for j in range(n):
+            if sub[0][j] == 0:
+                continue
+            minor = [row[:j] + row[j + 1:] for row in sub[1:]]
+            total += (-1) ** j * sub[0][j] * det(minor)
+        return total
+
+    g = 0
+    for ri in combinations(range(rows), r):
+        for ci in combinations(range(cols), r):
+            g = gcd(g, det([[matrix[i][j] for j in ci] for i in ri]))
+    return abs(g)
 
 
 matrices = st.lists(

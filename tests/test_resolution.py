@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alexinv import biv
+from alexinv import biv, resolution
 from alexinv.errors import (
     BadGerm,
     BadHodgeData,
     NotCoprime,
     NonRationalInfinitelyNearPoint,
     NotReduced,
+    ResolutionDidNotTerminate,
 )
 from alexinv.laurent import FormalCycloProduct, LaurentPolynomial, normalize_unit
 from alexinv.resolution import (
@@ -198,3 +199,10 @@ def test_fitting_exponents_nonincreasing(h00, h10, h01):
     assert len(seq) == h00 + h10 + h01
     assert all(a >= b for a, b in zip(seq, seq[1:]))
     assert all(x >= 0 for x in seq)
+
+
+def test_blowup_cap(monkeypatch):
+    """x^2 + y^3 needs three blow-ups; a cap of two stops the resolution."""
+    monkeypatch.setattr(resolution, "MAX_BLOWUPS", 2)
+    with pytest.raises(ResolutionDidNotTerminate):
+        resolve(PlaneCurveGerm.from_strings("x^2 + y^3"))
