@@ -117,6 +117,13 @@ def _parse_list(option: str, text: str, kind=Fraction) -> list:
         raise ValidationError([f"{option}: cannot parse {text!r}"]) from None
 
 
+def _check(ok: bool, option: str, message: str) -> None:
+    """An option value that parses but is out of range is an input error
+    naming the option."""
+    if not ok:
+        raise ValidationError([f"{option}: {message}"])
+
+
 def _emit(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -207,7 +214,8 @@ def _cmd_global(args) -> dict:
         "local_quotient": str(rep.local_quotient),
         "infinity_quotient": str(rep.infinity_quotient),
     }
-    if args.cover:
+    if args.cover is not None:
+        _check(args.cover >= 1, "--cover", "the cover order must be >= 1")
         rank, eigen = cyclic_cover_h1(fac, args.cover, semisimple=args.semisimple)
         cover = {"n": args.cover, "rank": rank}
         if args.semisimple:
@@ -261,11 +269,14 @@ def _cmd_covers(args) -> dict:
         if pres.rank != 1:
             raise AlexinvError("--cyclic requires a presentation with r = 1")
         n = args.cyclic
+        _check(n >= 1, "--cyclic", "the cover order must be >= 1")
         report["cyclic_order"] = n
         report["unbranched_b1"] = unbranched_cover_betti(pres, (n,))
         report["branched_b1"] = branched_cover_betti({frozenset({0}): pres}, (n,))
     if args.abelian:
         orders = tuple(_parse_list("--abelian", args.abelian, int))
+        _check(len(orders) == pres.rank, "--abelian", f"need one order per Z factor ({pres.rank})")
+        _check(all(n >= 1 for n in orders), "--abelian", "every order must be >= 1")
         report["abelian_orders"] = list(orders)
         report["unbranched_b1_abelian"] = unbranched_cover_betti(pres, orders)
     if not report:
@@ -334,6 +345,9 @@ def _cmd_lct(args) -> dict:
     direction = (
         _parse_list("--direction", args.direction) if args.direction else [Fraction(1)] * tree.r
     )
+    _check(len(direction) == tree.r, "--direction", f"need one entry per component ({tree.r})")
+    _check(all(d >= 0 for d in direction) and any(direction), "--direction",
+           "the direction must point into the positive orthant")
     threshold = lct_threshold(tree, direction)
     return {
         "source": args.tree if args.tree else " , ".join(args.germ),

@@ -330,15 +330,19 @@ def _h1(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: i
     ideals (ideals[k] at spec.singularities[k]) minus the rank of the
     linear conditions they impose on curves of degree m.  Each nonmember
     x^alpha y^beta of an ideal gives one row, the Taylor coefficient of
-    every monomial of degree <= m at x^alpha y^beta around the point."""
+    every monomial of degree <= m at x^alpha y^beta around the point.
+    For x0 = p/q and y0 = r/s the row is scaled by q^m s^m, which keeps the
+    rank and makes every entry an integer."""
     cols = _monomials_up_to(m)
     rows = []
     for point, ideal in zip(spec.singularities, ideals):
-        x0, y0 = point.position
+        (p, q), (r, s) = (c.as_integer_ratio() for c in point.position)
+        xs = [p**k * q ** (m - k) for k in range(m + 1)]  # x0^k q^m
+        ys = [r**k * s ** (m - k) for k in range(m + 1)]  # y0^k s^m
         for alpha, beta in ideal.nonmembers:
             rows.append([
-                comb(i, alpha) * comb(j, beta) * x0 ** (i - alpha) * y0 ** (j - beta)
-                if i >= alpha and j >= beta else Fraction(0)
+                comb(i, alpha) * comb(j, beta) * xs[i - alpha] * ys[j - beta]
+                if i >= alpha and j >= beta else 0
                 for i, j in cols
             ])
     rank = rational_rank(rows) if rows else 0

@@ -257,14 +257,10 @@ def normalize_unit(p: LaurentPolynomial) -> LaurentPolynomial:
 
 
 def univariate_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
-    """Canonical gcd over Q[t, t^-1]; content of the result is an integer-free
-    choice made by normalize_unit applied to the monic Euclid output."""
+    """Monic gcd over Q[t, t^-1], with its lowest term at degree 0; when one
+    argument is zero, the monic associate of the other."""
     if p.is_zero() and q.is_zero():
         raise ZeroInput("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return normalize_unit(q)
-    if q.is_zero():
-        return normalize_unit(p)
     g = uni.gcd(p.to_univariate(), q.to_univariate())
     return normalize_unit(LaurentPolynomial.from_univariate(g))
 

@@ -1,10 +1,11 @@
 """Exact linear algebra.
 
-Every rank, nullspace and point solve over a field goes through one
-kernel, ``echelon``: forward Gaussian elimination over an exact field,
-with entries of type ``Fraction`` (the field Q) or ``CyclotomicElement``
-(the cyclotomic field Q(zeta_M)).  Lattice results need unimodular
-integer operations, which a field kernel cannot give, so the Smith
+Ranks and nullspaces over Q go through ``_primitive_echelon``: each row
+is cleared of denominators, and elimination keeps the rows as primitive
+integer vectors, so no ``Fraction`` is normalised inside the loop.  Ranks
+over the cyclotomic field Q(zeta_M) go through ``echelon``, forward
+Gaussian elimination over an exact field.  Lattice results need
+unimodular integer operations, which neither kernel gives, so the Smith
 normal form and the integer kernel basis have their own loops.
 
 Matrices are plain lists of lists; everything is small and desk-scale.
@@ -13,6 +14,7 @@ Matrices are plain lists of lists; everything is small and desk-scale.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .cyclotomic import CyclotomicElement
@@ -132,12 +134,60 @@ def echelon(a: List[list]) -> List[int]:
     return pivots
 
 
-def _fractions(matrix: Sequence[Sequence]) -> List[List[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
+def _integer_row(row: Sequence) -> List[int]:
+    """The primitive integer row on the same line as a rational row: scaled
+    by the lcm of its denominators, then divided by the gcd of its entries."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    out = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _primitive_echelon(matrix: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
+    """Row echelon form over Q of a rational matrix, in primitive integer rows.
+
+    Returns (rows, pivots): rows[i] is zero before column pivots[i] and
+    nonzero there, and the rows span the row space of the matrix.  Column
+    c is cleared from each later row by row <- (p/g) row - (f/g) top, with
+    p = top[c], f = row[c] and g = gcd(p, f); the result is divided by the
+    gcd of its entries, and dropped when it is zero.  That content
+    reduction keeps the entries from growing like the minors at the cost
+    of one gcd per changed row; ``Fraction`` arithmetic takes one per entry.
+    """
+    cols = len(matrix[0]) if matrix else 0
+    rest = [row for row in map(_integer_row, matrix) if any(row)]
+    rows: List[List[int]] = []
+    pivots: List[int] = []
+    for c in range(cols):
+        if not rest:
+            break
+        pr = next((i for i, row in enumerate(rest) if row[c]), None)
+        if pr is None:
+            continue
+        top = rest.pop(pr)
+        p, tail = top[c], top[c + 1:]
+        reduced = []
+        for row in rest:
+            f = row[c]
+            if f:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                new = [pg * x - fg * y for x, y in zip(row[c + 1:], tail)]
+                g = gcd(*new)
+                if not g:
+                    continue
+                row[c:] = [0] + ([x // g for x in new] if g > 1 else new)
+            reduced.append(row)
+        rest = reduced
+        rows.append(top)
+        pivots.append(c)
+    return rows, pivots
 
 
 def rational_rank(matrix: Sequence[Sequence]) -> int:
-    return len(echelon(_fractions(matrix)))
+    """Rank over Q of a matrix of integers or ``Fraction`` entries."""
+    return len(_primitive_echelon(matrix)[1])
 
 
 def rational_nullspace(matrix: Sequence[Sequence]) -> List[List[Fraction]]:
@@ -148,15 +198,14 @@ def rational_nullspace(matrix: Sequence[Sequence]) -> List[List[Fraction]]:
     """
     if not matrix:
         return []
-    a = _fractions(matrix)
-    cols = len(a[0])
-    pivots = echelon(a)
+    cols = len(matrix[0])
+    rows, pivots = _primitive_echelon(matrix)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for row, pc in reversed(list(zip(a, pivots))):
-            v[pc] = -sum(row[j] * v[j] for j in range(pc + 1, cols)) / row[pc]
+        for row, pc in reversed(list(zip(rows, pivots))):
+            v[pc] = Fraction(-sum(row[j] * v[j] for j in range(pc + 1, cols)), row[pc])
         basis.append(v)
     return basis
 

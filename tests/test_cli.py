@@ -197,3 +197,20 @@ def test_unparsable_option_value_exit_2(files, argv, option, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert option in err and argv[-1] in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["covers", "--presentation", "{trefoil}", "--cyclic", "0"], "--cyclic"),
+        (["covers", "--presentation", "{trefoil}", "--abelian", "0"], "--abelian"),
+        (["covers", "--presentation", "{trefoil}", "--abelian", "2,3"], "--abelian"),
+        (["lct", "--germ", "x^2 + y^3", "--direction", "1,2"], "--direction"),
+        (["lct", "--germ", "x^2 + y^3", "--direction", "-1"], "--direction"),
+        (["global", "--curve", "{sextic}", "--cover", "0"], "--cover"),
+    ],
+)
+def test_out_of_range_option_value_exit_2(files, argv, option, capsys):
+    code, _ = _run([a.format(**files) for a in argv])
+    assert code == 2
+    assert f"error: {option}:" in capsys.readouterr().err

@@ -99,6 +99,38 @@ def test_superabundance_examples(sextic_on_conic, sextic_generic, sextic_nine):
     assert superabundance(sextic_on_conic, F(1, 5)) == 0
 
 
+def test_superabundance_is_projectively_invariant(sextic_on_conic, sextic_generic, sextic_nine):
+    """A projective map sends conics to conics; with (x, y) -> (x, y) / (x + 7)
+    every position has a denominator, so the integer condition rows are
+    scaled by q^m s^m."""
+    move = [[1, 0, 0], [0, 1, 0], [1, 0, 7]]
+    for spec, h1 in ((sextic_on_conic, 1), (sextic_generic, 0), (sextic_nine, 3)):
+        moved = transform_positions(spec, move)
+        assert any(p.position[0].denominator > 1 for p in moved.singularities)
+        assert superabundance(moved, F(1, 6)) == h1
+
+
+def test_degree24_rung_on_conic():
+    """120 cusps on y = x^2 at x = -60..59: on curves of degree m = 17 they
+    impose 2m + 1 = 35 conditions, so h^1 = 120 - 35 = 85."""
+    spec = ProjectiveCurveSpec.build(24, [((x, x * x), "cusp") for x in range(-60, 60)])
+    assert superabundance(spec, F(1, 6)) == 120 - (2 * 17 + 1)
+    assert global_alexander(spec).factors == [(F(1, 6), 85)]
+
+
+def test_degree24_rung_in_general_position():
+    """The first 120 distinct points of a fixed walk on [-12, 12]^2 impose
+    independent conditions on the 171 monomials of degree <= 17."""
+    rng = random.Random(20051018)
+    points = []
+    while len(points) < 120:
+        p = (rng.randint(-12, 12), rng.randint(-12, 12))
+        if p not in points:
+            points.append(p)
+    spec = ProjectiveCurveSpec.build(24, [(p, "cusp") for p in points])
+    assert superabundance(spec, F(1, 6)) == 0
+
+
 def test_global_alexander_zariski_sextics(sextic_on_conic, sextic_generic, sextic_nine):
     assert global_alexander(sextic_on_conic).full_polynomial() == PHI6
     assert global_alexander(sextic_generic).full_polynomial() == LaurentPolynomial.one()

@@ -59,6 +59,12 @@ def test_gcd_examples():
     assert univariate_gcd(PHI6, LaurentPolynomial.zero(1)) == PHI6
     with pytest.raises(ZeroInput):
         univariate_gcd(LaurentPolynomial.zero(1), LaurentPolynomial.zero(1))
+    # monic whether or not one argument is zero
+    zero, one = LaurentPolynomial.zero(1), LaurentPolynomial.one()
+    assert univariate_gcd(2 * t, zero) == one
+    assert univariate_gcd(zero, 3 * t**2) == one
+    assert univariate_gcd(2 * t, 4 * t) == one
+    assert univariate_gcd(zero, -2 * t**3 + 2 * t) == t**2 - 1
 
 
 @given(polys, polys)

@@ -2,13 +2,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexinv.cyclotomic import CyclotomicElement
 from alexinv.linalg import (
     cokernel_invariants,
     cyclotomic_rank,
+    echelon,
     integer_kernel_basis,
     rational_nullspace,
     rational_rank,
@@ -123,3 +124,57 @@ def test_integer_kernel_basis(m):
         # the basis is primitive: stacking it gives a surjection onto Z^k
         diag = smith_normal_form(basis)
         assert [d for d in diag if d] == [1] * len(basis)
+
+
+def oracle_nullspace(matrix):
+    """Nullspace by ``Fraction`` elimination and back-substitution: the slow
+    path the integer kernel replaced, kept as its oracle."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    cols = len(a[0])
+    pivots = echelon(a)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for row, pc in reversed(list(zip(a, pivots))):
+            v[pc] = -sum(row[j] * v[j] for j in range(pc + 1, cols)) / row[pc]
+        basis.append(v)
+    return basis
+
+
+rationals = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-20, max_value=20, max_denominator=60),
+    st.integers(10**30, 10**40),
+    st.builds(Fraction, st.integers(-(10**40), -(10**30)), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices with fractional and huge entries, some rank deficient by
+    construction (a k x r times an r x n matrix, r < min(k, n)), with zero
+    rows inserted."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    bound = min(k, n)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, bound - 1))
+        left = [[draw(rationals) for _ in range(r)] for _ in range(k)]
+        right = [[draw(rationals) for _ in range(n)] for _ in range(r)]
+        m = [[sum((row[t] * right[t][j] for t in range(r)), Fraction(0)) for j in range(n)] for row in left]
+        bound = r
+    else:
+        m = [[draw(rationals) for _ in range(n)] for _ in range(k)]
+    for _ in range(draw(st.integers(0, 2))):
+        m.insert(draw(st.integers(0, len(m))), [0] * n)
+    return m, bound
+
+
+@settings(max_examples=200)
+@given(rational_matrices())
+def test_integer_kernel_matches_fraction_oracle(case):
+    m, bound = case
+    rank = rational_rank(m)
+    assert rank == len(echelon([[Fraction(x) for x in row] for row in m]))
+    assert rank <= bound
+    assert rational_nullspace(m) == oracle_nullspace(m)
