@@ -14,8 +14,6 @@ from fractions import Fraction
 from importlib import resources
 from typing import List, Optional
 
-import jsonschema
-
 from . import serialize
 from .braids import full_twist_check, presentation_homology, vankampen_presentation
 from .curves import (
@@ -84,6 +82,8 @@ def parse_and_validate(path: str, schema_id: str):
         raise ValidationError([f"{path}: cannot read file: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ValidationError([f"{path}: malformed JSON: {exc}"]) from exc
+    import jsonschema  # only here: most subcommands read no file
+
     validator = jsonschema.Draft202012Validator(load_schema(schema_id))
     violations = [
         f"{path}: {'/'.join(str(p) for p in err.path) or '<root>'}: {err.message}"
@@ -242,13 +242,17 @@ def _cmd_fox(args) -> dict:
 
 def _cmd_charvar(args) -> dict:
     pres = parse_and_validate(args.presentation, "presentation")
-    chars = [CharacterPoint(_parse_list("--character", c)) for c in args.character or []]
-    for path in args.character_file or []:
-        chars.append(parse_and_validate(path, "character"))
+    chars = [("--character", CharacterPoint(_parse_list("--character", c)))
+             for c in args.character or []]
+    chars += [(path, parse_and_validate(path, "character")) for path in args.character_file or []]
+    for source, chi in chars:
+        _check(len(chi) == pres.rank, source,
+               f"{len(chi)} coordinates in {','.join(map(_fr, chi.coords))}, "
+               f"but the abelianization rank is {pres.rank}")
     if not chars:
         raise ValidationError(["charvar: need --character or --character-file"])
     rows = []
-    for chi in chars:
+    for _, chi in chars:
         # depth is dim H_1, and chi lies in V_1 exactly when it is positive
         d = local_system_h1_dim(pres, chi)
         rows.append(

@@ -31,16 +31,29 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> Tuple[Fraction, ...]:
-    """Coefficients of Phi_n, computed by dividing x^n - 1 by the proper
-    cyclotomic factors."""
+def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
+    """Integer coefficients of the monic Phi_n, computed by dividing
+    x^n - 1 by the proper cyclotomic factors."""
     if n < 1:
         raise ValueError("n must be positive")
     p = uni.sub(uni.x_power(n), [Fraction(1)])
     for d in range(1, n):
         if n % d == 0:
             p = uni.exact_div(p, list(cyclotomic_polynomial(d)))
-    return tuple(p)
+    return tuple(int(c) for c in p)
+
+
+def _reduce(coeffs: list, conductor: int) -> list:
+    """The remainder of sum coeffs[i] x^i modulo Phi_M, by long division
+    from the top in place: integer coefficients stay integers."""
+    *low, _ = cyclotomic_polynomial(conductor)
+    phi = len(low)
+    for top in range(len(coeffs) - 1, phi - 1, -1):
+        c = coeffs[top]
+        if c:
+            for j, m in enumerate(low, top - phi):
+                coeffs[j] -= c * m
+    return coeffs[:phi]
 
 
 class CyclotomicElement:
@@ -53,23 +66,8 @@ class CyclotomicElement:
         phi = euler_phi(conductor)
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > phi:
-            cs = uni.divmod_exact(uni.trim(cs), list(cyclotomic_polynomial(conductor)))[1]
-        cs = cs + [Fraction(0)] * (phi - len(cs))
-        self.coeffs = tuple(cs[:phi])
-
-    @classmethod
-    def zero(cls, conductor: int) -> "CyclotomicElement":
-        return cls(conductor, [])
-
-    @classmethod
-    def from_rational(cls, conductor: int, c) -> "CyclotomicElement":
-        return cls(conductor, [Fraction(c)])
-
-    @classmethod
-    def root_of_unity(cls, conductor: int, power: int) -> "CyclotomicElement":
-        """zeta_M^power as an element of Q[x]/Phi_M."""
-        power %= conductor
-        return cls(conductor, uni.x_power(power))
+            cs = _reduce(cs, conductor)
+        self.coeffs = tuple(cs + [Fraction(0)] * (phi - len(cs)))
 
     def _check(self, other: "CyclotomicElement"):
         if self.conductor != other.conductor:
@@ -126,10 +124,6 @@ class CyclotomicElement:
         inv = uni.scale(s0, Fraction(1) / a[0])
         return CyclotomicElement(self.conductor, inv)
 
-    def __rtruediv__(self, other) -> "CyclotomicElement":
-        """other / self for a rational other, so 1 / x is the field inverse."""
-        return self.inverse() * other
-
     def __repr__(self) -> str:
         return f"CyclotomicElement(M={self.conductor}, {uni.to_string(list(self.coeffs), 'z')})"
 
@@ -138,28 +132,26 @@ def character_conductor(chi: Sequence[Fraction]) -> int:
     return lcm(*(Fraction(c).denominator for c in chi)) if chi else 1
 
 
-def evaluate_character(
-    p: LaurentPolynomial, chi: Sequence[Fraction], conductor: int | None = None
-) -> CyclotomicElement:
+def evaluate_character(p: LaurentPolynomial, chi: Sequence[Fraction]) -> CyclotomicElement:
     """Evaluate p at the torsion character chi = (k_1/m_1, ..., k_r/m_r).
 
-    Each t_i maps to zeta_M^{M k_i/m_i} with M = lcm of the m_i (or the
-    supplied conductor, which must be a multiple).  Ring homomorphism.
+    Each t_i maps to zeta_M^{M k_i/m_i} with M the lcm of the m_i, so a
+    term of exponent e lands on zeta_M^{<e, M chi>}.  The numerators, over
+    the common denominator of the coefficients, are added into
+    Z[x]/(x^M - 1) by that exponent, and the sum is reduced mod Phi_M once.
+    Ring homomorphism.
     """
     chi = [Fraction(c) for c in chi]
     if len(chi) != p.var_count:
         raise ValueError("character length does not match variable count")
     M = character_conductor(chi)
-    if conductor is not None:
-        if conductor % M:
-            raise ValueError("conductor must be divisible by lcm of denominators")
-        M = conductor
     powers = [int(M * c) % M for c in chi]
-    total = CyclotomicElement.zero(M)
-    for exp, coeff in p.terms.items():
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    acc = [0] * M
+    for exp, c in p.terms.items():
         e = sum(pw * k for pw, k in zip(powers, exp)) % M
-        total = total + coeff * CyclotomicElement.root_of_unity(M, e)
-    return total
+        acc[e] += c.numerator * (den // c.denominator)
+    return CyclotomicElement(M, [Fraction(c, den) for c in _reduce(acc, M)])
 
 
 def root_multiplicity(p: LaurentPolynomial, kappa: Fraction) -> int:

@@ -13,15 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import uni
-from .cyclotomic import (
-    character_conductor,
-    cyclotomic_polynomial,
-    evaluate_character,
-)
+from .cyclotomic import cyclotomic_polynomial, evaluate_character
 from .errors import (
     BadWord,
     InvalidAbelianization,
@@ -208,12 +204,6 @@ class AlexanderMatrix:
     def cols(self) -> int:
         return self.presentation.generators
 
-    def evaluate(self, chi: CharacterPoint, conductor: int | None = None):
-        M = conductor or character_conductor(chi.coords)
-        return [
-            [evaluate_character(e, chi.coords, M) for e in row] for row in self.entries
-        ]
-
 
 def fox_jacobian(p: GroupPresentation) -> AlexanderMatrix:
     r = p.rank
@@ -308,7 +298,8 @@ def _h1_dim(matrix: AlexanderMatrix, chi: CharacterPoint) -> int:
         raise ValueError("character length does not match abelianization rank")
     if not p.character_is_valid(chi):
         raise InvalidAbelianization("character does not kill all relators")
-    return p.generators - 1 - cyclotomic_rank(matrix.evaluate(chi))
+    evaluated = [[evaluate_character(e, chi.coords) for e in row] for row in matrix.entries]
+    return p.generators - 1 - cyclotomic_rank(evaluated)
 
 
 def depth(p: GroupPresentation, chi: CharacterPoint) -> int:
@@ -322,21 +313,38 @@ def charvar_membership(p: GroupPresentation, k: int, chi: CharacterPoint) -> boo
     return local_system_h1_dim(p, chi) >= k
 
 
+def _galois_orbits(orders: Sequence[int]):
+    """One nontrivial character (k_1, ..., k_r) of Z/n_1 x ... x Z/n_r per
+    Galois orbit, with the orbit's size.
+
+    u prime to the conductor M of the character acts by k -> u k; the action
+    is free, so the orbit has phi(M) elements, and it keeps the support
+    {i : k_i != 0}.  The Fox matrix has integer entries, so the conjugate
+    characters are Galois conjugate points and have the same depth.
+    """
+    seen = set()
+    for ks in product(*(range(n) for n in orders)):
+        if ks in seen or not any(ks):
+            continue
+        m = lcm(*(n // gcd(k, n) for k, n in zip(ks, orders)))
+        orbit = {tuple(u * k % n for k, n in zip(ks, orders)) for u in range(1, m) if gcd(u, m) == 1}
+        seen |= orbit
+        yield ks, len(orbit)
+
+
 def unbranched_cover_betti(p: GroupPresentation, orders: Sequence[int]) -> int:
     """First Betti number of the finite unbranched abelian cover of orders
     (n_1, ..., n_r): r plus the sum of depths over nontrivial torsion
-    characters of the deck group."""
+    characters of the deck group, one depth per Galois orbit."""
     if len(orders) != p.rank:
         raise ValueError("need one order per Z factor")
     if any(n < 1 for n in orders):
         raise ValueError("orders must be >= 1")
     total = p.rank
     matrix = fox_jacobian(p)
-    for ks in product(*(range(n) for n in orders)):
-        if all(k == 0 for k in ks):
-            continue
+    for ks, size in _galois_orbits(orders):
         chi = CharacterPoint([Fraction(k, n) for k, n in zip(ks, orders)])
-        total += _h1_dim(matrix, chi)
+        total += size * _h1_dim(matrix, chi)
     return total
 
 
@@ -348,25 +356,19 @@ def branched_cover_betti(
 
     For each character chi of the deck group, I_chi is the set of
     components where chi is nontrivial; chi reduced to those components is
-    evaluated in the presentation supplied for that subset.
+    evaluated in the presentation supplied for that subset.  One depth is
+    taken per Galois orbit, which has one support.
     """
-    r = len(orders)
     total = 0
     matrices: Dict[FrozenSet[int], AlexanderMatrix] = {}
-    for ks in product(*(range(n) for n in orders)):
-        support = frozenset(i for i, k in enumerate(ks) if k != 0)
-        if not support:
-            continue
-        key = support
+    for ks, size in _galois_orbits(orders):
+        key = frozenset(i for i, k in enumerate(ks) if k != 0)
         if key not in sublink_data:
             raise MissingSublinkData(f"no presentation for components {sorted(i+1 for i in key)}")
-        pres = sublink_data[key]
-        reduced = CharacterPoint(
-            [Fraction(ks[i], orders[i]) for i in sorted(support)]
-        )
         if key not in matrices:
-            matrices[key] = fox_jacobian(pres)
-        total += _h1_dim(matrices[key], reduced)
+            matrices[key] = fox_jacobian(sublink_data[key])
+        reduced = CharacterPoint([Fraction(ks[i], orders[i]) for i in sorted(key)])
+        total += size * _h1_dim(matrices[key], reduced)
     return total
 
 
@@ -420,10 +422,7 @@ def koszul_support_membership(r: int, n: int, chi: CharacterPoint) -> bool:
     if sum(chi.coords) % 1 != 0:
         return False  # chi is not even a point of the subtorus
     rows, ncols = _koszul_presentation(r, n)
-    M = character_conductor(chi.coords)
-    evaluated = [
-        [evaluate_character(e, chi.coords, M) for e in row] for row in rows
-    ]
+    evaluated = [[evaluate_character(e, chi.coords) for e in row] for row in rows]
     return cyclotomic_rank(evaluated) < ncols
 
 

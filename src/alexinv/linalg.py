@@ -1,12 +1,14 @@
 """Exact linear algebra.
 
-Ranks and nullspaces over Q go through ``_primitive_echelon``: each row
-is cleared of denominators, and elimination keeps the rows as primitive
-integer vectors, so no ``Fraction`` is normalised inside the loop.  Ranks
-over the cyclotomic field Q(zeta_M) go through ``echelon``, forward
-Gaussian elimination over an exact field.  Lattice results need
-unimodular integer operations, which neither kernel gives, so the Smith
-normal form and the integer kernel basis have their own loops.
+One elimination kernel, ``_primitive_echelon``, takes every rank and
+nullspace over Q and every rank over a cyclotomic field Q(zeta_M).  Each
+row is cleared of denominators, and elimination keeps the rows as
+primitive integer vectors, so no ``Fraction`` is normalised inside the
+loop.  A matrix over Q(zeta_M) enters as its regular representation, a
+rational matrix phi(M) times as tall and as wide: its Q-rank is phi(M)
+times the rank over Q(zeta_M).  Lattice results need unimodular integer
+operations, which the kernel does not give, so the Smith normal form and
+the integer kernel basis have their own loops.
 
 Matrices are plain lists of lists; everything is small and desk-scale.
 """
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
-from .cyclotomic import CyclotomicElement
+from .cyclotomic import CyclotomicElement, cyclotomic_polynomial
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> List[int]:
@@ -103,42 +105,14 @@ def cokernel_invariants(matrix: Sequence[Sequence[int]], ambient_rank: int) -> T
     return free, torsion
 
 
-def echelon(a: List[list]) -> List[int]:
-    """Bring a to row echelon form in place and return its pivot columns.
-
-    Forward elimination over an exact field: the entries are ``Fraction``
-    or ``CyclotomicElement``, or anything else with +, -, *, a truth value
-    that is false exactly at zero, and a field inverse ``1 / x``, which is
-    taken once for each pivot that has nonzero entries below it.
-    Afterwards row i < len(pivots) is zero before column pivots[i] and
-    nonzero there, and every later row is zero.
-    """
-    pivots: List[int] = []
-    rows = len(a)
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        top = a[r][c:]
-        below = [row for row in a[r + 1:] if row[c]]
-        if below:
-            inv = 1 / top[0]
-        for row in below:
-            f = row[c] * inv
-            row[c:] = [x - f * y for x, y in zip(row[c:], top)]
-        pivots.append(c)
-    return pivots
-
-
 def _integer_row(row: Sequence) -> List[int]:
     """The primitive integer row on the same line as a rational row: scaled
     by the lcm of its denominators, then divided by the gcd of its entries."""
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = lcm(*(x.denominator for x in row))
+    # lcm of a list, not a generator: CPython builds a generator's argument
+    # tuple by resizing, so it is never taken from the tuple free list of
+    # its final length but is put back there, and those free lists fill up
+    den = lcm(*[x.denominator for x in row])
     out = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*out)
     return [x // g for x in out] if g > 1 else out
@@ -262,5 +236,24 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> List[List[int]]:
 
 
 def cyclotomic_rank(matrix: Sequence[Sequence[CyclotomicElement]]) -> int:
-    """Rank of a matrix over the cyclotomic field."""
-    return len(echelon([list(row) for row in matrix]))
+    """Rank over Q(zeta_M) of a matrix of ``CyclotomicElement`` entries.
+
+    Q(zeta_M) is a Q-space with basis 1, x, ..., x^(phi-1), phi = phi(M),
+    x = zeta_M.  The rows x^a row_i, a < phi, written in that basis, span
+    the row space over Q(zeta_M) as a Q-space, so this rational matrix (the
+    regular representation) has Q-rank phi times the rank over Q(zeta_M).
+    Each shift is the previous row times x mod the monic Phi_M, so it stays
+    integral once the row is; ``_primitive_echelon`` takes the Q-rank.
+    """
+    if not matrix:
+        return 0
+    modulus = cyclotomic_polynomial(matrix[0][0].conductor)
+    phi = len(modulus) - 1
+    regular = []
+    for row in matrix:
+        flat = _integer_row([c for e in row for c in e.coeffs])
+        blocks = [flat[i:i + phi] for i in range(0, len(flat), phi)]
+        for _ in range(phi):
+            regular.append([c for b in blocks for c in b])
+            blocks = [[c - b[-1] * m for c, m in zip([0] + b[:-1], modulus)] for b in blocks]
+    return len(_primitive_echelon(regular)[1]) // phi

@@ -31,10 +31,15 @@ SEXTIC = {
 }
 
 
+PAIR = {"schema_version": 1, "coords": ["1/6", "1/6"]}
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, data in (("trefoil", TREFOIL), ("conic", CONIC), ("sextic", SEXTIC)):
+    for name, data in (
+        ("trefoil", TREFOIL), ("conic", CONIC), ("sextic", SEXTIC), ("pair", PAIR),
+    ):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(data))
         paths[name] = str(p)
@@ -175,11 +180,11 @@ def test_invalid_jet_bound_env_exit_2(monkeypatch, capsys):
 def test_cli_import_does_not_load_sympy():
     # the child imports the same alexinv as this process
     env = {**os.environ, "PYTHONPATH": str(Path(alexinv.__file__).parents[1])}
-    probe = "import sys, alexinv.cli; print('sympy' in sys.modules)"
+    probe = "import sys, alexinv.cli; print('sympy' in sys.modules, 'jsonschema' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize(
@@ -208,9 +213,11 @@ def test_unparsable_option_value_exit_2(files, argv, option, capsys):
         (["lct", "--germ", "x^2 + y^3", "--direction", "1,2"], "--direction"),
         (["lct", "--germ", "x^2 + y^3", "--direction", "-1"], "--direction"),
         (["global", "--curve", "{sextic}", "--cover", "0"], "--cover"),
+        (["charvar", "--presentation", "{trefoil}", "--character", "1/6,1/6"], "--character"),
+        (["charvar", "--presentation", "{trefoil}", "--character-file", "{pair}"], "{pair}"),
     ],
 )
 def test_out_of_range_option_value_exit_2(files, argv, option, capsys):
     code, _ = _run([a.format(**files) for a in argv])
     assert code == 2
-    assert f"error: {option}:" in capsys.readouterr().err
+    assert f"error: {option.format(**files)}:" in capsys.readouterr().err

@@ -28,6 +28,8 @@ def test_evaluate_examples():
     assert evaluate_character(PHI6, [Fraction(1, 6)]).is_zero()
     assert evaluate_character(t - 1, [Fraction(0)]).is_zero()
     assert not evaluate_character(PHI6, [Fraction(1, 2)]).is_zero()
+    p = LaurentPolynomial(1, {(1,): Fraction(1, 2), (0,): Fraction(-1, 3)})  # t/2 - 1/3
+    assert evaluate_character(p, [Fraction(1, 2)]) == CyclotomicElement(2, [Fraction(-5, 6)])
 
 
 def test_negative_exponents():
@@ -38,9 +40,9 @@ def test_negative_exponents():
 
 
 def test_inverse():
-    z = CyclotomicElement.root_of_unity(12, 5)
+    z = evaluate_character(t**5, [Fraction(1, 12)])
     one = z * z.inverse()
-    assert one == CyclotomicElement.from_rational(12, 1)
+    assert one == CyclotomicElement(12, [1])
 
 
 small_poly = st.builds(

@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alexinv.braids import BraidWord, MonodromyData, vankampen_presentation
+from alexinv.cyclotomic import evaluate_character
 from alexinv.errors import (
     InvalidAbelianization,
     MissingSublinkData,
@@ -35,6 +36,7 @@ from alexinv.groups import (
 )
 from alexinv.laurent import LaurentPolynomial, univariate_gcd
 from alexinv.linalg import integer_kernel_basis
+from test_linalg import echelon
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -244,10 +246,82 @@ def test_fox_derivative_invariant_under_free_reduction(w):
         assert fox_derivative(w, j, phi, 1) == fox_derivative(free_reduce(w), j, phi, 1)
 
 
+def test_cover_walls():
+    """Two covers that took about 2 s each with one field rank per
+    character: the 30-fold cyclic cover of the five-strand (s1 s2 s3 s4)^2
+    van Kampen presentation and the 210-fold cyclic cover of the trefoil."""
+    braid = BraidWord(5, [1, 2, 3, 4] * 2)
+    assert unbranched_cover_betti(vankampen_presentation(MonodromyData(5, [braid] * 5)), (30,)) == 5
+    assert unbranched_cover_betti(trefoil_presentation(), (210,)) == 3
+
+
+def old_h1_dim(p, chi):
+    """dim H_1 at one character from the field elimination over Q(zeta_M):
+    the per-character path that the Galois-orbit sums replaced, kept as
+    their oracle."""
+    evaluated = [[evaluate_character(e, chi.coords) for e in row] for row in fox_jacobian(p).entries]
+    return p.generators - 1 - len(echelon(evaluated))
+
+
+def _rotated(p, shifts, inverts):
+    """The presentation with each relator cyclically rotated, and inverted
+    where asked: the normal closure, hence the group, is unchanged."""
+    rels = []
+    for rel, k, inv in zip(p.relators, shifts, inverts):
+        rel = rel[k % len(rel):] + rel[:k % len(rel)]
+        rels.append(tuple((g, -e) for g, e in reversed(rel)) if inv else rel)
+    return GroupPresentation(p.generators, tuple(rels), p.phi)
+
+
+LINKS = {
+    # name: (presentation, presentation of each sublink by its components)
+    "trefoil": (trefoil_presentation(), {frozenset({0}): trefoil_presentation()}),
+    "hopf": (hopf_link_presentation(), {
+        frozenset({0}): free_group(1),
+        frozenset({1}): free_group(1),
+        frozenset({0, 1}): hopf_link_presentation(),
+    }),
+    "unknot": (free_group(1), {frozenset({0}): free_group(1)}),
+    "unlink": (free_group(2), {
+        frozenset({0}): free_group(1),
+        frozenset({1}): free_group(1),
+        frozenset({0, 1}): free_group(2),
+    }),
+}
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(sorted(LINKS)),
+    st.lists(st.integers(0, 5), min_size=2, max_size=2),
+    st.lists(st.booleans(), min_size=2, max_size=2),
+    st.lists(st.integers(1, 12), min_size=2, max_size=2),
+)
+def test_galois_orbit_sums_match_per_character_oracle(name, shifts, inverts, orders):
+    pres, sublinks = LINKS[name]
+    pres = _rotated(pres, shifts, inverts)
+    sublinks = {key: _rotated(q, shifts, inverts) for key, q in sublinks.items()}
+    orders = tuple(orders[:pres.rank])
+    depths = {
+        ks: old_h1_dim(pres, CharacterPoint([F(k, n) for k, n in zip(ks, orders)]))
+        for ks in product(*(range(n) for n in orders)) if any(ks)
+    }
+    for ks, d in depths.items():
+        m = lcm(*(n // gcd(k, n) for k, n in zip(ks, orders)))
+        for u in range(2, m):
+            if gcd(u, m) == 1:
+                assert depths[tuple(u * k % n for k, n in zip(ks, orders))] == d
+    assert unbranched_cover_betti(pres, orders) == pres.rank + sum(depths.values())
+    branched = 0
+    for ks in depths:
+        support = sorted(i for i, k in enumerate(ks) if k)
+        chi = CharacterPoint([F(ks[i], orders[i]) for i in support])
+        branched += old_h1_dim(sublinks[frozenset(support)], chi)
+    assert branched_cover_betti(sublinks, orders) == branched
+
+
 def test_semisimple_consistency_trefoil():
     """dim H_1 at chi is 1 exactly when Delta(chi) = 0 (module semisimple)."""
-    from alexinv.cyclotomic import evaluate_character
-
     tref = trefoil_presentation()
     delta = one_variable_alexander(tref)
     for m in (2, 3, 4, 6, 12):
@@ -259,8 +333,6 @@ def test_semisimple_consistency_trefoil():
 
 def test_semisimple_consistency_sphere_braid():
     """Same check on B_4(S^2), whose characters live on Z/6."""
-    from alexinv.cyclotomic import evaluate_character
-
     b4 = sphere_braid_presentation(4)
     delta = one_variable_alexander(b4)
     assert delta == PHI6

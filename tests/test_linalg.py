@@ -5,11 +5,10 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexinv.cyclotomic import CyclotomicElement
+from alexinv.cyclotomic import CyclotomicElement, euler_phi
 from alexinv.linalg import (
     cokernel_invariants,
     cyclotomic_rank,
-    echelon,
     integer_kernel_basis,
     rational_nullspace,
     rational_rank,
@@ -109,7 +108,7 @@ def test_rank_matches_transpose_and_smith_form(m):
 
 @given(matrices, st.sampled_from([1, 2, 3, 4, 5, 6, 12]))
 def test_cyclotomic_rank_of_rational_matrix(m, conductor):
-    embedded = [[CyclotomicElement.from_rational(conductor, x) for x in row] for row in m]
+    embedded = [[CyclotomicElement(conductor, [x]) for x in row] for row in m]
     assert cyclotomic_rank(embedded) == rational_rank(m)
 
 
@@ -124,6 +123,71 @@ def test_integer_kernel_basis(m):
         # the basis is primitive: stacking it gives a surjection onto Z^k
         diag = smith_normal_form(basis)
         assert [d for d in diag if d] == [1] * len(basis)
+
+
+def echelon(a):
+    """Bring a to row echelon form in place and return its pivot columns.
+
+    Forward elimination over an exact field, with ``Fraction`` or
+    ``CyclotomicElement`` entries: the field kernel that the integer
+    elimination and the regular representation replaced, kept as their
+    oracle.  Row i < len(pivots) is zero before column pivots[i] and
+    nonzero there, and every later row is zero.
+    """
+    pivots = []
+    rows = len(a)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        top = a[r][c:]
+        inv = top[0].inverse() if isinstance(top[0], CyclotomicElement) else 1 / top[0]
+        for row in a[r + 1:]:
+            if row[c]:
+                f = row[c] * inv
+                row[c:] = [x - f * y for x, y in zip(row[c:], top)]
+        pivots.append(c)
+    return pivots
+
+
+CONDUCTORS = [*range(1, 13), 15, 36]
+
+
+@st.composite
+def cyclotomic_matrices(draw):
+    """Matrices over Q(zeta_M) whose entries have random coefficient vectors
+    in the power basis, some rank deficient by construction (a k x r times
+    an r x n matrix, r < min(k, n))."""
+    conductor = draw(st.sampled_from(CONDUCTORS))
+    phi = euler_phi(conductor)
+    element = st.builds(
+        lambda cs, den: CyclotomicElement(conductor, [Fraction(c, den) for c in cs]),
+        st.lists(st.integers(-3, 3), min_size=phi, max_size=phi), st.integers(1, 4))
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    bound = min(k, n)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, bound - 1))
+        left = [[draw(element) for _ in range(r)] for _ in range(k)]
+        right = [[draw(element) for _ in range(n)] for _ in range(r)]
+        zero = CyclotomicElement(conductor, [])
+        m = [[sum((row[t] * right[t][j] for t in range(r)), zero) for j in range(n)] for row in left]
+        bound = r
+    else:
+        m = [[draw(element) for _ in range(n)] for _ in range(k)]
+    return m, bound
+
+
+@settings(max_examples=150)
+@given(cyclotomic_matrices())
+def test_cyclotomic_rank_matches_field_oracle(case):
+    m, bound = case
+    rank = cyclotomic_rank(m)
+    assert rank == len(echelon([list(row) for row in m]))
+    assert rank <= bound
 
 
 def oracle_nullspace(matrix):
