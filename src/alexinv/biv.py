@@ -1,5 +1,7 @@
 """Bivariate polynomials over Q for germ manipulation during blow-ups,
-plus parsing of germ strings like "x^2 - y^3".
+parsing of germ strings like "x^2 - y^3", and the squarefree and coprime
+checks and tangent factoring behind them: exact, with no computer algebra
+system.
 
 A polynomial is a dict (i, j) -> Fraction with no zero values.
 """
@@ -8,8 +10,10 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, List, Tuple
 
+from . import uni
 from .errors import BadGerm, NotReduced
 
 Term = Tuple[int, int]
@@ -65,11 +69,6 @@ def variable_y() -> Poly2:
     return {(0, 1): Fraction(1)}
 
 
-def evaluate(p: Poly2, x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
-    return sum((c * x**i * y**j for (i, j), c in p.items()), Fraction(0))
-
-
 def multiplicity(p: Poly2) -> int:
     """Order of vanishing at the origin (total degree of the lowest form)."""
     if not p:
@@ -117,32 +116,13 @@ def shift_x(p: Poly2, n: int) -> Poly2:
 
 def restrict_x0(p: Poly2) -> List[Fraction]:
     """p(0, y) as a dense coefficient list in y."""
-    if not p:
-        return []
     terms = {j: c for (i, j), c in p.items() if i == 0}
-    if not terms:
-        return []
-    out = [Fraction(0)] * (max(terms) + 1)
-    for j, c in terms.items():
-        out[j] = c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return [terms.get(j, Fraction(0)) for j in range(max(terms, default=-1) + 1)]
 
 
 def restrict_y0(p: Poly2) -> List[Fraction]:
     """p(x, 0) as a dense coefficient list in x."""
-    if not p:
-        return []
-    terms = {i: c for (i, j), c in p.items() if j == 0}
-    if not terms:
-        return []
-    out = [Fraction(0)] * (max(terms) + 1)
-    for i, c in terms.items():
-        out[i] = c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return restrict_x0(swap_xy(p))
 
 
 def swap_xy(p: Poly2) -> Poly2:
@@ -154,26 +134,12 @@ def to_string(p: Poly2) -> str:
         return "0"
     parts = []
     for (i, j), c in sorted(p.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), kv[0])):
-        factors = []
-        if i == 1:
-            factors.append("x")
-        elif i:
-            factors.append(f"x^{i}")
-        if j == 1:
-            factors.append("y")
-        elif j:
-            factors.append(f"y^{j}")
-        mono = "*".join(factors)
-        if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}*{mono}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
+        mono = "*".join(f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e)
+        body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+        if parts:
             parts.append((" + " if c > 0 else " - ") + body)
+        else:
+            parts.append(body if c > 0 else "-" + body)
     return "".join(parts)
 
 
@@ -235,54 +201,82 @@ def _from_ast(node, src) -> Poly2:
 
 
 # ---------------------------------------------------------------------------
-# sympy-backed validation and factorization (utility work only); sympy is
-# imported here, on first use, so that runs without germs never load it
+# validation and tangent factoring: exact, no computer algebra system
 # ---------------------------------------------------------------------------
 
 
-def to_sympy(p: Poly2):
-    import sympy
+def _by_y(p: Poly2) -> List[uni.Poly]:
+    """p as a dense list, by powers of y, of dense polynomials in x."""
+    out: List[uni.Poly] = [[] for _ in range(1 + max((j for _, j in p), default=-1))]
+    for (i, j), c in p.items():
+        out[j] += [Fraction(0)] * (i + 1 - len(out[j]))
+        out[j][i] = c
+    return out
 
-    x, y = sympy.symbols("x y")
-    return sympy.Add(
-        *[
-            sympy.Rational(c.numerator, c.denominator) * x**i * y**j
-            for (i, j), c in p.items()
-        ]
-    )
+
+def _share_factor_in_y(p: Poly2, q: Poly2) -> bool:
+    """Whether p and q have a common factor of positive degree in y, that
+    is, whether Res_y(p, q) = 0.
+
+    At x = a with lc_y(p)(a) != 0, Res_y(p, q)(a) = 0 exactly when p(a, y)
+    and q(a, y) have a common root; a nonzero Res_y(p, q) has at most
+    deg_y(q) deg_x(p) + deg_y(p) deg_x(q) roots, so one point more decides.
+    """
+    P, Q = _by_y(p), _by_y(q)
+    if len(P) < 2 or len(Q) < 2:
+        return False
+    points = sum((len(A) - 1) * (max(map(len, B)) - 1) for A, B in ((P, Q), (Q, P))) + 1
+    a = 0
+    while points:
+        a += 1
+        if uni.evaluate(P[-1], a) == 0:
+            continue
+        at_a = [uni.trim([uni.evaluate(c, a) for c in R]) for R in (P, Q)]
+        if len(uni.gcd(*at_a)) == 1:
+            return False
+        points -= 1
+    return True
+
+
+def _content(p: Poly2) -> uni.Poly:
+    """The gcd over Q[x] of the coefficients of p in y, monic."""
+    return reduce(uni.gcd, _by_y(p))
 
 
 def is_squarefree(p: Poly2) -> bool:
-    import sympy
-
-    _, factors = sympy.factor_list(to_sympy(p), *sympy.symbols("x y"))
-    return all(mult == 1 for _, mult in factors)
+    """p = c(x) pp(x, y) is squarefree exactly when c is, and no factor of
+    positive degree in y divides both p and dp/dy."""
+    c = _content(p)
+    return len(uni.gcd(c, uni.derivative(c))) == 1 and not _share_factor_in_y(p, partial_y(p))
 
 
 def are_coprime(p: Poly2, q: Poly2) -> bool:
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    g = sympy.gcd(sympy.Poly(to_sympy(p), x, y), sympy.Poly(to_sympy(q), x, y))
-    return g.total_degree() == 0
+    return len(uni.gcd(_content(p), _content(q))) == 1 and not _share_factor_in_y(p, q)
 
 
 def factor_univariate(coeffs: List[Fraction]):
-    """Irreducible factorization over Q of a dense univariate coefficient
-    list; returns (constant, [(factor coeff list, multiplicity)])."""
-    import sympy
+    """Factorization over Q of a nonzero dense univariate coefficient list
+    into rational linear factors and squarefree rests with no rational
+    root (Yun's squarefree decomposition, then the rational root test).
 
-    v = sympy.Symbol("v")
-    expr = sympy.Add(
-        *[sympy.Rational(c.numerator, c.denominator) * v**i for i, c in enumerate(coeffs)]
-    )
-    const, factors = sympy.factor_list(expr, v)
+    Returns (constant, [(factor coeff list, multiplicity)]) sorted by
+    (length, coefficients); every factor is primitive over Z with positive
+    leading coefficient, so a root a/b gives [-a, b].  A rest of degree at
+    most 3 is irreducible; a longer one may be a product of irreducibles.
+    """
     out = []
-    for fac, mult in factors:
-        poly = sympy.Poly(fac, v)
-        cs = [Fraction(str(c)) for c in poly.all_coeffs()][::-1]
-        out.append((cs, int(mult)))
-    return Fraction(str(sympy.Rational(const))), out
+    for mult, part in enumerate(uni.squarefree_decomposition(coeffs), 1):
+        rest = uni.primitive(part)
+        for r in uni.rational_roots(rest):
+            key = uni.primitive([-r, Fraction(1)])
+            out.append((key, mult))
+            rest = uni.exact_div(rest, key)
+        if len(rest) > 1:
+            out.append((rest, mult))
+    const = coeffs[-1]
+    for key, mult in out:
+        const /= key[-1] ** mult
+    return const, sorted(out, key=lambda f: (len(f[0]), f[0]))
 
 
 def validate_germ_components(components: List[Poly2]):

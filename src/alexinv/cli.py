@@ -1,7 +1,8 @@
 """Command-line front end tying the modules into reproducible runs.
 
 Exit codes: 0 success, 2 invalid files or option values, 3 mathematical
-precondition failures (with actionable messages), 64 unknown subcommand.
+precondition failures (with actionable messages), 64 unknown subcommand,
+70 internal error (a failed self-check: a bug, not bad input).
 Reports are deterministic byte-for-byte for identical inputs.
 """
 
@@ -24,7 +25,7 @@ from .curves import (
     infinity_alexander,
     local_alexander_product,
 )
-from .errors import AlexinvError, ValidationError
+from .errors import AlexinvError, InternalError, ValidationError
 from .groups import (
     CharacterPoint,
     GroupPresentation,
@@ -489,6 +490,9 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
         for v in exc.violations:
             sys.stderr.write(f"error: {v}\n")
         return 2
+    except InternalError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 70
     except (AlexinvError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -18,7 +18,7 @@ from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import cyclotomic_polynomial, root_multiplicity
-from .errors import BadGerm, NotPolynomial, TheoremViolation, UnsupportedDimension
+from .errors import BadGerm, InternalError, NotPolynomial, TheoremViolation, UnsupportedDimension
 from .laurent import (
     FormalCycloProduct,
     LaurentPolynomial,
@@ -348,7 +348,7 @@ def _h1(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: i
     rank = rational_rank(rows) if rows else 0
     h1 = sum(ideal.colength for ideal in ideals) - rank
     if h1 < 0:
-        raise AssertionError("condition rank exceeds the colength (internal error)")
+        raise InternalError("condition rank exceeds the colength (internal error)")
     return h1
 
 

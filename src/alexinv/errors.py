@@ -1,12 +1,18 @@
 """Exception types shared across the package.
 
 Mathematical precondition failures get their own classes so the CLI can
-distinguish them (exit 3) from file-validation problems (exit 2).
+distinguish them (exit 3) from file-validation problems (exit 2), and
+internal errors (exit 70) from both.
 """
 
 
 class AlexinvError(Exception):
     """Base class for all package errors."""
+
+
+class InternalError(AssertionError):
+    """A check of the package's own arithmetic failed: a bug, not bad
+    input, so the CLI exits 70 (EX_SOFTWARE)."""
 
 
 class ZeroInput(AlexinvError):
@@ -50,18 +56,21 @@ class Unsupported(AlexinvError):
 
 
 class NonRationalInfinitelyNearPoint(AlexinvError):
-    """Blow-up hit a point whose coordinates generate a proper extension of Q.
+    """Blow-up hit points whose coordinates generate a proper extension of Q.
 
-    Carries the offending minimal polynomial; callers may supply an explicit
-    resolution-tree file instead of a germ.
+    Carries the squarefree polynomial whose roots are the offending points.
+    Of degree at most 3 it has no rational root, so it is the minimal
+    polynomial; of degree 4 or more it may be a product of minimal
+    polynomials.  Callers may supply an explicit resolution-tree file
+    instead of a germ.
     """
 
-    def __init__(self, minimal_polynomial: str):
-        self.minimal_polynomial = minimal_polynomial
+    def __init__(self, polynomial: str, irreducible: bool):
+        self.polynomial = polynomial
+        kind = "minimal polynomial" if irreducible else "product of minimal polynomials"
         super().__init__(
             "infinitely near point with irrational coordinates; "
-            f"minimal polynomial {minimal_polynomial}; "
-            "supply an explicit resolution tree file instead"
+            f"{kind} {polynomial}; supply an explicit resolution tree file instead"
         )
 
 

@@ -20,6 +20,7 @@ from . import uni
 from .cyclotomic import cyclotomic_polynomial, evaluate_character
 from .errors import (
     BadWord,
+    InternalError,
     InvalidAbelianization,
     MissingSublinkData,
     NonTorsionModule,
@@ -173,20 +174,20 @@ def fox_derivative(
     Product rule applied letter by letter; the inverse rule contributes
     -t^{phi(prefix x^-1)} when the letter is x_j^-1.
     """
-    out = LaurentPolynomial.zero(rank)
+    terms: Dict[Tuple[int, ...], int] = {}
     prefix = [0] * rank
     for g, e in w:
         if e == 1:
             if g == j:
-                out = out + LaurentPolynomial.monomial(1, tuple(prefix))
+                terms[tuple(prefix)] = terms.get(tuple(prefix), 0) + 1
             for i, x in enumerate(phi[g]):
                 prefix[i] += x
         else:
             for i, x in enumerate(phi[g]):
                 prefix[i] -= x
             if g == j:
-                out = out - LaurentPolynomial.monomial(1, tuple(prefix))
-    return out
+                terms[tuple(prefix)] = terms.get(tuple(prefix), 0) - 1
+    return LaurentPolynomial(rank, terms)
 
 
 @dataclass
@@ -211,13 +212,15 @@ def fox_jacobian(p: GroupPresentation) -> AlexanderMatrix:
     for rel in p.relators:
         row = [fox_derivative(rel, j, p.phi, r) for j in range(p.generators)]
         # fundamental identity: row . (t^phi(x_j) - 1) = t^phi(rel) - 1
-        lhs = LaurentPolynomial.zero(r)
+        lhs: Dict[Tuple[int, ...], Fraction] = {}
         for j, d in enumerate(row):
-            tj = LaurentPolynomial.monomial(1, tuple(p.phi[j]))
-            lhs = lhs + d * (tj - LaurentPolynomial.one(r))
+            for exp, c in d.terms.items():
+                shifted = tuple(a + b for a, b in zip(exp, p.phi[j]))
+                lhs[shifted] = lhs.get(shifted, 0) + c
+                lhs[exp] = lhs.get(exp, 0) - c
         rhs = LaurentPolynomial.monomial(1, p.relator_image(rel)) - LaurentPolynomial.one(r)
-        if lhs != rhs:
-            raise AssertionError("Fox row identity violated (internal error)")
+        if LaurentPolynomial(r, lhs) != rhs:
+            raise InternalError("Fox row identity violated (internal error)")
         entries.append(row)
     return AlexanderMatrix(p, entries)
 

@@ -23,7 +23,13 @@ from math import floor, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import biv
-from .errors import BadGerm, UnsupportedDimension, UseFacesForMultiComponent, ValidationError
+from .errors import (
+    BadGerm,
+    InternalError,
+    UnsupportedDimension,
+    UseFacesForMultiComponent,
+    ValidationError,
+)
 from .polytope import Face, RationalPolytope
 from .resolution import ResolutionTree
 
@@ -271,7 +277,7 @@ def _cross_validate_constants(tree: ResolutionTree, computed: List[Fraction]):
             if 0 < kappa < 1:
                 expected.add(kappa)
     if sorted(expected) != computed:
-        raise AssertionError(
+        raise InternalError(
             f"monomial formula {sorted(expected)} disagrees with resolution "
             f"route {computed} for x^{a} + y^{b}"
         )

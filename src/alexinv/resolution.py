@@ -4,8 +4,9 @@ functions, local one- and multivariable Alexander polynomials, and
 Jordan/Fitting exponents from Hodge data.
 
 Blow-up centers are restricted to Q-rational points; an irrational
-infinitely-near point aborts with its minimal polynomial so the user can
-supply an explicit tree instead.  All multiplicities are computed by
+infinitely-near point aborts with its minimal polynomial (from degree 4
+on, possibly a product of minimal polynomials) so the user can supply an
+explicit tree instead.  All multiplicities are computed by
 substitution into the stored chart maps, never by incremental shortcuts.
 """
 
@@ -21,6 +22,7 @@ from . import biv, uni
 from .errors import (
     BadGerm,
     BadHodgeData,
+    InternalError,
     NotCoprime,
     NonRationalInfinitelyNearPoint,
     ResolutionDidNotTerminate,
@@ -216,12 +218,20 @@ def _blow_up(tree: ResolutionTree, site: _Site, components, queue):
         g1 = biv.shift_x(biv.compose(g, u, uv), m)
         strict1.append((i, g1))
     factored: Dict[Tuple[Fraction, ...], Dict[int, int]] = {}
+    irrational = []
     for i, g1 in strict1:
-        rest = biv.restrict_x0(g1)
-        _, factors = biv.factor_univariate(rest)
+        _, factors = biv.factor_univariate(biv.restrict_x0(g1))
         for coeffs, mult in factors:
-            key = tuple(coeffs)
-            factored.setdefault(key, {})[i] = factored.get(key, {}).get(i, 0) + mult
+            if len(coeffs) == 2:
+                factored.setdefault(tuple(coeffs), {})[i] = mult
+            else:
+                irrational.append((i, coeffs, mult))
+    # a factor shared by two components lands in one key of a coprime basis
+    for b in uni.coprime_basis([coeffs for _, coeffs, _ in irrational]):
+        per_comp = factored.setdefault(tuple(uni.primitive(b)), {})
+        for i, coeffs, mult in irrational:
+            if not uni.divmod_exact(coeffs, b)[1]:
+                per_comp[i] = per_comp.get(i, 0) + mult
     for key in sorted(factored, key=lambda k: (len(k), k)):
         h = list(key)
         per_comp = factored[key]
@@ -233,7 +243,7 @@ def _blow_up(tree: ResolutionTree, site: _Site, components, queue):
             node.strict[comp] = node.strict.get(comp, 0) + len(h) - 1
             continue
         if len(h) != 2:
-            raise NonRationalInfinitelyNearPoint(uni.to_string(h, "v"))
+            raise NonRationalInfinitelyNearPoint(uni.to_string(h, "v"), len(h) <= 4)
         v0 = -h[0] / h[1]
         # new coordinates (X, Y) with (old X, old Y) = (X, X (Y + v0));
         # germs are the chart-1 strict transforms recentered at (0, v0)
@@ -284,7 +294,7 @@ def _ord_at_zero(coeffs: List[Fraction]) -> int:
     for i, c in enumerate(coeffs):
         if c != 0:
             return i
-    raise BadGerm("restriction vanished identically (internal error)")
+    raise InternalError("restriction vanished identically (internal error)")
 
 
 # ---------------------------------------------------------------------------

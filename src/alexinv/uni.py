@@ -1,5 +1,5 @@
 """Dense univariate polynomials over Q, used as a backend for gcds,
-cyclotomic polynomials and restriction analysis.
+cyclotomic polynomials, squarefree decomposition and rational roots.
 
 A polynomial is a list of Fractions indexed by degree, normalized so the
 last entry is nonzero (the zero polynomial is the empty list).
@@ -8,6 +8,7 @@ last entry is nonzero (the zero polynomial is the empty list).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as igcd, isqrt, lcm
 from typing import List
 
 Poly = List[Fraction]
@@ -131,11 +132,66 @@ def derivative(p: Poly) -> Poly:
     return trim([p[i] * i for i in range(1, len(p))])
 
 
-def squarefree_part(p: Poly) -> Poly:
-    if not p:
-        return []
-    g = gcd(p, derivative(p))
-    return monic(exact_div(p, g))
+def squarefree_decomposition(p: Poly) -> List[Poly]:
+    """Yun's algorithm: monic, pairwise coprime, squarefree a_1, a_2, ...
+    with p = lc(p) * prod a_i^i (some a_i may be 1); p must be nonzero."""
+    d = derivative(p)
+    g = gcd(p, d)
+    w, y = exact_div(p, g), exact_div(d, g)
+    parts = []
+    while len(w) > 1:
+        z = sub(y, derivative(w))
+        a = gcd(w, z)
+        parts.append(a)
+        w, y = exact_div(w, a), exact_div(z, a)
+    return parts
+
+
+def coprime_basis(polys: List[Poly]) -> List[Poly]:
+    """Pairwise coprime monic polynomials of positive degree whose products
+    give every one of the squarefree polys up to a constant."""
+    basis: List[Poly] = []
+    for p in polys:
+        refined = []
+        for b in basis:
+            g = gcd(p, b)
+            if len(g) > 1:
+                p = exact_div(p, g)
+                refined.append(g)
+                b = monic(exact_div(b, g))
+            if len(b) > 1:
+                refined.append(b)
+        basis = refined + ([monic(p)] if len(p) > 1 else [])
+    return basis
+
+
+def primitive(p: Poly) -> Poly:
+    """The primitive integer multiple of p with positive leading
+    coefficient, as Fractions."""
+    den = lcm(*[c.denominator for c in p])
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = igcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [Fraction(c // g) for c in ints]
+
+
+def _divisors(n: int) -> List[int]:
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def rational_roots(p: Poly) -> List[Fraction]:
+    """Distinct rational roots of a nonzero p with integer coefficients: 0,
+    and a/b in lowest terms with a dividing the lowest nonzero coefficient
+    and b the leading one."""
+    k = next(i for i, c in enumerate(p) if c)
+    roots = [Fraction(0)] if k else []
+    for b in _divisors(int(p[-1])):
+        for a in _divisors(int(p[k])):
+            for r in (Fraction(a, b), Fraction(-a, b)):
+                if r.denominator == b and evaluate(p, r) == 0:
+                    roots.append(r)
+    return roots
 
 
 def evaluate(p: Poly, x) -> Fraction:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import alexinv
+from alexinv import curves
 from alexinv.cli import parse_and_validate, run
 from alexinv.errors import ValidationError
 
@@ -177,6 +178,15 @@ def test_invalid_jet_bound_env_exit_2(monkeypatch, capsys):
         assert "ALEXINV_JET_BOUND" in capsys.readouterr().err
 
 
+def test_internal_error_exit_70(files, monkeypatch, capsys):
+    # curves holds its own reference to linalg.rational_rank
+    true_rank = curves.rational_rank
+    monkeypatch.setattr(curves, "rational_rank", lambda rows: true_rank(rows) + 2)
+    code, out = _run(["global", "--curve", files["sextic"], "--cover", "6"])
+    assert code == 70 and out == ""
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_sympy():
     # the child imports the same alexinv as this process
     env = {**os.environ, "PYTHONPATH": str(Path(alexinv.__file__).parents[1])}
@@ -185,6 +195,17 @@ def test_cli_import_does_not_load_sympy():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False False"
+    # germ runs: validation and tangent factoring are exact and sympy-free
+    probe = (
+        "import io, sys, alexinv.cli as c; "
+        "codes = [c.run(a, out=io.StringIO()) for a in "
+        "(['local', '--germ', 'x^2 - y^3'], ['lct', '--germ', 'x^2 + y^5'])]; "
+        "print(codes, 'sympy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[0, 0] False"
 
 
 @pytest.mark.parametrize(

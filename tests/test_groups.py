@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from alexinv import groups
 from alexinv.braids import BraidWord, MonodromyData, vankampen_presentation
 from alexinv.cyclotomic import evaluate_character
 from alexinv.errors import (
+    InternalError,
     InvalidAbelianization,
     MissingSublinkData,
     NonTorsionModule,
@@ -237,6 +239,17 @@ def test_fox_row_identity_on_random_presentations(pres):
             tj = LaurentPolynomial.monomial(1, tuple(pres.phi[j]))
             total = total + matrix.entries[i][j] * (tj - LaurentPolynomial.one(r))
         assert total.is_zero()
+
+
+def test_corrupted_fox_row_is_an_internal_error(monkeypatch):
+    true_derivative = groups.fox_derivative
+
+    def corrupted(w, j, phi, r):
+        return true_derivative(w, j, phi, r) + (1 if j == 1 else 0)
+
+    monkeypatch.setattr(groups, "fox_derivative", corrupted)
+    with pytest.raises(InternalError, match="Fox row identity"):
+        fox_jacobian(trefoil_presentation())
 
 
 @given(words)

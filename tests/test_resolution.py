@@ -159,6 +159,42 @@ def test_non_rational_point_rejected():
     assert "minimal polynomial" in str(err.value)
 
 
+IRRATIONAL_2V2 = (
+    "infinitely near point with irrational coordinates; minimal polynomial "
+    "2*v^2 - 1; supply an explicit resolution tree file instead"
+)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("(x^2 - 2*y^2)^2 + y^5",),  # repeated in one component
+        ("x^2-2*y^2", "x^2-2*y^2+x^3"),  # shared by two components
+        # shared, but hidden in the quartic rest of the first component
+        ("(x^2-2*y^2)*(x^2-3*y^2)", "x^2-2*y^2+x^3"),
+    ],
+)
+def test_non_rational_point_message(texts):
+    with pytest.raises(NonRationalInfinitelyNearPoint) as err:
+        resolve(PlaneCurveGerm.from_strings(*texts))
+    assert str(err.value) == IRRATIONAL_2V2
+    assert err.value.polynomial == "2*v^2 - 1"
+
+
+def test_non_rational_points_of_a_shared_quartic():
+    # both components meet E_1 in the four points 6v^4 - 5v^2 + 1 = 0; the
+    # quartic is reported whole, and not called a minimal polynomial
+    texts = ("(x^2-2*y^2)*(x^2-3*y^2)", "(x^2-2*y^2)*(x^2-3*y^2)+x^5")
+    with pytest.raises(NonRationalInfinitelyNearPoint) as err:
+        resolve(PlaneCurveGerm.from_strings(*texts))
+    assert "; product of minimal polynomials 6*v^4 - 5*v^2 + 1; " in str(err.value)
+
+
+def test_distinct_irrational_tangents_resolve():
+    tree = resolve(PlaneCurveGerm.from_strings("x^2-3*y^2", "x^2-2*y^2+x^3"))
+    assert [(n.a, n.strict) for n in tree.nodes] == [((2, 2), {0: 2, 1: 2})]
+
+
 def test_rational_but_irrational_simple_points_fine():
     # strict transform meets the exceptional curve in irrational points,
     # but they are transverse crossings: no coordinates needed
