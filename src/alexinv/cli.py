@@ -20,10 +20,7 @@ from .braids import full_twist_check, presentation_homology, vankampen_presentat
 from .curves import (
     cyclic_cover_h1,
     divisibility_check,
-    global_alexander,
     global_faces_and_components,
-    infinity_alexander,
-    local_alexander_product,
 )
 from .errors import AlexinvError, InternalError, ValidationError
 from .groups import (
@@ -193,7 +190,9 @@ def _cmd_local(args) -> dict:
 
 def _cmd_global(args) -> dict:
     spec = parse_and_validate(args.curve, "curve")
-    fac = global_alexander(spec)
+    rep = divisibility_check(spec)
+    fac = rep.factorization
+    alexander = rep.alexander
     report = {
         "degree": spec.degree,
         "components": [{"label": l, "degree": d} for l, d in spec.components],
@@ -201,19 +200,16 @@ def _cmd_global(args) -> dict:
             {"kappa": _fr(k), "exponent": s} for k, s in fac.factors
         ],
         "t_minus_one_exponent": fac.t_minus_one_exponent,
-        "alexander": str(fac.full_polynomial()) if fac.assembled is not None else None,
-        "alexander_terms": serialize.laurent_to_json(fac.full_polynomial())
-        if fac.assembled is not None
-        else None,
-        "local_product": str(local_alexander_product(spec)),
-        "infinity": str(infinity_alexander(spec.degree)),
-    }
-    rep = divisibility_check(spec)
-    report["divisibility"] = {
-        "local": "PASS",
-        "infinity": "PASS",
-        "local_quotient": str(rep.local_quotient),
-        "infinity_quotient": str(rep.infinity_quotient),
+        "alexander": str(alexander),
+        "alexander_terms": serialize.laurent_to_json(alexander),
+        "local_product": str(rep.local_product),
+        "infinity": str(rep.infinity),
+        "divisibility": {
+            "local": "PASS",
+            "infinity": "PASS",
+            "local_quotient": str(rep.local_quotient),
+            "infinity_quotient": str(rep.infinity_quotient),
+        },
     }
     if args.cover is not None:
         _check(args.cover >= 1, "--cover", "the cover order must be >= 1")

@@ -17,15 +17,9 @@ from itertools import combinations
 from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cyclotomic import cyclotomic_polynomial, root_multiplicity
-from .errors import BadGerm, InternalError, NotPolynomial, TheoremViolation, UnsupportedDimension
-from .laurent import (
-    FormalCycloProduct,
-    LaurentPolynomial,
-    common_root_count,
-    exact_divide,
-    normalize_unit,
-)
+from .cyclotomic import Exponents, cyclotomic_exponents, expand_cyclotomic, root_multiplicity
+from .errors import BadGerm, InternalError, TheoremViolation, UnsupportedDimension
+from .laurent import LaurentPolynomial, common_root_count
 from .linalg import cokernel_invariants, rational_rank
 from .polytope import RationalPolytope
 from .quasiadj import (
@@ -38,9 +32,10 @@ from .quasiadj import (
 from .resolution import (
     PlaneCurveGerm,
     ResolutionTree,
-    local_alexander,
+    acampo_zeta,
     resolve,
-    torus_knot_alexander,
+    torus_knot_exponents,
+    zeta_exponents,
 )
 
 
@@ -52,7 +47,8 @@ from .resolution import (
 class LocalData:
     """Closed-form or resolution-backed invariants of one singular germ."""
 
-    def delta(self) -> LaurentPolynomial:
+    def delta_exponents(self) -> Exponents:
+        """The local Alexander polynomial as Phi_m exponents."""
         raise NotImplementedError
 
     def constants(self) -> List[Fraction]:
@@ -72,17 +68,20 @@ class LocalData:
         return []
 
 
+@dataclass(frozen=True)
 class NamedGermData(LocalData):
-    """node, cusp, or a (p, q) torus-knot germ, via the monomial formulas."""
+    """node, cusp, or a (p, q) torus-knot germ, via the monomial formulas.
+    Equal (p, q, kind) data are one local type: a curve's computations
+    that depend only on the type run once per type, not once per point."""
 
-    def __init__(self, p: int, q: int, kind: str):
-        self.p, self.q, self.kind = p, q, kind
+    p: int
+    q: int
+    kind: str
 
-    def delta(self) -> LaurentPolynomial:
+    def delta_exponents(self) -> Exponents:
         if self.kind == "node":
-            t = LaurentPolynomial.variable()
-            return t - 1
-        return torus_knot_alexander(self.p, self.q)
+            return {1: 1}
+        return torus_knot_exponents(self.p, self.q)
 
     def branch_count(self) -> int:
         return 2 if self.kind == "node" else 1
@@ -129,8 +128,8 @@ class ResolvedGermData(LocalData):
         self.germ = germ
         self.tree: ResolutionTree = resolve(germ)
 
-    def delta(self) -> LaurentPolynomial:
-        return local_alexander(self.tree)
+    def delta_exponents(self) -> Exponents:
+        return zeta_exponents(acampo_zeta(self.tree))
 
     def branch_count(self) -> int:
         return self.germ.r
@@ -292,20 +291,35 @@ def h1_complement(degrees: Sequence[int]) -> Tuple[int, List[int]]:
     return cokernel_invariants([degrees], len(degrees))
 
 
-def infinity_alexander(d: int) -> LaurentPolynomial:
+def _product(*factors: Exponents) -> Exponents:
+    out: Exponents = {}
+    for exponents in factors:
+        for m, e in exponents.items():
+            out[m] = out.get(m, 0) + e
+    return {m: e for m, e in sorted(out.items()) if e}
+
+
+def infinity_exponents(d: int) -> Exponents:
     """(t^d - 1)^{d-2} (t - 1), the Alexander polynomial of the link at
-    infinity of a curve transversal to the line at infinity."""
+    infinity of a curve transversal to the line at infinity, as Phi_m
+    exponents."""
     if d < 1:
         raise BadGerm("degree must be positive")
-    f = FormalCycloProduct.one_minus_power((d,), d - 2) * FormalCycloProduct.t_minus_one()
-    return normalize_unit(f.expand())
+    return cyclotomic_exponents((d, d - 2), (1, 1))
+
+
+def infinity_alexander(d: int) -> LaurentPolynomial:
+    """(t^d - 1)^{d-2} (t - 1), expanded."""
+    return expand_cyclotomic(infinity_exponents(d))
+
+
+def local_product_exponents(spec: ProjectiveCurveSpec) -> Exponents:
+    """The product of the local Alexander polynomials as Phi_m exponents."""
+    return _product(*(p.data.delta_exponents() for p in spec.singularities))
 
 
 def local_alexander_product(spec: ProjectiveCurveSpec) -> LaurentPolynomial:
-    out = LaurentPolynomial.one()
-    for p in spec.singularities:
-        out = out * p.data.delta()
-    return normalize_unit(out) if not out.is_one() else out
+    return expand_cyclotomic(local_product_exponents(spec))
 
 
 def nori_abelian_certificate(d: int, nodes: int, cusps: int) -> bool:
@@ -365,62 +379,75 @@ def superabundance(spec: ProjectiveCurveSpec, kappa: Fraction) -> int:
     m = spec.degree - 3 - int(dk)
     if m < 0:
         return 0
-    return _h1(spec, [point.data.ideal_at(kappa) for point in spec.singularities], m)
+    ideals = {data: data.ideal_at(kappa) for data in _local_types(spec)}
+    return _h1(spec, [ideals[point.data] for point in spec.singularities], m)
+
+
+def _local_types(spec: ProjectiveCurveSpec) -> List[LocalData]:
+    """The distinct local data of the singular points, in point order."""
+    return list(dict.fromkeys(point.data for point in spec.singularities))
 
 
 @dataclass
 class AlexanderFactorization:
     """Factor list ((t - e^{2 pi i kappa})(t - e^{-2 pi i kappa}))^s plus the
-    assembled rational polynomial when Galois-conjugate kappas carry equal
-    exponents, and the (t-1)^{r-1} bookkeeping factor for reducible curves."""
+    assembled rational polynomial, as Phi_m exponents, when Galois-conjugate
+    kappas carry equal exponents, and the (t-1)^{r-1} bookkeeping factor
+    for reducible curves."""
 
     factors: List[Tuple[Fraction, int]]
     t_minus_one_exponent: int = 0
-    assembled: Optional[LaurentPolynomial] = None
+    exponents: Optional[Exponents] = None
     assembly_warning: Optional[str] = None
 
-    def full_polynomial(self) -> Optional[LaurentPolynomial]:
-        if self.assembled is None:
+    @property
+    def assembled(self) -> Optional[LaurentPolynomial]:
+        return None if self.exponents is None else expand_cyclotomic(self.exponents)
+
+    def full_exponents(self) -> Optional[Exponents]:
+        """Delta_C with its (t-1)^{r-1} part, as Phi_m exponents."""
+        if self.exponents is None:
             return None
-        t = LaurentPolynomial.variable()
-        return normalize_unit(self.assembled * (t - 1) ** self.t_minus_one_exponent)
+        return _product(self.exponents, {1: self.t_minus_one_exponent})
+
+    def full_polynomial(self) -> Optional[LaurentPolynomial]:
+        full = self.full_exponents()
+        return None if full is None else expand_cyclotomic(full)
 
 
 def assemble_factors(factors: List[Tuple[Fraction, int]]):
-    """Multiply conjugate pairs into a rational polynomial when possible."""
+    """Multiply conjugate pairs into a rational polynomial, as Phi_m
+    exponents, when possible."""
     by_order: Dict[int, Dict[Fraction, int]] = {}
     for kappa, s in factors:
         kappa = Fraction(kappa) % 1
         kappa = min(kappa, 1 - kappa)  # the pair covers kappa and -kappa
         m = kappa.denominator
         by_order.setdefault(m, {})[kappa] = by_order.get(m, {}).get(kappa, 0) + s
-    poly = LaurentPolynomial.one()
+    exponents: Exponents = {}
     for m, seen in sorted(by_order.items()):
         needed = {
             min(Fraction(j, m), 1 - Fraction(j, m))
             for j in range(1, m)
             if gcd(j, m) == 1
         }
-        exponents = {seen.get(k, 0) for k in needed}
-        if len(exponents) != 1:
+        seen_exponents = {seen.get(k, 0) for k in needed}
+        if len(seen_exponents) != 1:
             return None, (
                 f"kappa orbit of order {m} has unequal exponents; "
                 "rational assembly impossible"
             )
-        s = exponents.pop()
-        if s == 0:
-            continue
-        phi_m = LaurentPolynomial.from_univariate(list(cyclotomic_polynomial(m)))
-        power = s * (2 if m <= 2 else 1)
-        poly = poly * phi_m**power
-    return normalize_unit(poly) if not poly.is_zero() else poly, None
+        s = seen_exponents.pop()
+        if s:
+            exponents[m] = s * (2 if m <= 2 else 1)
+    return exponents, None
 
 
 def global_alexander(spec: ProjectiveCurveSpec) -> AlexanderFactorization:
     """Theorem of position of singularities: for each constant of
     quasiadjunction kappa with d*kappa integral, the conjugate-pair factor
     enters with exponent equal to the superabundance at kappa."""
-    kappas = sorted({k for p in spec.singularities for k in p.data.constants()})
+    kappas = sorted({k for data in _local_types(spec) for k in data.constants()})
     factors = []
     for kappa in kappas:
         if (spec.degree * kappa).denominator != 1:
@@ -430,24 +457,58 @@ def global_alexander(spec: ProjectiveCurveSpec) -> AlexanderFactorization:
         s = superabundance(spec, kappa)
         if s > 0:
             factors.append((kappa, s))
-    assembled, warning = assemble_factors(factors)
+    exponents, warning = assemble_factors(factors)
     if warning:
         warnings.warn(warning, stacklevel=2)
     return AlexanderFactorization(
         factors=factors,
         t_minus_one_exponent=spec.r - 1,
-        assembled=assembled,
+        exponents=exponents,
         assembly_warning=warning,
     )
 
 
 @dataclass
 class DivisibilityReport:
-    alexander: LaurentPolynomial
-    local_product: LaurentPolynomial
-    infinity: LaurentPolynomial
-    local_quotient: LaurentPolynomial
-    infinity_quotient: LaurentPolynomial
+    """Delta_C with its factorization, the two polynomials it divides and
+    the quotients, carried as Phi_m exponents; each polynomial is expanded
+    when it is read."""
+
+    factorization: AlexanderFactorization
+    alexander_exponents: Exponents
+    local_exponents: Exponents
+    infinity_exponents: Exponents
+
+    @property
+    def alexander(self) -> LaurentPolynomial:
+        return expand_cyclotomic(self.alexander_exponents)
+
+    @property
+    def local_product(self) -> LaurentPolynomial:
+        return expand_cyclotomic(self.local_exponents)
+
+    @property
+    def infinity(self) -> LaurentPolynomial:
+        return expand_cyclotomic(self.infinity_exponents)
+
+    @property
+    def local_quotient(self) -> LaurentPolynomial:
+        return expand_cyclotomic(_quotient(self.local_exponents, self.alexander_exponents))
+
+    @property
+    def infinity_quotient(self) -> LaurentPolynomial:
+        return expand_cyclotomic(_quotient(self.infinity_exponents, self.alexander_exponents))
+
+
+def _quotient(num: Exponents, den: Exponents) -> Exponents:
+    """num / den; TheoremViolation when den does not divide num, that is
+    when some Phi_m exponent of the quotient is negative."""
+    out = _product(num, {m: -e for m, e in den.items()})
+    if any(e < 0 for e in out.values()):
+        raise TheoremViolation(
+            f"divisibility failed: {expand_cyclotomic(den)} does not divide {expand_cyclotomic(num)}"
+        )
+    return out
 
 
 def divisibility_check(spec: ProjectiveCurveSpec) -> DivisibilityReport:
@@ -455,23 +516,18 @@ def divisibility_check(spec: ProjectiveCurveSpec) -> DivisibilityReport:
     A division failure raises TheoremViolation: it cannot happen on data
     describing an actual curve."""
     fac = global_alexander(spec)
-    delta = fac.full_polynomial()
+    delta = fac.full_exponents()
     if delta is None:
         raise TheoremViolation("global Alexander polynomial did not assemble")
-    local = local_alexander_product(spec)
-    inf = infinity_alexander(spec.degree)
-    try:
-        q_local = normalize_unit(exact_divide(local, delta))
-        q_inf = normalize_unit(exact_divide(inf, delta))
-    except NotPolynomial as exc:
-        raise TheoremViolation(f"divisibility failed: {exc}") from exc
-    return DivisibilityReport(
-        alexander=delta,
-        local_product=local,
-        infinity=inf,
-        local_quotient=q_local,
-        infinity_quotient=q_inf,
+    report = DivisibilityReport(
+        factorization=fac,
+        alexander_exponents=delta,
+        local_exponents=local_product_exponents(spec),
+        infinity_exponents=infinity_exponents(spec.degree),
     )
+    _quotient(report.local_exponents, delta)
+    _quotient(report.infinity_exponents, delta)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +697,16 @@ def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
 
 def _face_h1(spec: ProjectiveCurveSpec, xi_global, m: int):
     labels = [lab for lab, _ in spec.components]
-    ideals = []
+    ideals, once = [], {}
     for point in spec.singularities:
         if point.incidence:
             coords = [labels.index(lab) for lab in point.incidence]
         else:
             coords = list(range(len(labels)))[: point.data.branch_count()]
-        ideals.append(_ideal_at_vector(point.data, [xi_global[c] for c in coords]))
+        key = (point.data, tuple(xi_global[c] for c in coords))
+        if key not in once:
+            once[key] = _ideal_at_vector(*key)
+        ideals.append(once[key])
     colengths = {idx: ideal.colength for idx, ideal in enumerate(ideals)}
     return _h1(spec, ideals, m), colengths
 

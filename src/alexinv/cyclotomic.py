@@ -1,5 +1,6 @@
-"""Exact arithmetic in cyclotomic fields Q[x]/Phi_M(x) and evaluation of
-Laurent polynomials at torsion characters.
+"""Exact arithmetic in cyclotomic fields Q[x]/Phi_M(x), evaluation of
+Laurent polynomials at torsion characters, and one-variable products of
+cyclotomic polynomials carried as their exponents.
 
 Character evaluation must decide exact vanishing, so no floating point
 appears anywhere.
@@ -10,10 +11,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import uni
+from .errors import NotPolynomial
 from .laurent import LaurentPolynomial
+
+# The product prod_m Phi_m^{e_m} as the map m -> e_m.  A product of two
+# adds exponents, and one divides another when no difference is negative.
+Exponents = Dict[int, int]
 
 
 def euler_phi(n: int) -> int:
@@ -41,6 +47,48 @@ def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
         if n % d == 0:
             p = uni.exact_div(p, list(cyclotomic_polynomial(d)))
     return tuple(int(c) for c in p)
+
+
+def cyclotomic_exponents(*powers: Tuple[int, int]) -> Exponents:
+    """The exponents of prod (t^d - 1)^e over the given (d, e): each
+    t^d - 1 = prod_{m | d} Phi_m adds e into every divisor m of d.  Zero
+    exponents are dropped; negative ones stand for a quotient."""
+    out: Exponents = {}
+    for d, e in powers:
+        for m in range(1, d + 1):
+            if d % m == 0:
+                out[m] = out.get(m, 0) + e
+    return {m: e for m, e in sorted(out.items()) if e}
+
+
+def _int_mul(p: List[int], q: List[int]) -> List[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def expand_cyclotomic(exponents: Exponents) -> LaurentPolynomial:
+    """prod_m Phi_m^{e_m} multiplied out: each cached Phi_m is raised to
+    e_m by repeated squaring on plain integer lists.  The product is monic
+    with constant term +-1, so it is its own ``normalize_unit``
+    representative.  A negative exponent leaves no polynomial and raises
+    NotPolynomial."""
+    out = [1]
+    for m, e in sorted(exponents.items()):
+        if e < 0:
+            raise NotPolynomial(f"Phi_{m} has exponent {e} < 0")
+        power, base = [1], list(cyclotomic_polynomial(m))
+        while e:
+            if e & 1:
+                power = _int_mul(power, base)
+            e >>= 1
+            if e:
+                base = _int_mul(base, base)
+        out = _int_mul(out, power)
+    return LaurentPolynomial.from_univariate(out)
 
 
 def _reduce(coeffs: list, conductor: int) -> list:

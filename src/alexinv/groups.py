@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import uni
-from .cyclotomic import cyclotomic_polynomial, evaluate_character
+from .cyclotomic import evaluate_character, expand_cyclotomic
 from .errors import (
     BadWord,
     InternalError,
@@ -244,15 +244,11 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
     matrix = fox_jacobian(p)
     m = p.torsion_order() if p.torsion else 0
     if m:
-        result = LaurentPolynomial.one(1)
-        for d in range(2, m + 1):
-            if m % d:
-                continue
-            k = _h1_dim(matrix, CharacterPoint([Fraction(1, d)]))
-            if k:
-                phi_d = LaurentPolynomial.from_univariate(list(cyclotomic_polynomial(d)))
-                result = result * phi_d**k
-        return normalize_unit(result)
+        return expand_cyclotomic({
+            d: _h1_dim(matrix, CharacterPoint([Fraction(1, d)]))
+            for d in range(2, m + 1)
+            if m % d == 0
+        })
     # The order is the gcd of the (s - 1)-minors.  Every row r satisfies
     # sum_k r_k (t^n_k - 1) = 0 with n_k = phi(x_k), so on any s - 1 rows
     # the minor without column k is +-(t^n_k - 1)/(t^n_j - 1) times the one

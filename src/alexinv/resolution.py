@@ -19,15 +19,17 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import biv, uni
+from .cyclotomic import Exponents, cyclotomic_exponents, expand_cyclotomic
 from .errors import (
     BadGerm,
     BadHodgeData,
     InternalError,
     NotCoprime,
+    NotPolynomial,
     NonRationalInfinitelyNearPoint,
     ResolutionDidNotTerminate,
 )
-from .laurent import FormalCycloProduct, LaurentPolynomial, normalize_unit
+from .laurent import FormalCycloProduct, LaurentPolynomial
 
 MAX_BLOWUPS = 500
 
@@ -313,10 +315,19 @@ def acampo_zeta(tree: ResolutionTree) -> FormalCycloProduct:
     return out
 
 
+def zeta_exponents(zeta: FormalCycloProduct) -> Exponents:
+    """Delta(t) = (t - 1) / zeta(t) as Phi_m exponents: every
+    (1 - t^d)^e of the one-variable zeta adds -e into each m | d.
+    NotPolynomial when some exponent is negative."""
+    out = cyclotomic_exponents((1, 1), *((abs(d), -e) for (d,), e in zeta.factors.items()))
+    if any(e < 0 for e in out.values()):
+        raise NotPolynomial(f"(t - 1) / ({zeta}) is not a polynomial")
+    return out
+
+
 def local_alexander_from_zeta(zeta: FormalCycloProduct) -> LaurentPolynomial:
     """Delta(t) = (t - 1) / zeta(t), canonical up to +-t^a."""
-    delta = (FormalCycloProduct.t_minus_one() * zeta.inverse()).expand()
-    return normalize_unit(delta)
+    return expand_cyclotomic(zeta_exponents(zeta))
 
 
 def local_alexander(tree: ResolutionTree) -> LaurentPolynomial:
@@ -324,19 +335,20 @@ def local_alexander(tree: ResolutionTree) -> LaurentPolynomial:
     return local_alexander_from_zeta(acampo_zeta(tree))
 
 
-def torus_knot_alexander(p: int, q: int) -> LaurentPolynomial:
-    """(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) for coprime p, q."""
+def torus_knot_exponents(p: int, q: int) -> Exponents:
+    """(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) for coprime p, q as Phi_m
+    exponents: 1 exactly when m | pq, m does not divide p and m does not
+    divide q."""
     if p < 1 or q < 1:
         raise BadGerm("p, q must be positive")
     if gcd(p, q) != 1:
         raise NotCoprime(f"gcd({p}, {q}) != 1")
-    f = (
-        FormalCycloProduct.one_minus_power((p * q,))
-        * FormalCycloProduct.one_minus_power((1,))
-        * FormalCycloProduct.one_minus_power((p,), -1)
-        * FormalCycloProduct.one_minus_power((q,), -1)
-    )
-    return normalize_unit(f.expand())
+    return cyclotomic_exponents((p * q, 1), (1, 1), (p, -1), (q, -1))
+
+
+def torus_knot_alexander(p: int, q: int) -> LaurentPolynomial:
+    """(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) for coprime p, q."""
+    return expand_cyclotomic(torus_knot_exponents(p, q))
 
 
 def multivariable_link_alexander(tree: ResolutionTree) -> FormalCycloProduct:

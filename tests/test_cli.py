@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,25 @@ def test_global_report(files):
     assert code == 0
     assert "t^2 - t + 1" in out
     assert out.count("PASS") == 2
+
+
+def test_global_runs_the_theorem_once(files, monkeypatch):
+    """The report, quotients included, comes from one divisibility check:
+    as many superabundance calls as one global_alexander makes."""
+    calls = []
+    true_superabundance = curves.superabundance
+
+    def counting(spec, kappa):
+        calls.append(kappa)
+        return true_superabundance(spec, kappa)
+
+    monkeypatch.setattr(curves, "superabundance", counting)
+    curves.global_alexander(parse_and_validate(files["sextic"], "curve"))
+    once = list(calls)
+    calls.clear()
+    code, out = _run(["global", "--curve", files["sextic"], "--cover", "6"])
+    assert code == 0 and "PASS" in out
+    assert calls == once == [Fraction(1, 6)]
 
 
 def test_covers_report(files):

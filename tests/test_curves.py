@@ -20,7 +20,8 @@ from alexinv.curves import (
     transform_positions,
 )
 from alexinv import curves
-from alexinv.errors import BadGerm, TheoremViolation
+from alexinv.cyclotomic import expand_cyclotomic
+from alexinv.errors import BadGerm, NotPolynomial, TheoremViolation
 from alexinv.laurent import LaurentPolynomial, exact_divide, normalize_unit
 
 t = LaurentPolynomial.variable()
@@ -115,7 +116,9 @@ def test_degree24_rung_on_conic():
     impose 2m + 1 = 35 conditions, so h^1 = 120 - 35 = 85."""
     spec = ProjectiveCurveSpec.build(24, [((x, x * x), "cusp") for x in range(-60, 60)])
     assert superabundance(spec, F(1, 6)) == 120 - (2 * 17 + 1)
-    assert global_alexander(spec).factors == [(F(1, 6), 85)]
+    fac = global_alexander(spec)
+    assert fac.factors == [(F(1, 6), 85)]
+    assert fac.full_polynomial() == normalize_unit(PHI6**85)
 
 
 def test_degree24_rung_in_general_position():
@@ -152,10 +155,69 @@ def test_divisibility_trivial_alexander(sextic_generic):
 
 
 def test_divisibility_failure_is_a_theorem_violation(sextic_on_conic, monkeypatch):
-    # Delta_C = t^2 - t + 1 does not divide t - 1
-    monkeypatch.setattr(curves, "infinity_alexander", lambda d: t - 1)
+    # Delta_C = t^2 - t + 1 = Phi_6 does not divide t - 1 = Phi_1
+    monkeypatch.setattr(curves, "infinity_exponents", lambda d: {1: 1})
     with pytest.raises(TheoremViolation):
         divisibility_check(sextic_on_conic)
+
+
+EXPONENT_MAPS = st.dictionaries(st.integers(1, 12), st.integers(0, 4), max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(EXPONENT_MAPS, EXPONENT_MAPS, st.booleans())
+def test_divisibility_verdict_matches_exact_divide(num, den, force):
+    """The exponent comparison against the old route, exact division of the
+    expanded polynomials: den divides num exactly when no Phi_m exponent
+    of the quotient is negative, and the quotients agree."""
+    if force:
+        num = curves._product(num, den)
+    try:
+        oracle = normalize_unit(exact_divide(expand_cyclotomic(num), expand_cyclotomic(den)))
+    except NotPolynomial:
+        with pytest.raises(TheoremViolation):
+            curves._quotient(num, den)
+        assert not force
+        return
+    assert expand_cyclotomic(curves._quotient(num, den)) == oracle
+
+
+def test_assemble_factors_pairs_conjugates():
+    """kappa and -kappa make one conjugate pair; kappa = 1/2 pairs with
+    itself, so its factor is (t + 1)^2."""
+    exponents, warning = curves.assemble_factors([(F(1, 2), 1), (F(5, 6), 2), (F(1, 5), 1), (F(2, 5), 1)])
+    assert warning is None and exponents == {2: 2, 5: 1, 6: 2}
+    phi5 = t**4 + t**3 + t**2 + t + 1
+    assert expand_cyclotomic(exponents) == normalize_unit((t + 1) ** 2 * PHI6**2 * phi5)
+    assert curves.assemble_factors([(F(1, 5), 1)]) == (
+        None, "kappa orbit of order 5 has unequal exponents; rational assembly impossible"
+    )
+
+
+def test_superabundance_computes_one_ideal_per_local_type(monkeypatch):
+    """Six cusps, two nodes and two (2, 5) germs are three local types."""
+    points = [((x, x * x), "cusp") for x in range(6)]
+    points += [((x, 1), "node") for x in (7, 8)] + [((x, 2), (2, 5)) for x in (7, 8)]
+    spec = ProjectiveCurveSpec.build(12, points)
+    calls = []
+    true_ideal_at = curves.NamedGermData.ideal_at
+
+    def counting(self, kappa):
+        calls.append(self)
+        return true_ideal_at(self, kappa)
+
+    monkeypatch.setattr(curves.NamedGermData, "ideal_at", counting)
+    assert superabundance(spec, F(1, 6)) >= 0
+    assert len(calls) == len(set(calls)) == 3
+    calls.clear()
+    global_faces_and_components(ProjectiveCurveSpec.build(6, ON_CONIC))
+    assert len(calls) == 1
+
+
+def test_equal_named_germs_give_equal_specs():
+    assert ProjectiveCurveSpec.build(6, ON_CONIC) == ProjectiveCurveSpec.build(6, ON_CONIC)
+    assert ProjectiveCurveSpec.build(6, ON_CONIC) != ProjectiveCurveSpec.build(6, GENERIC6)
+    assert len({p.data for p in ProjectiveCurveSpec.build(6, ON_CONIC).singularities}) == 1
 
 
 def test_overcounted_rank_is_an_internal_error(sextic_on_conic, monkeypatch):

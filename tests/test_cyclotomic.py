@@ -1,15 +1,19 @@
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexinv.cyclotomic import (
     CyclotomicElement,
+    cyclotomic_exponents,
     cyclotomic_polynomial,
     evaluate_character,
+    expand_cyclotomic,
     root_multiplicity,
 )
-from alexinv.laurent import LaurentPolynomial
+from alexinv.errors import NotPolynomial
+from alexinv.laurent import LaurentPolynomial, normalize_unit
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -20,6 +24,46 @@ def test_cyclotomic_polynomials():
     assert list(cyclotomic_polynomial(2)) == [1, 1]
     assert list(cyclotomic_polynomial(6)) == [1, -1, 1]
     assert list(cyclotomic_polynomial(12)) == [1, 0, -1, 0, 1]
+
+
+def _phi_power_product(exponents):
+    """The oracle: prod Phi_m^e multiplied out in LaurentPolynomial."""
+    out = LaurentPolynomial.one()
+    for m, e in exponents.items():
+        out = out * LaurentPolynomial.from_univariate(list(cyclotomic_polynomial(m))) ** e
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(1, 40), st.integers(0, 6), max_size=3))
+def test_expand_cyclotomic_matches_laurent_powers(exponents):
+    expanded = expand_cyclotomic(exponents)
+    oracle = _phi_power_product(exponents)
+    assert expanded == oracle
+    assert expanded == normalize_unit(oracle)
+
+
+def test_expand_cyclotomic_examples():
+    assert expand_cyclotomic({}) == LaurentPolynomial.one()
+    assert expand_cyclotomic({6: 0, 1: 1}) == t - 1
+    assert expand_cyclotomic(cyclotomic_exponents((6, 4), (1, 1))) == normalize_unit((t**6 - 1) ** 4 * (t - 1))
+    with pytest.raises(NotPolynomial):
+        expand_cyclotomic({6: 1, 2: -1})
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 30), st.integers(-4, 4)), max_size=4))
+def test_cyclotomic_exponents_of_binomials(powers):
+    """t^d - 1 = prod_{m | d} Phi_m: the exponents are additive in the
+    powers and expand to the product of the binomials."""
+    positive = [(d, e) for d, e in powers if e > 0]
+    binomials = LaurentPolynomial.one()
+    for d, e in positive:
+        binomials = binomials * (t**d - 1) ** e
+    assert expand_cyclotomic(cyclotomic_exponents(*positive)) == normalize_unit(binomials)
+    mixed = cyclotomic_exponents(*powers)
+    assert 0 not in mixed.values()
+    assert cyclotomic_exponents(*((d, -e) for d, e in powers)) == {m: -e for m, e in mixed.items()}
 
 
 def test_evaluate_examples():

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexinv import biv, resolution
@@ -9,10 +10,12 @@ from alexinv.errors import (
     BadGerm,
     BadHodgeData,
     NotCoprime,
+    NotPolynomial,
     NonRationalInfinitelyNearPoint,
     NotReduced,
     ResolutionDidNotTerminate,
 )
+from alexinv.cyclotomic import expand_cyclotomic
 from alexinv.laurent import FormalCycloProduct, LaurentPolynomial, normalize_unit
 from alexinv.resolution import (
     PlaneCurveGerm,
@@ -24,6 +27,8 @@ from alexinv.resolution import (
     multivariable_link_alexander,
     resolve,
     torus_knot_alexander,
+    torus_knot_exponents,
+    zeta_exponents,
 )
 
 t = LaurentPolynomial.variable()
@@ -72,6 +77,45 @@ def test_torus_knot_formula():
     assert torus_knot_alexander(1, 9) == LaurentPolynomial.one()
     with pytest.raises(NotCoprime):
         torus_knot_alexander(2, 4)
+
+
+def test_torus_exponents_match_formal_product():
+    """The old route is the oracle: the formal product
+    (1 - t^pq)(1 - t) / ((1 - t^p)(1 - t^q)) multiplied out."""
+    for p in range(1, 13):
+        for q in range(1, 13):
+            if gcd(p, q) != 1:
+                continue
+            exponents = torus_knot_exponents(p, q)
+            assert exponents == {
+                m: 1 for m in range(2, p * q + 1) if (p * q) % m == 0 and p % m and q % m
+            }
+            formal = (
+                FormalCycloProduct.one_minus_power((p * q,))
+                * FormalCycloProduct.one_minus_power((1,))
+                * FormalCycloProduct.one_minus_power((p,), -1)
+                * FormalCycloProduct.one_minus_power((q,), -1)
+            )
+            assert torus_knot_alexander(p, q) == normalize_unit(formal.expand())
+            assert expand_cyclotomic(exponents) == torus_knot_alexander(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(1, 12), st.integers(-3, 3), max_size=4))
+def test_zeta_exponents_match_formal_quotient(factors):
+    """(t - 1) / zeta through Phi_m exponents against the formal product
+    expanded by exact division: equal, or NotPolynomial on both routes."""
+    zeta = FormalCycloProduct(1, {(d,): e for d, e in factors.items()})
+    try:
+        oracle = normalize_unit((FormalCycloProduct.t_minus_one() * zeta.inverse()).expand())
+    except NotPolynomial:
+        with pytest.raises(NotPolynomial):
+            zeta_exponents(zeta)
+        with pytest.raises(NotPolynomial):
+            local_alexander_from_zeta(zeta)
+        return
+    assert expand_cyclotomic(zeta_exponents(zeta)) == oracle
+    assert local_alexander_from_zeta(zeta) == oracle
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4)])
