@@ -42,7 +42,7 @@ from .quasiadj import (
 from .resolution import (
     PlaneCurveGerm,
     acampo_zeta,
-    local_alexander,
+    local_alexander_from_zeta,
     multivariable_link_alexander,
     resolve,
 )
@@ -175,7 +175,7 @@ def _cmd_local(args) -> dict:
         {
             "resolution_tree": tree.to_json(),
             "zeta": str(zeta),
-            "alexander": str(local_alexander(tree)),
+            "alexander": str(local_alexander_from_zeta(zeta)),
         }
     )
     if tree.r >= 2:

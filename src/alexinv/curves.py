@@ -176,6 +176,16 @@ def local_data_for(kind_or_germ, pq: Optional[Tuple[int, int]] = None) -> LocalD
     raise BadGerm(f"unknown singularity type {kind_or_germ!r}")
 
 
+def shared_germ_data(germ: PlaneCurveGerm, shared: dict) -> LocalData:
+    """The local datum of an explicit germ, one per distinct germ: keyed in
+    ``shared`` by the parsed components, so equal germs are resolved once
+    and count as one local type."""
+    key = tuple(tuple(sorted(c.items())) for c in germ.components)
+    if key not in shared:
+        shared[key] = local_data_for(germ)
+    return shared[key]
+
+
 # ---------------------------------------------------------------------------
 # curve specifications
 # ---------------------------------------------------------------------------
@@ -229,7 +239,7 @@ class ProjectiveCurveSpec:
         """singularities: iterable of (position pair, type) where type is
         'node', 'cusp', (p, q), or a germ string / PlaneCurveGerm."""
         comps = components or [("C", degree)]
-        pts = []
+        pts, germs = [], {}
         for pos, kind in singularities:
             position = (Fraction(pos[0]), Fraction(pos[1]))
             if kind == "node":
@@ -240,7 +250,7 @@ class ProjectiveCurveSpec:
                 data, desc = local_data_for("torus", kind), f"torus({kind[0]},{kind[1]})"
             else:
                 germ = kind if isinstance(kind, PlaneCurveGerm) else PlaneCurveGerm.from_strings(kind)
-                data, desc = local_data_for(germ), f"germ({germ})"
+                data, desc = shared_germ_data(germ, germs), f"germ({germ})"
             pts.append(
                 SingularPoint(
                     position=position,

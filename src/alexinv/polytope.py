@@ -4,6 +4,11 @@ and a face lattice.
 A halfspace is (normal, bound) meaning normal . x >= bound.  The unit
 cube constraints 0 <= x_i <= 1 are always added implicitly.  An empty
 polytope has no vertices and no faces.
+
+All arithmetic is on integers: each constraint is scaled once to a
+primitive integer row (n, b), a vertex is solved by Cramer's rule as
+p / q with p an integer vector and q > 0, and n . x >= b is decided as
+n . p >= b q.
 """
 
 from __future__ import annotations
@@ -11,21 +16,40 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import UnsupportedDimension
-from .linalg import rational_nullspace, rational_rank
+from .linalg import _integer_row, rational_rank
 
 Vector = Tuple[Fraction, ...]
 Halfspace = Tuple[Vector, Fraction]
+# (n, b): the constraint n . x >= b as a primitive integer row
+Row = Tuple[Tuple[int, ...], int]
 
 
 def _vec(v) -> Vector:
     return tuple(Fraction(x) for x in v)
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix of size 1, 2 or 3."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _saturated(rows: Sequence[Row], point) -> frozenset:
+    """Indices of the rows whose hyperplane holds the point, written as
+    p / q with p integer and q > 0."""
+    point = [Fraction(x) for x in point]
+    q = lcm(*[x.denominator for x in point])
+    p = [x.numerator * (q // x.denominator) for x in point]
+    return frozenset(i for i, (n, b) in enumerate(rows) if sum(map(mul, n, p)) == b * q)
 
 
 @dataclass(frozen=True)
@@ -65,24 +89,40 @@ class RationalPolytope:
             cube.append((tuple(-x for x in e), Fraction(-1)))
         return self.halfspaces + cube
 
+    def _rows(self) -> List[Row]:
+        """The constraints, in order, as primitive integer rows."""
+        rows = []
+        for normal, bound in self.constraints():
+            *n, b = _integer_row(list(normal) + [bound])
+            rows.append((tuple(n), b))
+        return rows
+
     # -- geometry -----------------------------------------------------
 
     def vertices(self) -> List[Vector]:
-        """Vertices, exact over Q."""
-        cons = self.constraints()
-        seen = []
-        for subset in combinations(range(len(cons)), self.dim):
-            # the subset's hyperplanes meet in one point exactly when [A | -b]
-            # has a one-dimensional nullspace whose vector has a nonzero last
-            # coordinate; rational_nullspace makes that coordinate 1
-            kernel = rational_nullspace([list(cons[i][0]) + [-cons[i][1]] for i in subset])
-            if len(kernel) != 1 or not kernel[0][-1]:
+        """Vertices, exact over Q: the points where dim constraint
+        hyperplanes with a nonzero determinant meet, by Cramer's rule, that
+        satisfy every constraint."""
+        rows = self._rows()
+        found = {}
+        for subset in combinations(rows, self.dim):
+            normals = [n for n, _ in subset]
+            q = _det(normals)
+            if not q:
                 continue
-            point = tuple(kernel[0][:-1])
-            if all(_dot(n, point) >= b for n, b in cons):
-                if point not in seen:
-                    seen.append(point)
-        return sorted(seen)
+            p = [
+                _det([n[:j] + (b,) + n[j + 1:] for n, b in subset])
+                for j in range(self.dim)
+            ]
+            if q < 0:
+                q, p = -q, [-x for x in p]
+            g = gcd(q, *p)
+            key = (tuple(x // g for x in p), q // g)
+            if key in found:
+                continue
+            if all(sum(map(mul, n, p)) >= b * q for n, b in rows):
+                found[key] = tuple(Fraction(x, q) for x in p)
+        return sorted(found.values())
 
     def faces(self) -> List[Face]:
         """Face lattice, sorted by (dim, vertices); [] when empty.
@@ -95,33 +135,23 @@ class RationalPolytope:
         verts = self.vertices()
         if not verts:
             return []
-        cons = self.constraints()
-        sat = {
-            v: tuple(i for i, (n, b) in enumerate(cons) if _dot(n, v) == b)
-            for v in verts
-        }
+        rows = self._rows()
+        sat = [_saturated(rows, v) for v in verts]
         found = {}
 
         def record(vset, saturated):
-            if not vset:
-                return
-            key = tuple(sorted(vset))
-            if key not in found:
-                found[key] = tuple(sorted(saturated))
+            # vset: ascending indices into verts, which are sorted
+            if vset and vset not in found:
+                found[vset] = tuple(sorted(saturated))
 
-        record(verts, tuple(i for i in range(len(cons)) if all(i in sat[v] for v in verts)))
+        record(tuple(range(len(verts))), frozenset.intersection(*sat))
         for size in range(1, self.dim + 1):
-            for subset in combinations(range(len(cons)), size):
-                vset = [v for v in verts if all(i in sat[v] for i in subset)]
-                record(vset, subset)
-        for v in verts:
-            record([v], sat[v])
+            for subset in combinations(range(len(rows)), size):
+                record(tuple(i for i, on in enumerate(sat) if on.issuperset(subset)), subset)
         faces = []
-        for key in sorted(found):
-            vlist = list(key)
-            faces.append(
-                Face(vertices=tuple(vlist), dim=_affine_dim(vlist), saturated=found[key])
-            )
+        for key, saturated in found.items():
+            vlist = [verts[i] for i in key]
+            faces.append(Face(vertices=tuple(vlist), dim=_affine_dim(vlist), saturated=saturated))
         faces.sort(key=lambda f: (f.dim, f.vertices))
         return faces
 
@@ -133,12 +163,12 @@ class RationalPolytope:
         faces = self.faces()
         by_vertices = {f.vertices: f for f in faces}
         verts = faces[-1].vertices if faces else ()
-        cons = self.constraints()
-        sat = {v: {i for i, (n, b) in enumerate(cons) if _dot(n, v) == b} for v in verts}
+        rows = self._rows()
+        sat = {v: _saturated(rows, v) for v in verts}
 
         def face_of(point) -> Face:
-            through = {i for i, (n, b) in enumerate(cons) if _dot(n, point) == b}
-            return by_vertices[tuple(v for v in verts if through <= sat[v])]
+            through = _saturated(rows, point)
+            return by_vertices[tuple(v for v, on in sat.items() if through <= on)]
 
         return face_of
 

@@ -7,10 +7,15 @@ Membership in the three ideals is decided from a resolution: a germ phi
 belongs to the strict ideal at xi iff for every exceptional curve
     sum_i a_{k,i} xi_i  >  sum_i a_{k,i} - e_k(phi) - c_k - 1,
 to the log ideal iff the non-strict version holds, and to the weight-one
-ideal iff equality occurs only on pairwise non-adjacent curves.  The
-left side, the level of node k at xi, is computed once per point; the
-right side is written once, in ``_rhs``; and one sweep of the monomials
-below the jet bound gives all three ideals.
+ideal iff equality occurs only on pairwise non-adjacent curves.
+
+The right side rhs_k(phi) is an integer, so the comparisons are decided
+on integers: a_k . xi >= rhs iff floor(a_k . xi) >= rhs, and a_k . xi =
+rhs iff a_k . xi is an integer and floor(a_k . xi) = rhs.  So each point
+becomes one pair (floor, integral) per node, computed once per point;
+the right side is written once, in ``_rhs``, and tabulated once per tree
+and jet bound for the monomials below it; and one sweep of that table
+gives all three ideals.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import floor, gcd
+from math import floor, gcd, lcm
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import biv
@@ -91,18 +97,27 @@ def jet_bound(tree: ResolutionTree, override: Optional[int] = None) -> int:
     return max(candidates)
 
 
-def _node_levels(tree: ResolutionTree, xi) -> List[Fraction]:
-    """The level a_k . xi of every node k."""
-    return [sum((x * a for x, a in zip(xi, node.a)), Fraction(0)) for node in tree.nodes]
+Levels = List[Tuple[int, bool]]
 
 
-def _rhs(tree: ResolutionTree, e: Sequence[int]) -> List[int]:
+def _node_floors(tree: ResolutionTree, xi: Sequence[Fraction]) -> Levels:
+    """(floor(a_k . xi), whether a_k . xi is an integer) for every node k."""
+    den = lcm(*[x.denominator for x in xi])
+    nums = [x.numerator * (den // x.denominator) for x in xi]
+    out = []
+    for node in tree.nodes:
+        q, rem = divmod(sum(map(mul, node.a, nums)), den)
+        out.append((q, not rem))
+    return out
+
+
+def _rhs(tree: ResolutionTree, e: Sequence[int]) -> Tuple[int, ...]:
     """sum a_k - e_k - c_k - 1 for every node k, for the germ with pullback
     orders e."""
-    return [
+    return tuple(
         node.total_multiplicity - e[k] - node.c - 1
         for k, node in enumerate(tree.nodes)
-    ]
+    )
 
 
 def _weight1_ok(tree: ResolutionTree, equal_ids: List[int]) -> bool:
@@ -112,28 +127,28 @@ def _weight1_ok(tree: ResolutionTree, equal_ids: List[int]) -> bool:
     return True
 
 
-def _memberships(tree: ResolutionTree, levels: Sequence[Fraction], e: Sequence[int]):
-    """(strict, weight1, log) membership of the germ with pullback orders e
-    at the point whose node levels are given."""
+def _memberships(tree: ResolutionTree, levels: Levels, rhs: Sequence[int]):
+    """(strict, weight1, log) membership of the germ with right sides rhs at
+    the point whose node floors are given."""
     equal = []
-    for node, lhs, rhs in zip(tree.nodes, levels, _rhs(tree, e)):
-        if lhs < rhs:
+    for node, (lhs, integral), r in zip(tree.nodes, levels, rhs):
+        if lhs < r:
             return False, False, False
-        if lhs == rhs:
+        if integral and lhs == r:
             equal.append(node.id)
     return not equal, _weight1_ok(tree, equal), True
 
 
 def _variant_index(variant: str) -> int:
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ValidationError([f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}"])
     return VARIANTS.index(variant)
 
 
 def germ_membership(tree: ResolutionTree, xi, phi: biv.Poly2, variant: str) -> bool:
     """Membership of an arbitrary germ, by replaying the blow-ups on it."""
-    levels = _node_levels(tree, [Fraction(x) for x in xi])
-    return _memberships(tree, levels, tree.pullback_orders(phi))[_variant_index(variant)]
+    levels = _node_floors(tree, [Fraction(x) for x in xi])
+    return _memberships(tree, levels, _rhs(tree, tree.pullback_orders(phi)))[_variant_index(variant)]
 
 
 @dataclass
@@ -171,22 +186,23 @@ class LocalIdealDescription:
         }
 
 
-def _monomial_orders(tree: ResolutionTree, bound: int):
-    """e_k of every monomial up to total degree bound, from e(x), e(y).
-    Cached on the tree: the grid sweeps in the test-suite reuse it heavily."""
-    cache = getattr(tree, "_monomial_order_cache", None)
-    if cache is not None and cache[0] >= bound:
-        return {k: v for k, v in cache[1].items() if k[0] + k[1] <= bound}
-    ex = tree.pullback_orders(biv.variable_x())
-    ey = tree.pullback_orders(biv.variable_y())
-    table = {}
-    for alpha in range(bound + 1):
-        for beta in range(bound + 1 - alpha):
-            table[(alpha, beta)] = [
-                alpha * ex[k] + beta * ey[k] for k in range(len(tree.nodes))
-            ]
-    tree._monomial_order_cache = (bound, table)
-    return table
+def _rhs_table(tree: ResolutionTree, bound: int) -> List[Tuple[Monomial, Tuple[int, ...]]]:
+    """(monomial, rhs) for every monomial up to total degree bound, sorted;
+    e_k(x^alpha y^beta) = alpha e_k(x) + beta e_k(y).  A monomial with no
+    positive rhs_k gets the empty row: a_k . xi > 0 on (0, 1]^r, so it lies
+    in all three ideals at every xi and bounds no region.  Cached on the
+    tree, one table per bound: every point of a sweep reads the same table."""
+    tables = tree.__dict__.setdefault("_rhs_tables", {})
+    if bound not in tables:
+        ex = tree.pullback_orders(biv.variable_x())
+        ey = tree.pullback_orders(biv.variable_y())
+        table = []
+        for alpha in range(bound + 1):
+            for beta in range(bound + 1 - alpha):
+                rhs = _rhs(tree, [alpha * x + beta * y for x, y in zip(ex, ey)])
+                table.append(((alpha, beta), rhs if any(r > 0 for r in rhs) else ()))
+        tables[bound] = table
+    return tables[bound]
 
 
 def ideal_triple(tree: ResolutionTree, xi, bound: Optional[int] = None):
@@ -198,11 +214,11 @@ def ideal_triple(tree: ResolutionTree, xi, bound: Optional[int] = None):
     if any(not 0 < x <= 1 for x in xi):
         raise BadGerm("xi coordinates must lie in (0, 1]")
     B = jet_bound(tree, bound)
-    levels = _node_levels(tree, xi)
+    levels = _node_floors(tree, xi)
     members: Tuple[List[Monomial], ...] = ([], [], [])
     nonmembers: Tuple[List[Monomial], ...] = ([], [], [])
-    for mono, e in sorted(_monomial_orders(tree, B - 1).items()):
-        for i, member in enumerate(_memberships(tree, levels, e)):
+    for mono, rhs in _rhs_table(tree, B - 1):
+        for i, member in enumerate(_memberships(tree, levels, rhs)):
             (members if member else nonmembers)[i].append(mono)
     return tuple(
         LocalIdealDescription(
@@ -220,8 +236,8 @@ def ideal_triple(tree: ResolutionTree, xi, bound: Optional[int] = None):
 def ideal_of_quasiadjunction(
     tree: ResolutionTree, xi, variant: str = "strict", bound: Optional[int] = None
 ) -> LocalIdealDescription:
-    """The ideal of one variant in VARIANTS at xi; ValueError for any other
-    variant."""
+    """The ideal of one variant in VARIANTS at xi; ValidationError for any
+    other variant."""
     return ideal_triple(tree, xi, bound)[_variant_index(variant)]
 
 
@@ -235,9 +251,11 @@ def jumping_values(tree: ResolutionTree) -> List[Fraction]:
     kappa): for each monomial below the jet bound, the largest per-node
     threshold (sum a - e - c - 1)/(sum a)."""
     values = set()
-    for e in _monomial_orders(tree, jet_bound(tree) - 1).values():
+    totals = [node.total_multiplicity for node in tree.nodes]
+    for _, rhs in _rhs_table(tree, jet_bound(tree) - 1):
+        # only a positive threshold can be a jumping value
         kappa = max(
-            (Fraction(rhs, node.total_multiplicity) for node, rhs in zip(tree.nodes, _rhs(tree, e))),
+            (Fraction(r, m) for r, m in zip(rhs, totals) if r > 0),
             default=Fraction(0),
         )
         if 0 < kappa < 1:
@@ -303,13 +321,9 @@ class QuasiPolytope:
     faces: List[QuasiFace]
 
 
-def _region_halfspaces(tree: ResolutionTree, e: Sequence[int]):
+def _region_halfspaces(tree: ResolutionTree, rhs: Sequence[int]):
     """Non-vacuous halfspaces sum a_k . xi >= rhs_k(phi) for one monomial."""
-    return [
-        (tuple(node.a), Fraction(rhs))
-        for node, rhs in zip(tree.nodes, _rhs(tree, e))
-        if rhs > 0
-    ]
+    return [(tuple(node.a), Fraction(r)) for node, r in zip(tree.nodes, rhs) if r > 0]
 
 
 def polytopes_and_faces(tree: ResolutionTree, bound: Optional[int] = None) -> List[QuasiPolytope]:
@@ -324,10 +338,11 @@ def polytopes_and_faces(tree: ResolutionTree, bound: Optional[int] = None) -> Li
     if r > 3:
         raise UnsupportedDimension("faces supported for r <= 3 components")
     B = jet_bound(tree, bound)
-    orders = _monomial_orders(tree, B - 1)
+    table = _rhs_table(tree, B - 1)
+    rhs_of = dict(table)
     regions = {}
-    for mono, e in sorted(orders.items()):
-        hs = _region_halfspaces(tree, e)
+    for _, rhs in table:
+        hs = _region_halfspaces(tree, rhs)
         if hs:
             regions[frozenset(hs)] = hs
     # candidate points: relative-interior points of faces of the regions and
@@ -339,11 +354,13 @@ def polytopes_and_faces(tree: ResolutionTree, bound: Optional[int] = None) -> Li
         for combo in combinations(region_lists, size):
             pool.extend(RationalPolytope(r, [h for hs in combo for h in hs]).faces())
     found: Dict[frozenset, Tuple[QuasiPolytope, Callable]] = {}
-    seen_faces = set()
+    seen_points, seen_faces = set(), set()
     for face in pool:
         xi = face.relative_interior_point()
-        if any(not 0 < x for x in xi):
+        # a point met again would give the same ideals and the same face
+        if xi in seen_points or any(not 0 < x for x in xi):
             continue
+        seen_points.add(xi)
         ideals = ideal_triple(tree, xi, B)
         strict_ideal, _, log_ideal = ideals
         if strict_ideal.members == log_ideal.members:
@@ -352,7 +369,7 @@ def polytopes_and_faces(tree: ResolutionTree, bound: Optional[int] = None) -> Li
         if key not in found:
             halfspaces = set()
             for mono in key:
-                halfspaces.update(_region_halfspaces(tree, orders[mono]))
+                halfspaces.update(_region_halfspaces(tree, rhs_of[mono]))
             poly = RationalPolytope(r, sorted(halfspaces))
             found[key] = (QuasiPolytope(polytope=poly, log_staircase=key, faces=[]), poly.face_lookup())
         qp, face_of = found[key]
@@ -426,8 +443,8 @@ def lct_region(tree: ResolutionTree, gamma: Sequence) -> bool:
         raise BadGerm("gamma must have one entry per component")
     if any(not 0 <= g <= 1 for g in gamma):
         raise BadGerm("gamma coordinates must lie in [0, 1]")
-    levels = _node_levels(tree, [1 - g for g in gamma])
-    return all(lhs >= rhs for lhs, rhs in zip(levels, _rhs(tree, [0] * len(tree.nodes))))
+    levels = _node_floors(tree, [1 - g for g in gamma])
+    return all(lhs >= r for (lhs, _), r in zip(levels, _rhs(tree, [0] * len(tree.nodes))))
 
 
 def lct_threshold(tree: ResolutionTree, direction: Sequence) -> Fraction:
@@ -443,7 +460,8 @@ def lct_threshold(tree: ResolutionTree, direction: Sequence) -> Fraction:
         if d > 0:
             cap = Fraction(1) / d
             best = cap if best is None else min(best, cap)
-    for node, slope in zip(tree.nodes, _node_levels(tree, direction)):
+    for node in tree.nodes:
+        slope = sum((a * d for a, d in zip(node.a, direction)), Fraction(0))
         if slope > 0:
             cap = Fraction(node.c + 1) / slope
             best = cap if best is None else min(best, cap)

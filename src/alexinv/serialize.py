@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import List
 
 from .braids import BraidWord, MonodromyData
-from .curves import ProjectiveCurveSpec, SingularPoint, local_data_for
+from .curves import ProjectiveCurveSpec, SingularPoint, local_data_for, shared_germ_data
 from .errors import ValidationError
 from .groups import GroupPresentation, CharacterPoint
 from .laurent import LaurentPolynomial
@@ -121,7 +121,7 @@ def curve_from_json(data: dict) -> ProjectiveCurveSpec:
     )]
     if sum(d for _, d in components) != degree:
         violations.append("component degrees do not sum to total")
-    points = []
+    points, germs = [], {}
     for si, sing in enumerate(data.get("singularities", [])):
         pos = sing.get("pos")
         if pos is None or len(pos) != 2:
@@ -134,7 +134,7 @@ def curve_from_json(data: dict) -> ProjectiveCurveSpec:
             if isinstance(texts, str):
                 texts = [texts]
             germ = PlaneCurveGerm.from_strings(*texts)
-            data_obj, desc = local_data_for(germ), f"germ({germ})"
+            data_obj, desc = shared_germ_data(germ, germs), f"germ({germ})"
         else:
             kind = sing.get("type")
             if kind == "node":

@@ -44,3 +44,11 @@ def t34_tree():
     from alexinv.resolution import PlaneCurveGerm, resolve
 
     return resolve(PlaneCurveGerm.from_strings("x^3 + y^4"))
+
+
+@pytest.fixture(scope="session")
+def puiseux2_tree():
+    """A branch with two Puiseux pairs."""
+    from alexinv.resolution import PlaneCurveGerm, resolve
+
+    return resolve(PlaneCurveGerm.from_strings("(x^2-y^3)^2-4*x^5*y-x^7"))

@@ -61,6 +61,24 @@ def test_local_pipeline_report():
     assert "1/6" in out and "5/6" in out
 
 
+def test_local_computes_the_zeta_function_once(monkeypatch):
+    """The local Alexander polynomial is read off the reported zeta."""
+    from alexinv import cli, resolution
+
+    calls = []
+    true_zeta = resolution.acampo_zeta
+
+    def counting(tree):
+        calls.append(tree)
+        return true_zeta(tree)
+
+    monkeypatch.setattr(cli, "acampo_zeta", counting)
+    monkeypatch.setattr(resolution, "acampo_zeta", counting)
+    code, out = _run(["local", "--germ", "x^2 + y^3"])
+    assert code == 0 and "t^2 - t + 1" in out
+    assert len(calls) == 1
+
+
 def test_global_report(files):
     code, out = _run(["global", "--curve", files["sextic"]])
     assert code == 0

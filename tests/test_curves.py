@@ -23,6 +23,7 @@ from alexinv import curves
 from alexinv.cyclotomic import expand_cyclotomic
 from alexinv.errors import BadGerm, NotPolynomial, TheoremViolation
 from alexinv.laurent import LaurentPolynomial, exact_divide, normalize_unit
+from alexinv.serialize import curve_from_json
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -212,6 +213,35 @@ def test_superabundance_computes_one_ideal_per_local_type(monkeypatch):
     calls.clear()
     global_faces_and_components(ProjectiveCurveSpec.build(6, ON_CONIC))
     assert len(calls) == 1
+
+
+def test_equal_explicit_germs_share_one_resolution(monkeypatch):
+    """Six explicit x^2 + y^3 points, written two ways, are one local type:
+    one resolution, and one ideal per kappa; the answer is the cusps'."""
+    resolved = []
+    true_resolve = curves.resolve
+    monkeypatch.setattr(curves, "resolve", lambda germ: resolved.append(germ) or true_resolve(germ))
+    texts = ["x^2 + y^3", "y^3 + x^2"] * 3
+    spec = ProjectiveCurveSpec.build(6, [(pos, text) for (pos, _), text in zip(ON_CONIC, texts)])
+    assert len(resolved) == 1
+    assert len({id(p.data) for p in spec.singularities}) == 1
+    kappas = []
+    true_ideal_at = curves.ResolvedGermData.ideal_at
+
+    def counting(self, kappa):
+        kappas.append(kappa)
+        return true_ideal_at(self, kappa)
+
+    monkeypatch.setattr(curves.ResolvedGermData, "ideal_at", counting)
+    factorization = global_alexander(spec)
+    assert kappas == [F(1, 6)]
+    assert factorization.factors == global_alexander(ProjectiveCurveSpec.build(6, ON_CONIC)).factors
+    resolved.clear()
+    curve_from_json({
+        "degree": 6,
+        "singularities": [{"pos": [str(x), str(y)], "germ": "x^2 + y^3"} for (x, y), _ in ON_CONIC],
+    })
+    assert len(resolved) == 1
 
 
 def test_equal_named_germs_give_equal_specs():

@@ -4,6 +4,7 @@ from itertools import combinations
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from alexinv.linalg import rational_nullspace
 from alexinv.polytope import RationalPolytope
 
 
@@ -77,15 +78,6 @@ def test_vertices_satisfy_all_halfspaces(halfspaces):
                 assert _dot(normal, v) == bound
 
 
-def _det(m):
-    if len(m) == 1:
-        return m[0][0]
-    return sum(
-        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
-        for j in range(len(m))
-    )
-
-
 def _polytopes(dim):
     normal = st.tuples(*[st.integers(-3, 3)] * dim)
     bound = st.fractions(min_value=-2, max_value=3, max_denominator=4)
@@ -96,22 +88,19 @@ def _polytopes(dim):
 # the parallel lines 2x - y = -1 and 4x - 2y = -3/2 meet nowhere, though
 # the direction (1/2, 1) along them lies in the square
 @example((2, [((2, -1), Fraction(-1)), ((4, -2), Fraction(-3, 2))]))
-def test_vertices_match_cramer(case):
-    """Vertices are the points where dim constraint hyperplanes of nonzero
-    determinant meet, by Cramer's rule, that satisfy every constraint."""
+def test_vertices_match_nullspace_oracle(case):
+    """Vertices are the feasible points where dim constraint hyperplanes
+    meet in one point: where [A | -b] has a one-dimensional nullspace whose
+    vector has a nonzero last coordinate (the route Cramer's rule replaced)."""
     dim, halfspaces = case
     p = RationalPolytope(dim, halfspaces)
     cons = p.constraints()
     expected = set()
     for subset in combinations(cons, dim):
-        a = [list(n) for n, _ in subset]
-        det = _det(a)
-        if det == 0:
+        kernel = rational_nullspace([list(n) + [-b] for n, b in subset])
+        if len(kernel) != 1 or not kernel[0][-1]:
             continue
-        point = tuple(
-            _det([row[:k] + [b] + row[k + 1:] for row, (_, b) in zip(a, subset)]) / det
-            for k in range(dim)
-        )
+        point = tuple(x / kernel[0][-1] for x in kernel[0][:-1])
         if all(_dot(n, point) >= b for n, b in cons):
             expected.add(point)
     assert p.vertices() == sorted(expected)

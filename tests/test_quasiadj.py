@@ -1,9 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
+from math import floor
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alexinv import biv
-from alexinv.errors import UseFacesForMultiComponent
+from alexinv.errors import UseFacesForMultiComponent, ValidationError
 from alexinv.quasiadj import (
     constants_of_quasiadjunction,
     germ_membership,
@@ -73,9 +77,12 @@ def test_membership_of_polynomials(cusp_tree):
 
 
 def test_unknown_variant(cusp_tree):
-    with pytest.raises(ValueError, match="unknown variant"):
+    """An unknown variant is an input error (exit 2), not a ValueError."""
+    with pytest.raises(ValidationError, match="unknown variant") as info:
         ideal_of_quasiadjunction(cusp_tree, [F(1, 6)], "adjoint")
-    with pytest.raises(ValueError, match="unknown variant"):
+    assert not isinstance(info.value, ValueError)
+    assert info.value.violations == ["unknown variant 'adjoint'; choose from strict, weight1, log"]
+    with pytest.raises(ValidationError, match="unknown variant"):
         germ_membership(cusp_tree, [F(1, 6)], biv.parse("y^2"), "adjoint")
 
 
@@ -118,6 +125,70 @@ def test_inclusion_chain_on_grid(cusp_tree, t25_tree, t34_tree, node_tree, two_c
             for k2 in range(1, 13, 3):
                 a, w, a2 = _triple_matches_single_calls(tree, [F(k1, 12), F(k2, 12)])
                 assert a.members <= w.members <= a2.members
+
+
+def _fraction_memberships(tree, levels, rhs):
+    """(strict, weight1, log) by comparing the exact levels a_k . xi with
+    rhs_k as Fractions: the route that the integer floors replaced."""
+    equal = []
+    for node, lhs, r in zip(tree.nodes, levels, rhs):
+        if lhs < r:
+            return False, False, False
+        if lhs == r:
+            equal.append(node.id)
+    weight1 = all(b not in tree.nodes[a - 1].adjacent for a, b in combinations(equal, 2))
+    return not equal, weight1, True
+
+
+def _fraction_triple(tree, xi):
+    """Members of the three ideals at xi, each monomial's right sides
+    sum a_k - e_k - c_k - 1 written out from the pullback orders of x, y."""
+    ex = tree.pullback_orders(biv.variable_x())
+    ey = tree.pullback_orders(biv.variable_y())
+    levels = [sum(F(a) * x for a, x in zip(node.a, xi)) for node in tree.nodes]
+    members = (set(), set(), set())
+    bound = jet_bound(tree)
+    for alpha in range(bound):
+        for beta in range(bound - alpha):
+            rhs = [
+                sum(node.a) - (alpha * x + beta * y) - node.c - 1
+                for node, x, y in zip(tree.nodes, ex, ey)
+            ]
+            for ideal, member in zip(members, _fraction_memberships(tree, levels, rhs)):
+                if member:
+                    ideal.add((alpha, beta))
+    return members
+
+
+@st.composite
+def _points(draw, tree):
+    """xi in (0, 1]^r; half of the points are moved onto a level a_k . xi
+    in Z, where the equality and weight-one branches are decided."""
+    coord = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(bool)
+    xi = [draw(coord) for _ in range(tree.r)]
+    if draw(st.booleans()):
+        node = draw(st.sampled_from(tree.nodes))
+        i = draw(st.sampled_from([i for i, a in enumerate(node.a) if a]))
+        rest = sum(a * x for j, (a, x) in enumerate(zip(node.a, xi)) if j != i)
+        # an integer level n in (rest, rest + a_i] puts xi_i in (0, 1]
+        n = draw(st.integers(floor(rest) + 1, floor(rest + node.a[i])))
+        xi[i] = F(n - rest) / node.a[i]
+    return tuple(xi)
+
+
+@pytest.mark.parametrize("fixture", ["cusp_tree", "two_cusp_tree", "t25_tree", "puiseux2_tree"])
+def test_integer_triple_matches_fraction_oracle(fixture, request):
+    tree = request.getfixturevalue(fixture)
+
+    @given(_points(tree))
+    def check(xi):
+        triple = ideal_triple(tree, xi)
+        assert tuple(set(ideal.members) for ideal in triple) == _fraction_triple(tree, xi)
+        for ideal in triple:
+            assert set(ideal.nonmembers).isdisjoint(ideal.members)
+            assert len(ideal.members) + ideal.colength == jet_bound(tree) * (jet_bound(tree) + 1) // 2
+
+    check()
 
 
 def test_monotonicity_in_xi(cusp_tree, two_cusp_tree):
@@ -185,6 +256,28 @@ def test_two_cusp_faces_include_spec_segment(two_cusp_tree):
             ):
                 segment = True
     assert segment
+
+
+TWO_CUSP_JUMP = (F(19, 60), F(11, 40))  # on 6 xi1 + 4 xi2 = 3, below 4 xi1 + 6 xi2 = 3
+
+
+def test_two_cusp_ideals_jump_off_the_pool(two_cusp_tree):
+    strict, weight1, log = ideal_triple(two_cusp_tree, TWO_CUSP_JUMP)
+    assert log.members - strict.members == {(0, 1)}
+    assert weight1.members == log.members
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="incomplete candidate pool: no face of the regions or of their "
+    "pairwise intersections has its relative interior on the segment of "
+    "6 xi1 + 4 xi2 = 3 below 4 xi1 + 6 xi2 = 3",
+)
+def test_two_cusp_faces_hold_every_jump(two_cusp_tree):
+    """Where the strict and log ideals differ, the log staircase is one of
+    the reported polytopes."""
+    log = ideal_triple(two_cusp_tree, TWO_CUSP_JUMP)[2]
+    assert log.members in [qp.log_staircase for qp in polytopes_and_faces(two_cusp_tree)]
 
 
 def test_order_of_zero_cusp(cusp_tree):
