@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 invalid files or option values, 3 mathematical
 precondition failures (with actionable messages), 64 unknown subcommand,
 70 internal error (a failed self-check: a bug, not bad input).
 Reports are deterministic byte-for-byte for identical inputs.
+
+Each subcommand handler imports the modules it runs, so a run loads only
+those: a Fox-calculus run loads no resolution, a germ run no group theory.
 """
 
 from __future__ import annotations
@@ -12,40 +15,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
 from typing import List, Optional
 
 from . import serialize
-from .braids import full_twist_check, presentation_homology, vankampen_presentation
-from .curves import (
-    cyclic_cover_h1,
-    divisibility_check,
-    global_faces_and_components,
-)
 from .errors import AlexinvError, InternalError, ValidationError
-from .groups import (
-    CharacterPoint,
-    GroupPresentation,
-    branched_cover_betti,
-    fox_jacobian,
-    local_system_h1_dim,
-    one_variable_alexander,
-    unbranched_cover_betti,
-)
-from .quasiadj import (
-    constants_of_quasiadjunction,
-    ideal_of_quasiadjunction,
-    lct_region,
-    lct_threshold,
-    polytopes_and_faces,
-)
-from .resolution import (
-    PlaneCurveGerm,
-    acampo_zeta,
-    local_alexander_from_zeta,
-    multivariable_link_alexander,
-    resolve,
-)
+from .schema import load_schema, violations
 
 SUBCOMMANDS = (
     "local",
@@ -65,11 +39,6 @@ USAGE = (
 )
 
 
-def load_schema(schema_id: str) -> dict:
-    text = resources.files("alexinv.schemas").joinpath(f"{schema_id}.json").read_text()
-    return json.loads(text)
-
-
 def parse_and_validate(path: str, schema_id: str):
     """Load a JSON file, check it against the named schema, and build the
     typed value.  All violations are collected, not just the first."""
@@ -80,15 +49,12 @@ def parse_and_validate(path: str, schema_id: str):
         raise ValidationError([f"{path}: cannot read file: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ValidationError([f"{path}: malformed JSON: {exc}"]) from exc
-    import jsonschema  # only here: most subcommands read no file
-
-    validator = jsonschema.Draft202012Validator(load_schema(schema_id))
-    violations = [
-        f"{path}: {'/'.join(str(p) for p in err.path) or '<root>'}: {err.message}"
-        for err in sorted(validator.iter_errors(data), key=lambda e: list(e.path))
+    found = [
+        f"{path}: {'/'.join(map(str, where)) or '<root>'}: {message}"
+        for where, message in violations(load_schema(schema_id), data)
     ]
-    if violations:
-        raise ValidationError(violations)
+    if found:
+        raise ValidationError(found)
     builder = {
         "presentation": serialize.presentation_from_json,
         "braids": serialize.monodromy_from_json,
@@ -151,7 +117,9 @@ def _emit(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _germ_from_args(args) -> PlaneCurveGerm:
+def _germ_from_args(args):
+    from .resolution import PlaneCurveGerm
+
     return PlaneCurveGerm.from_strings(*args.germ)
 
 
@@ -161,6 +129,14 @@ def _germ_from_args(args) -> PlaneCurveGerm:
 
 
 def _cmd_local(args) -> dict:
+    from .quasiadj import constants_of_quasiadjunction, lct_threshold
+    from .resolution import (
+        acampo_zeta,
+        local_alexander_from_zeta,
+        multivariable_link_alexander,
+        resolve,
+    )
+
     if not args.tree and not args.germ:
         raise ValidationError(["local: need --germ or --tree"])
     if args.tree:
@@ -189,6 +165,8 @@ def _cmd_local(args) -> dict:
 
 
 def _cmd_global(args) -> dict:
+    from .curves import cyclic_cover_h1, divisibility_check
+
     spec = parse_and_validate(args.curve, "curve")
     rep = divisibility_check(spec)
     fac = rep.factorization
@@ -224,6 +202,8 @@ def _cmd_global(args) -> dict:
 
 
 def _cmd_fox(args) -> dict:
+    from .groups import fox_jacobian, one_variable_alexander
+
     pres = parse_and_validate(args.presentation, "presentation")
     matrix = fox_jacobian(pres)
     report = {
@@ -238,6 +218,8 @@ def _cmd_fox(args) -> dict:
 
 
 def _cmd_charvar(args) -> dict:
+    from .groups import CharacterPoint, local_system_h1_dim
+
     pres = parse_and_validate(args.presentation, "presentation")
     chars = [("--character", CharacterPoint(_parse_list("--character", c)))
              for c in args.character or []]
@@ -264,6 +246,8 @@ def _cmd_charvar(args) -> dict:
 
 
 def _cmd_covers(args) -> dict:
+    from .groups import branched_cover_betti, unbranched_cover_betti
+
     pres = parse_and_validate(args.presentation, "presentation")
     report: dict = {}
     if args.cyclic is not None:
@@ -296,6 +280,13 @@ def _staircase_generators(members, bound):
 
 
 def _cmd_quasiadj(args) -> dict:
+    from .quasiadj import (
+        constants_of_quasiadjunction,
+        ideal_of_quasiadjunction,
+        polytopes_and_faces,
+    )
+    from .resolution import resolve
+
     germ = _germ_from_args(args)
     tree = resolve(germ)
     report: dict = {"germ": list(args.germ)}
@@ -337,6 +328,9 @@ def _cmd_quasiadj(args) -> dict:
 
 
 def _cmd_lct(args) -> dict:
+    from .quasiadj import lct_region, lct_threshold
+    from .resolution import resolve
+
     if not args.tree and not args.germ:
         raise ValidationError(["lct: need --germ or --tree"])
     if args.tree:
@@ -361,6 +355,9 @@ def _cmd_lct(args) -> dict:
 
 
 def _cmd_vankampen(args) -> dict:
+    from .braids import full_twist_check, presentation_homology, vankampen_presentation
+    from .groups import GroupPresentation, one_variable_alexander
+
     data = parse_and_validate(args.braids, "braids")
     pres = vankampen_presentation(data, args.mode)
     free_rank, torsion = presentation_homology(pres)
@@ -382,6 +379,8 @@ def _cmd_vankampen(args) -> dict:
 
 
 def _cmd_faces(args) -> dict:
+    from .curves import global_faces_and_components
+
     spec = parse_and_validate(args.curve, "curve")
     faces = global_faces_and_components(spec)
     return {

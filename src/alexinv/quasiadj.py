@@ -139,6 +139,16 @@ def _memberships(tree: ResolutionTree, levels: Levels, rhs: Sequence[int]):
     return not equal, _weight1_ok(tree, equal), True
 
 
+def _rationals(values, name: str) -> List[Fraction]:
+    """The coordinates of a point as exact rationals, from ints, Fractions
+    or strings such as "1/6".  A float is refused: 1/6 as a float is a
+    nearby binary fraction, and membership can change at that distance."""
+    values = list(values)
+    if any(isinstance(v, float) for v in values):
+        raise ValidationError([f"{name}: {values!r} holds a float; pass ints, Fractions or strings"])
+    return [Fraction(v) for v in values]
+
+
 def _variant_index(variant: str) -> int:
     if variant not in VARIANTS:
         raise ValidationError([f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}"])
@@ -147,7 +157,7 @@ def _variant_index(variant: str) -> int:
 
 def germ_membership(tree: ResolutionTree, xi, phi: biv.Poly2, variant: str) -> bool:
     """Membership of an arbitrary germ, by replaying the blow-ups on it."""
-    levels = _node_floors(tree, [Fraction(x) for x in xi])
+    levels = _node_floors(tree, _rationals(xi, "xi"))
     return _memberships(tree, levels, _rhs(tree, tree.pullback_orders(phi)))[_variant_index(variant)]
 
 
@@ -208,7 +218,7 @@ def _rhs_table(tree: ResolutionTree, bound: int) -> List[Tuple[Monomial, Tuple[i
 def ideal_triple(tree: ResolutionTree, xi, bound: Optional[int] = None):
     """The strict, weight-one and log ideals at xi, from one sweep of the
     monomials below the jet bound."""
-    xi = tuple(Fraction(x) for x in xi)
+    xi = tuple(_rationals(xi, "xi"))
     if len(xi) != tree.r:
         raise BadGerm("xi must have one coordinate per component")
     if any(not 0 < x <= 1 for x in xi):
@@ -438,7 +448,7 @@ def lct_region(tree: ResolutionTree, gamma: Sequence) -> bool:
     """Whether gamma_1 D_1 + ... + gamma_r D_r is log-canonical at the
     origin: (1 - gamma) must satisfy a_k . x >= sum a_k - c_k - 1 at every
     node."""
-    gamma = [Fraction(g) for g in gamma]
+    gamma = _rationals(gamma, "gamma")
     if len(gamma) != tree.r:
         raise BadGerm("gamma must have one entry per component")
     if any(not 0 <= g <= 1 for g in gamma):
@@ -450,7 +460,7 @@ def lct_region(tree: ResolutionTree, gamma: Sequence) -> bool:
 def lct_threshold(tree: ResolutionTree, direction: Sequence) -> Fraction:
     """Largest multiple of the ray direction inside the log-canonical
     region (the direction is scaled into [0, 1]^r as well)."""
-    direction = [Fraction(d) for d in direction]
+    direction = _rationals(direction, "direction")
     if len(direction) != tree.r:
         raise BadGerm("direction must have one entry per component")
     if any(d < 0 for d in direction) or all(d == 0 for d in direction):

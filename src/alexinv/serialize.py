@@ -4,19 +4,24 @@ from validated JSON documents.
 Rationals are serialized as strings "p/q" (or "p") to avoid precision
 ambiguity; polynomials are printed and serialized in descending graded
 lexicographic order (t1 < ... < tr) so reports diff reproducibly.
+
+Each builder imports the module it builds from, so loading this module
+loads no mathematics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from .braids import BraidWord, MonodromyData
-from .curves import ProjectiveCurveSpec, SingularPoint, local_data_for, shared_germ_data
 from .errors import ValidationError
-from .groups import GroupPresentation, CharacterPoint
-from .laurent import LaurentPolynomial
-from .resolution import PlaneCurveGerm, ResolutionTree
+
+if TYPE_CHECKING:
+    from .braids import MonodromyData
+    from .curves import ProjectiveCurveSpec
+    from .groups import CharacterPoint, GroupPresentation
+    from .laurent import LaurentPolynomial
+    from .resolution import ResolutionTree
 
 
 def fraction_str(x) -> str:
@@ -24,8 +29,13 @@ def fraction_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(text) -> Fraction:
-    return Fraction(str(text))
+def parse_fraction(text, field: str) -> Fraction:
+    """A rational written "p/q" or "p" in an input file; one that does not
+    parse is a validation error naming the field."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError([f"{field}: cannot parse {text!r} as a rational"]) from None
 
 
 def laurent_to_json(p: LaurentPolynomial) -> dict:
@@ -39,6 +49,8 @@ def laurent_to_json(p: LaurentPolynomial) -> dict:
 
 
 def laurent_from_json(data: dict) -> LaurentPolynomial:
+    from .laurent import LaurentPolynomial
+
     terms = {
         tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
         for t in data["terms"]
@@ -54,6 +66,8 @@ def laurent_from_json(data: dict) -> LaurentPolynomial:
 def presentation_from_json(data: dict) -> GroupPresentation:
     """{"generators": s, "relators": [[[j, +-1], ...]], "phi": [[..], ..],
     "torsion": bool?}; generator indices are 1-based in files."""
+    from .groups import GroupPresentation
+
     violations: List[str] = []
     s = int(data["generators"])
     relators = []
@@ -84,10 +98,14 @@ def presentation_from_json(data: dict) -> GroupPresentation:
 
 
 def character_from_json(data: dict) -> CharacterPoint:
-    return CharacterPoint([parse_fraction(c) for c in data["coords"]])
+    from .groups import CharacterPoint
+
+    return CharacterPoint([parse_fraction(c, f"coords/{i}") for i, c in enumerate(data["coords"])])
 
 
 def monodromy_from_json(data: dict) -> MonodromyData:
+    from .braids import BraidWord, MonodromyData
+
     violations: List[str] = []
     d = int(data["strands"])
     braids = []
@@ -110,10 +128,15 @@ def monodromy_from_json(data: dict) -> MonodromyData:
 
 
 def tree_from_json(data: dict) -> ResolutionTree:
+    from .resolution import ResolutionTree
+
     return ResolutionTree.from_json(data)
 
 
 def curve_from_json(data: dict) -> ProjectiveCurveSpec:
+    from .curves import ProjectiveCurveSpec, SingularPoint, local_data_for, shared_germ_data
+    from .resolution import PlaneCurveGerm
+
     violations: List[str] = []
     degree = int(data["degree"])
     components = [(str(c["label"]), int(c["degree"])) for c in data.get(
@@ -127,7 +150,13 @@ def curve_from_json(data: dict) -> ProjectiveCurveSpec:
         if pos is None or len(pos) != 2:
             violations.append(f"singularity {si + 1}: pos must be a pair")
             continue
-        position = (parse_fraction(pos[0]), parse_fraction(pos[1]))
+        try:
+            position = tuple(
+                parse_fraction(x, f"singularities/{si}/pos/{i}") for i, x in enumerate(pos)
+            )
+        except ValidationError as exc:
+            violations += exc.violations
+            continue
         incidence = tuple(str(x) for x in sing.get("incidence", ()))
         if "germ" in sing:
             texts = sing["germ"]

@@ -63,7 +63,7 @@ def test_local_pipeline_report():
 
 def test_local_computes_the_zeta_function_once(monkeypatch):
     """The local Alexander polynomial is read off the reported zeta."""
-    from alexinv import cli, resolution
+    from alexinv import resolution
 
     calls = []
     true_zeta = resolution.acampo_zeta
@@ -72,7 +72,6 @@ def test_local_computes_the_zeta_function_once(monkeypatch):
         calls.append(tree)
         return true_zeta(tree)
 
-    monkeypatch.setattr(cli, "acampo_zeta", counting)
     monkeypatch.setattr(resolution, "acampo_zeta", counting)
     code, out = _run(["local", "--germ", "x^2 + y^3"])
     assert code == 0 and "t^2 - t + 1" in out
@@ -225,25 +224,68 @@ def test_internal_error_exit_70(files, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_sympy():
+# Modules no run of these subcommands may load: the Fox-calculus runs
+# need no resolution or curve theory, the germ runs no group theory.
+GROUP_RUNS_SKIP = {"resolution", "biv", "quasiadj", "polytope", "curves", "braids"}
+GERM_RUNS_SKIP = {"groups", "braids", "curves"}
+
+
+def test_cli_import_does_not_load_sympy(files, tmp_path):
+    """Each subcommand, run in a fresh interpreter, loads only the modules
+    it runs; none loads sympy or jsonschema."""
     # the child imports the same alexinv as this process
     env = {**os.environ, "PYTHONPATH": str(Path(alexinv.__file__).parents[1])}
-    probe = "import sys, alexinv.cli; print('sympy' in sys.modules, 'jsonschema' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "False False"
-    # germ runs: validation and tangent factoring are exact and sympy-free
+    sixth = tmp_path / "sixth.json"
+    sixth.write_text(json.dumps({"coords": ["1/6"]}))
     probe = (
-        "import io, sys, alexinv.cli as c; "
-        "codes = [c.run(a, out=io.StringIO()) for a in "
-        "(['local', '--germ', 'x^2 - y^3'], ['lct', '--germ', 'x^2 + y^5'])]; "
-        "print(codes, 'sympy' in sys.modules)"
+        "import io, sys\n"
+        "from alexinv.cli import run\n"
+        "code = run(sys.argv[1:], out=io.StringIO())\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('alexinv', 'sympy', 'jsonschema')))\n"
+    )
+    runs = [
+        (["fox", "--presentation", files["trefoil"]], GROUP_RUNS_SKIP),
+        (["charvar", "--presentation", files["trefoil"], "--character", "1/6",
+          "--character-file", str(sixth)], GROUP_RUNS_SKIP),
+        (["covers", "--presentation", files["trefoil"], "--cyclic", "6"], GROUP_RUNS_SKIP),
+        (["local", "--germ", "x^2 - y^3"], GERM_RUNS_SKIP),
+        (["lct", "--germ", "x^2 + y^5"], GERM_RUNS_SKIP),
+        (["quasiadj", "--germ", "x^2 + y^5", "--xi", "1/10"], GERM_RUNS_SKIP),
+        (["global", "--curve", files["sextic"]], set()),
+        (["faces", "--curve", files["sextic"]], set()),
+        (["vankampen", "--braids", files["conic"]], set()),
+    ]
+    for argv, skip in runs:
+        out = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, check=True, env=env
+        )
+        code, *modules = out.stdout.split()
+        assert code == "0", argv
+        loaded = {m.split(".")[1] for m in modules if m.startswith("alexinv.")}
+        assert "serialize" in loaded and not loaded & skip, (argv, loaded & skip)
+        assert all(m.startswith("alexinv") for m in modules), (argv, modules)
+    # the package's public names load on first use
+    probe = (
+        "import sys, alexinv\n"
+        "before = sorted(m for m in sys.modules if m.startswith('alexinv.'))\n"
+        "from alexinv import resolve, ProjectiveCurveSpec\n"
+        "print(before, resolve.__module__, ProjectiveCurveSpec.__module__)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "[0, 0] False"
+    assert out.stdout.split() == ["[]", "alexinv.resolution", "alexinv.curves"]
+
+
+def test_package_names_resolve():
+    assert len(alexinv.__all__) == 56
+    for name in alexinv.__all__:
+        value = getattr(alexinv, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert set(alexinv.__all__) <= set(dir(alexinv))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        alexinv.no_such_name
 
 
 @pytest.mark.parametrize(
@@ -280,3 +322,75 @@ def test_out_of_range_option_value_exit_2(files, argv, option, capsys):
     code, _ = _run([a.format(**files) for a in argv])
     assert code == 2
     assert f"error: {option.format(**files)}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sub, option, data, fields",
+    [
+        ("global", "--curve",
+         {"degree": 2, "singularities": [{"pos": ["a", "0"], "type": "node"},
+                                         {"pos": ["0", "1/0"], "type": "node"}]},
+         ["singularities/0/pos/0", "singularities/1/pos/1"]),
+        ("faces", "--curve", {"degree": 2, "singularities": [{"pos": ["1/0", "0"], "type": "node"}]},
+         ["singularities/0/pos/0"]),
+        ("charvar", "--character-file", {"coords": ["x"]}, ["coords/0"]),
+        ("charvar", "--character-file", {"coords": ["1/0"]}, ["coords/0"]),
+    ],
+    ids=["global-pos-a", "faces-pos-1/0", "charvar-coords-x", "charvar-coords-1/0"],
+)
+def test_unparsable_rational_in_file_exit_2(files, tmp_path, capsys, sub, option, data, fields):
+    """A rational in a file that does not parse is an input error naming
+    the file and the field; every such field is listed."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = [sub, option, str(bad)]
+    if sub == "charvar":
+        argv += ["--presentation", files["trefoil"]]
+    code, out = _run(argv)
+    assert code == 2 and out == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": cannot parse")[0] for line in lines] == [
+        f"error: {bad}: {field}" for field in fields
+    ]
+
+
+# One file per schema keyword that breaks only that keyword, with the
+# subcommand that reads it and the path the violation is reported at.
+KEYWORD_VIOLATIONS = {
+    "type": ("fox", "--presentation", {"generators": "2"}, "generators"),
+    "const": ("fox", "--presentation", {"schema_version": 2, "generators": 1}, "schema_version"),
+    "enum": ("global", "--curve",
+             {"degree": 2, "singularities": [{"pos": ["0", "0"], "type": "tacnode"}]},
+             "singularities/0/type"),
+    "oneOf": ("global", "--curve",
+              {"degree": 2, "singularities": [{"pos": ["0", "0"], "germ": []}]},
+              "singularities/0/germ"),
+    "required": ("fox", "--presentation", {"relators": []}, "<root>"),
+    "properties": ("fox", "--presentation", {"generators": 1, "torsion": 1}, "torsion"),
+    "patternProperties": ("vankampen", "--braids",
+                          {"strands": 1, "braids": [], "labels": {"1": 5}}, "labels/1"),
+    "additionalProperties": ("vankampen", "--braids",
+                             {"strands": 1, "braids": [], "labels": {"x": "C"}}, "labels"),
+    "prefixItems": ("fox", "--presentation", {"generators": 1, "relators": [[[1, 2]]]},
+                    "relators/0/0/1"),
+    "items": ("fox", "--presentation", {"generators": 1, "phi": [["1"]]}, "phi/0/0"),
+    "minItems": ("charvar", "--character-file", {"coords": []}, "coords"),
+    "maxItems": ("global", "--curve",
+                 {"degree": 2, "singularities": [{"pos": ["0", "0", "0"], "type": "node"}]},
+                 "singularities/0/pos"),
+    "minimum": ("lct", "--tree", {"r": 0, "nodes": []}, "r"),
+}
+
+
+@pytest.mark.parametrize("keyword", sorted(KEYWORD_VIOLATIONS))
+def test_schema_keyword_violation_exit_2(files, tmp_path, capsys, keyword):
+    sub, option, data, where = KEYWORD_VIOLATIONS[keyword]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = [sub, option, str(bad)]
+    if sub == "charvar":
+        argv += ["--presentation", files["trefoil"]]
+    code, out = _run(argv)
+    assert code == 2 and out == ""
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {bad}: {where}: ")

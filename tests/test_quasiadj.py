@@ -86,6 +86,26 @@ def test_unknown_variant(cusp_tree):
         germ_membership(cusp_tree, [F(1, 6)], biv.parse("y^2"), "adjoint")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tree, point: ideal_triple(tree, point),
+        lambda tree, point: ideal_of_quasiadjunction(tree, point, "log"),
+        lambda tree, point: germ_membership(tree, point, biv.parse("y"), "log"),
+        lambda tree, point: lct_region(tree, point),
+        lambda tree, point: lct_threshold(tree, point),
+    ],
+    ids=["ideal_triple", "ideal_of_quasiadjunction", "germ_membership", "lct_region", "lct_threshold"],
+)
+def test_float_coordinates_refused(cusp_tree, call):
+    """1/6 as a float is 6004799503160661/36028797018963968, just below 1/6,
+    where the weight-one and log ideals are smaller: refused, not rounded."""
+    with pytest.raises(ValidationError, match="float"):
+        call(cusp_tree, [1 / 6])
+    assert call(cusp_tree, [F(1, 6)]) == call(cusp_tree, ["1/6"])
+    assert call(cusp_tree, [1]) == call(cusp_tree, [F(1)])
+
+
 def test_constants(cusp_tree, t25_tree):
     assert constants_of_quasiadjunction(cusp_tree) == [F(1, 6)]
     assert constants_of_quasiadjunction(t25_tree) == [F(1, 10), F(3, 10)]
