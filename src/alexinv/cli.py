@@ -118,9 +118,7 @@ def _emit(report: dict, fmt: str) -> str:
 
 
 def _germ_from_args(args):
-    from .resolution import PlaneCurveGerm
-
-    return PlaneCurveGerm.from_strings(*args.germ)
+    return serialize.parse_germ(args.germ, ["--germ"] * len(args.germ))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@ Laurent polynomials at torsion characters, and one-variable products of
 cyclotomic polynomials carried as their exponents.
 
 Character evaluation must decide exact vanishing, so no floating point
-appears anywhere.
+appears anywhere.  A coefficient is an ``int`` when it is integral and a
+``Fraction`` otherwise: an integral Laurent polynomial evaluates to an
+element with ``int`` coefficients, and a coefficient is divided only
+through ``Fraction``, never by ``/`` on two ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from . import uni
@@ -22,31 +26,17 @@ from .laurent import LaurentPolynomial
 Exponents = Dict[int, int]
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    p, m = 2, n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
     """Integer coefficients of the monic Phi_n, computed by dividing
     x^n - 1 by the proper cyclotomic factors."""
     if n < 1:
         raise ValueError("n must be positive")
-    p = uni.sub(uni.x_power(n), [Fraction(1)])
+    p = uni.sub(uni.x_power(n), [1])
     for d in range(1, n):
         if n % d == 0:
             p = uni.exact_div(p, list(cyclotomic_polynomial(d)))
-    return tuple(int(c) for c in p)
+    return tuple(p)
 
 
 def cyclotomic_exponents(*powers: Tuple[int, int]) -> Exponents:
@@ -71,15 +61,32 @@ def _int_mul(p: List[int], q: List[int]) -> List[int]:
 
 
 def expand_cyclotomic(exponents: Exponents) -> LaurentPolynomial:
-    """prod_m Phi_m^{e_m} multiplied out: each cached Phi_m is raised to
-    e_m by repeated squaring on plain integer lists.  The product is monic
-    with constant term +-1, so it is its own ``normalize_unit``
-    representative.  A negative exponent leaves no polynomial and raises
-    NotPolynomial."""
-    out = [1]
-    for m, e in sorted(exponents.items()):
+    """prod_m Phi_m^{e_m} multiplied out on plain integer lists.
+
+    Whole binomial blocks are peeled off first: for n from the largest m
+    down, (t^n - 1)^k = prod_{m | n} Phi_m^k with k the least e_m over the
+    divisors m of n, expanded by the binomial theorem into k + 1 terms.
+    What remains is multiplied densely (each cached Phi_m raised by
+    repeated squaring), and each block is multiplied into it with its few
+    terms as the outer loop, so (t^n - 1)^k keeps its sparsity.  The
+    product is monic with constant term +-1, so it is its own
+    ``normalize_unit`` representative.  A negative exponent leaves no
+    polynomial and raises NotPolynomial.
+    """
+    rest = dict(exponents)
+    for m, e in sorted(rest.items()):
         if e < 0:
             raise NotPolynomial(f"Phi_{m} has exponent {e} < 0")
+    blocks = []
+    for n in sorted(rest, reverse=True):
+        divisors = [m for m in range(1, n + 1) if n % m == 0]
+        k = min(rest.get(m, 0) for m in divisors)
+        if k:
+            blocks.append((n, k))
+            for m in divisors:
+                rest[m] -= k
+    out = [1]
+    for m, e in sorted((m, e) for m, e in rest.items() if e):
         power, base = [1], list(cyclotomic_polynomial(m))
         while e:
             if e & 1:
@@ -88,6 +95,14 @@ def expand_cyclotomic(exponents: Exponents) -> LaurentPolynomial:
             if e:
                 base = _int_mul(base, base)
         out = _int_mul(out, power)
+    for n, k in blocks:
+        # (t^n - 1)^k = sum_j C(k, j) (-1)^(k - j) t^(n j)
+        wide = [0] * (len(out) + n * k)
+        for j in range(k + 1):
+            c = comb(k, j) * (-1) ** (k - j)
+            for i, a in enumerate(out, n * j):
+                wide[i] += c * a
+        out = wide
     return LaurentPolynomial.from_univariate(out)
 
 
@@ -105,17 +120,18 @@ def _reduce(coeffs: list, conductor: int) -> list:
 
 
 class CyclotomicElement:
-    """An element of Q[x]/Phi_M(x), x the chosen primitive M-th root of unity."""
+    """An element of Q[x]/Phi_M(x), x the chosen primitive M-th root of
+    unity, with phi(M) ``int`` or ``Fraction`` coefficients, taken as given."""
 
     __slots__ = ("conductor", "coeffs")
 
-    def __init__(self, conductor: int, coeffs: Sequence[Fraction]):
+    def __init__(self, conductor: int, coeffs: Sequence[uni.Coefficient]):
         self.conductor = conductor
-        phi = euler_phi(conductor)
-        cs = [Fraction(c) for c in coeffs]
+        phi = len(cyclotomic_polynomial(conductor)) - 1
+        cs = list(coeffs)
         if len(cs) > phi:
             cs = _reduce(cs, conductor)
-        self.coeffs = tuple(cs + [Fraction(0)] * (phi - len(cs)))
+        self.coeffs = tuple(cs + [0] * (phi - len(cs)))
 
     def _check(self, other: "CyclotomicElement"):
         if self.conductor != other.conductor:
@@ -176,10 +192,6 @@ class CyclotomicElement:
         return f"CyclotomicElement(M={self.conductor}, {uni.to_string(list(self.coeffs), 'z')})"
 
 
-def character_conductor(chi: Sequence[Fraction]) -> int:
-    return lcm(*(Fraction(c).denominator for c in chi)) if chi else 1
-
-
 def evaluate_character(p: LaurentPolynomial, chi: Sequence[Fraction]) -> CyclotomicElement:
     """Evaluate p at the torsion character chi = (k_1/m_1, ..., k_r/m_r).
 
@@ -189,17 +201,18 @@ def evaluate_character(p: LaurentPolynomial, chi: Sequence[Fraction]) -> Cycloto
     Z[x]/(x^M - 1) by that exponent, and the sum is reduced mod Phi_M once.
     Ring homomorphism.
     """
-    chi = [Fraction(c) for c in chi]
+    chi = [c if isinstance(c, Fraction) else Fraction(c) for c in chi]
     if len(chi) != p.var_count:
         raise ValueError("character length does not match variable count")
-    M = character_conductor(chi)
-    powers = [int(M * c) % M for c in chi]
+    M = lcm(*[c.denominator for c in chi])
+    powers = [c.numerator * (M // c.denominator) % M for c in chi]
     den = lcm(*[c.denominator for c in p.terms.values()])
     acc = [0] * M
     for exp, c in p.terms.items():
-        e = sum(pw * k for pw, k in zip(powers, exp)) % M
-        acc[e] += c.numerator * (den // c.denominator)
-    return CyclotomicElement(M, [Fraction(c, den) for c in _reduce(acc, M)])
+        e = sum(map(mul, powers, exp)) % M
+        acc[e] += c if den == 1 else c.numerator * (den // c.denominator)
+    reduced = _reduce(acc, M)
+    return CyclotomicElement(M, reduced if den == 1 else [Fraction(c, den) for c in reduced])
 
 
 def root_multiplicity(p: LaurentPolynomial, kappa: Fraction) -> int:

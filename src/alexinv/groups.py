@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import uni
@@ -142,12 +143,11 @@ class GroupPresentation:
         return m
 
     def character_is_valid(self, chi: CharacterPoint) -> bool:
-        """Whether chi factors through the group (kills all relators)."""
-        for rel in self.relators:
-            image = self.relator_image(rel)
-            if sum((Fraction(c) * x for c, x in zip(chi.coords, image)), Fraction(0)) % 1:
-                return False
-        return True
+        """Whether chi factors through the group (kills all relators): with
+        chi = (k_1, ..., k_r)/M, each image n must give sum k_i n_i = 0 mod M."""
+        M = lcm(*[c.denominator for c in chi.coords])
+        ks = [c.numerator * (M // c.denominator) for c in chi.coords]
+        return all(sum(map(mul, ks, self.relator_image(rel))) % M == 0 for rel in self.relators)
 
 
 def _is_word(r) -> bool:
@@ -212,7 +212,7 @@ def fox_jacobian(p: GroupPresentation) -> AlexanderMatrix:
     for rel in p.relators:
         row = [fox_derivative(rel, j, p.phi, r) for j in range(p.generators)]
         # fundamental identity: row . (t^phi(x_j) - 1) = t^phi(rel) - 1
-        lhs: Dict[Tuple[int, ...], Fraction] = {}
+        lhs: Dict[Tuple[int, ...], int] = {}
         for j, d in enumerate(row):
             for exp, c in d.terms.items():
                 shifted = tuple(a + b for a, b in zip(exp, p.phi[j]))
@@ -263,7 +263,7 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
         low = min((e.min_degree() for e in row if not e.is_zero()), default=0)
         # each entry times t^-low, as a coefficient list from degree 0
         rows.append([
-            [Fraction(0)] * (e.min_degree() - low) + e.to_univariate() if not e.is_zero() else []
+            [0] * (e.min_degree() - low) + e.to_univariate() if not e.is_zero() else []
             for e in row
         ])
     g = uni.maximal_minor_gcd(rows, p.generators - 1)

@@ -1,9 +1,13 @@
 """Multivariable Laurent polynomials over Q and formal products
 prod (1 - t^v)^e, the two carriers of every Alexander-type invariant here.
 
-All arithmetic is exact.  ``normalize_unit`` canonicalizes one-variable
-results up to the unit group {+-t^a} and keeps rational content, so integral
-inputs stay integral; a gcd of two nonzero polynomials comes out monic.
+All arithmetic is exact.  A coefficient is stored as an ``int`` when it is
+integral and as a ``Fraction`` only when it is not, so a Fox matrix stays
+in Z from the words to the echelon; a coefficient is divided only through
+``Fraction`` (``uni.quotient``), never by ``/`` on two ints, so no float
+can appear.  ``normalize_unit`` canonicalizes one-variable results up to
+the unit group {+-t^a} and keeps rational content, so integral inputs stay
+integral; a gcd of two nonzero polynomials comes out monic.
 """
 
 from __future__ import annotations
@@ -18,33 +22,40 @@ from .errors import NotPolynomial, UnsupportedDimension, ZeroInput
 Exponent = Tuple[int, ...]
 
 
-def _as_fraction(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _coefficient(c):
+    """c as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(c) is not int:
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
+    return c
 
 
 class LaurentPolynomial:
     """A Laurent polynomial in ``var_count`` variables.
 
     Stored as a map from integer exponent vectors to nonzero rational
-    coefficients.  Instances are treated as immutable.
+    coefficients, each an ``int`` when integral and a ``Fraction``
+    otherwise.  Instances are treated as immutable.
     """
 
     __slots__ = ("var_count", "terms")
 
-    def __init__(self, var_count: int, terms: Dict[Exponent, Fraction] | None = None):
+    def __init__(self, var_count: int, terms: Dict[Exponent, uni.Coefficient] | None = None):
         if var_count < 1:
             raise ValueError("var_count must be positive")
         self.var_count = var_count
-        clean: Dict[Exponent, Fraction] = {}
+        clean: Dict[Exponent, uni.Coefficient] = {}
         for exp, c in (terms or {}).items():
-            c = _as_fraction(c)
             if c == 0:
                 continue
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(int, exp))
             if len(exp) != var_count:
                 raise ValueError("exponent vector of wrong length")
-            clean[exp] = clean.get(exp, Fraction(0)) + c
-            if clean[exp] == 0:
+            if exp in clean:
+                c = clean[exp] + c
+            clean[exp] = c = _coefficient(c)
+            if not c:
                 del clean[exp]
         self.terms = clean
 
@@ -56,7 +67,7 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, c, var_count: int = 1) -> "LaurentPolynomial":
-        return cls(var_count, {(0,) * var_count: _as_fraction(c)})
+        return cls(var_count, {(0,) * var_count: c})
 
     @classmethod
     def one(cls, var_count: int = 1) -> "LaurentPolynomial":
@@ -66,12 +77,12 @@ class LaurentPolynomial:
     def variable(cls, index: int = 0, var_count: int = 1) -> "LaurentPolynomial":
         exp = [0] * var_count
         exp[index] = 1
-        return cls(var_count, {tuple(exp): Fraction(1)})
+        return cls(var_count, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, coeff, exp: Iterable[int]) -> "LaurentPolynomial":
         exp = tuple(int(e) for e in exp)
-        return cls(len(exp), {exp: _as_fraction(coeff)})
+        return cls(len(exp), {exp: coeff})
 
     @classmethod
     def from_univariate(cls, coeffs: uni.Poly) -> "LaurentPolynomial":
@@ -83,7 +94,7 @@ class LaurentPolynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.var_count: Fraction(1)}
+        return self.terms == {(0,) * self.var_count: 1}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -112,7 +123,7 @@ class LaurentPolynomial:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
+            terms[exp] = terms.get(exp, 0) + c
         return LaurentPolynomial(self.var_count, terms)
 
     __radd__ = __add__
@@ -134,11 +145,11 @@ class LaurentPolynomial:
                 self.var_count, {e: c * other for e, c in self.terms.items()}
             )
         self._check(other)
-        terms: Dict[Exponent, Fraction] = {}
+        terms: Dict[Exponent, uni.Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
+                terms[exp] = terms.get(exp, 0) + c1 * c2
         return LaurentPolynomial(self.var_count, terms)
 
     __rmul__ = __mul__
@@ -186,7 +197,7 @@ class LaurentPolynomial:
         if not self.terms:
             return []
         lo = self.min_degree()
-        out = [Fraction(0)] * (self.max_degree() - lo + 1)
+        out = [0] * (self.max_degree() - lo + 1)
         for (e,), c in self.terms.items():
             out[e - lo] = c
         return out
@@ -271,7 +282,7 @@ def common_root_count(p: LaurentPolynomial, n: int) -> int:
         raise ZeroInput("zero polynomial")
     if n < 1:
         raise ValueError("n must be positive")
-    cyc = LaurentPolynomial(1, {(n,): Fraction(1), (0,): Fraction(-1)})
+    cyc = LaurentPolynomial(1, {(n,): 1, (0,): -1})
     g = univariate_gcd(p, cyc)
     return g.max_degree() - g.min_degree()
 
@@ -290,7 +301,7 @@ def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomia
     fshift = tuple(-min(e[i] for e in f.terms) for i in range(f.var_count))
     gshift = tuple(-min(e[i] for e in g.terms) for i in range(g.var_count))
     fp, gp = f.shift(fshift), g.shift(gshift)
-    quo_terms: Dict[Exponent, Fraction] = {}
+    quo_terms: Dict[Exponent, uni.Coefficient] = {}
     glead = max(gp.terms, key=lambda e: (sum(e), e))
     gc = gp.terms[glead]
     rem = fp
@@ -299,7 +310,7 @@ def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomia
         exp = tuple(a - b for a, b in zip(rlead, glead))
         if any(e < 0 for e in exp):
             raise NotPolynomial(f"{g} does not divide {f}")
-        coeff = rem.terms[rlead] / gc
+        coeff = uni.quotient(rem.terms[rlead], gc)
         quo_terms[exp] = coeff
         rem = rem - LaurentPolynomial.monomial(coeff, exp) * gp
     quo = LaurentPolynomial(f.var_count, quo_terms)

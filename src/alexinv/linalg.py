@@ -118,11 +118,15 @@ def _integer_row(row: Sequence) -> List[int]:
     return [x // g for x in out] if g > 1 else out
 
 
-def _primitive_echelon(matrix: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
+def _primitive_echelon(
+    matrix: Sequence[Sequence], integral: bool = False
+) -> Tuple[List[List[int]], List[int]]:
     """Row echelon form over Q of a rational matrix, in primitive integer rows.
 
     Returns (rows, pivots): rows[i] is zero before column pivots[i] and
-    nonzero there, and the rows span the row space of the matrix.  Column
+    nonzero there, and the rows span the row space of the matrix.  With
+    ``integral`` the rows are lists of ints already, taken as they are and
+    changed in place, and the ``_integer_row`` pass is skipped.  Column
     c is cleared from each later row by row <- (p/g) row - (f/g) top, with
     p = top[c], f = row[c] and g = gcd(p, f); the result is divided by the
     gcd of its entries, and dropped when it is zero.  That content
@@ -130,7 +134,7 @@ def _primitive_echelon(matrix: Sequence[Sequence]) -> Tuple[List[List[int]], Lis
     of one gcd per changed row; ``Fraction`` arithmetic takes one per entry.
     """
     cols = len(matrix[0]) if matrix else 0
-    rest = [row for row in map(_integer_row, matrix) if any(row)]
+    rest = [row for row in (matrix if integral else map(_integer_row, matrix)) if any(row)]
     rows: List[List[int]] = []
     pivots: List[int] = []
     for c in range(cols):
@@ -243,7 +247,8 @@ def cyclotomic_rank(matrix: Sequence[Sequence[CyclotomicElement]]) -> int:
     the row space over Q(zeta_M) as a Q-space, so this rational matrix (the
     regular representation) has Q-rank phi times the rank over Q(zeta_M).
     Each shift is the previous row times x mod the monic Phi_M, so it stays
-    integral once the row is; ``_primitive_echelon`` takes the Q-rank.
+    integral once the row is; ``_primitive_echelon`` takes the Q-rank.  A
+    row with a ``Fraction`` coefficient is first scaled to an integer row.
     """
     if not matrix:
         return 0
@@ -251,9 +256,14 @@ def cyclotomic_rank(matrix: Sequence[Sequence[CyclotomicElement]]) -> int:
     phi = len(modulus) - 1
     regular = []
     for row in matrix:
-        flat = _integer_row([c for e in row for c in e.coeffs])
+        flat = [c for e in row for c in e.coeffs]
+        if not all(type(c) is int for c in flat):
+            flat = _integer_row(flat)
         blocks = [flat[i:i + phi] for i in range(0, len(flat), phi)]
         for _ in range(phi):
             regular.append([c for b in blocks for c in b])
-            blocks = [[c - b[-1] * m for c, m in zip([0] + b[:-1], modulus)] for b in blocks]
-    return len(_primitive_echelon(regular)[1]) // phi
+            blocks = [
+                [c - b[-1] * m for c, m in zip([0] + b[:-1], modulus)] if b[-1] else [0] + b[:-1]
+                for b in blocks
+            ]
+    return len(_primitive_echelon(regular, integral=True)[1]) // phi

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, lcm
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import biv
 from .errors import (
@@ -36,8 +36,10 @@ from .errors import (
     UseFacesForMultiComponent,
     ValidationError,
 )
-from .polytope import Face, RationalPolytope
 from .resolution import ResolutionTree
+
+if TYPE_CHECKING:
+    from .polytope import Face, RationalPolytope
 
 Monomial = Tuple[int, int]
 
@@ -344,6 +346,8 @@ def polytopes_and_faces(tree: ResolutionTree, bound: Optional[int] = None) -> Li
     Each candidate point gets its three ideals from one sweep, and its face
     by a lookup in the face lattice of its polytope, computed once per
     polytope."""
+    from .polytope import RationalPolytope
+
     r = tree.r
     if r > 3:
         raise UnsupportedDimension("faces supported for r <= 3 components")

@@ -21,7 +21,7 @@ if TYPE_CHECKING:
     from .curves import ProjectiveCurveSpec
     from .groups import CharacterPoint, GroupPresentation
     from .laurent import LaurentPolynomial
-    from .resolution import ResolutionTree
+    from .resolution import PlaneCurveGerm, ResolutionTree
 
 
 def fraction_str(x) -> str:
@@ -36,6 +36,25 @@ def parse_fraction(text, field: str) -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise ValidationError([f"{field}: cannot parse {text!r} as a rational"]) from None
+
+
+def parse_germ(texts: List[str], fields: List[str]) -> PlaneCurveGerm:
+    """The germ with the given component strings; a string that does not
+    parse is a validation error naming its field.  Whether the parsed germ
+    is a valid one is a mathematical precondition, checked after."""
+    from .biv import parse
+    from .errors import BadGerm
+    from .resolution import PlaneCurveGerm
+
+    components, violations = [], []
+    for text, field in zip(texts, fields):
+        try:
+            components.append(parse(text))
+        except BadGerm as exc:
+            violations.append(f"{field}: {exc}")
+    if violations:
+        raise ValidationError(violations)
+    return PlaneCurveGerm(components)
 
 
 def laurent_to_json(p: LaurentPolynomial) -> dict:
@@ -135,7 +154,6 @@ def tree_from_json(data: dict) -> ResolutionTree:
 
 def curve_from_json(data: dict) -> ProjectiveCurveSpec:
     from .curves import ProjectiveCurveSpec, SingularPoint, local_data_for, shared_germ_data
-    from .resolution import PlaneCurveGerm
 
     violations: List[str] = []
     degree = int(data["degree"])
@@ -146,13 +164,14 @@ def curve_from_json(data: dict) -> ProjectiveCurveSpec:
         violations.append("component degrees do not sum to total")
     points, germs = [], {}
     for si, sing in enumerate(data.get("singularities", [])):
+        where = f"singularities/{si}"
         pos = sing.get("pos")
         if pos is None or len(pos) != 2:
-            violations.append(f"singularity {si + 1}: pos must be a pair")
+            violations.append(f"{where}/pos: must be a pair")
             continue
         try:
             position = tuple(
-                parse_fraction(x, f"singularities/{si}/pos/{i}") for i, x in enumerate(pos)
+                parse_fraction(x, f"{where}/pos/{i}") for i, x in enumerate(pos)
             )
         except ValidationError as exc:
             violations += exc.violations
@@ -161,8 +180,14 @@ def curve_from_json(data: dict) -> ProjectiveCurveSpec:
         if "germ" in sing:
             texts = sing["germ"]
             if isinstance(texts, str):
-                texts = [texts]
-            germ = PlaneCurveGerm.from_strings(*texts)
+                texts, fields = [texts], [f"{where}/germ"]
+            else:
+                fields = [f"{where}/germ/{k}" for k in range(len(texts))]
+            try:
+                germ = parse_germ(texts, fields)
+            except ValidationError as exc:
+                violations += exc.violations
+                continue
             data_obj, desc = shared_germ_data(germ, germs), f"germ({germ})"
         else:
             kind = sing.get("type")
@@ -173,16 +198,14 @@ def curve_from_json(data: dict) -> ProjectiveCurveSpec:
             elif kind == "torus":
                 pq = sing.get("pq")
                 if not pq or len(pq) != 2:
-                    violations.append(f"singularity {si + 1}: torus type needs pq")
+                    violations.append(f"{where}: torus type needs pq")
                     continue
                 data_obj, desc = (
                     local_data_for("torus", (int(pq[0]), int(pq[1]))),
                     f"torus({pq[0]},{pq[1]})",
                 )
             else:
-                violations.append(
-                    f"singularity {si + 1}: unknown type {kind!r} and no germ"
-                )
+                violations.append(f"{where}: unknown type {kind!r} and no germ")
                 continue
         if not incidence and len(components) == 1:
             incidence = (components[0][0],)

@@ -1,17 +1,22 @@
 """Dense univariate polynomials over Q, used as a backend for gcds,
 cyclotomic polynomials, squarefree decomposition and rational roots.
 
-A polynomial is a list of Fractions indexed by degree, normalized so the
-last entry is nonzero (the zero polynomial is the empty list).
+A polynomial is a list of coefficients indexed by degree, normalized so
+the last entry is nonzero (the zero polynomial is the empty list).  A
+coefficient is an ``int`` or a ``Fraction``: sums and products start from
+the integer 0, so integer inputs give integer results, and a coefficient
+is divided only through ``Fraction`` (``quotient``), never by ``/`` on two
+ints, so no float can appear.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as igcd, isqrt, lcm
-from typing import List
+from typing import List, Union
 
-Poly = List[Fraction]
+Coefficient = Union[int, Fraction]
+Poly = List[Coefficient]
 
 
 def trim(p: Poly) -> Poly:
@@ -27,7 +32,7 @@ def degree(p: Poly) -> int:
 
 def add(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, c in enumerate(p):
         out[i] += c
     for i, c in enumerate(q):
@@ -46,7 +51,7 @@ def sub(p: Poly, q: Poly) -> Poly:
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -62,17 +67,25 @@ def scale(p: Poly, c) -> Poly:
     return [a * c for a in p]
 
 
+def quotient(a, b):
+    """a / b for int or ``Fraction`` a and b != 0: an ``int`` when both are
+    ints and b divides a, else a ``Fraction``, never a float."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a // b if not a % b else Fraction(a, b)
+    return a / b  # a Fraction operand makes this a Fraction division
+
+
 def divmod_exact(p: Poly, q: Poly):
     """Quotient and remainder of p by q over Q; q must be nonzero."""
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
     r = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    quo = [0] * max(len(p) - len(q) + 1, 0)
     dq = degree(q)
     lead = q[-1]
     while degree(r) >= dq and r:
         shift = degree(r) - dq
-        c = r[-1] / lead
+        c = quotient(r[-1], lead)
         quo[shift] = c
         for i in range(len(q)):
             r[shift + i] -= c * q[i]
@@ -102,15 +115,19 @@ def gcd(p: Poly, q: Poly) -> Poly:
 
 
 def maximal_minor_gcd(matrix: List[List[Poly]], cols: int) -> Poly:
-    """Monic gcd of the cols x cols minors of a matrix over Q[t] with cols
+    """Monic gcd of the cols x cols minors of a matrix over Z[t] with cols
     columns, or [] when its rank is below cols.
 
-    Euclidean row elimination: swapping rows and adding a Q[t]-multiple of
-    one row to another keep the gcd of the maximal minors, and the echelon
-    form they reach has one nonzero maximal minor, the product of the pivots.
+    Euclidean row elimination in Z[t]: swapping rows, scaling a row by a
+    nonzero integer and adding a Z[t]-multiple of one row to another keep
+    the gcd of the maximal minors up to a constant, and the echelon form
+    they reach has one nonzero maximal minor, the product of the pivots.
+    Each Euclid step is an integer pseudo-remainder of the whole row,
+    which is then divided by its content, after the primitive remainder
+    sequences of Collins (1967); only the final product is made monic.
     """
-    a = [list(row) for row in matrix]
-    det: Poly = [Fraction(1)]
+    a = [[list(e) for e in row] for row in matrix]
+    det: Poly = [1]
     for c in range(cols):
         while True:
             live = [i for i in range(c, len(a)) if a[i][c]]
@@ -120,12 +137,35 @@ def maximal_minor_gcd(matrix: List[List[Poly]], cols: int) -> Poly:
             a[c], a[p] = a[p], a[c]
             if len(live) == 1:
                 break
+            top = a[c]
             for i in range(c + 1, len(a)):
                 if a[i][c]:
-                    q, _ = divmod_exact(a[i][c], a[c][c])
-                    a[i][c:] = [sub(x, mul(q, y)) for x, y in zip(a[i][c:], a[c][c:])]
+                    _pseudo_remainder(a[i], top, c)
         det = mul(det, a[c][c])
     return monic(det)
+
+
+def _pseudo_remainder(row: List[Poly], top: List[Poly], c: int):
+    """Replace row by k row - q top, with k a nonzero integer and q in Z[t]
+    chosen so that deg row[c] < deg top[c], divided by its content; the
+    entries before column c are zero in both rows."""
+    lead, deg = top[c][-1], len(top[c])
+    while len(row[c]) >= deg:
+        f, shift = row[c][-1], len(row[c]) - deg
+        g = igcd(lead, f)
+        k, f = lead // g, f // g
+        for j in range(c, len(row)):
+            x, y = row[j], top[j]
+            if not y and k == 1:
+                continue
+            out = [k * v for v in x] if k != 1 else x
+            out += [0] * (len(y) + shift - len(out))
+            for i, v in enumerate(y, shift):
+                out[i] -= f * v
+            row[j] = trim(out)
+    content = igcd(*[v for x in row[c:] for v in x])
+    if content > 1:
+        row[c:] = [[v // content for v in x] for x in row[c:]]
 
 
 def derivative(p: Poly) -> Poly:
@@ -202,7 +242,7 @@ def evaluate(p: Poly, x) -> Fraction:
 
 
 def x_power(n: int) -> Poly:
-    return [Fraction(0)] * n + [Fraction(1)]
+    return [0] * n + [1]
 
 
 def to_string(p: Poly, var: str = "t") -> str:

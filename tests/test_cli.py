@@ -13,6 +13,7 @@ import alexinv
 from alexinv import curves
 from alexinv.cli import parse_and_validate, run
 from alexinv.errors import ValidationError
+from alexinv.serialize import curve_from_json
 
 TREFOIL = {
     "schema_version": 1,
@@ -228,6 +229,9 @@ def test_internal_error_exit_70(files, monkeypatch, capsys):
 # need no resolution or curve theory, the germ runs no group theory.
 GROUP_RUNS_SKIP = {"resolution", "biv", "quasiadj", "polytope", "curves", "braids"}
 GERM_RUNS_SKIP = {"groups", "braids", "curves"}
+# local and lct need no polytope, so neither the face machinery nor the
+# elimination kernel it imports
+POLYTOPE_FREE_SKIP = GERM_RUNS_SKIP | {"polytope", "linalg"}
 
 
 def test_cli_import_does_not_load_sympy(files, tmp_path):
@@ -249,8 +253,8 @@ def test_cli_import_does_not_load_sympy(files, tmp_path):
         (["charvar", "--presentation", files["trefoil"], "--character", "1/6",
           "--character-file", str(sixth)], GROUP_RUNS_SKIP),
         (["covers", "--presentation", files["trefoil"], "--cyclic", "6"], GROUP_RUNS_SKIP),
-        (["local", "--germ", "x^2 - y^3"], GERM_RUNS_SKIP),
-        (["lct", "--germ", "x^2 + y^5"], GERM_RUNS_SKIP),
+        (["local", "--germ", "x^2 - y^3"], POLYTOPE_FREE_SKIP),
+        (["lct", "--germ", "x^2 + y^5"], POLYTOPE_FREE_SKIP),
         (["quasiadj", "--germ", "x^2 + y^5", "--xi", "1/10"], GERM_RUNS_SKIP),
         (["global", "--curve", files["sextic"]], set()),
         (["faces", "--curve", files["sextic"]], set()),
@@ -354,6 +358,55 @@ def test_unparsable_rational_in_file_exit_2(files, tmp_path, capsys, sub, option
     ]
 
 
+@pytest.mark.parametrize("sub", ["local", "quasiadj", "lct"])
+def test_unparsable_germ_option_exit_2(sub, capsys):
+    """A germ string that does not parse is an input error naming --germ;
+    one that parses but is no germ stays a mathematical precondition."""
+
+    def argv(*germs):
+        xi = ["--xi", ",".join(["1/2"] * len(germs))] if sub == "quasiadj" else []
+        return [sub, *(a for g in germs for a in ("--germ", g)), *xi]
+
+    code, out = _run(argv("x^2 + y^3", "x^^2 + y"))
+    assert code == 2 and out == ""
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: --germ: cannot parse polynomial 'x^^2 + y'")
+    assert _run(argv("1 + x"))[0] == 3
+
+
+def test_unparsable_germ_in_file_exit_2(tmp_path, capsys):
+    """A germ string in a curve file that does not parse is an input error
+    naming the file and the JSON path of the string; every one is listed."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"degree": 6, "singularities": [
+        {"pos": ["0", "0"], "germ": "x^^2 + y"},
+        {"pos": ["1", "0"], "germ": ["x - y", "x + z"]},
+        {"pos": ["2", "0"], "germ": "x^2 + y^3"},
+    ]}))
+    code, out = _run(["global", "--curve", str(bad)])
+    assert code == 2 and out == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[1:3] for line in lines] == [
+        [str(bad), "singularities/0/germ"], [str(bad), "singularities/1/germ/1"],
+    ]
+
+
+def test_curve_file_errors_name_the_json_path(tmp_path, capsys):
+    """The curve builder names a singularity by its 0-based JSON path, as
+    the schema checker does."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"degree": 6, "singularities": [
+        {"pos": ["0", "0"], "type": "cusp"}, {"pos": ["1", "0"], "type": "torus"},
+    ]}))
+    code, out = _run(["global", "--curve", str(bad)])
+    assert code == 2 and out == ""
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: {bad}: singularities/1: torus type needs pq"
+    with pytest.raises(ValidationError) as err:
+        curve_from_json({"degree": 2, "singularities": [{"pos": ["0"], "type": "node"}]})
+    assert err.value.violations == ["singularities/0/pos: must be a pair"]
+
+
 # One file per schema keyword that breaks only that keyword, with the
 # subcommand that reads it and the path the violation is reported at.
 KEYWORD_VIOLATIONS = {
@@ -394,3 +447,30 @@ def test_schema_keyword_violation_exit_2(files, tmp_path, capsys, keyword):
     assert code == 2 and out == ""
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {bad}: {where}: ")
+
+
+# The benchmark's CLI calls whose inputs are files under data/ and flags
+# only, with the reports it pins byte for byte (read, never written).
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ("fox", "local", "quasiadj.json", "quasiadj.text", "lct")
+
+
+def _bench_cli_calls():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from workloads import CLI_CALLS
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return dict(CLI_CALLS)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_cli_report_matches_bench_expected(name):
+    argv = _bench_cli_calls()[name]
+    assert all(not a.startswith(".bench_work") for a in argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(alexinv.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-m", "alexinv.cli", *argv], cwd=ROOT, capture_output=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (ROOT / "bench" / "expected" / f"{name}.out").read_bytes()

@@ -43,6 +43,37 @@ def test_expand_cyclotomic_matches_laurent_powers(exponents):
     assert expanded == normalize_unit(oracle)
 
 
+def _dense_phi_product(exponents):
+    """The plain dense product: every Phi_m multiplied in e_m times, one
+    integer coefficient list at a time."""
+    out = [1]
+    for m, e in sorted(exponents.items()):
+        for _ in range(e):
+            phi = cyclotomic_polynomial(m)
+            wide = [0] * (len(out) + len(phi) - 1)
+            for i, a in enumerate(out):
+                for j, b in enumerate(phi):
+                    wide[i + j] += a * b
+            out = wide
+    return LaurentPolynomial.from_univariate(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 30), st.integers(1, 4)), max_size=3),
+    st.dictionaries(st.integers(1, 30), st.integers(0, 3), max_size=3),
+)
+def test_expand_cyclotomic_peels_binomials_like_dense_product(binomials, extra):
+    """Whole (t^n - 1)^k blocks, overlapping and with leftover Phi_m, give
+    the plain dense product, integer coefficients included."""
+    exponents = cyclotomic_exponents(*binomials)
+    for m, e in extra.items():
+        exponents[m] = exponents.get(m, 0) + e
+    expanded = expand_cyclotomic(exponents)
+    assert expanded == _dense_phi_product(exponents)
+    assert all(type(c) is int for c in expanded.terms.values())
+
+
 def test_expand_cyclotomic_examples():
     assert expand_cyclotomic({}) == LaurentPolynomial.one()
     assert expand_cyclotomic({6: 0, 1: 1}) == t - 1

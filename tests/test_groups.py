@@ -110,6 +110,20 @@ def test_invalid_abelianization():
         GroupPresentation(2, (), [[0], [0]], torsion=True)
 
 
+@given(st.integers(3, 6), st.integers(0, 30), st.integers(1, 30))
+def test_character_validity_matches_fraction_oracle(d, k, n):
+    """A character of the sphere braid group, whose abelianization is
+    Z/(2d - 2), is valid iff it kills every relator image, decided with
+    Fraction arithmetic here; an invalid one is refused before evaluation."""
+    p = sphere_braid_presentation(d)
+    chi = CharacterPoint([F(k, n)])
+    valid = all(chi.coords[0] * p.relator_image(rel)[0] % 1 == 0 for rel in p.relators)
+    assert p.character_is_valid(chi) == valid == (k * (2 * d - 2) % n == 0)
+    if not valid:
+        with pytest.raises(InvalidAbelianization):
+            local_system_h1_dim(p, chi)
+
+
 def test_local_system_dims():
     tref = trefoil_presentation()
     assert local_system_h1_dim(free_group(2), CharacterPoint([F(1, 3), F(2, 5)])) == 1

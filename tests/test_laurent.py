@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from alexinv import uni
 from alexinv.errors import NotPolynomial, ZeroInput
 from alexinv.laurent import (
     FormalCycloProduct,
@@ -75,6 +76,45 @@ def test_gcd_divides_and_lcm_identity(p, q):
     lcm = exact_divide(p * q, g)
     # gcd * lcm = p * q up to a unit
     assert normalize_unit(g * lcm) == normalize_unit(p * q)
+
+
+def _exact(c) -> bool:
+    return type(c) in (int, Fraction)
+
+
+@given(polys, polys)
+def test_exact_divide_and_gcds_never_give_a_float(p, q):
+    """exact_divide undoes a product of integral polynomials with integral
+    coefficients stored as int, and every coefficient that exact_divide,
+    univariate_gcd and uni.divmod_exact return is an int or a Fraction:
+    a coefficient is divided only through Fraction."""
+    quotient = exact_divide(p * q, q)
+    assert quotient == p
+    assert all(type(c) is int for c in quotient.terms.values())
+    g = univariate_gcd(p, q)
+    quo, rem = uni.divmod_exact(p.to_univariate(), q.to_univariate())
+    assert all(map(_exact, [*g.terms.values(), *quo, *rem]))
+    assert uni.add(uni.mul(quo, q.to_univariate()), rem) == p.to_univariate()
+
+
+two_variable_polys = st.builds(
+    lambda items: LaurentPolynomial(2, dict(items)),
+    st.lists(st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), coeff), max_size=5),
+)
+
+
+@given(two_variable_polys, two_variable_polys.filter(lambda q: not q.is_zero()))
+def test_exact_divide_two_variables_stays_integral(p, q):
+    quotient = exact_divide(p * q, q)
+    assert quotient == p
+    assert all(type(c) is int for c in quotient.terms.values())
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = LaurentPolynomial(1, {(0,): Fraction(4, 2), (1,): Fraction(1, 2), (2,): 1.0})
+    assert [type(c) for _, c in sorted(p.terms.items())] == [int, Fraction, int]
+    assert type((p * 2).terms[(1,)]) is int
+    assert exact_divide(t - 1, 2 * t - 2) == LaurentPolynomial.constant(Fraction(1, 2))
 
 
 def test_common_root_count():

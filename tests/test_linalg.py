@@ -5,7 +5,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexinv.cyclotomic import CyclotomicElement, euler_phi
+from alexinv.cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from alexinv.linalg import (
     cokernel_invariants,
     cyclotomic_rank,
@@ -158,14 +158,15 @@ CONDUCTORS = [*range(1, 13), 15, 36]
 
 
 @st.composite
-def cyclotomic_matrices(draw):
+def cyclotomic_matrices(draw, integral=False):
     """Matrices over Q(zeta_M) whose entries have random coefficient vectors
     in the power basis, some rank deficient by construction (a k x r times
-    an r x n matrix, r < min(k, n))."""
+    an r x n matrix, r < min(k, n)); with ``integral`` every coefficient is
+    an int."""
     conductor = draw(st.sampled_from(CONDUCTORS))
-    phi = euler_phi(conductor)
+    phi = len(cyclotomic_polynomial(conductor)) - 1
     element = st.builds(
-        lambda cs, den: CyclotomicElement(conductor, [Fraction(c, den) for c in cs]),
+        lambda cs, den: CyclotomicElement(conductor, cs if integral else [Fraction(c, den) for c in cs]),
         st.lists(st.integers(-3, 3), min_size=phi, max_size=phi), st.integers(1, 4))
     k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     bound = min(k, n)
@@ -187,6 +188,19 @@ def test_cyclotomic_rank_matches_field_oracle(case):
     m, bound = case
     rank = cyclotomic_rank(m)
     assert rank == len(echelon([list(row) for row in m]))
+    assert rank <= bound
+
+
+@settings(max_examples=100)
+@given(cyclotomic_matrices(integral=True))
+def test_cyclotomic_rank_of_int_entries_matches_fraction_entries(case):
+    """The int route, which skips the scaling to integer rows, gives the
+    rank of the same matrix with Fraction coefficients."""
+    m, bound = case
+    assert all(type(c) is int for row in m for e in row for c in e.coeffs)
+    fractions = [[CyclotomicElement(e.conductor, [Fraction(c) for c in e.coeffs]) for e in row] for row in m]
+    rank = cyclotomic_rank(m)
+    assert rank == cyclotomic_rank(fractions) == len(echelon(fractions))
     assert rank <= bound
 
 

@@ -1,0 +1,73 @@
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alexinv import uni
+
+
+def fraction_maximal_minor_gcd(matrix, cols):
+    """The monic gcd of the maximal minors by Euclidean row elimination over
+    Q[t] on ``Fraction`` coefficients: the route the integer pseudo-remainder
+    elimination replaced, kept as its oracle."""
+    a = [[[Fraction(c) for c in e] for e in row] for row in matrix]
+    det = [Fraction(1)]
+    for c in range(cols):
+        while True:
+            live = [i for i in range(c, len(a)) if a[i][c]]
+            if not live:
+                return []
+            p = min(live, key=lambda i: len(a[i][c]))
+            a[c], a[p] = a[p], a[c]
+            if len(live) == 1:
+                break
+            for i in range(c + 1, len(a)):
+                if a[i][c]:
+                    q, _ = uni.divmod_exact(a[i][c], a[c][c])
+                    a[i][c:] = [uni.sub(x, uni.mul(q, y)) for x, y in zip(a[i][c:], a[c][c:])]
+        det = uni.mul(det, a[c][c])
+    return uni.monic(det)
+
+
+entries = st.lists(st.integers(-3, 3), max_size=4).map(uni.trim)
+
+
+@st.composite
+def integer_polynomial_matrices(draw):
+    """k x n matrices over Z[t], half of them of rank below n by
+    construction (a k x r times an r x n matrix, r < n)."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        left = [[draw(entries) for _ in range(r)] for _ in range(k)]
+        right = [[draw(entries) for _ in range(n)] for _ in range(r)]
+        m = []
+        for row in left:
+            m.append([])
+            for j in range(n):
+                e = []
+                for x, col in zip(row, right):
+                    e = uni.add(e, uni.mul(x, col[j]))
+                m[-1].append(e)
+        return m, n
+    return [[draw(entries) for _ in range(n)] for _ in range(k)], n
+
+
+@settings(max_examples=150)
+@given(integer_polynomial_matrices())
+def test_maximal_minor_gcd_matches_fraction_euclid(case):
+    m, cols = case
+    g = uni.maximal_minor_gcd(m, cols)
+    assert g == fraction_maximal_minor_gcd(m, cols)
+    assert not g or g[-1] == 1
+
+
+def test_maximal_minor_gcd_examples():
+    t = [0, 1]
+    # the trefoil's Fox column t^2 - t + 1 and a matrix of rank 1 < 2
+    assert uni.maximal_minor_gcd([[[1, -1, 1]]], 1) == [1, -1, 1]
+    assert uni.maximal_minor_gcd([[t, t], [[2], [2]]], 2) == []
+    # minors 2t - 2 and 4: the gcd over Q is 1
+    assert uni.maximal_minor_gcd([[[2], []], [[], [-2, 2]], [[], [4]]], 2) == [1]
+    # a non-monic gcd 2t - 1 comes out monic
+    assert uni.maximal_minor_gcd([[[-1, 2], []], [[], [3]]], 2) == [Fraction(-1, 2), 1]
