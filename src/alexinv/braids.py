@@ -173,27 +173,11 @@ class ProjectivePresentation:
         self.component_labels = list(labels)
         self.component_counts = dict(counts)
 
-    def abelianization_matrix(self) -> List[List[int]]:
-        rows = []
-        for rel in self.relators:
-            v = [0] * self.generators
-            for g, e in rel:
-                v[g] += e
-            rows.append(v)
-        return rows
-
-    def homology_invariants(self):
-        from .linalg import cokernel_invariants
-
-        return cokernel_invariants(self.abelianization_matrix(), self.generators)
-
 
 def presentation_homology(p) -> tuple:
     """(free rank, torsion factors) of the abelianization of a presentation."""
     from .linalg import cokernel_invariants
 
-    if isinstance(p, ProjectivePresentation):
-        return p.homology_invariants()
     rows = []
     for rel in p.relators:
         v = [0] * p.generators

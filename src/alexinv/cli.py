@@ -292,14 +292,14 @@ def _cmd_quasiadj(args) -> dict:
         report["constants"] = [_fr(k) for k in constants_of_quasiadjunction(tree)]
     if args.xi:
         xi = _parse_list("--xi", args.xi)
-        ideal = ideal_of_quasiadjunction(tree, xi, args.variant, bound=args.jet_bound)
+        ideal = ideal_of_quasiadjunction(tree, xi, args.variant)
         report["ideal"] = {
             "xi": [_fr(x) for x in xi],
             "variant": args.variant,
             **ideal.staircase_json(),
             "colength": ideal.colength,
         }
-    faces = polytopes_and_faces(tree, bound=args.jet_bound)
+    faces = polytopes_and_faces(tree)
     rendered = []
     for qp in faces:
         for f in qp.faces:
@@ -448,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--germ", action="append", required=True, metavar="POLY")
     p.add_argument("--xi", metavar="k/m[,k/m...]")
     p.add_argument("--variant", choices=("strict", "weight1", "log"), default="strict")
-    p.add_argument("--jet-bound", type=int, metavar="B",
-                   help="raise the staircase truncation degree")
     p = add("lct", help="log-canonical threshold of a germ")
     p.add_argument("--germ", action="append", metavar="POLY")
     p.add_argument("--tree", metavar="FILE")

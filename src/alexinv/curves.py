@@ -6,6 +6,12 @@ of quasiadjunction with their predicted characteristic-variety components.
 
 The curve is always assumed transversal to the line at infinity, and all
 singular positions lie in one affine chart with rational coordinates.
+
+Each singular point carries a ``LocalData``.  Its ideals of
+quasiadjunction are monomial staircases below the certified jet bound,
+and each of its local faces is one list of local halfspaces
+(normal, bound), lifted into the global cube through the point's
+incidence.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .quasiadj import (
     jumping_values,
     kappa_constant,
     polytopes_and_faces,
+    torus_constants,
 )
 from .resolution import (
     PlaneCurveGerm,
@@ -45,27 +52,15 @@ from .resolution import (
 
 
 class LocalData:
-    """Closed-form or resolution-backed invariants of one singular germ."""
+    """Closed-form or resolution-backed invariants of one singular germ.
 
-    def delta_exponents(self) -> Exponents:
-        """The local Alexander polynomial as Phi_m exponents."""
-        raise NotImplementedError
-
-    def constants(self) -> List[Fraction]:
-        raise NotImplementedError
-
-    def ideal_at(self, kappa: Fraction) -> LocalIdealDescription:
-        """The ideal J_kappa cutting the linear-system conditions: the
-        strict ideal of quasiadjunction along the diagonal xi = kappa."""
-        raise NotImplementedError
-
-    def branch_count(self) -> int:
-        raise NotImplementedError
-
-    def local_faces(self):
-        """Faces of quasiadjunction in the local cube (r <= 3), as
-        (constraints, dim) data for the global lift; [] when none."""
-        return []
+    Its interface: ``delta_exponents()``, the local Alexander polynomial as
+    Phi_m exponents; ``constants()``, the constants of quasiadjunction;
+    ``ideal_at(kappa)``, the strict ideal of quasiadjunction along the
+    diagonal xi = kappa, which cuts the linear-system conditions;
+    ``branch_count()``; and ``local_faces()``, the faces of quasiadjunction
+    in the local cube (r <= 3), each a list of local halfspaces
+    (normal, bound) that ``global_faces_and_components`` lifts."""
 
 
 @dataclass(frozen=True)
@@ -87,15 +82,7 @@ class NamedGermData(LocalData):
         return 2 if self.kind == "node" else 1
 
     def constants(self) -> List[Fraction]:
-        if self.kind == "node":
-            return []
-        out = set()
-        for i in range(self.p):
-            for j in range(self.q):
-                k = kappa_constant(self.p, self.q, i, j)
-                if 0 < k < 1:
-                    out.add(k)
-        return sorted(out)
+        return [] if self.kind == "node" else torus_constants(self.p, self.q)
 
     def ideal_at(self, kappa: Fraction) -> LocalIdealDescription:
         kappa = Fraction(kappa)
@@ -108,21 +95,17 @@ class NamedGermData(LocalData):
                     members.add((i, j))
                 else:
                     nonmembers.append((i, j))
-        return LocalIdealDescription(
-            variant="strict",
-            xi=(kappa,),
-            jet_bound=bound,
-            members=frozenset(members),
-            nonmembers=tuple(sorted(nonmembers)),
-            tree=None,
-        )
+        return LocalIdealDescription(bound, frozenset(members), tuple(sorted(nonmembers)))
 
     def local_faces(self):
-        return [((kappa,), None) for kappa in self.constants()]
+        """The point xi = kappa at each constant: the face kappa <= xi <= kappa."""
+        return [[((1,), kappa), ((-1,), -kappa)] for kappa in self.constants()]
 
 
 class ResolvedGermData(LocalData):
-    """Invariants produced by an embedded resolution of an explicit germ."""
+    """Invariants produced by an embedded resolution of an explicit germ.
+    A smooth germ has the empty tree: no constants, no faces, and ideals of
+    colength 0."""
 
     def __init__(self, germ: PlaneCurveGerm):
         self.germ = germ
@@ -140,26 +123,22 @@ class ResolvedGermData(LocalData):
         return jumping_values(self.tree)
 
     def ideal_at(self, kappa: Fraction) -> LocalIdealDescription:
-        kappa = Fraction(kappa)
-        if not self.tree.nodes:
-            bound = 2
-            members = {(i, j) for i in range(bound) for j in range(bound - i)}
-            return LocalIdealDescription(
-                "strict", (kappa,), bound, frozenset(members), (), None
-            )
-        return ideal_of_quasiadjunction(
-            self.tree, (kappa,) * self.tree.r, "strict"
-        )
+        return ideal_of_quasiadjunction(self.tree, (Fraction(kappa),) * self.tree.r)
 
     def local_faces(self):
-        if not self.tree.nodes:
-            return []
+        """Each face of quasiadjunction as the halfspaces it saturates, in
+        both directions, followed by the halfspaces of its polytope."""
         out = []
         for qp in polytopes_and_faces(self.tree):
+            halfspaces = qp.polytope.halfspaces
+            cons = qp.polytope.constraints()
             for f in qp.faces:
-                cons = qp.polytope.constraints()
-                saturated = [cons[i] for i in f.face.saturated if i < len(qp.polytope.halfspaces)]
-                out.append((None, (f.face, saturated, qp.polytope)))
+                face = []
+                for i in f.face.saturated:
+                    if i < len(halfspaces):
+                        normal, bound = cons[i]
+                        face += [(normal, bound), (tuple(-x for x in normal), -bound)]
+                out.append(face + halfspaces)
         return out
 
 
@@ -199,6 +178,20 @@ class SingularPoint:
     incidence: Tuple[str, ...] = ()
 
 
+def singular_point(position, kind, germs: dict, incidence=()) -> SingularPoint:
+    """The singular point at position of the given kind: 'node', 'cusp', a
+    torus type (p, q), or a germ string / PlaneCurveGerm.  Equal explicit
+    germs share one datum through ``germs`` (see shared_germ_data)."""
+    if kind in ("node", "cusp"):
+        data, desc = local_data_for(kind), kind
+    elif isinstance(kind, tuple):
+        data, desc = local_data_for("torus", kind), f"torus({kind[0]},{kind[1]})"
+    else:
+        germ = kind if isinstance(kind, PlaneCurveGerm) else PlaneCurveGerm.from_strings(kind)
+        data, desc = shared_germ_data(germ, germs), f"germ({germ})"
+    return SingularPoint((Fraction(position[0]), Fraction(position[1])), data, desc, tuple(incidence))
+
+
 @dataclass
 class ProjectiveCurveSpec:
     degree: int
@@ -236,31 +229,12 @@ class ProjectiveCurveSpec:
 
     @classmethod
     def build(cls, degree: int, singularities, components=None) -> "ProjectiveCurveSpec":
-        """singularities: iterable of (position pair, type) where type is
-        'node', 'cusp', (p, q), or a germ string / PlaneCurveGerm."""
+        """singularities: iterable of (position pair, kind), with kind as in
+        ``singular_point``; on a one-component curve every point lies on it."""
         comps = components or [("C", degree)]
-        pts, germs = [], {}
-        for pos, kind in singularities:
-            position = (Fraction(pos[0]), Fraction(pos[1]))
-            if kind == "node":
-                data, desc = local_data_for("node"), "node"
-            elif kind == "cusp":
-                data, desc = local_data_for("cusp"), "cusp"
-            elif isinstance(kind, tuple):
-                data, desc = local_data_for("torus", kind), f"torus({kind[0]},{kind[1]})"
-            else:
-                germ = kind if isinstance(kind, PlaneCurveGerm) else PlaneCurveGerm.from_strings(kind)
-                data, desc = shared_germ_data(germ, germs), f"germ({germ})"
-            pts.append(
-                SingularPoint(
-                    position=position,
-                    data=data,
-                    description=desc,
-                    incidence=tuple(lab for lab, _ in comps)[:1]
-                    if len(comps) == 1
-                    else (),
-                )
-            )
+        incidence = (comps[0][0],) if len(comps) == 1 else ()
+        germs: dict = {}
+        pts = [singular_point(pos, kind, germs, incidence) for pos, kind in singularities]
         return cls(degree=degree, components=list(comps), singularities=pts)
 
 
@@ -409,10 +383,6 @@ class AlexanderFactorization:
     t_minus_one_exponent: int = 0
     exponents: Optional[Exponents] = None
     assembly_warning: Optional[str] = None
-
-    @property
-    def assembled(self) -> Optional[LaurentPolynomial]:
-        return None if self.exponents is None else expand_cyclotomic(self.exponents)
 
     def full_exponents(self) -> Optional[Exponents]:
         """Delta_C with its (t-1)^{r-1} part, as Phi_m exponents."""
@@ -599,43 +569,30 @@ class GlobalFace:
     h1: Optional[int]
     predicted_depth: Optional[int]
     contributing_points: List[int]  # indices into spec.singularities
-    ideal_colengths: Dict[int, int]
 
     def character_description(self) -> str:
         coords = ", ".join(str(x) for x in self.interior_point)
         return f"exp(+-2*pi*i*({coords}))"
 
 
-def _lifted_constraints(spec: ProjectiveCurveSpec, point_idx: int, face_data):
-    """Halfspace list over the global cube for one local face."""
-    point = spec.singularities[point_idx]
+def _coords(spec: ProjectiveCurveSpec, point: SingularPoint) -> List[int]:
+    """The global coordinates of a point's local branches: its incidence
+    labels, or the first branch_count() components when it has none."""
     labels = [lab for lab, _ in spec.components]
     if point.incidence:
-        coords = [labels.index(lab) for lab in point.incidence]
-    else:
-        coords = list(range(len(labels)))[: point.data.branch_count()]
-    r = len(labels)
+        return [labels.index(lab) for lab in point.incidence]
+    return list(range(len(labels)))[: point.data.branch_count()]
+
+
+def _lifted_constraints(spec: ProjectiveCurveSpec, point: SingularPoint, local):
+    """One local face, a list of local halfspaces, over the global cube."""
+    coords = _coords(spec, point)
     constraints = []
-
-    def lift(normal_local, bound):
-        normal = [Fraction(0)] * r
+    for normal_local, bound in local:
+        normal = [Fraction(0)] * spec.r
         for c, nl in zip(coords, normal_local):
-            normal[c] += Fraction(nl)
+            normal[c] += nl
         constraints.append((tuple(normal), Fraction(bound)))
-
-    simple, rich = face_data
-    if rich is None:
-        # a 0-dimensional face at xi = kappa on a one-branch germ
-        (kappa,) = simple
-        lift((1,), kappa)
-        lift((-1,), -kappa)
-        return constraints
-    face, saturated, poly = rich
-    for normal, bound in saturated:
-        lift(normal, bound)
-        lift(tuple(-x for x in normal), -bound)
-    for normal, bound in poly.halfspaces:
-        lift(normal, bound)
     return constraints
 
 
@@ -652,8 +609,8 @@ def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
     # to xi = 1/6) are merged before the subset enumeration
     merged: Dict[frozenset, List[int]] = {}
     for idx, point in enumerate(spec.singularities):
-        for face_data in point.data.local_faces():
-            key = frozenset(_lifted_constraints(spec, idx, face_data))
+        for local in point.data.local_faces():
+            key = frozenset(_lifted_constraints(spec, point, local))
             merged.setdefault(key, []).append(idx)
     lifted = [(sorted(set(points)), sorted(key)) for key, points in sorted(
         merged.items(), key=lambda kv: sorted(kv[0])
@@ -685,11 +642,10 @@ def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
                 existing.contributing_points.sort()
                 continue
             twist = h1 = None
-            colengths: Dict[int, int] = {}
             if level is not None and level.denominator == 1:
                 twist = spec.degree - 3 - int(level)
                 if twist >= 0:
-                    h1, colengths = _face_h1(spec, interior, twist)
+                    h1 = _face_h1(spec, interior, twist)
             results[key] = GlobalFace(
                 vertices=tuple(verts),
                 interior_point=interior,
@@ -698,35 +654,26 @@ def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
                 h1=h1,
                 predicted_depth=h1,
                 contributing_points=sorted({pt for i in combo for pt in lifted[i][0]}),
-                ideal_colengths=colengths,
             )
     out = list(results.values())
     out.sort(key=lambda f: (f.level if f.level is not None else Fraction(-1), f.vertices))
     return out
 
 
-def _face_h1(spec: ProjectiveCurveSpec, xi_global, m: int):
-    labels = [lab for lab, _ in spec.components]
+def _face_h1(spec: ProjectiveCurveSpec, xi_global, m: int) -> int:
     ideals, once = [], {}
     for point in spec.singularities:
-        if point.incidence:
-            coords = [labels.index(lab) for lab in point.incidence]
-        else:
-            coords = list(range(len(labels)))[: point.data.branch_count()]
-        key = (point.data, tuple(xi_global[c] for c in coords))
+        key = (point.data, tuple(xi_global[c] for c in _coords(spec, point)))
         if key not in once:
             once[key] = _ideal_at_vector(*key)
         ideals.append(once[key])
-    colengths = {idx: ideal.colength for idx, ideal in enumerate(ideals)}
-    return _h1(spec, ideals, m), colengths
+    return _h1(spec, ideals, m)
 
 
 def _ideal_at_vector(data: LocalData, xi_local):
-    if isinstance(data, ResolvedGermData) and data.tree.nodes:
-        if len(xi_local) == data.tree.r:
-            return ideal_of_quasiadjunction(data.tree, xi_local, "strict")
-        # single shared coordinate for a multibranch germ on one component
-        return ideal_of_quasiadjunction(
-            data.tree, list(xi_local) * data.tree.r, "strict"
-        )
+    if isinstance(data, ResolvedGermData):
+        if len(xi_local) != data.tree.r:
+            # single shared coordinate for a multibranch germ on one component
+            xi_local = list(xi_local) * data.tree.r
+        return ideal_of_quasiadjunction(data.tree, xi_local)
     return data.ideal_at(xi_local[0])

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from . import uni
 from .errors import NotPolynomial
@@ -51,15 +51,6 @@ def cyclotomic_exponents(*powers: Tuple[int, int]) -> Exponents:
     return {m: e for m, e in sorted(out.items()) if e}
 
 
-def _int_mul(p: List[int], q: List[int]) -> List[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
 def expand_cyclotomic(exponents: Exponents) -> LaurentPolynomial:
     """prod_m Phi_m^{e_m} multiplied out on plain integer lists.
 
@@ -90,11 +81,11 @@ def expand_cyclotomic(exponents: Exponents) -> LaurentPolynomial:
         power, base = [1], list(cyclotomic_polynomial(m))
         while e:
             if e & 1:
-                power = _int_mul(power, base)
+                power = uni.mul(power, base)
             e >>= 1
             if e:
-                base = _int_mul(base, base)
-        out = _int_mul(out, power)
+                base = uni.mul(base, base)
+        out = uni.mul(out, power)
     for n, k in blocks:
         # (t^n - 1)^k = sum_j C(k, j) (-1)^(k - j) t^(n j)
         wide = [0] * (len(out) + n * k)

@@ -202,11 +202,6 @@ class LaurentPolynomial:
             out[e - lo] = c
         return out
 
-    def substitute_power(self, k: int) -> "LaurentPolynomial":
-        """t -> t^k on a one-variable polynomial."""
-        self._require_univariate()
-        return LaurentPolynomial(1, {(e[0] * k,): c for e, c in self.terms.items()})
-
     # -- printing -----------------------------------------------------
 
     def sorted_terms(self):
@@ -387,16 +382,6 @@ class FormalCycloProduct:
             {v: -e for v, e in self.factors.items()},
             sign=self.sign,
             shift=tuple(-a for a in self.shift),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalCycloProduct):
-            return NotImplemented
-        return (
-            self.var_count == other.var_count
-            and self.factors == other.factors
-            and self.sign == other.sign
-            and self.shift == other.shift
         )
 
     def eq_up_to_unit(self, other: "FormalCycloProduct") -> bool:

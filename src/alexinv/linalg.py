@@ -7,8 +7,8 @@ primitive integer vectors, so no ``Fraction`` is normalised inside the
 loop.  A matrix over Q(zeta_M) enters as its regular representation, a
 rational matrix phi(M) times as tall and as wide: its Q-rank is phi(M)
 times the rank over Q(zeta_M).  Lattice results need unimodular integer
-operations, which the kernel does not give, so the Smith normal form and
-the integer kernel basis have their own loops.
+operations, which the kernel does not give, so the Smith normal form has
+its own loop.
 
 Matrices are plain lists of lists; everything is small and desk-scale.
 """
@@ -186,57 +186,6 @@ def rational_nullspace(matrix: Sequence[Sequence]) -> List[List[Fraction]]:
             v[pc] = Fraction(-sum(row[j] * v[j] for j in range(pc + 1, cols)), row[pc])
         basis.append(v)
     return basis
-
-
-def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> List[List[int]]:
-    """A lattice basis of the integer kernel {v : A v = 0}.
-
-    The basis vectors extend to a unimodular matrix, so stacking them as
-    rows gives a surjection onto Z^nullity.
-    """
-    a = [[int(x) for x in row] for row in matrix]
-    if not a:
-        return []
-    rows, cols = len(a), len(a[0])
-    # track column operations on an identity matrix
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for i in range(rows):
-            a[i][j] -= q * a[i][k]
-        for i in range(cols):
-            v[i][j] -= q * v[i][k]
-
-    def col_swap(j, k):
-        for i in range(rows):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(cols):
-            v[i][j], v[i][k] = v[i][k], v[i][j]
-
-    r = 0
-    for i in range(rows):
-        # clear row i to a single entry in column r via gcd column ops
-        while True:
-            nz = [j for j in range(r, cols) if a[i][j]]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(a[i][j]))
-            col_swap(r, jmin)
-            done = True
-            for j in range(r + 1, cols):
-                if a[i][j]:
-                    q = a[i][j] // a[i][r]
-                    col_op(j, r, q)
-                    if a[i][j]:
-                        done = False
-            if done:
-                break
-        if r < cols and a[i][r]:
-            r += 1
-        if r == cols:
-            break
-    kernel_cols = [j for j in range(cols) if all(a[i][j] == 0 for i in range(rows))]
-    return [[v[i][j] for i in range(cols)] for j in kernel_cols]
 
 
 def cyclotomic_rank(matrix: Sequence[Sequence[CyclotomicElement]]) -> int:

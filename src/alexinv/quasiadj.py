@@ -14,19 +14,20 @@ on integers: a_k . xi >= rhs iff floor(a_k . xi) >= rhs, and a_k . xi =
 rhs iff a_k . xi is an integer and floor(a_k . xi) = rhs.  So each point
 becomes one pair (floor, integral) per node, computed once per point;
 the right side is written once, in ``_rhs``, and tabulated once per tree
-and jet bound for the monomials below it; and one sweep of that table
-gives all three ideals.
+for the monomials below the certified jet bound; and one sweep of that
+table gives all three ideals.  An ideal is described by its monomial
+staircase below that bound; every monomial of degree at or above it lies
+in all three ideals at every xi, so no larger bound changes an answer.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from . import biv
 from .errors import (
@@ -43,7 +44,6 @@ if TYPE_CHECKING:
 
 Monomial = Tuple[int, int]
 
-JET_BOUND_ENV = "ALEXINV_JET_BOUND"
 VARIANTS = ("strict", "weight1", "log")
 
 
@@ -57,6 +57,13 @@ def kappa_constant(a: int, b: int, i: int = 0, j: int = 0) -> Fraction:
     if a < 1 or b < 1 or i < 0 or j < 0:
         raise BadGerm("need a, b >= 1 and i, j >= 0")
     return max(1 - Fraction(i + 1, a) - Fraction(j + 1, b), Fraction(0))
+
+
+def torus_constants(a: int, b: int) -> List[Fraction]:
+    """The constants of quasiadjunction of x^a + y^b: the values
+    kappa_constant(a, b, i, j) in (0, 1) over i < a, j < b, sorted."""
+    kappas = {kappa_constant(a, b, i, j) for i in range(a) for j in range(b)}
+    return sorted(k for k in kappas if 0 < k < 1)
 
 
 def xi_steps(a: int, b: int, i: int, j: int, n: int) -> int:
@@ -81,22 +88,10 @@ def newton_adjoint_membership(a: int, b: int, n: int, monomial: Tuple[int, int, 
 # ---------------------------------------------------------------------------
 
 
-def jet_bound(tree: ResolutionTree, override: Optional[int] = None) -> int:
+def jet_bound(tree: ResolutionTree) -> int:
     """Certified truncation degree B = max_k sum_i a_{k,i}: every germ of
     order >= B lies in all three ideals for every xi, since e_k >= ord."""
-    base = max((n.total_multiplicity for n in tree.nodes), default=1)
-    env = os.environ.get(JET_BOUND_ENV)
-    candidates = [base]
-    if override is not None:
-        candidates.append(int(override))
-    if env:
-        try:
-            candidates.append(int(env))
-        except ValueError:
-            raise ValidationError(
-                [f"{JET_BOUND_ENV} must be an integer, got {env!r}"]
-            ) from None
-    return max(candidates)
+    return max((n.total_multiplicity for n in tree.nodes), default=1)
 
 
 Levels = List[Tuple[int, bool]]
@@ -165,15 +160,14 @@ def germ_membership(tree: ResolutionTree, xi, phi: biv.Poly2, variant: str) -> b
 
 @dataclass
 class LocalIdealDescription:
-    """An ideal of (log-)quasiadjunction described by a certified monomial
-    staircase up to the jet bound, plus an exact membership predicate."""
+    """An ideal of (log-)quasiadjunction as its monomial staircase below the
+    certified jet bound: the member and nonmember monomials of degree
+    < jet_bound.  Every monomial of degree >= jet_bound is a member.  For
+    an arbitrary germ, ``germ_membership`` is the exact predicate."""
 
-    variant: str
-    xi: Tuple[Fraction, ...]
     jet_bound: int
     members: frozenset
     nonmembers: Tuple[Monomial, ...]
-    tree: Optional[ResolutionTree] = None
 
     @property
     def colength(self) -> int:
@@ -184,12 +178,6 @@ class LocalIdealDescription:
             return True
         return (alpha, beta) in self.members
 
-    def contains(self, phi: biv.Poly2) -> bool:
-        if self.tree is None or not self.tree.has_charts:
-            # monomial staircase fallback (exact for monomial ideals)
-            return all(self.contains_monomial(i, j) for (i, j) in phi)
-        return germ_membership(self.tree, self.xi, phi, self.variant)
-
     def staircase_json(self) -> dict:
         return {
             "jet_bound": self.jet_bound,
@@ -198,59 +186,49 @@ class LocalIdealDescription:
         }
 
 
-def _rhs_table(tree: ResolutionTree, bound: int) -> List[Tuple[Monomial, Tuple[int, ...]]]:
-    """(monomial, rhs) for every monomial up to total degree bound, sorted;
+def _rhs_table(tree: ResolutionTree) -> List[Tuple[Monomial, Tuple[int, ...]]]:
+    """(monomial, rhs) for every monomial below the jet bound, sorted;
     e_k(x^alpha y^beta) = alpha e_k(x) + beta e_k(y).  A monomial with no
     positive rhs_k gets the empty row: a_k . xi > 0 on (0, 1]^r, so it lies
     in all three ideals at every xi and bounds no region.  Cached on the
-    tree, one table per bound: every point of a sweep reads the same table."""
-    tables = tree.__dict__.setdefault("_rhs_tables", {})
-    if bound not in tables:
+    tree: every point of a sweep reads the same table."""
+    if "_rhs_table" not in tree.__dict__:
         ex = tree.pullback_orders(biv.variable_x())
         ey = tree.pullback_orders(biv.variable_y())
+        bound = jet_bound(tree) - 1
         table = []
         for alpha in range(bound + 1):
             for beta in range(bound + 1 - alpha):
                 rhs = _rhs(tree, [alpha * x + beta * y for x, y in zip(ex, ey)])
                 table.append(((alpha, beta), rhs if any(r > 0 for r in rhs) else ()))
-        tables[bound] = table
-    return tables[bound]
+        tree.__dict__["_rhs_table"] = table
+    return tree.__dict__["_rhs_table"]
 
 
-def ideal_triple(tree: ResolutionTree, xi, bound: Optional[int] = None):
+def ideal_triple(tree: ResolutionTree, xi):
     """The strict, weight-one and log ideals at xi, from one sweep of the
     monomials below the jet bound."""
-    xi = tuple(_rationals(xi, "xi"))
+    xi = _rationals(xi, "xi")
     if len(xi) != tree.r:
         raise BadGerm("xi must have one coordinate per component")
     if any(not 0 < x <= 1 for x in xi):
         raise BadGerm("xi coordinates must lie in (0, 1]")
-    B = jet_bound(tree, bound)
     levels = _node_floors(tree, xi)
     members: Tuple[List[Monomial], ...] = ([], [], [])
     nonmembers: Tuple[List[Monomial], ...] = ([], [], [])
-    for mono, rhs in _rhs_table(tree, B - 1):
+    for mono, rhs in _rhs_table(tree):
         for i, member in enumerate(_memberships(tree, levels, rhs)):
             (members if member else nonmembers)[i].append(mono)
     return tuple(
-        LocalIdealDescription(
-            variant=variant,
-            xi=xi,
-            jet_bound=B,
-            members=frozenset(members[i]),
-            nonmembers=tuple(nonmembers[i]),
-            tree=tree,
-        )
-        for i, variant in enumerate(VARIANTS)
+        LocalIdealDescription(jet_bound(tree), frozenset(members[i]), tuple(nonmembers[i]))
+        for i in range(len(VARIANTS))
     )
 
 
-def ideal_of_quasiadjunction(
-    tree: ResolutionTree, xi, variant: str = "strict", bound: Optional[int] = None
-) -> LocalIdealDescription:
+def ideal_of_quasiadjunction(tree: ResolutionTree, xi, variant: str = "strict") -> LocalIdealDescription:
     """The ideal of one variant in VARIANTS at xi; ValidationError for any
     other variant."""
-    return ideal_triple(tree, xi, bound)[_variant_index(variant)]
+    return ideal_triple(tree, xi)[_variant_index(variant)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +242,7 @@ def jumping_values(tree: ResolutionTree) -> List[Fraction]:
     threshold (sum a - e - c - 1)/(sum a)."""
     values = set()
     totals = [node.total_multiplicity for node in tree.nodes]
-    for _, rhs in _rhs_table(tree, jet_bound(tree) - 1):
+    for _, rhs in _rhs_table(tree):
         # only a positive threshold can be a jumping value
         kappa = max(
             (Fraction(r, m) for r, m in zip(rhs, totals) if r > 0),
@@ -300,15 +278,10 @@ def _cross_validate_constants(tree: ResolutionTree, computed: List[Fraction]):
     b, a = keys[0][1], keys[1][0]
     if a < 2 or b < 2 or gcd(a, b) != 1:
         return
-    expected = set()
-    for i in range(a):
-        for j in range(b):
-            kappa = kappa_constant(a, b, i, j)
-            if 0 < kappa < 1:
-                expected.add(kappa)
-    if sorted(expected) != computed:
+    expected = torus_constants(a, b)
+    if expected != computed:
         raise InternalError(
-            f"monomial formula {sorted(expected)} disagrees with resolution "
+            f"monomial formula {expected} disagrees with resolution "
             f"route {computed} for x^{a} + y^{b}"
         )
 
@@ -338,7 +311,7 @@ def _region_halfspaces(tree: ResolutionTree, rhs: Sequence[int]):
     return [(tuple(node.a), Fraction(r)) for node, r in zip(tree.nodes, rhs) if r > 0]
 
 
-def polytopes_and_faces(tree: ResolutionTree, bound: Optional[int] = None) -> List[QuasiPolytope]:
+def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
     """All polytopes of log-quasiadjunction that have faces of
     quasiadjunction in the open cube, with ideal triples and quotient
     dimensions attached per face.
@@ -351,8 +324,7 @@ def polytopes_and_faces(tree: ResolutionTree, bound: Optional[int] = None) -> Li
     r = tree.r
     if r > 3:
         raise UnsupportedDimension("faces supported for r <= 3 components")
-    B = jet_bound(tree, bound)
-    table = _rhs_table(tree, B - 1)
+    table = _rhs_table(tree)
     rhs_of = dict(table)
     regions = {}
     for _, rhs in table:
@@ -375,7 +347,7 @@ def polytopes_and_faces(tree: ResolutionTree, bound: Optional[int] = None) -> Li
         if xi in seen_points or any(not 0 < x for x in xi):
             continue
         seen_points.add(xi)
-        ideals = ideal_triple(tree, xi, B)
+        ideals = ideal_triple(tree, xi)
         strict_ideal, _, log_ideal = ideals
         if strict_ideal.members == log_ideal.members:
             continue

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import biv, uni
 from .cyclotomic import Exponents, cyclotomic_exponents, expand_cyclotomic
@@ -162,9 +162,8 @@ def resolve(germ: PlaneCurveGerm) -> ResolutionTree:
     """
     components = germ.components
     r = len(components)
-    total_mult = biv.multiplicity(
-        components[0] if r == 1 else _product(components)
-    )
+    # the lowest form of a product is the product of the lowest forms
+    total_mult = sum(biv.multiplicity(c) for c in components)
     tree = ResolutionTree(r=r, nodes=[], germ=germ)
     if total_mult == 1:
         return tree
@@ -183,13 +182,6 @@ def resolve(germ: PlaneCurveGerm) -> ResolutionTree:
         site = queue.popleft()
         _blow_up(tree, site, components, queue)
     return tree
-
-
-def _product(polys: Sequence[biv.Poly2]) -> biv.Poly2:
-    out = biv.constant(1)
-    for p in polys:
-        out = biv.mul(out, p)
-    return out
 
 
 def _blow_up(tree: ResolutionTree, site: _Site, components, queue):

@@ -67,16 +67,6 @@ def laurent_to_json(p: LaurentPolynomial) -> dict:
     }
 
 
-def laurent_from_json(data: dict) -> LaurentPolynomial:
-    from .laurent import LaurentPolynomial
-
-    terms = {
-        tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-        for t in data["terms"]
-    }
-    return LaurentPolynomial(int(data["vars"]), terms)
-
-
 # ---------------------------------------------------------------------------
 # typed values from JSON documents (file formats documented in README)
 # ---------------------------------------------------------------------------
@@ -153,7 +143,7 @@ def tree_from_json(data: dict) -> ResolutionTree:
 
 
 def curve_from_json(data: dict) -> ProjectiveCurveSpec:
-    from .curves import ProjectiveCurveSpec, SingularPoint, local_data_for, shared_germ_data
+    from .curves import ProjectiveCurveSpec, singular_point
 
     violations: List[str] = []
     degree = int(data["degree"])
@@ -176,7 +166,7 @@ def curve_from_json(data: dict) -> ProjectiveCurveSpec:
         except ValidationError as exc:
             violations += exc.violations
             continue
-        incidence = tuple(str(x) for x in sing.get("incidence", ()))
+        kind = sing.get("type")
         if "germ" in sing:
             texts = sing["germ"]
             if isinstance(texts, str):
@@ -184,36 +174,23 @@ def curve_from_json(data: dict) -> ProjectiveCurveSpec:
             else:
                 fields = [f"{where}/germ/{k}" for k in range(len(texts))]
             try:
-                germ = parse_germ(texts, fields)
+                kind = parse_germ(texts, fields)
             except ValidationError as exc:
                 violations += exc.violations
                 continue
-            data_obj, desc = shared_germ_data(germ, germs), f"germ({germ})"
-        else:
-            kind = sing.get("type")
-            if kind == "node":
-                data_obj, desc = local_data_for("node"), "node"
-            elif kind == "cusp":
-                data_obj, desc = local_data_for("cusp"), "cusp"
-            elif kind == "torus":
-                pq = sing.get("pq")
-                if not pq or len(pq) != 2:
-                    violations.append(f"{where}: torus type needs pq")
-                    continue
-                data_obj, desc = (
-                    local_data_for("torus", (int(pq[0]), int(pq[1]))),
-                    f"torus({pq[0]},{pq[1]})",
-                )
-            else:
-                violations.append(f"{where}: unknown type {kind!r} and no germ")
+        elif kind == "torus":
+            pq = sing.get("pq")
+            if not pq or len(pq) != 2:
+                violations.append(f"{where}: torus type needs pq")
                 continue
+            kind = (int(pq[0]), int(pq[1]))
+        elif kind not in ("node", "cusp"):
+            violations.append(f"{where}: unknown type {kind!r} and no germ")
+            continue
+        incidence = tuple(str(x) for x in sing.get("incidence", ()))
         if not incidence and len(components) == 1:
             incidence = (components[0][0],)
-        points.append(
-            SingularPoint(
-                position=position, data=data_obj, description=desc, incidence=incidence
-            )
-        )
+        points.append(singular_point(position, kind, germs, incidence))
     if violations:
         raise ValidationError(violations)
     return ProjectiveCurveSpec(degree, components, points)

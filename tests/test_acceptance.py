@@ -34,7 +34,6 @@ from alexinv.groups import (
     unbranched_cover_betti,
 )
 from alexinv.laurent import FormalCycloProduct, LaurentPolynomial, exact_divide, normalize_unit
-from alexinv.linalg import integer_kernel_basis
 from alexinv.quasiadj import (
     constants_of_quasiadjunction,
     ideal_of_quasiadjunction,
@@ -52,6 +51,7 @@ from alexinv.resolution import (
     resolve,
     torus_knot_alexander,
 )
+from conftest import integer_kernel_basis
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1

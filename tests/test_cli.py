@@ -208,14 +208,6 @@ def test_schema_round_trip(files):
     assert pres.generators == 2
 
 
-def test_invalid_jet_bound_env_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("ALEXINV_JET_BOUND", "abc")
-    for sub in ("quasiadj", "local"):
-        code, _ = _run([sub, "--germ", "x^2 + y^3"])
-        assert code == 2
-        assert "ALEXINV_JET_BOUND" in capsys.readouterr().err
-
-
 def test_internal_error_exit_70(files, monkeypatch, capsys):
     # curves holds its own reference to linalg.rational_rank
     true_rank = curves.rational_rank

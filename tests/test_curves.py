@@ -426,3 +426,64 @@ def test_explicit_germ_spec_matches_named():
         6, [(pos, "x^2 + y^3") for pos, _ in ON_CONIC]
     )
     assert global_alexander(explicit).full_polynomial() == global_alexander(named).full_polynomial()
+
+
+def test_build_and_curve_from_json_give_the_same_points():
+    """Both constructors map an entry to one kind and build the point the
+    same way: node, cusp, torus, a germ list, a germ string met twice, and
+    the default incidence of a one-component curve."""
+    from alexinv.resolution import PlaneCurveGerm
+
+    entries = [
+        ((0, 0), "node", {"type": "node"}),
+        ((1, 2), "cusp", {"type": "cusp"}),
+        ((F(1, 2), -1), (2, 5), {"type": "torus", "pq": [2, 5]}),
+        ((3, 1), PlaneCurveGerm.from_strings("x - y", "x + y"), {"germ": ["x - y", "x + y"]}),
+        ((4, 0), "x^2 + y^3", {"germ": "x^2 + y^3"}),
+        ((5, 5), "x^2 + y^3", {"germ": "x^2 + y^3"}),
+    ]
+    built = ProjectiveCurveSpec.build(8, [(pos, kind) for pos, kind, _ in entries])
+    loaded = curve_from_json({
+        "degree": 8,
+        "singularities": [
+            {"pos": [str(F(x)) for x in pos], **entry} for pos, _, entry in entries
+        ],
+    })
+    for spec in (built, loaded):
+        assert [p.incidence for p in spec.singularities] == [("C",)] * len(entries)
+        # one shared datum per distinct explicit germ
+        lines, cusp_a, cusp_b = (p.data for p in spec.singularities[3:])
+        assert cusp_a is cusp_b and lines is not cusp_a
+    for a, b in zip(built.singularities, loaded.singularities):
+        assert (a.position, a.description, a.incidence) == (b.position, b.description, b.incidence)
+        if isinstance(a.data, curves.NamedGermData):
+            assert a.data == b.data
+    assert [p.description for p in built.singularities][:4] == [
+        "node", "cusp", "torus(2,5)", "germ(-y + x, y + x)",
+    ]
+
+
+def test_named_and_explicit_cusps_merge_into_one_face():
+    """Named cusps and an explicit x^2 + y^3 lift different halfspace lists
+    with one vertex set: one face, credited to all three points."""
+    spec = ProjectiveCurveSpec.build(6, [((0, 0), "cusp"), ((2, 4), "cusp"), ((1, 1), "x^2 + y^3")])
+    (face,) = global_faces_and_components(spec)
+    assert face.vertices == ((F(1, 6),),)
+    assert (face.level, face.twist_degree, face.h1) == (1, 2, 0)
+    assert face.contributing_points == [0, 1, 2]
+
+
+def test_smooth_explicit_germ_adds_no_condition():
+    """A smooth germ has the empty resolution tree: colength 0 and no
+    faces, so it leaves the superabundance unchanged at every k/d."""
+    from alexinv.resolution import PlaneCurveGerm
+
+    smooth = curves.local_data_for(PlaneCurveGerm.from_strings("y - x^2"))
+    assert not smooth.tree.nodes
+    assert smooth.local_faces() == [] and smooth.constants() == []
+    assert all(smooth.ideal_at(F(k, 6)).colength == 0 for k in range(1, 6))
+    with_smooth = ProjectiveCurveSpec.build(6, ON_CONIC + [((5, 7), "y - x^2")])
+    plain = ProjectiveCurveSpec.build(6, ON_CONIC)
+    for k in range(1, 6):
+        assert superabundance(with_smooth, F(k, 6)) == superabundance(plain, F(k, 6))
+    assert superabundance(with_smooth, F(1, 6)) == 1

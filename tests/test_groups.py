@@ -37,7 +37,7 @@ from alexinv.groups import (
     word,
 )
 from alexinv.laurent import LaurentPolynomial, univariate_gcd
-from alexinv.linalg import integer_kernel_basis
+from conftest import integer_kernel_basis
 from test_linalg import echelon
 
 t = LaurentPolynomial.variable()

@@ -9,11 +9,11 @@ from alexinv.cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from alexinv.linalg import (
     cokernel_invariants,
     cyclotomic_rank,
-    integer_kernel_basis,
     rational_nullspace,
     rational_rank,
     smith_normal_form,
 )
+from conftest import integer_kernel_basis
 
 
 def test_smith_examples():
