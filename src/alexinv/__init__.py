@@ -52,7 +52,7 @@ _EXPORTS = {
         "normalize_unit",
         "univariate_gcd",
     ),
-    "linalg": ("rational_nullspace", "rational_rank", "smith_normal_form"),
+    "linalg": ("rational_rank", "smith_normal_form"),
     "polytope": ("RationalPolytope",),
     "quasiadj": (
         "constants_of_quasiadjunction",

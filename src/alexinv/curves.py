@@ -12,6 +12,14 @@ quasiadjunction are monomial staircases below the certified jet bound,
 and each of its local faces is one list of local halfspaces
 (normal, bound), lifted into the global cube through the point's
 incidence.
+
+A superabundance is the colength of the ideals minus the rank of the
+conditions they impose on curves of degree m.  The curves meeting every
+condition form an ideal, because each staircase's nonmembers are closed
+downwards; so the rank is the number of standard monomials of degree
+<= m of that ideal in a graded order (Buchberger and Moller, 1982), and
+``_condition_rank`` counts them by a walk over the monomials that never
+builds the column of a multiple of a leading monomial.
 """
 
 from __future__ import annotations
@@ -19,14 +27,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Exponents, cyclotomic_exponents, expand_cyclotomic, root_multiplicity
 from .errors import BadGerm, InternalError, TheoremViolation, UnsupportedDimension
 from .laurent import LaurentPolynomial, common_root_count
-from .linalg import cokernel_invariants, rational_rank
+from .linalg import cokernel_invariants, echelon_insert
 from .polytope import RationalPolytope
 from .quasiadj import (
     LocalIdealDescription,
@@ -323,28 +330,51 @@ def _monomials_up_to(m: int):
     return [(i, j) for total in range(m + 1) for i in range(total + 1) for j in [total - i]]
 
 
-def _h1(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: int) -> int:
-    """h^1 of the twisted ideal sheaf at degree m: the colength of the
-    ideals (ideals[k] at spec.singularities[k]) minus the rank of the
-    linear conditions they impose on curves of degree m.  Each nonmember
-    x^alpha y^beta of an ideal gives one row, the Taylor coefficient of
-    every monomial of degree <= m at x^alpha y^beta around the point.
-    For x0 = p/q and y0 = r/s the row is scaled by q^m s^m, which keeps the
-    rank and makes every entry an integer."""
-    cols = _monomials_up_to(m)
-    rows = []
+def _condition_rank(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: int) -> int:
+    """The rank of the conditions that the ideals (ideals[k] at
+    spec.singularities[k]) impose on curves of degree <= m, as the number
+    of standard monomials of degree <= m (see the module docstring).
+
+    A condition is the Taylor coefficient at a nonmember x^alpha y^beta
+    around its point, scaled by q^m s^m for x0 = p/q and y0 = r/s so that
+    every entry is an integer.  The monomials come in the graded order of
+    ``_monomials_up_to``.  A multiple of a leading monomial found so far
+    is skipped unbuilt; any other has its condition column reduced against
+    the standard columns kept so far, and is standard when a nonzero
+    remainder is left, leading when none is.  The walk stops at one
+    standard column per condition."""
+    conditions = []
     for point, ideal in zip(spec.singularities, ideals):
         (p, q), (r, s) = (c.as_integer_ratio() for c in point.position)
         xs = [p**k * q ** (m - k) for k in range(m + 1)]  # x0^k q^m
         ys = [r**k * s ** (m - k) for k in range(m + 1)]  # y0^k s^m
-        for alpha, beta in ideal.nonmembers:
-            rows.append([
-                comb(i, alpha) * comb(j, beta) * xs[i - alpha] * ys[j - beta]
-                if i >= alpha and j >= beta else 0
-                for i, j in cols
-            ])
-    rank = rational_rank(rows) if rows else 0
-    h1 = sum(ideal.colength for ideal in ideals) - rank
+        conditions += [(xs, ys, alpha, beta) for alpha, beta in ideal.nonmembers]
+    rows: List[List[int]] = []
+    pivots: List[int] = []
+    leading: List[Tuple[int, int]] = []
+    for i, j in _monomials_up_to(m):
+        if len(rows) == len(conditions):
+            break
+        if any(i >= a and j >= b for a, b in leading):
+            continue
+        column = [
+            comb(i, alpha) * comb(j, beta) * xs[i - alpha] * ys[j - beta]
+            if i >= alpha and j >= beta else 0
+            for xs, ys, alpha, beta in conditions
+        ]
+        if not echelon_insert(rows, pivots, column):
+            leading.append((i, j))
+    return len(rows)
+
+
+def _h1(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: int) -> int:
+    """h^1 of the twisted ideal sheaf at degree m: the colength of the
+    ideals (ideals[k] at spec.singularities[k]) minus the rank of the
+    linear conditions they impose on curves of degree m, which
+    ``_condition_rank`` counts as standard monomials.  That count is exact
+    only because the curves meeting the conditions form an ideal: every
+    ideal's nonmembers are closed downwards."""
+    h1 = sum(ideal.colength for ideal in ideals) - _condition_rank(spec, ideals, m)
     if h1 < 0:
         raise InternalError("condition rank exceeds the colength (internal error)")
     return h1
@@ -484,10 +514,11 @@ def _quotient(num: Exponents, den: Exponents) -> Exponents:
     """num / den; TheoremViolation when den does not divide num, that is
     when some Phi_m exponent of the quotient is negative."""
     out = _product(num, {m: -e for m, e in den.items()})
-    if any(e < 0 for e in out.values()):
-        raise TheoremViolation(
-            f"divisibility failed: {expand_cyclotomic(den)} does not divide {expand_cyclotomic(num)}"
-        )
+    failing = [m for m, e in out.items() if e < 0]
+    if failing:
+        raise TheoremViolation("divisibility failed: " + ", ".join(
+            f"Phi_{m}^{den[m]} does not divide Phi_{m}^{num.get(m, 0)}" for m in failing
+        ))
     return out
 
 
@@ -618,46 +649,60 @@ def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
     results: Dict[tuple, GlobalFace] = {}
     degs = [Fraction(d) for _, d in spec.components]
     max_size = len(lifted) if len(lifted) <= 12 else 3
-    for size in range(1, max_size + 1):
-        for combo in combinations(range(len(lifted)), size):
-            constraints = [c for i in combo for c in lifted[i][1]]
-            verts = RationalPolytope(r, constraints).vertices()
-            if not verts:
-                continue
-            key = tuple(verts)
-            interior = tuple(
-                sum((v[i] for v in verts), Fraction(0)) / len(verts)
-                for i in range(r)
-            )
-            if any(not 0 < x < 1 for x in interior):
-                continue
-            levels = {sum(d * v[i] for i, d in enumerate(degs)) for v in verts}
-            level = levels.pop() if len(levels) == 1 else None
-            if key in results:
-                existing = results[key]
-                for i in combo:
-                    for pt in lifted[i][0]:
-                        if pt not in existing.contributing_points:
-                            existing.contributing_points.append(pt)
-                existing.contributing_points.sort()
-                continue
-            twist = h1 = None
-            if level is not None and level.denominator == 1:
-                twist = spec.degree - 3 - int(level)
-                if twist >= 0:
-                    h1 = _face_h1(spec, interior, twist)
-            results[key] = GlobalFace(
-                vertices=tuple(verts),
-                interior_point=interior,
-                level=level,
-                twist_degree=twist,
-                h1=h1,
-                predicted_depth=h1,
-                contributing_points=sorted({pt for i in combo for pt in lifted[i][0]}),
-            )
+    for combo, verts in _intersections(r, [faces for _, faces in lifted], max_size):
+        key = tuple(verts)
+        interior = tuple(
+            sum((v[i] for v in verts), Fraction(0)) / len(verts)
+            for i in range(r)
+        )
+        if any(not 0 < x < 1 for x in interior):
+            continue
+        levels = {sum(d * v[i] for i, d in enumerate(degs)) for v in verts}
+        level = levels.pop() if len(levels) == 1 else None
+        if key in results:
+            existing = results[key]
+            for i in combo:
+                for pt in lifted[i][0]:
+                    if pt not in existing.contributing_points:
+                        existing.contributing_points.append(pt)
+            existing.contributing_points.sort()
+            continue
+        twist = h1 = None
+        if level is not None and level.denominator == 1:
+            twist = spec.degree - 3 - int(level)
+            if twist >= 0:
+                h1 = _face_h1(spec, interior, twist)
+        results[key] = GlobalFace(
+            vertices=tuple(verts),
+            interior_point=interior,
+            level=level,
+            twist_degree=twist,
+            h1=h1,
+            predicted_depth=h1,
+            contributing_points=sorted({pt for i in combo for pt in lifted[i][0]}),
+        )
     out = list(results.values())
     out.sort(key=lambda f: (f.level if f.level is not None else Fraction(-1), f.vertices))
     return out
+
+
+def _intersections(r: int, faces: Sequence[list], max_size: int):
+    """(subset, vertices) for each subset of at most max_size faces, a
+    tuple of increasing indices, whose intersection is nonempty.  The
+    subsets are walked depth first in increasing index order, and an empty
+    intersection is not extended: it stays empty under more faces, as the
+    cube bounds are always among the constraints."""
+    stack = [((i,), faces[i]) for i in reversed(range(len(faces)))]
+    while stack:
+        combo, constraints = stack.pop()
+        verts = RationalPolytope(r, constraints).vertices()
+        if verts:
+            yield combo, verts
+            if len(combo) < max_size:
+                stack += [
+                    (combo + (j,), constraints + faces[j])
+                    for j in reversed(range(combo[-1] + 1, len(faces)))
+                ]
 
 
 def _face_h1(spec: ProjectiveCurveSpec, xi_global, m: int) -> int:

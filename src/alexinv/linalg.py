@@ -1,20 +1,23 @@
 """Exact linear algebra.
 
-One elimination kernel, ``_primitive_echelon``, takes every rank and
-nullspace over Q and every rank over a cyclotomic field Q(zeta_M).  Each
+One elimination kernel, ``_primitive_echelon``, takes the rank of a whole
+matrix over Q and every rank over a cyclotomic field Q(zeta_M).  Each
 row is cleared of denominators, and elimination keeps the rows as
 primitive integer vectors, so no ``Fraction`` is normalised inside the
 loop.  A matrix over Q(zeta_M) enters as its regular representation, a
 rational matrix phi(M) times as tall and as wide: its Q-rank is phi(M)
-times the rank over Q(zeta_M).  Lattice results need unimodular integer
-operations, which the kernel does not give, so the Smith normal form has
-its own loop.
+times the rank over Q(zeta_M).  ``echelon_insert`` is the same
+fraction-free step for a matrix that arrives one row at a time: the
+superabundance rank of ``curves`` is taken that way, and stops early.
+Lattice results need unimodular integer operations, which the kernel
+does not give, so the Smith normal form has its own loop.
 
 Matrices are plain lists of lists; everything is small and desk-scale.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
@@ -168,24 +171,39 @@ def rational_rank(matrix: Sequence[Sequence]) -> int:
     return len(_primitive_echelon(matrix)[1])
 
 
-def rational_nullspace(matrix: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Basis of the right nullspace over Q.
+def echelon_insert(rows: List[List[int]], pivots: List[int], row: List[int]) -> bool:
+    """Reduce an integer row against an echelon (rows, pivots) and insert
+    what is left; True when it was independent of the rows.
 
-    There is one basis vector per non-pivot column: it is 1 at that
-    column and 0 at the other non-pivot columns.
+    The echelon is in the shape ``_primitive_echelon`` returns, pivots
+    increasing, and keeps it.  The row is reduced by the same step, row <-
+    (p/g) row - (f/g) top at each pivot in turn, with its content divided
+    out; earlier pivots stay cleared, since each top row is zero before its
+    pivot.  A nonzero remainder is inserted at its first nonzero column; a
+    row that is zero, or is reduced to zero, leaves the echelon as it was.
     """
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    rows, pivots = _primitive_echelon(matrix)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for row, pc in reversed(list(zip(rows, pivots))):
-            v[pc] = Fraction(-sum(row[j] * v[j] for j in range(pc + 1, cols)), row[pc])
-        basis.append(v)
-    return basis
+    g = gcd(*row)
+    if not g:
+        return False
+    if g > 1:
+        row = [x // g for x in row]
+    for top, c in zip(rows, pivots):
+        f = row[c]
+        if f:
+            p = top[c]
+            g = gcd(p, f)
+            pg, fg = p // g, f // g
+            row = [pg * x - fg * y for x, y in zip(row, top)]
+            g = gcd(*row)
+            if not g:
+                return False
+            if g > 1:
+                row = [x // g for x in row]
+    c = next(i for i, x in enumerate(row) if x)
+    at = bisect_left(pivots, c)
+    rows.insert(at, row)
+    pivots.insert(at, c)
+    return True
 
 
 def cyclotomic_rank(matrix: Sequence[Sequence[CyclotomicElement]]) -> int:

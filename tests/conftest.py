@@ -1,3 +1,5 @@
+from fractions import Fraction
+from math import comb
 from typing import List, Sequence
 
 import pytest
@@ -110,3 +112,65 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> List[List[int]]:
             break
     kernel_cols = [j for j in range(cols) if all(a[i][j] == 0 for i in range(rows))]
     return [[v[i][j] for i in range(cols)] for j in kernel_cols]
+
+
+def rational_nullspace(matrix: Sequence[Sequence]) -> List[List[Fraction]]:
+    """Basis of the right nullspace over Q.
+
+    There is one basis vector per non-pivot column: it is 1 at that
+    column and 0 at the other non-pivot columns.
+    """
+    from alexinv.linalg import _primitive_echelon
+
+    if not matrix:
+        return []
+    cols = len(matrix[0])
+    rows, pivots = _primitive_echelon(matrix)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for row, pc in reversed(list(zip(rows, pivots))):
+            v[pc] = Fraction(-sum(row[j] * v[j] for j in range(pc + 1, cols)), row[pc])
+        basis.append(v)
+    return basis
+
+
+def reference_h1(spec, ideals, m: int) -> int:
+    """h^1 by the rank of the whole condition matrix, the oracle of the
+    standard-monomial walk in ``curves._condition_rank``: one row per
+    nonmember x^alpha y^beta of each ideal (ideals[k] at
+    spec.singularities[k]), the Taylor coefficient at it of every monomial
+    of degree <= m around the point, scaled by q^m s^m for the point
+    (p/q, r/s)."""
+    from alexinv.curves import _monomials_up_to
+    from alexinv.linalg import rational_rank
+
+    cols = _monomials_up_to(m)
+    rows = []
+    for point, ideal in zip(spec.singularities, ideals):
+        (p, q), (r, s) = (c.as_integer_ratio() for c in point.position)
+        xs = [p**k * q ** (m - k) for k in range(m + 1)]  # x0^k q^m
+        ys = [r**k * s ** (m - k) for k in range(m + 1)]  # y0^k s^m
+        for alpha, beta in ideal.nonmembers:
+            rows.append([
+                comb(i, alpha) * comb(j, beta) * xs[i - alpha] * ys[j - beta]
+                if i >= alpha and j >= beta else 0
+                for i, j in cols
+            ])
+    return sum(ideal.colength for ideal in ideals) - rational_rank(rows)
+
+
+def unpruned_intersections(r: int, faces, max_size: int):
+    """Every subset of at most max_size faces, by size and then in
+    lexicographic order, with the vertices of its intersection when that is
+    nonempty: the oracle of the pruned walk ``curves._intersections``."""
+    from itertools import combinations
+
+    from alexinv.polytope import RationalPolytope
+
+    for size in range(1, max_size + 1):
+        for combo in combinations(range(len(faces)), size):
+            verts = RationalPolytope(r, [c for i in combo for c in faces[i]]).vertices()
+            if verts:
+                yield combo, verts

@@ -209,9 +209,9 @@ def test_schema_round_trip(files):
 
 
 def test_internal_error_exit_70(files, monkeypatch, capsys):
-    # curves holds its own reference to linalg.rational_rank
-    true_rank = curves.rational_rank
-    monkeypatch.setattr(curves, "rational_rank", lambda rows: true_rank(rows) + 2)
+    # overcount the rank of the superabundance conditions
+    true_rank = curves._condition_rank
+    monkeypatch.setattr(curves, "_condition_rank", lambda *args: true_rank(*args) + 2)
     code, out = _run(["global", "--curve", files["sextic"], "--cover", "6"])
     assert code == 70 and out == ""
     assert "internal error" in capsys.readouterr().err
@@ -275,7 +275,7 @@ def test_cli_import_does_not_load_sympy(files, tmp_path):
 
 
 def test_package_names_resolve():
-    assert len(alexinv.__all__) == 56
+    assert len(alexinv.__all__) == 55
     for name in alexinv.__all__:
         value = getattr(alexinv, name)
         assert getattr(sys.modules[value.__module__], name) is value

@@ -23,7 +23,11 @@ from alexinv import curves
 from alexinv.cyclotomic import expand_cyclotomic
 from alexinv.errors import BadGerm, NotPolynomial, TheoremViolation
 from alexinv.laurent import LaurentPolynomial, exact_divide, normalize_unit
+from alexinv.polytope import RationalPolytope
+from alexinv.quasiadj import ideal_triple
+from alexinv.resolution import PlaneCurveGerm
 from alexinv.serialize import curve_from_json
+from conftest import reference_h1, unpruned_intersections
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -162,6 +166,18 @@ def test_divisibility_failure_is_a_theorem_violation(sextic_on_conic, monkeypatc
         divisibility_check(sextic_on_conic)
 
 
+def test_divisibility_failure_names_the_phi_exponents():
+    """120 cusps on y = x^2 at d = 24 give Delta_C = Phi_6^85, which does
+    not divide Delta_inf = (t^24 - 1)^22 (t - 1): the message names the
+    Phi_6 exponents, not the expanded polynomials of degree 170 and 529."""
+    spec = ProjectiveCurveSpec.build(24, [((x, x * x), "cusp") for x in range(-60, 60)])
+    with pytest.raises(TheoremViolation) as caught:
+        divisibility_check(spec)
+    message = str(caught.value)
+    assert "Phi_6^85 does not divide Phi_6^22" in message
+    assert len(message) < 80
+
+
 EXPONENT_MAPS = st.dictionaries(st.integers(1, 12), st.integers(0, 4), max_size=3)
 
 
@@ -251,8 +267,8 @@ def test_equal_named_germs_give_equal_specs():
 
 
 def test_overcounted_rank_is_an_internal_error(sextic_on_conic, monkeypatch):
-    true_rank = curves.rational_rank
-    monkeypatch.setattr(curves, "rational_rank", lambda rows: true_rank(rows) + 2)
+    true_rank = curves._condition_rank
+    monkeypatch.setattr(curves, "_condition_rank", lambda *args: true_rank(*args) + 2)
     with pytest.raises(AssertionError, match="internal error"):
         superabundance(sextic_on_conic, F(1, 6))
     with pytest.raises(AssertionError, match="internal error"):
@@ -487,3 +503,170 @@ def test_smooth_explicit_germ_adds_no_condition():
     for k in range(1, 6):
         assert superabundance(with_smooth, F(k, 6)) == superabundance(plain, F(k, 6))
     assert superabundance(with_smooth, F(1, 6)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the standard-monomial walk of _condition_rank against the whole condition
+# matrix, and the pruned subset walk against the unpruned enumeration
+# ---------------------------------------------------------------------------
+
+CONDITION_KINDS = [
+    "cusp",
+    "node",
+    (2, 5),
+    (3, 4),
+    "x^2 + y^5",
+    "(x-y)^2+y^5",
+    "x^3 + y^4",
+    PlaneCurveGerm.from_strings("x^2 - y^3", "x^3 - y^2"),
+    PlaneCurveGerm.from_strings("x - y", "x + y", "x"),
+]
+_SHARED_GERMS: dict = {}  # explicit germs are resolved once for every example
+
+
+@st.composite
+def condition_cases(draw):
+    """Singular points of mixed kinds on a grid, a line or a conic, at
+    integer or rational positions, with a kappa and a twist degree m."""
+    shape = draw(st.sampled_from(["grid", "line", "conic"]))
+    den = draw(st.sampled_from([1, 1, 2, 3]))
+    n = draw(st.integers(1, 9))
+    if shape == "grid":
+        cells = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n, unique=True))
+        positions = [(F(a, den), F(b, den)) for a, b in cells]
+    else:
+        ts = [F(t, den) for t in draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))]
+        positions = [(t, 3 * t - 1) if shape == "line" else (t, t * t) for t in ts]
+    kinds = draw(st.lists(st.sampled_from(CONDITION_KINDS), min_size=n, max_size=n))
+    points = [curves.singular_point(p, k, _SHARED_GERMS, ("C",)) for p, k in zip(positions, kinds)]
+    spec = ProjectiveCurveSpec(60, [("C", 60)], points)
+    kappa = F(draw(st.integers(1, 60)), 60)
+    return spec, [point.data.ideal_at(kappa) for point in points], draw(st.integers(0, 9))
+
+
+@settings(max_examples=150)
+@given(condition_cases())
+def test_condition_rank_matches_whole_matrix(case):
+    spec, ideals, m = case
+    assert curves._h1(spec, ideals, m) == reference_h1(spec, ideals, m)
+
+
+def test_condition_rank_matches_whole_matrix_on_named_rungs(sextic_on_conic, sextic_nine):
+    """The seeded 8-point curve of (2, 5) germs, sheared or not, and the
+    sextics: both routes agree where h^1 > 0 and where it is 0."""
+    points = [(-3, 3), (-2, 2), (-1, -2), (-1, -1), (0, 0), (1, -1), (3, 0), (3, 1)]
+    tens = ProjectiveCurveSpec.build(10, [(p, (2, 5)) for p in points])
+    sheared = transform_positions(tens, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    for spec in (tens, sheared, sextic_on_conic, sextic_nine):
+        for k in range(1, spec.degree):
+            kappa = F(k, spec.degree)
+            m = spec.degree - 3 - k
+            if m < 0:
+                continue
+            ideals = [point.data.ideal_at(kappa) for point in spec.singularities]
+            assert curves._h1(spec, ideals, m) == reference_h1(spec, ideals, m)
+
+
+DOWNWARD_GERMS = [
+    ("x^2 + y^3",),
+    ("x^2 + y^5",),
+    ("(x-y)^2+y^5",),
+    ("x^3 + y^4",),
+    ("(x^2-y^3)^2-4*x^5*y-x^7",),
+    ("x^2 - y^3", "x^3 - y^2"),
+    ("x - y", "x + y"),
+    ("x^2 - y^3", "x^3 - y^2", "x - y"),
+]
+_TREES: dict = {}
+
+
+def _tree(texts):
+    if texts not in _TREES:
+        _TREES[texts] = curves.local_data_for(PlaneCurveGerm.from_strings(*texts)).tree
+    return _TREES[texts]
+
+
+@given(st.sampled_from(DOWNWARD_GERMS), st.lists(st.integers(1, 60), min_size=3, max_size=3))
+def test_nonmembers_are_closed_downwards(texts, numerators):
+    """The precondition of the walk in _condition_rank: with x^a y^b a
+    nonmember, so are x^(a-1) y^b and x^a y^(b-1), for every variant at
+    every xi, and for the named types along the diagonal."""
+    tree = _tree(texts)
+    xi = [F(k, 60) for k in numerators[: tree.r]]
+    ideals = list(ideal_triple(tree, xi))
+    ideals += [curves.local_data_for(kind).ideal_at(xi[0]) for kind in ("cusp", "node")]
+    ideals += [curves.local_data_for("torus", pq).ideal_at(xi[0]) for pq in ((2, 5), (3, 4), (4, 7))]
+    for ideal in ideals:
+        nonmembers = set(ideal.nonmembers)
+        for a, b in nonmembers:
+            assert a == 0 or (a - 1, b) in nonmembers
+            assert b == 0 or (a, b - 1) in nonmembers
+
+
+def test_conic_rung_builds_few_columns(monkeypatch):
+    """120 cusps on y = x^2 at d = 24 (m = 17): every curve of degree 17
+    through them contains the conic, whose leading monomial is x^2 in the
+    graded order, so the walk builds the columns of y^j, x y^j and x^2
+    alone, 2m + 2 = 36 of them, and not the 171 of the whole matrix."""
+    built = []
+    insert = curves.echelon_insert
+    monkeypatch.setattr(curves, "echelon_insert", lambda *args: built.append(1) or insert(*args))
+    spec = ProjectiveCurveSpec.build(24, [((x, x * x), "cusp") for x in range(-60, 60)])
+    assert superabundance(spec, F(1, 6)) == 85
+    assert len(built) <= 2 * 17 + 2
+
+
+def _two_cusp_germ_and_a_cusp():
+    """Degree 6, components A and B of degree 3, the two-cusp germ at
+    (0, 0) and a cusp at (1, 1), both with no incidence: 10 lifted faces."""
+    germs: dict = {}
+    two_cusps = PlaneCurveGerm.from_strings("x^2 - y^3", "x^3 - y^2")
+    points = [curves.singular_point((0, 0), two_cusps, germs), curves.singular_point((1, 1), "cusp", germs)]
+    return ProjectiveCurveSpec(6, [("A", 3), ("B", 3)], points)
+
+
+def test_empty_intersections_are_not_extended(monkeypatch):
+    """The subset walk of global_faces_and_components solves 89 vertex sets
+    on this curve, of the 1023 subsets of its 10 lifted faces."""
+    solved = []
+
+    class CountingPolytope(RationalPolytope):
+        def vertices(self):
+            solved.append(1)
+            return super().vertices()
+
+    monkeypatch.setattr(curves, "RationalPolytope", CountingPolytope)
+    faces = global_faces_and_components(_two_cusp_germ_and_a_cusp())
+    assert len(faces) == 12
+    assert len(solved) <= 89
+
+
+def test_pruned_subset_walk_matches_unpruned_enumeration(monkeypatch, sextic_on_conic):
+    """The pruned walk yields the nonempty subsets of the unpruned
+    enumeration, and global_faces_and_components reports byte-identical
+    faces on either."""
+    seen = []
+    walk = curves._intersections
+    monkeypatch.setattr(curves, "_intersections", lambda *args: seen.append(args) or walk(*args))
+    global_faces_and_components(_two_cusp_germ_and_a_cusp())
+    ((r, faces, max_size),) = seen
+    assert (r, len(faces), max_size) == (2, 10, 10)
+    for size in (1, 2, 3):
+        assert sorted(walk(r, faces, size)) == sorted(unpruned_intersections(r, faces, size))
+
+    germs: dict = {}
+    tacnode = PlaneCurveGerm.from_strings("y - x^2", "y + x^2")
+    specs = [
+        sextic_on_conic,
+        ProjectiveCurveSpec(6, [("A", 3), ("B", 3)], [
+            curves.singular_point((0, 0), tacnode, germs, ("A", "B")),
+            curves.singular_point((1, 1), "cusp", germs, ("A",)),
+            curves.singular_point((2, 1), "cusp", germs, ("B",)),
+        ]),
+        ProjectiveCurveSpec.build(10, [((0, 0), (2, 5)), ((1, 2), "cusp"), ((3, 1), "x^2+y^5"), ((2, 2), "x^3+y^4")]),
+    ]
+    for spec in specs:
+        monkeypatch.setattr(curves, "_intersections", walk)
+        pruned = repr(global_faces_and_components(spec))
+        monkeypatch.setattr(curves, "_intersections", unpruned_intersections)
+        assert repr(global_faces_and_components(spec)) == pruned

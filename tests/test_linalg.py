@@ -9,11 +9,11 @@ from alexinv.cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from alexinv.linalg import (
     cokernel_invariants,
     cyclotomic_rank,
-    rational_nullspace,
+    echelon_insert,
     rational_rank,
     smith_normal_form,
 )
-from conftest import integer_kernel_basis
+from conftest import integer_kernel_basis, rational_nullspace
 
 
 def test_smith_examples():
@@ -104,6 +104,20 @@ def test_rank_matches_transpose_and_smith_form(m):
     assert rank == rational_rank([list(col) for col in zip(*m)])
     # the Smith form is independent integer code
     assert rank == sum(1 for d in smith_normal_form(m) if d)
+
+
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), min_size=1, max_size=7))
+def test_echelon_insert_takes_the_rank_one_row_at_a_time(m):
+    """Inserting the rows one by one keeps an echelon of the rows so far:
+    pivots increasing, each row zero before its pivot, and as many rows as
+    the rank of the prefix."""
+    rows, pivots = [], []
+    for k, row in enumerate(m, 1):
+        assert echelon_insert(rows, pivots, list(row)) == (rational_rank(m[:k]) > rational_rank(m[:k - 1]))
+        assert len(rows) == rational_rank(m[:k])
+        assert pivots == sorted(set(pivots))
+        assert all(not any(r[:c]) and r[c] for r, c in zip(rows, pivots))
+        assert rational_rank(rows + m[:k]) == len(rows)
 
 
 @given(matrices, st.sampled_from([1, 2, 3, 4, 5, 6, 12]))

@@ -4,8 +4,8 @@ from itertools import combinations
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alexinv.linalg import rational_nullspace
 from alexinv.polytope import RationalPolytope
+from conftest import rational_nullspace
 
 
 def _dot(a, b):
