@@ -3,7 +3,12 @@ parsing of germ strings like "x^2 - y^3", and the squarefree and coprime
 checks and tangent factoring behind them: exact, with no computer algebra
 system.
 
-A polynomial is a dict (i, j) -> Fraction with no zero values.
+A polynomial is a dict (i, j) -> coefficient with no zero values.  A
+coefficient is an ``int`` when it is integral and a ``Fraction``
+otherwise, as in ``uni`` and ``laurent``: ``clean`` turns an integral
+``Fraction`` into its ``int``, sums and products start from the integer
+0, and a coefficient is divided only through ``Fraction``, so integer
+inputs give integer results and no float can appear.
 """
 
 from __future__ import annotations
@@ -17,17 +22,31 @@ from . import uni
 from .errors import BadGerm, NotReduced
 
 Term = Tuple[int, int]
-Poly2 = Dict[Term, Fraction]
+Poly2 = Dict[Term, uni.Coefficient]
+
+
+def _coefficient(c) -> uni.Coefficient:
+    """c as an exact coefficient: an ``int`` when integral, else a
+    ``Fraction``."""
+    if isinstance(c, int):
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def clean(p: Poly2) -> Poly2:
-    return {k: v for k, v in p.items() if v != 0}
+    """p without its zero terms, each integral ``Fraction`` as an ``int``."""
+    return {
+        k: v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+        for k, v in p.items()
+        if v
+    }
 
 
 def add(p: Poly2, q: Poly2) -> Poly2:
     out = dict(p)
     for k, v in q.items():
-        out[k] = out.get(k, Fraction(0)) + v
+        out[k] = out.get(k, 0) + v
     return clean(out)
 
 
@@ -36,17 +55,17 @@ def mul(p: Poly2, q: Poly2) -> Poly2:
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in q.items():
             k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
+            out[k] = out.get(k, 0) + c1 * c2
     return clean(out)
 
 
 def scale(p: Poly2, c) -> Poly2:
-    c = Fraction(c)
+    c = _coefficient(c)
     return clean({k: v * c for k, v in p.items()})
 
 
 def power(p: Poly2, n: int) -> Poly2:
-    out: Poly2 = {(0, 0): Fraction(1)}
+    out: Poly2 = {(0, 0): 1}
     base = dict(p)
     while n:
         if n & 1:
@@ -57,16 +76,16 @@ def power(p: Poly2, n: int) -> Poly2:
 
 
 def constant(c) -> Poly2:
-    c = Fraction(c)
+    c = _coefficient(c)
     return {(0, 0): c} if c else {}
 
 
 def variable_x() -> Poly2:
-    return {(1, 0): Fraction(1)}
+    return {(1, 0): 1}
 
 
 def variable_y() -> Poly2:
-    return {(0, 1): Fraction(1)}
+    return {(0, 1): 1}
 
 
 def multiplicity(p: Poly2) -> int:
@@ -77,7 +96,8 @@ def multiplicity(p: Poly2) -> int:
 
 
 def compose(p: Poly2, px: Poly2, py: Poly2) -> Poly2:
-    """p(px, py), with cached powers of the substituted values."""
+    """p(px, py), with cached powers of the substituted values, summed
+    into one dict."""
     if not p:
         return {}
     max_i = max(i for i, _ in p)
@@ -90,8 +110,9 @@ def compose(p: Poly2, px: Poly2, py: Poly2) -> Poly2:
         ypow.append(mul(ypow[-1], py))
     out: Poly2 = {}
     for (i, j), c in p.items():
-        out = add(out, scale(mul(xpow[i], ypow[j]), c))
-    return out
+        for k, v in mul(xpow[i], ypow[j]).items():
+            out[k] = out.get(k, 0) + c * v
+    return clean(out)
 
 
 def partial_x(p: Poly2) -> Poly2:
@@ -114,13 +135,13 @@ def shift_x(p: Poly2, n: int) -> Poly2:
     return {(i - n, j): c for (i, j), c in p.items()}
 
 
-def restrict_x0(p: Poly2) -> List[Fraction]:
+def restrict_x0(p: Poly2) -> uni.Poly:
     """p(0, y) as a dense coefficient list in y."""
     terms = {j: c for (i, j), c in p.items() if i == 0}
-    return [terms.get(j, Fraction(0)) for j in range(max(terms, default=-1) + 1)]
+    return [terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]
 
 
-def restrict_y0(p: Poly2) -> List[Fraction]:
+def restrict_y0(p: Poly2) -> uni.Poly:
     """p(x, 0) as a dense coefficient list in x."""
     return restrict_x0(swap_xy(p))
 
@@ -209,7 +230,7 @@ def _by_y(p: Poly2) -> List[uni.Poly]:
     """p as a dense list, by powers of y, of dense polynomials in x."""
     out: List[uni.Poly] = [[] for _ in range(1 + max((j for _, j in p), default=-1))]
     for (i, j), c in p.items():
-        out[j] += [Fraction(0)] * (i + 1 - len(out[j]))
+        out[j] += [0] * (i + 1 - len(out[j]))
         out[j][i] = c
     return out
 
@@ -254,7 +275,7 @@ def are_coprime(p: Poly2, q: Poly2) -> bool:
     return len(uni.gcd(_content(p), _content(q))) == 1 and not _share_factor_in_y(p, q)
 
 
-def factor_univariate(coeffs: List[Fraction]):
+def factor_univariate(coeffs: uni.Poly):
     """Factorization over Q of a nonzero dense univariate coefficient list
     into rational linear factors and squarefree rests with no rational
     root (Yun's squarefree decomposition, then the rational root test).
@@ -275,7 +296,7 @@ def factor_univariate(coeffs: List[Fraction]):
             out.append((rest, mult))
     const = coeffs[-1]
     for key, mult in out:
-        const /= key[-1] ** mult
+        const = uni.quotient(const, key[-1] ** mult)
     return const, sorted(out, key=lambda f: (len(f[0]), f[0]))
 
 

@@ -39,7 +39,6 @@ from .quasiadj import (
     LocalIdealDescription,
     ideal_of_quasiadjunction,
     jumping_values,
-    kappa_constant,
     polytopes_and_faces,
     torus_constants,
 )
@@ -92,17 +91,20 @@ class NamedGermData(LocalData):
         return [] if self.kind == "node" else torus_constants(self.p, self.q)
 
     def ideal_at(self, kappa: Fraction) -> LocalIdealDescription:
+        """x^i y^j is a member iff kappa = n/d exceeds its constant
+        max(1 - (i+1)/p - (j+1)/q, 0), that is, iff n > 0 and
+        n p q > d (p q - (i+1) q - (j+1) p): decided on integers."""
         kappa = Fraction(kappa)
-        bound = self.p + self.q
+        n, d, p, q = kappa.numerator, kappa.denominator, self.p, self.q
+        bound = p + q
         members, nonmembers = set(), []
-        for total in range(bound):
-            for i in range(total + 1):
-                j = total - i
-                if self.kind == "node" or kappa > kappa_constant(self.p, self.q, i, j):
+        for i in range(bound):
+            for j in range(bound - i):
+                if self.kind == "node" or (n > 0 and n * p * q > d * (p * q - (i + 1) * q - (j + 1) * p)):
                     members.add((i, j))
                 else:
                     nonmembers.append((i, j))
-        return LocalIdealDescription(bound, frozenset(members), tuple(sorted(nonmembers)))
+        return LocalIdealDescription(bound, frozenset(members), tuple(nonmembers))
 
     def local_faces(self):
         """The point xi = kappa at each constant: the face kappa <= xi <= kappa."""

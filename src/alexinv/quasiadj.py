@@ -14,10 +14,19 @@ on integers: a_k . xi >= rhs iff floor(a_k . xi) >= rhs, and a_k . xi =
 rhs iff a_k . xi is an integer and floor(a_k . xi) = rhs.  So each point
 becomes one pair (floor, integral) per node, computed once per point;
 the right side is written once, in ``_rhs``, and tabulated once per tree
-for the monomials below the certified jet bound; and one sweep of that
-table gives all three ideals.  An ideal is described by its monomial
-staircase below that bound; every monomial of degree at or above it lies
-in all three ideals at every xi, so no larger bound changes an answer.
+for the monomials below the certified jet bound.  An ideal is described
+by its monomial staircase below that bound; every monomial of degree at
+or above it lies in all three ideals at every xi, so no larger bound
+changes an answer.
+
+Each staircase is found by a walk along its boundary, which tests O(B)
+monomials of the B(B+1)/2 below the jet bound B.  The walk is exact
+because the nonmembers of every variant are closed downwards: e_k of
+x^a y^b grows with a and b, so every rhs_k falls; a point that satisfies
+the inequalities for a monomial satisfies them for its multiples, and the
+nodes where equality holds can only drop out, so a weight-one member's
+multiples stay weight-one members.  Column a of the nonmembers is thus
+the run beta < h(a), and h does not increase with a.
 """
 
 from __future__ import annotations
@@ -186,43 +195,61 @@ class LocalIdealDescription:
         }
 
 
-def _rhs_table(tree: ResolutionTree) -> List[Tuple[Monomial, Tuple[int, ...]]]:
-    """(monomial, rhs) for every monomial below the jet bound, sorted;
-    e_k(x^alpha y^beta) = alpha e_k(x) + beta e_k(y).  A monomial with no
-    positive rhs_k gets the empty row: a_k . xi > 0 on (0, 1]^r, so it lies
-    in all three ideals at every xi and bounds no region.  Cached on the
-    tree: every point of a sweep reads the same table."""
+def _rhs_table(tree: ResolutionTree) -> Dict[Monomial, Tuple[int, ...]]:
+    """monomial -> rhs for every monomial below the jet bound, in table
+    order (alpha, then beta); e_k(x^alpha y^beta) = alpha e_k(x) + beta
+    e_k(y).  A monomial with no positive rhs_k gets the empty row: a_k . xi
+    > 0 on (0, 1]^r, so it lies in all three ideals at every xi and bounds
+    no region.  Cached on the tree: every point reads the same table."""
     if "_rhs_table" not in tree.__dict__:
         ex = tree.pullback_orders(biv.variable_x())
         ey = tree.pullback_orders(biv.variable_y())
-        bound = jet_bound(tree) - 1
-        table = []
-        for alpha in range(bound + 1):
-            for beta in range(bound + 1 - alpha):
-                rhs = _rhs(tree, [alpha * x + beta * y for x, y in zip(ex, ey)])
-                table.append(((alpha, beta), rhs if any(r > 0 for r in rhs) else ()))
+        unit = _rhs(tree, [0] * len(tree.nodes))
+        bound = jet_bound(tree)
+        table = {}
+        for alpha in range(bound):
+            for beta in range(bound - alpha):
+                rhs = tuple(u - alpha * x - beta * y for u, x, y in zip(unit, ex, ey))
+                table[alpha, beta] = rhs if any(r > 0 for r in rhs) else ()
         tree.__dict__["_rhs_table"] = table
     return tree.__dict__["_rhs_table"]
 
 
 def ideal_triple(tree: ResolutionTree, xi):
-    """The strict, weight-one and log ideals at xi, from one sweep of the
-    monomials below the jet bound."""
+    """The strict, weight-one and log ideals at xi, each read off its
+    staircase by a walk that tests O(jet bound) monomials; the three walks
+    share one memo of membership triples."""
     xi = _rationals(xi, "xi")
     if len(xi) != tree.r:
         raise BadGerm("xi must have one coordinate per component")
     if any(not 0 < x <= 1 for x in xi):
         raise BadGerm("xi coordinates must lie in (0, 1]")
     levels = _node_floors(tree, xi)
-    members: Tuple[List[Monomial], ...] = ([], [], [])
-    nonmembers: Tuple[List[Monomial], ...] = ([], [], [])
-    for mono, rhs in _rhs_table(tree):
-        for i, member in enumerate(_memberships(tree, levels, rhs)):
-            (members if member else nonmembers)[i].append(mono)
-    return tuple(
-        LocalIdealDescription(jet_bound(tree), frozenset(members[i]), tuple(nonmembers[i]))
-        for i in range(len(VARIANTS))
-    )
+    rhs_of = _rhs_table(tree)
+    monomials, bound = frozenset(rhs_of), jet_bound(tree)
+    memo: Dict[Monomial, Tuple[bool, bool, bool]] = {}
+
+    def memberships(mono: Monomial) -> Tuple[bool, bool, bool]:
+        if mono not in memo:
+            memo[mono] = _memberships(tree, levels, rhs_of[mono])
+        return memo[mono]
+
+    out = []
+    for i in range(len(VARIANTS)):
+        # h(0) by climbing column 0; then h(alpha) <= h(alpha - 1), found by
+        # descending from the previous height
+        height, nonmembers = 0, []
+        while height < bound and not memberships((0, height))[i]:
+            height += 1
+        for alpha in range(bound):
+            height = min(height, bound - alpha)
+            while height and memberships((alpha, height - 1))[i]:
+                height -= 1
+            if not height:
+                break
+            nonmembers.extend((alpha, beta) for beta in range(height))
+        out.append(LocalIdealDescription(bound, monomials.difference(nonmembers), tuple(nonmembers)))
+    return tuple(out)
 
 
 def ideal_of_quasiadjunction(tree: ResolutionTree, xi, variant: str = "strict") -> LocalIdealDescription:
@@ -239,18 +266,19 @@ def ideal_of_quasiadjunction(tree: ResolutionTree, xi, variant: str = "strict") 
 def jumping_values(tree: ResolutionTree) -> List[Fraction]:
     """Jumping values in (0, 1) of the diagonal family xi = (kappa, ...,
     kappa): for each monomial below the jet bound, the largest per-node
-    threshold (sum a - e - c - 1)/(sum a)."""
-    values = set()
+    threshold (sum a - e - c - 1)/(sum a), compared by integer
+    cross-multiplication."""
     totals = [node.total_multiplicity for node in tree.nodes]
-    for _, rhs in _rhs_table(tree):
+    ratios = set()
+    for rhs in _rhs_table(tree).values():
         # only a positive threshold can be a jumping value
-        kappa = max(
-            (Fraction(r, m) for r, m in zip(rhs, totals) if r > 0),
-            default=Fraction(0),
-        )
-        if 0 < kappa < 1:
-            values.add(kappa)
-    return sorted(values)
+        top, den = 0, 1
+        for r, m in zip(rhs, totals):
+            if r * den > top * m:
+                top, den = r, m
+        if 0 < top < den:
+            ratios.add((top, den))
+    return sorted({Fraction(top, den) for top, den in ratios})
 
 
 def constants_of_quasiadjunction(tree: ResolutionTree) -> List[Fraction]:
@@ -316,21 +344,18 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
     quasiadjunction in the open cube, with ideal triples and quotient
     dimensions attached per face.
 
-    Each candidate point gets its three ideals from one sweep, and its face
-    by a lookup in the face lattice of its polytope, computed once per
-    polytope."""
+    Each candidate point gets its three ideals from their staircase walks,
+    and its face by a lookup in the face lattice of its polytope, computed
+    once per polytope."""
     from .polytope import RationalPolytope
 
     r = tree.r
     if r > 3:
         raise UnsupportedDimension("faces supported for r <= 3 components")
-    table = _rhs_table(tree)
-    rhs_of = dict(table)
-    regions = {}
-    for _, rhs in table:
-        hs = _region_halfspaces(tree, rhs)
-        if hs:
-            regions[frozenset(hs)] = hs
+    halfspaces_of = {
+        mono: _region_halfspaces(tree, rhs) for mono, rhs in _rhs_table(tree).items() if rhs
+    }
+    regions = {frozenset(hs): hs for hs in halfspaces_of.values()}
     # candidate points: relative-interior points of faces of the regions and
     # of their pairwise (and triple, for r = 3) intersections
     pool = []
@@ -354,8 +379,9 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
         key = log_ideal.members
         if key not in found:
             halfspaces = set()
-            for mono in key:
-                halfspaces.update(_region_halfspaces(tree, rhs_of[mono]))
+            for mono, hs in halfspaces_of.items():
+                if mono in key:
+                    halfspaces.update(hs)
             poly = RationalPolytope(r, sorted(halfspaces))
             found[key] = (QuasiPolytope(polytope=poly, log_staircase=key, faces=[]), poly.face_lookup())
         qp, face_of = found[key]

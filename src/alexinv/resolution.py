@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -186,7 +185,7 @@ def resolve(germ: PlaneCurveGerm) -> ResolutionTree:
 
 def _blow_up(tree: ResolutionTree, site: _Site, components, queue):
     node_id = len(tree.nodes) + 1
-    u, uv = biv.variable_x(), {(1, 1): Fraction(1)}
+    u, uv = biv.variable_x(), {(1, 1): 1}
     chart_x = biv.compose(site.subs_x, u, uv)
     chart_y = biv.compose(site.subs_y, u, uv)
     a = tuple(biv.ord_x(biv.compose(f, chart_x, chart_y)) for f in components)
@@ -211,7 +210,7 @@ def _blow_up(tree: ResolutionTree, site: _Site, components, queue):
         m = biv.multiplicity(g)
         g1 = biv.shift_x(biv.compose(g, u, uv), m)
         strict1.append((i, g1))
-    factored: Dict[Tuple[Fraction, ...], Dict[int, int]] = {}
+    factored: Dict[Tuple[uni.Coefficient, ...], Dict[int, int]] = {}
     irrational = []
     for i, g1 in strict1:
         _, factors = biv.factor_univariate(biv.restrict_x0(g1))
@@ -238,10 +237,10 @@ def _blow_up(tree: ResolutionTree, site: _Site, components, queue):
             continue
         if len(h) != 2:
             raise NonRationalInfinitelyNearPoint(uni.to_string(h, "v"), len(h) <= 4)
-        v0 = -h[0] / h[1]
+        v0 = uni.quotient(-h[0], h[1])
         # new coordinates (X, Y) with (old X, old Y) = (X, X (Y + v0));
         # germs are the chart-1 strict transforms recentered at (0, v0)
-        recentered_y = {(0, 1): Fraction(1), (0, 0): v0} if v0 else {(0, 1): Fraction(1)}
+        recentered_y = {(0, 1): 1, (0, 0): v0} if v0 else {(0, 1): 1}
         new_site = _Site(
             subs_x=biv.compose(site.subs_x, biv.variable_x(), _times_x(recentered_y)),
             subs_y=biv.compose(site.subs_y, biv.variable_x(), _times_x(recentered_y)),
@@ -256,7 +255,7 @@ def _blow_up(tree: ResolutionTree, site: _Site, components, queue):
         queue.append(new_site)
 
     # --- chart 2: (X, Y) -> (U V, V); E_new = {V = 0}, origin = [0:1] ---
-    vu, v = {(1, 1): Fraction(1)}, biv.variable_y()
+    vu, v = {(1, 1): 1}, biv.variable_y()
     through: List[Tuple[int, biv.Poly2]] = []
     for i, g in site.germs:
         m = biv.multiplicity(g)
@@ -284,7 +283,7 @@ def _times_x(p: biv.Poly2) -> biv.Poly2:
     return biv.mul(biv.variable_x(), p)
 
 
-def _ord_at_zero(coeffs: List[Fraction]) -> int:
+def _ord_at_zero(coeffs: uni.Poly) -> int:
     for i, c in enumerate(coeffs):
         if c != 0:
             return i

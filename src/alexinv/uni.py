@@ -234,8 +234,10 @@ def rational_roots(p: Poly) -> List[Fraction]:
     return roots
 
 
-def evaluate(p: Poly, x) -> Fraction:
-    acc = Fraction(0)
+def evaluate(p: Poly, x) -> Coefficient:
+    """p(x) by Horner's rule, from the integer 0: an ``int`` when p and x
+    are integral."""
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc

@@ -58,9 +58,43 @@ def puiseux2_tree():
     return resolve(PlaneCurveGerm.from_strings("(x^2-y^3)^2-4*x^5*y-x^7"))
 
 
+@pytest.fixture(scope="session")
+def x5y9_tree():
+    from alexinv.resolution import PlaneCurveGerm, resolve
+
+    return resolve(PlaneCurveGerm.from_strings("x^5 + y^9"))
+
+
+@pytest.fixture(scope="session")
+def three_branch_tree():
+    """Two cusps with transverse tangents and the line between them."""
+    from alexinv.resolution import PlaneCurveGerm, resolve
+
+    return resolve(PlaneCurveGerm.from_strings("x^2 - y^3", "x^3 - y^2", "x - y"))
+
+
 # ---------------------------------------------------------------------------
 # helpers shared by test modules (import them with ``from conftest import``)
 # ---------------------------------------------------------------------------
+
+
+def full_sweep_triple(tree, xi):
+    """The strict, weight-one and log ideals at xi from one sweep of every
+    monomial below the jet bound, in table order: the route that the
+    staircase walk of ``quasiadj.ideal_triple`` replaced, kept as its
+    oracle."""
+    from alexinv import quasiadj
+
+    levels = quasiadj._node_floors(tree, [Fraction(x) for x in xi])
+    members: tuple = ([], [], [])
+    nonmembers: tuple = ([], [], [])
+    for mono, rhs in quasiadj._rhs_table(tree).items():
+        for i, member in enumerate(quasiadj._memberships(tree, levels, rhs)):
+            (members if member else nonmembers)[i].append(mono)
+    return tuple(
+        quasiadj.LocalIdealDescription(quasiadj.jet_bound(tree), frozenset(members[i]), tuple(nonmembers[i]))
+        for i in range(len(quasiadj.VARIANTS))
+    )
 
 
 def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> List[List[int]]:

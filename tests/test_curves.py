@@ -24,10 +24,10 @@ from alexinv.cyclotomic import expand_cyclotomic
 from alexinv.errors import BadGerm, NotPolynomial, TheoremViolation
 from alexinv.laurent import LaurentPolynomial, exact_divide, normalize_unit
 from alexinv.polytope import RationalPolytope
-from alexinv.quasiadj import ideal_triple
+from alexinv.quasiadj import LocalIdealDescription, kappa_constant
 from alexinv.resolution import PlaneCurveGerm
 from alexinv.serialize import curve_from_json
-from conftest import reference_h1, unpruned_intersections
+from conftest import full_sweep_triple, reference_h1, unpruned_intersections
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -588,12 +588,14 @@ def _tree(texts):
 
 @given(st.sampled_from(DOWNWARD_GERMS), st.lists(st.integers(1, 60), min_size=3, max_size=3))
 def test_nonmembers_are_closed_downwards(texts, numerators):
-    """The precondition of the walk in _condition_rank: with x^a y^b a
-    nonmember, so are x^(a-1) y^b and x^a y^(b-1), for every variant at
-    every xi, and for the named types along the diagonal."""
+    """The precondition of the walks in _condition_rank and in
+    quasiadj.ideal_triple: with x^a y^b a nonmember, so are x^(a-1) y^b
+    and x^a y^(b-1), for every variant at every xi (read from the full
+    sweep, which does not assume it), and for the named types along the
+    diagonal."""
     tree = _tree(texts)
     xi = [F(k, 60) for k in numerators[: tree.r]]
-    ideals = list(ideal_triple(tree, xi))
+    ideals = list(full_sweep_triple(tree, xi))
     ideals += [curves.local_data_for(kind).ideal_at(xi[0]) for kind in ("cusp", "node")]
     ideals += [curves.local_data_for("torus", pq).ideal_at(xi[0]) for pq in ((2, 5), (3, 4), (4, 7))]
     for ideal in ideals:
@@ -601,6 +603,31 @@ def test_nonmembers_are_closed_downwards(texts, numerators):
         for a, b in nonmembers:
             assert a == 0 or (a - 1, b) in nonmembers
             assert b == 0 or (a, b - 1) in nonmembers
+
+
+def _kappa_constant_ideal(data, kappa):
+    """The named ideal by comparing kappa with each monomial's Fraction
+    constant of quasiadjunction: the route that the integer test of
+    NamedGermData.ideal_at replaced, kept as its oracle."""
+    bound = data.p + data.q
+    members, nonmembers = set(), []
+    for total in range(bound):
+        for i in range(total + 1):
+            if data.kind == "node" or kappa > kappa_constant(data.p, data.q, i, total - i):
+                members.add((i, total - i))
+            else:
+                nonmembers.append((i, total - i))
+    return LocalIdealDescription(bound, frozenset(members), tuple(sorted(nonmembers)))
+
+
+def test_named_ideal_matches_kappa_constant_route():
+    """Every k/d with d <= 42, on the cusp, (2,5), (3,4) and the node."""
+    types = [curves.local_data_for("cusp"), curves.local_data_for("node")]
+    types += [curves.local_data_for("torus", pq) for pq in ((2, 5), (3, 4))]
+    kappas = {F(k, d) for d in range(1, 43) for k in range(0, d + 1)}
+    for data in types:
+        for kappa in sorted(kappas):
+            assert data.ideal_at(kappa) == _kappa_constant_ideal(data, kappa)
 
 
 def test_conic_rung_builds_few_columns(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alexinv import biv
+from alexinv import biv, quasiadj
 from alexinv.errors import UseFacesForMultiComponent, ValidationError
 from alexinv.quasiadj import (
     constants_of_quasiadjunction,
@@ -22,6 +22,7 @@ from alexinv.quasiadj import (
     polytopes_and_faces,
     xi_steps,
 )
+from conftest import full_sweep_triple
 
 F = Fraction
 
@@ -196,19 +197,55 @@ def _points(draw, tree):
     return tuple(xi)
 
 
-@pytest.mark.parametrize("fixture", ["cusp_tree", "two_cusp_tree", "t25_tree", "puiseux2_tree"])
+@pytest.mark.parametrize(
+    "fixture", ["cusp_tree", "two_cusp_tree", "t25_tree", "puiseux2_tree", "x5y9_tree", "three_branch_tree"]
+)
 def test_integer_triple_matches_fraction_oracle(fixture, request):
+    """The staircase walk against the Fraction comparisons for the members
+    and against the full sweep for the nonmembers, in table order."""
     tree = request.getfixturevalue(fixture)
 
     @given(_points(tree))
     def check(xi):
         triple = ideal_triple(tree, xi)
         assert tuple(set(ideal.members) for ideal in triple) == _fraction_triple(tree, xi)
+        # the same members, and the same nonmembers in table order
+        assert triple == full_sweep_triple(tree, xi)
         for ideal in triple:
             assert set(ideal.nonmembers).isdisjoint(ideal.members)
             assert len(ideal.members) + ideal.colength == jet_bound(tree) * (jet_bound(tree) + 1) // 2
 
     check()
+
+
+def _faces_dump(qps):
+    """Everything polytopes_and_faces reports, as comparable values."""
+    return [
+        (
+            qp.polytope.halfspaces,
+            qp.polytope.vertices(),
+            sorted(qp.log_staircase),
+            [
+                (f.face.vertices, f.face.dim, f.face.saturated, f.level_point, f.ideals, f.dim_quotient)
+                for f in qp.faces
+            ],
+        )
+        for qp in qps
+    ]
+
+
+@pytest.mark.parametrize("fixture", ["two_cusp_tree", "puiseux2_tree", "three_branch_tree"])
+def test_faces_match_full_sweep_oracle(fixture, request, monkeypatch):
+    """polytopes_and_faces reads the same halfspaces, vertices, saturated
+    constraints, ideal triples and quotient dimensions when every ideal
+    comes from the full sweep in place of the staircase walk."""
+    tree = request.getfixturevalue(fixture)
+    walked = _faces_dump(polytopes_and_faces(tree))
+    assert walked
+    swept = []
+    monkeypatch.setattr(quasiadj, "ideal_triple", lambda tree, xi: swept.append(xi) or full_sweep_triple(tree, xi))
+    assert _faces_dump(polytopes_and_faces(tree)) == walked
+    assert swept
 
 
 def test_monotonicity_in_xi(cusp_tree, two_cusp_tree):

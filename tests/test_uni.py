@@ -71,3 +71,10 @@ def test_maximal_minor_gcd_examples():
     assert uni.maximal_minor_gcd([[[2], []], [[], [-2, 2]], [[], [4]]], 2) == [1]
     # a non-monic gcd 2t - 1 comes out monic
     assert uni.maximal_minor_gcd([[[-1, 2], []], [[], [3]]], 2) == [Fraction(-1, 2), 1]
+
+
+def test_evaluate_keeps_integer_inputs_integral():
+    assert uni.evaluate([3, -2, 1], 5) == 18 and type(uni.evaluate([3, -2, 1], 5)) is int
+    assert uni.evaluate([], 7) == 0 and type(uni.evaluate([], 7)) is int
+    assert uni.evaluate([1, 1], Fraction(1, 2)) == Fraction(3, 2)
+    assert type(uni.evaluate([Fraction(1), 2], 3)) is Fraction
