@@ -249,8 +249,7 @@ def _cmd_covers(args) -> dict:
     pres = parse_and_validate(args.presentation, "presentation")
     report: dict = {}
     if args.cyclic is not None:
-        if pres.rank != 1:
-            raise AlexinvError("--cyclic requires a presentation with r = 1")
+        _check(pres.rank == 1, "--cyclic", f"needs a presentation with r = 1, not r = {pres.rank}")
         n = args.cyclic
         _check(n >= 1, "--cyclic", "the cover order must be >= 1")
         report["cyclic_order"] = n

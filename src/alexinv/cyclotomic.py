@@ -97,16 +97,24 @@ def expand_cyclotomic(exponents: Exponents) -> LaurentPolynomial:
     return LaurentPolynomial.from_univariate(out)
 
 
+@lru_cache(maxsize=None)
+def _divisor_terms(conductor: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """phi(M) and the nonzero terms (j, m) of Phi_M - x^phi(M)."""
+    *low, _ = cyclotomic_polynomial(conductor)
+    return len(low), tuple((j, m) for j, m in enumerate(low) if m)
+
+
 def _reduce(coeffs: list, conductor: int) -> list:
     """The remainder of sum coeffs[i] x^i modulo Phi_M, by long division
-    from the top in place: integer coefficients stay integers."""
-    *low, _ = cyclotomic_polynomial(conductor)
-    phi = len(low)
+    from the top in place: integer coefficients stay integers.  Each step
+    touches only the nonzero terms of Phi_M, which are few for small M."""
+    phi, low = _divisor_terms(conductor)
     for top in range(len(coeffs) - 1, phi - 1, -1):
         c = coeffs[top]
         if c:
-            for j, m in enumerate(low, top - phi):
-                coeffs[j] -= c * m
+            base = top - phi
+            for j, m in low:
+                coeffs[base + j] -= c * m
     return coeffs[:phi]
 
 

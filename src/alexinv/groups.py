@@ -4,7 +4,14 @@ torsion characters, Betti numbers of finite abelian covers, and the Koszul
 model for generic-arrangement homotopy modules.
 
 Words are stored unreduced; Fox differentiation is invariant under free
-reduction, which the test suite checks.
+reduction, which the test suite checks.  One walk over a relator gives
+its Fox derivatives by every generator (``_fox_walk``): with exponent
+vectors in Z^r it builds the Alexander matrix over the Laurent ring, and
+with integer exponents read mod M it evaluates the matrix at a torsion
+character of conductor M without building it.  Both paths check the
+fundamental identity of every row they build, the Laurent one in the
+Laurent ring and the character one in Z[x]/(x^M - 1), and raise
+``InternalError`` when it fails.
 """
 
 from __future__ import annotations
@@ -14,11 +21,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import uni
-from .cyclotomic import evaluate_character, expand_cyclotomic
+from .cyclotomic import CyclotomicElement, evaluate_character, expand_cyclotomic
 from .errors import (
     BadWord,
     InternalError,
@@ -166,6 +173,42 @@ def free_group(rank: int) -> GroupPresentation:
 # ---------------------------------------------------------------------------
 
 
+def _fox_walk(w: Word, images, inverses, origin, plus) -> List[Dict]:
+    """The abelianized Fox derivatives of w by every generator, in one walk
+    over its letters: terms[j] maps an exponent to its coefficient in
+    d w / d x_j.
+
+    The prefix exponent starts at origin, and a letter x_g^e moves it by
+    images[g] when e = 1 and by inverses[g] when e = -1, added by plus.
+    The product rule adds +t^{phi(prefix)} to terms[g] before a letter
+    x_g, and the inverse rule -t^{phi(prefix x_g^-1)} after a letter
+    x_g^-1.
+    """
+    terms: List[Dict] = [{} for _ in images]
+    prefix = origin
+    for g, e in w:
+        d = terms[g]
+        if e == 1:
+            d[prefix] = d.get(prefix, 0) + 1
+            prefix = plus(prefix, images[g])
+        else:
+            prefix = plus(prefix, inverses[g])
+            d[prefix] = d.get(prefix, 0) - 1
+    return terms
+
+
+def _add_vectors(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(map(add, a, b))
+
+
+def _laurent_fox_row(w: Word, phi: Sequence[Sequence[int]], rank: int) -> List[LaurentPolynomial]:
+    """The Fox derivatives of w by every generator over the Laurent ring."""
+    images = [tuple(v) for v in phi]
+    inverses = [tuple(-x for x in v) for v in phi]
+    terms = _fox_walk(w, images, inverses, (0,) * rank, _add_vectors)
+    return [LaurentPolynomial(rank, d) for d in terms]
+
+
 def fox_derivative(
     w: Word, j: int, phi: Sequence[Sequence[int]], rank: int
 ) -> LaurentPolynomial:
@@ -174,20 +217,7 @@ def fox_derivative(
     Product rule applied letter by letter; the inverse rule contributes
     -t^{phi(prefix x^-1)} when the letter is x_j^-1.
     """
-    terms: Dict[Tuple[int, ...], int] = {}
-    prefix = [0] * rank
-    for g, e in w:
-        if e == 1:
-            if g == j:
-                terms[tuple(prefix)] = terms.get(tuple(prefix), 0) + 1
-            for i, x in enumerate(phi[g]):
-                prefix[i] += x
-        else:
-            for i, x in enumerate(phi[g]):
-                prefix[i] -= x
-            if g == j:
-                terms[tuple(prefix)] = terms.get(tuple(prefix), 0) - 1
-    return LaurentPolynomial(rank, terms)
+    return _laurent_fox_row(w, phi, rank)[j]
 
 
 @dataclass
@@ -210,7 +240,7 @@ def fox_jacobian(p: GroupPresentation) -> AlexanderMatrix:
     r = p.rank
     entries = []
     for rel in p.relators:
-        row = [fox_derivative(rel, j, p.phi, r) for j in range(p.generators)]
+        row = _laurent_fox_row(rel, p.phi, r)
         # fundamental identity: row . (t^phi(x_j) - 1) = t^phi(rel) - 1
         lhs: Dict[Tuple[int, ...], int] = {}
         for j, d in enumerate(row):
@@ -241,11 +271,10 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
     """
     if p.rank != 1:
         raise ValueError("one-variable Alexander polynomial requires r = 1")
-    matrix = fox_jacobian(p)
     m = p.torsion_order() if p.torsion else 0
     if m:
         return expand_cyclotomic({
-            d: _h1_dim(matrix, CharacterPoint([Fraction(1, d)]))
+            d: _h1_dim(p, CharacterPoint([Fraction(1, d)]))
             for d in range(2, m + 1)
             if m % d == 0
         })
@@ -258,7 +287,7 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
     n = [v[0] for v in p.phi]
     j = min((k for k in range(p.generators) if n[k]), key=lambda k: abs(n[k]))
     rows = []
-    for row in matrix.entries:
+    for row in fox_jacobian(p).entries:
         row = [e for k, e in enumerate(row) if k != j]
         low = min((e.min_degree() for e in row if not e.is_zero()), default=0)
         # each entry times t^-low, as a coefficient list from degree 0
@@ -284,21 +313,49 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
 def local_system_h1_dim(p: GroupPresentation, chi: CharacterPoint) -> int:
     """dim H_1 of the rank-one local system chi (chi nontrivial):
     s - 1 - rank of the Alexander matrix evaluated at chi."""
-    return _h1_dim(fox_jacobian(p), chi)
+    return _h1_dim(p, chi)
 
 
-def _h1_dim(matrix: AlexanderMatrix, chi: CharacterPoint) -> int:
-    """local_system_h1_dim from the presentation's Fox matrix, which callers
-    that evaluate it at many characters build once."""
-    p = matrix.presentation
+def _h1_dim(p: GroupPresentation, chi: CharacterPoint) -> int:
+    """local_system_h1_dim; the covers and the torsion Alexander
+    polynomial call it here, so that a trace of ``local_system_h1_dim``
+    counts only the characters asked for.
+
+    The Fox matrix at chi is built without the Laurent matrix: with
+    chi = (k_1, ..., k_r)/M, generator j goes to zeta_M^{n_j}, n_j =
+    <phi(x_j), k>, and one integer walk per relator adds +-1 into each
+    generator's accumulator in Z[x]/(x^M - 1) at its prefix exponent
+    mod M.  The fundamental identity sum_j row_j (x^{n_j} - 1) =
+    x^{<phi(rel), k>} - 1 is checked there: chi kills every relator, so
+    the right side is 0, and InternalError is raised when the left side
+    is not.  Each accumulator is then reduced mod Phi_M once, and the rank
+    is taken over Z[zeta_M].
+    """
     if not chi.nontrivial:
         raise TrivialCharacterUnsupported("identity character excluded")
     if len(chi) != p.rank:
         raise ValueError("character length does not match abelianization rank")
     if not p.character_is_valid(chi):
         raise InvalidAbelianization("character does not kill all relators")
-    evaluated = [[evaluate_character(e, chi.coords) for e in row] for row in matrix.entries]
-    return p.generators - 1 - cyclotomic_rank(evaluated)
+    M = lcm(*[c.denominator for c in chi.coords])
+    ks = [c.numerator * (M // c.denominator) for c in chi.coords]
+    images = [sum(map(mul, ks, v)) for v in p.phi]
+    inverses = [-n for n in images]
+    rows = []
+    for rel in p.relators:
+        lhs = [0] * M
+        row = []
+        for n, terms in zip(images, _fox_walk(rel, images, inverses, 0, add)):
+            acc = [0] * M
+            for e, c in terms.items():
+                acc[e % M] += c
+                lhs[(e + n) % M] += c
+                lhs[e % M] -= c
+            row.append(CyclotomicElement(M, acc))
+        if any(lhs):
+            raise InternalError("Fox row identity violated (internal error)")
+        rows.append(row)
+    return p.generators - 1 - cyclotomic_rank(rows)
 
 
 def depth(p: GroupPresentation, chi: CharacterPoint) -> int:
@@ -340,10 +397,9 @@ def unbranched_cover_betti(p: GroupPresentation, orders: Sequence[int]) -> int:
     if any(n < 1 for n in orders):
         raise ValueError("orders must be >= 1")
     total = p.rank
-    matrix = fox_jacobian(p)
     for ks, size in _galois_orbits(orders):
         chi = CharacterPoint([Fraction(k, n) for k, n in zip(ks, orders)])
-        total += size * _h1_dim(matrix, chi)
+        total += size * _h1_dim(p, chi)
     return total
 
 
@@ -359,15 +415,12 @@ def branched_cover_betti(
     taken per Galois orbit, which has one support.
     """
     total = 0
-    matrices: Dict[FrozenSet[int], AlexanderMatrix] = {}
     for ks, size in _galois_orbits(orders):
         key = frozenset(i for i, k in enumerate(ks) if k != 0)
         if key not in sublink_data:
             raise MissingSublinkData(f"no presentation for components {sorted(i+1 for i in key)}")
-        if key not in matrices:
-            matrices[key] = fox_jacobian(sublink_data[key])
         reduced = CharacterPoint([Fraction(ks[i], orders[i]) for i in sorted(key)])
-        total += size * _h1_dim(matrices[key], reduced)
+        total += size * _h1_dim(sublink_data[key], reduced)
     return total
 
 

@@ -1,16 +1,16 @@
 """Exact linear algebra.
 
-One elimination kernel, ``_primitive_echelon``, takes the rank of a whole
-matrix over Q and every rank over a cyclotomic field Q(zeta_M).  Each
-row is cleared of denominators, and elimination keeps the rows as
-primitive integer vectors, so no ``Fraction`` is normalised inside the
-loop.  A matrix over Q(zeta_M) enters as its regular representation, a
-rational matrix phi(M) times as tall and as wide: its Q-rank is phi(M)
-times the rank over Q(zeta_M).  ``echelon_insert`` is the same
-fraction-free step for a matrix that arrives one row at a time: the
-superabundance rank of ``curves`` is taken that way, and stops early.
-Lattice results need unimodular integer operations, which the kernel
-does not give, so the Smith normal form has its own loop.
+Two fraction-free elimination kernels take every rank.
+``_primitive_echelon`` takes the rank of a matrix over Q: each row is
+cleared of denominators, and elimination keeps the rows as primitive
+integer vectors, so no ``Fraction`` is normalised inside the loop.
+``echelon_insert`` is the same step for a matrix that arrives one row at a
+time: the superabundance rank of ``curves`` is taken that way, and stops
+early.  ``cyclotomic_rank`` takes a rank over Q(zeta_M) by the same
+elimination over the ring Z[zeta_M] = Z[x]/Phi_M, each entry a list of
+phi(M) integer coefficients.  Lattice results need unimodular integer
+operations, which these kernels do not give, so the Smith normal form has
+its own loop.
 
 Matrices are plain lists of lists; everything is small and desk-scale.
 """
@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
-from .cyclotomic import CyclotomicElement, cyclotomic_polynomial
+from .cyclotomic import CyclotomicElement, _reduce
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> List[int]:
@@ -121,15 +121,11 @@ def _integer_row(row: Sequence) -> List[int]:
     return [x // g for x in out] if g > 1 else out
 
 
-def _primitive_echelon(
-    matrix: Sequence[Sequence], integral: bool = False
-) -> Tuple[List[List[int]], List[int]]:
+def _primitive_echelon(matrix: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     """Row echelon form over Q of a rational matrix, in primitive integer rows.
 
     Returns (rows, pivots): rows[i] is zero before column pivots[i] and
-    nonzero there, and the rows span the row space of the matrix.  With
-    ``integral`` the rows are lists of ints already, taken as they are and
-    changed in place, and the ``_integer_row`` pass is skipped.  Column
+    nonzero there, and the rows span the row space of the matrix.  Column
     c is cleared from each later row by row <- (p/g) row - (f/g) top, with
     p = top[c], f = row[c] and g = gcd(p, f); the result is divided by the
     gcd of its entries, and dropped when it is zero.  That content
@@ -137,7 +133,7 @@ def _primitive_echelon(
     of one gcd per changed row; ``Fraction`` arithmetic takes one per entry.
     """
     cols = len(matrix[0]) if matrix else 0
-    rest = [row for row in (matrix if integral else map(_integer_row, matrix)) if any(row)]
+    rest = [row for row in map(_integer_row, matrix) if any(row)]
     rows: List[List[int]] = []
     pivots: List[int] = []
     for c in range(cols):
@@ -209,28 +205,67 @@ def echelon_insert(rows: List[List[int]], pivots: List[int], row: List[int]) -> 
 def cyclotomic_rank(matrix: Sequence[Sequence[CyclotomicElement]]) -> int:
     """Rank over Q(zeta_M) of a matrix of ``CyclotomicElement`` entries.
 
-    Q(zeta_M) is a Q-space with basis 1, x, ..., x^(phi-1), phi = phi(M),
-    x = zeta_M.  The rows x^a row_i, a < phi, written in that basis, span
-    the row space over Q(zeta_M) as a Q-space, so this rational matrix (the
-    regular representation) has Q-rank phi times the rank over Q(zeta_M).
-    Each shift is the previous row times x mod the monic Phi_M, so it stays
-    integral once the row is; ``_primitive_echelon`` takes the Q-rank.  A
-    row with a ``Fraction`` coefficient is first scaled to an integer row.
+    The elimination runs in Z[zeta_M] = Z[x]/Phi_M, a domain whose field of
+    fractions is Q(zeta_M), on each entry's phi = phi(M) coefficients in
+    the basis 1, x, ..., x^(phi-1); a row with a ``Fraction`` coefficient
+    is first scaled to an integer row.  Column c is cleared from each later
+    row by row <- p row - f top, with p = top[c] and f = row[c]: ring
+    products, reduced by the monic Phi_M, so they stay integral, and p is
+    nonzero, so the span over Q(zeta_M) is kept.  The result is divided by
+    the integer gcd of all its coefficients, and dropped when it is zero.
+    An s x g matrix costs s g min(s, g) phi^2 coefficient operations; its
+    regular representation over Q, phi times as tall and as wide, would
+    cost phi^3 times s g min(s, g).
     """
     if not matrix:
         return 0
-    modulus = cyclotomic_polynomial(matrix[0][0].conductor)
-    phi = len(modulus) - 1
-    regular = []
+    conductor = matrix[0][0].conductor
+    phi = len(matrix[0][0].coeffs)
+    rest = []
     for row in matrix:
         flat = [c for e in row for c in e.coeffs]
         if not all(type(c) is int for c in flat):
             flat = _integer_row(flat)
-        blocks = [flat[i:i + phi] for i in range(0, len(flat), phi)]
-        for _ in range(phi):
-            regular.append([c for b in blocks for c in b])
-            blocks = [
-                [c - b[-1] * m for c, m in zip([0] + b[:-1], modulus)] if b[-1] else [0] + b[:-1]
-                for b in blocks
-            ]
-    return len(_primitive_echelon(regular, integral=True)[1]) // phi
+        if any(flat):
+            rest.append([flat[i:i + phi] for i in range(0, len(flat), phi)])
+    # every row in rest is nonzero and starts at the column being cleared
+    rank = 0
+    while rest:
+        pr = next((i for i, row in enumerate(rest) if any(row[0])), None)
+        if pr is None:
+            rest = [row[1:] for row in rest]
+            continue
+        top = rest.pop(pr)
+        p, tail = top[0], top[1:]
+        reduced = []
+        for row in rest:
+            f = row[0]
+            if any(f):
+                row = [_mul_sub(p, x, f, y, conductor) for x, y in zip(row[1:], tail)]
+                g = gcd(*[c for e in row for c in e])
+                if not g:
+                    continue
+                if g > 1:
+                    row = [[c // g for c in e] for e in row]
+            else:
+                row = row[1:]
+            reduced.append(row)
+        rest = reduced
+        rank += 1
+    return rank
+
+
+def _mul_sub(p: List[int], a: List[int], f: List[int], b: List[int], conductor: int) -> List[int]:
+    """p a - f b in Z[x]/Phi_M, each given by its phi(M) coefficients."""
+    out = [0] * (len(a) + len(p) - 1)
+    if any(a):
+        for i, x in enumerate(p):
+            if x:
+                for j, y in enumerate(a, i):
+                    out[j] += x * y
+    if any(b):
+        for i, x in enumerate(f):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] -= x * y
+    return _reduce(out, conductor)

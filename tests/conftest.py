@@ -170,6 +170,65 @@ def rational_nullspace(matrix: Sequence[Sequence]) -> List[List[Fraction]]:
     return basis
 
 
+def echelon(a):
+    """Bring a to row echelon form in place and return its pivot columns.
+
+    Forward elimination over an exact field, with ``Fraction`` or
+    ``CyclotomicElement`` entries: the field kernel that the integer
+    eliminations replaced, kept as their oracle.  Row i < len(pivots) is
+    zero before column pivots[i] and nonzero there, and every later row is
+    zero.
+    """
+    from alexinv.cyclotomic import CyclotomicElement
+
+    pivots = []
+    rows = len(a)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        top = a[r][c:]
+        inv = top[0].inverse() if isinstance(top[0], CyclotomicElement) else 1 / top[0]
+        for row in a[r + 1:]:
+            if row[c]:
+                f = row[c] * inv
+                row[c:] = [x - f * y for x, y in zip(row[c:], top)]
+        pivots.append(c)
+    return pivots
+
+
+def regular_representation_rank(matrix) -> int:
+    """Rank over Q(zeta_M) of a matrix of ``CyclotomicElement`` entries,
+    as the Q-rank of its regular representation divided by phi = phi(M).
+
+    The rows x^a row_i, a < phi, written in the basis 1, x, ...,
+    x^(phi-1), span the row space over Q(zeta_M) as a Q-space, so this
+    rational matrix, phi times as tall and as wide, has Q-rank phi times
+    the rank over Q(zeta_M).  Each shift is the previous row times x mod
+    the monic Phi_M.  The route that the elimination over Z[zeta_M] in
+    ``linalg.cyclotomic_rank`` replaced, kept as a second oracle next to
+    the field ``echelon``.
+    """
+    from alexinv.cyclotomic import cyclotomic_polynomial
+    from alexinv.linalg import rational_rank
+
+    if not matrix:
+        return 0
+    modulus = cyclotomic_polynomial(matrix[0][0].conductor)
+    phi = len(modulus) - 1
+    regular = []
+    for row in matrix:
+        blocks = [list(e.coeffs) for e in row]
+        for _ in range(phi):
+            regular.append([c for b in blocks for c in b])
+            blocks = [[c - b[-1] * m for c, m in zip([0] + b[:-1], modulus)] for b in blocks]
+    return rational_rank(regular) // phi
+
+
 def reference_h1(spec, ideals, m: int) -> int:
     """h^1 by the rank of the whole condition matrix, the oracle of the
     standard-monomial walk in ``curves._condition_rank``: one row per

@@ -22,6 +22,13 @@ TREFOIL = {
     "phi": [[1], [1]],
 }
 
+HOPF = {
+    "schema_version": 1,
+    "generators": 2,
+    "relators": [[[1, 1], [2, 1], [1, -1], [2, -1]]],
+    "phi": [[1, 0], [0, 1]],
+}
+
 CONIC = {"schema_version": 1, "strands": 2, "braids": [[1], [1]], "labels": {"1": "C", "2": "C"}}
 
 SEXTIC = {
@@ -41,7 +48,7 @@ PAIR = {"schema_version": 1, "coords": ["1/6", "1/6"]}
 def files(tmp_path):
     paths = {}
     for name, data in (
-        ("trefoil", TREFOIL), ("conic", CONIC), ("sextic", SEXTIC), ("pair", PAIR),
+        ("trefoil", TREFOIL), ("hopf", HOPF), ("conic", CONIC), ("sextic", SEXTIC), ("pair", PAIR),
     ):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(data))
@@ -305,6 +312,7 @@ def test_unparsable_option_value_exit_2(files, argv, option, capsys):
     "argv, option",
     [
         (["covers", "--presentation", "{trefoil}", "--cyclic", "0"], "--cyclic"),
+        (["covers", "--presentation", "{hopf}", "--cyclic", "6"], "--cyclic"),
         (["covers", "--presentation", "{trefoil}", "--abelian", "0"], "--abelian"),
         (["covers", "--presentation", "{trefoil}", "--abelian", "2,3"], "--abelian"),
         (["lct", "--germ", "x^2 + y^3", "--direction", "1,2"], "--direction"),

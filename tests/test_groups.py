@@ -37,8 +37,7 @@ from alexinv.groups import (
     word,
 )
 from alexinv.laurent import LaurentPolynomial, univariate_gcd
-from conftest import integer_kernel_basis
-from test_linalg import echelon
+from conftest import echelon, integer_kernel_basis
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -256,14 +255,28 @@ def test_fox_row_identity_on_random_presentations(pres):
 
 
 def test_corrupted_fox_row_is_an_internal_error(monkeypatch):
-    true_derivative = groups.fox_derivative
+    """A Fox walk that is off by one in one derivative breaks the
+    fundamental identity on both paths that build Fox rows: the Laurent
+    matrix and its evaluation at a character, which every cover takes."""
+    true_walk = groups._fox_walk
 
-    def corrupted(w, j, phi, r):
-        return true_derivative(w, j, phi, r) + (1 if j == 1 else 0)
+    def corrupted(w, images, inverses, origin, plus):
+        terms = true_walk(w, images, inverses, origin, plus)
+        terms[1][origin] = terms[1].get(origin, 0) + 1
+        return terms
 
-    monkeypatch.setattr(groups, "fox_derivative", corrupted)
-    with pytest.raises(InternalError, match="Fox row identity"):
-        fox_jacobian(trefoil_presentation())
+    monkeypatch.setattr(groups, "_fox_walk", corrupted)
+    tref = trefoil_presentation()
+    calls = [
+        lambda: fox_jacobian(tref),
+        lambda: local_system_h1_dim(tref, CharacterPoint([F(1, 6)])),
+        lambda: unbranched_cover_betti(tref, (4,)),
+        lambda: branched_cover_betti({frozenset({0}): tref}, (4,)),
+        lambda: one_variable_alexander(sphere_braid_presentation(4)),
+    ]
+    for call in calls:
+        with pytest.raises(InternalError, match="Fox row identity"):
+            call()
 
 
 @given(words)
@@ -283,9 +296,10 @@ def test_cover_walls():
 
 
 def old_h1_dim(p, chi):
-    """dim H_1 at one character from the field elimination over Q(zeta_M):
-    the per-character path that the Galois-orbit sums replaced, kept as
-    their oracle."""
+    """dim H_1 at one character from the Laurent Fox matrix, evaluated at
+    chi entry by entry and eliminated over the field Q(zeta_M): the path
+    that the Galois-orbit sums and the walk at a character replaced, kept
+    as their oracle."""
     evaluated = [[evaluate_character(e, chi.coords) for e in row] for row in fox_jacobian(p).entries]
     return p.generators - 1 - len(echelon(evaluated))
 
@@ -297,7 +311,45 @@ def _rotated(p, shifts, inverts):
     for rel, k, inv in zip(p.relators, shifts, inverts):
         rel = rel[k % len(rel):] + rel[:k % len(rel)]
         rels.append(tuple((g, -e) for g, e in reversed(rel)) if inv else rel)
-    return GroupPresentation(p.generators, tuple(rels), p.phi)
+    return GroupPresentation(p.generators, tuple(rels), p.phi, torsion=p.torsion)
+
+
+@settings(max_examples=100)
+@given(presentations(), st.data())
+def test_character_walk_matches_laurent_evaluation(pres, data):
+    """The depth from one walk per relator at chi equals the depth of the
+    Laurent Fox matrix evaluated at chi, on random presentations and on
+    the same presentations with their relators rotated and inverted."""
+    assume(pres is not None)
+    n = len(pres.relators)
+    rotated = _rotated(
+        pres,
+        data.draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)),
+        data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    )
+    chi = CharacterPoint(data.draw(st.lists(
+        st.builds(F, st.integers(0, 11), st.integers(1, 12)), min_size=pres.rank, max_size=pres.rank)))
+    assume(chi.nontrivial)
+    for q in (pres, rotated):
+        assert local_system_h1_dim(q, chi) == old_h1_dim(q, chi)
+
+
+@settings(max_examples=20)
+@given(st.integers(2, 7), st.data())
+def test_character_walk_on_sphere_braid_groups(d, data):
+    """On the torsion presentations of B_d(S^2), reshuffled, the walk gives
+    the oracle's depth at every character of the cyclic image."""
+    pres = sphere_braid_presentation(d)
+    n = len(pres.relators)
+    pres = _rotated(
+        pres,
+        data.draw(st.lists(st.integers(0, 11), min_size=n, max_size=n)),
+        data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    )
+    m = pres.torsion_order()
+    for k in range(1, m):
+        chi = CharacterPoint([F(k, m)])
+        assert local_system_h1_dim(pres, chi) == old_h1_dim(pres, chi)
 
 
 LINKS = {
