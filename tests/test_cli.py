@@ -312,7 +312,6 @@ def test_unparsable_option_value_exit_2(files, argv, option, capsys):
     "argv, option",
     [
         (["covers", "--presentation", "{trefoil}", "--cyclic", "0"], "--cyclic"),
-        (["covers", "--presentation", "{hopf}", "--cyclic", "6"], "--cyclic"),
         (["covers", "--presentation", "{trefoil}", "--abelian", "0"], "--abelian"),
         (["covers", "--presentation", "{trefoil}", "--abelian", "2,3"], "--abelian"),
         (["lct", "--germ", "x^2 + y^3", "--direction", "1,2"], "--direction"),
@@ -320,6 +319,7 @@ def test_unparsable_option_value_exit_2(files, argv, option, capsys):
         (["global", "--curve", "{sextic}", "--cover", "0"], "--cover"),
         (["charvar", "--presentation", "{trefoil}", "--character", "1/6,1/6"], "--character"),
         (["charvar", "--presentation", "{trefoil}", "--character-file", "{pair}"], "{pair}"),
+        (["covers", "--presentation", "{hopf}", "--cyclic", "6"], "--cyclic"),
     ],
 )
 def test_out_of_range_option_value_exit_2(files, argv, option, capsys):
