@@ -71,6 +71,30 @@ def test_empty_zeta():
     assert acampo_zeta(empty) == FormalCycloProduct.one(1)
 
 
+PRODUCT_STRINGS = [
+    (("x^2 + y^3",), "(1 - t^2) * (1 - t^3) * (1 - t^6)^-1", None),
+    (("(x^2-y^3)^2-4*x^5*y-x^7",),
+     "(1 - t^4) * (1 - t^6) * (1 - t^12)^-1 * (1 - t^17) * (1 - t^34)^-1", None),
+    (("x - y", "x + y"), "1", "1"),
+    (("x - y", "x + y", "x - 2*y"), "(1 - t^3)^-1", "(1 - t1*t2*t3)"),
+    (("x - y", "x + y", "x - 2*y", "x + 2*y"), "(1 - t^4)^-2", "(1 - t1*t2*t3*t4)^2"),
+    (("x^2 - y^3", "x^3 - y^2"), "(1 - t^5)^2 * (1 - t^10)^-2",
+     "(1 - t1^2*t2^3)^-1 * (1 - t1^3*t2^2)^-1 * (1 - t1^4*t2^6) * (1 - t1^6*t2^4)"),
+    (("y - x^2", "y + x^2"), "(1 - t^2) * (1 - t^4)^-1", "(1 - t1*t2)^-1 * (1 - t1^2*t2^2)"),
+]
+
+
+@pytest.mark.parametrize("texts,zeta,link", PRODUCT_STRINGS)
+def test_product_strings_pinned(texts, zeta, link):
+    """The printed zeta function and link polynomial, as the reports and
+    the benchmark read them: factors sorted by exponent vector, exponent 1
+    left out, and 1 for the empty product."""
+    tree = resolve(PlaneCurveGerm.from_strings(*texts))
+    assert str(acampo_zeta(tree)) == zeta
+    if link is not None:
+        assert str(multivariable_link_alexander(tree)) == link
+
+
 def test_torus_knot_formula():
     assert torus_knot_alexander(2, 3) == PHI6
     assert torus_knot_alexander(2, 5) == t**4 - t**3 + t**2 - t + 1
