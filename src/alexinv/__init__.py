@@ -46,7 +46,6 @@ _EXPORTS = {
         "superabundance",
     ),
     "laurent": (
-        "FormalCycloProduct",
         "LaurentPolynomial",
         "common_root_count",
         "normalize_unit",

@@ -1,9 +1,15 @@
-"""Exact arithmetic in cyclotomic fields Q[x]/Phi_M(x), evaluation of
-Laurent polynomials at torsion characters, and one-variable products of
-cyclotomic polynomials carried as their exponents.
+"""Cyclotomic polynomials, reduction mod Phi_M on integer coefficient
+lists, evaluation of Laurent polynomials at torsion characters, and
+one-variable products of cyclotomic polynomials carried as their
+exponents.
 
-Character evaluation must decide exact vanishing, so no floating point
-appears anywhere.  A coefficient is an ``int`` when it is integral and a
+An element of Z[zeta_M] = Z[x]/Phi_M is a list of phi(M) integer
+coefficients wherever a rank is taken (``linalg.cyclotomic_rank``): the
+Fox path reduces its accumulators with ``_reduce``, and the Koszul path
+takes the coefficients of ``evaluate_character``.  ``CyclotomicElement``
+is the field element that ``evaluate_character`` returns, with the field
+arithmetic the test oracles use.  Character evaluation must decide exact
+vanishing, so no floating point appears anywhere.  A coefficient is an ``int`` when it is integral and a
 ``Fraction`` otherwise: an integral Laurent polynomial evaluates to an
 element with ``int`` coefficients, and a coefficient is divided only
 through ``Fraction``, never by ``/`` on two ints.

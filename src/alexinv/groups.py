@@ -5,13 +5,15 @@ model for generic-arrangement homotopy modules.
 
 Words are stored unreduced; Fox differentiation is invariant under free
 reduction, which the test suite checks.  One walk over a relator gives
-its Fox derivatives by every generator (``_fox_walk``): with exponent
-vectors in Z^r it builds the Alexander matrix over the Laurent ring, and
-with integer exponents read mod M it evaluates the matrix at a torsion
-character of conductor M without building it.  Both paths check the
-fundamental identity of every row they build, the Laurent one in the
-Laurent ring and the character one in Z[x]/(x^M - 1), and raise
-``InternalError`` when it fails.
+its Fox derivatives by every generator and its image under phi
+(``_fox_walk``): with exponent vectors in Z^r it builds the Alexander
+matrix over the Laurent ring, and with integer exponents read mod M it
+evaluates the matrix at a torsion character of conductor M without
+building it.  Both paths check the fundamental identity of every row they
+build against that image, the Laurent one in the Laurent ring and the
+character one in Z[x]/(x^M - 1), and raise ``InternalError`` when it
+fails; the character path also refuses a character that does not kill
+the image.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from operator import add, mul
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import uni
-from .cyclotomic import CyclotomicElement, evaluate_character, expand_cyclotomic
+from .cyclotomic import _reduce, evaluate_character, expand_cyclotomic
 from .errors import (
     BadWord,
     InternalError,
@@ -34,7 +36,7 @@ from .errors import (
     NonTorsionModule,
     TrivialCharacterUnsupported,
 )
-from .laurent import LaurentPolynomial, exact_divide, normalize_unit
+from .laurent import LaurentPolynomial, normalize_unit
 from .linalg import cyclotomic_rank, smith_normal_form
 
 Letter = Tuple[int, int]  # (generator index, +-1)
@@ -149,13 +151,6 @@ class GroupPresentation:
             m = gcd(m, abs(self.relator_image(rel)[0]))
         return m
 
-    def character_is_valid(self, chi: CharacterPoint) -> bool:
-        """Whether chi factors through the group (kills all relators): with
-        chi = (k_1, ..., k_r)/M, each image n must give sum k_i n_i = 0 mod M."""
-        M = lcm(*[c.denominator for c in chi.coords])
-        ks = [c.numerator * (M // c.denominator) for c in chi.coords]
-        return all(sum(map(mul, ks, self.relator_image(rel))) % M == 0 for rel in self.relators)
-
 
 def _is_word(r) -> bool:
     return isinstance(r, tuple) and all(
@@ -173,16 +168,16 @@ def free_group(rank: int) -> GroupPresentation:
 # ---------------------------------------------------------------------------
 
 
-def _fox_walk(w: Word, images, inverses, origin, plus) -> List[Dict]:
-    """The abelianized Fox derivatives of w by every generator, in one walk
-    over its letters: terms[j] maps an exponent to its coefficient in
-    d w / d x_j.
+def _fox_walk(w: Word, images, inverses, origin, plus) -> Tuple[List[Dict], object]:
+    """The abelianized Fox derivatives of w by every generator, and the
+    exponent of w itself, in one walk over its letters: terms[j] maps an
+    exponent to its coefficient in d w / d x_j.
 
     The prefix exponent starts at origin, and a letter x_g^e moves it by
-    images[g] when e = 1 and by inverses[g] when e = -1, added by plus.
-    The product rule adds +t^{phi(prefix)} to terms[g] before a letter
-    x_g, and the inverse rule -t^{phi(prefix x_g^-1)} after a letter
-    x_g^-1.
+    images[g] when e = 1 and by inverses[g] when e = -1, added by plus;
+    its final value is the image of w.  The product rule adds
+    +t^{phi(prefix)} to terms[g] before a letter x_g, and the inverse rule
+    -t^{phi(prefix x_g^-1)} after a letter x_g^-1.
     """
     terms: List[Dict] = [{} for _ in images]
     prefix = origin
@@ -194,30 +189,22 @@ def _fox_walk(w: Word, images, inverses, origin, plus) -> List[Dict]:
         else:
             prefix = plus(prefix, inverses[g])
             d[prefix] = d.get(prefix, 0) - 1
-    return terms
+    return terms, prefix
 
 
 def _add_vectors(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(map(add, a, b))
 
 
-def _laurent_fox_row(w: Word, phi: Sequence[Sequence[int]], rank: int) -> List[LaurentPolynomial]:
-    """The Fox derivatives of w by every generator over the Laurent ring."""
+def _laurent_fox_row(
+    w: Word, phi: Sequence[Sequence[int]], rank: int
+) -> Tuple[List[LaurentPolynomial], Tuple[int, ...]]:
+    """The Fox derivatives of w by every generator over the Laurent ring,
+    and phi(w)."""
     images = [tuple(v) for v in phi]
     inverses = [tuple(-x for x in v) for v in phi]
-    terms = _fox_walk(w, images, inverses, (0,) * rank, _add_vectors)
-    return [LaurentPolynomial(rank, d) for d in terms]
-
-
-def fox_derivative(
-    w: Word, j: int, phi: Sequence[Sequence[int]], rank: int
-) -> LaurentPolynomial:
-    """Abelianized Fox derivative of the word w with respect to generator j.
-
-    Product rule applied letter by letter; the inverse rule contributes
-    -t^{phi(prefix x^-1)} when the letter is x_j^-1.
-    """
-    return _laurent_fox_row(w, phi, rank)[j]
+    terms, image = _fox_walk(w, images, inverses, (0,) * rank, _add_vectors)
+    return [LaurentPolynomial(rank, d) for d in terms], image
 
 
 @dataclass
@@ -240,7 +227,7 @@ def fox_jacobian(p: GroupPresentation) -> AlexanderMatrix:
     r = p.rank
     entries = []
     for rel in p.relators:
-        row = _laurent_fox_row(rel, p.phi, r)
+        row, image = _laurent_fox_row(rel, p.phi, r)
         # fundamental identity: row . (t^phi(x_j) - 1) = t^phi(rel) - 1
         lhs: Dict[Tuple[int, ...], int] = {}
         for j, d in enumerate(row):
@@ -248,7 +235,7 @@ def fox_jacobian(p: GroupPresentation) -> AlexanderMatrix:
                 shifted = tuple(a + b for a, b in zip(exp, p.phi[j]))
                 lhs[shifted] = lhs.get(shifted, 0) + c
                 lhs[exp] = lhs.get(exp, 0) - c
-        rhs = LaurentPolynomial.monomial(1, p.relator_image(rel)) - LaurentPolynomial.one(r)
+        rhs = LaurentPolynomial.monomial(1, image) - LaurentPolynomial.one(r)
         if LaurentPolynomial(r, lhs) != rhs:
             raise InternalError("Fox row identity violated (internal error)")
         entries.append(row)
@@ -300,9 +287,10 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
         raise NonTorsionModule(
             "Alexander module has positive rank; no polynomial order"
         )
-    t_e = LaurentPolynomial.monomial(1, (gcd(*n),)) - LaurentPolynomial.one(1)
-    t_j = LaurentPolynomial.monomial(1, (n[j],)) - LaurentPolynomial.one(1)
-    return normalize_unit(exact_divide(LaurentPolynomial.from_univariate(g) * t_e, t_j))
+    # t^n_j - 1 = -t^n_j (t^-n_j - 1) is t^|n_j| - 1 up to a unit
+    t_e = uni.sub(uni.x_power(gcd(*n)), [1])
+    t_j = uni.sub(uni.x_power(abs(n[j])), [1])
+    return normalize_unit(LaurentPolynomial.from_univariate(uni.exact_div(uni.mul(g, t_e), t_j)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,37 +313,39 @@ def _h1_dim(p: GroupPresentation, chi: CharacterPoint) -> int:
     chi = (k_1, ..., k_r)/M, generator j goes to zeta_M^{n_j}, n_j =
     <phi(x_j), k>, and one integer walk per relator adds +-1 into each
     generator's accumulator in Z[x]/(x^M - 1) at its prefix exponent
-    mod M.  The fundamental identity sum_j row_j (x^{n_j} - 1) =
-    x^{<phi(rel), k>} - 1 is checked there: chi kills every relator, so
-    the right side is 0, and InternalError is raised when the left side
-    is not.  Each accumulator is then reduced mod Phi_M once, and the rank
-    is taken over Z[zeta_M].
+    mod M.  The walk ends at <phi(rel), k>, and InvalidAbelianization is
+    raised when that is not 0 mod M: chi does not kill the relator.  The
+    fundamental identity sum_j row_j (x^{n_j} - 1) = x^{<phi(rel), k>} - 1
+    is then checked there, with right side 0, and InternalError is raised
+    when the left side is not 0.  Each accumulator is reduced mod Phi_M
+    once, and the rank is taken over Z[zeta_M] on the coefficient lists.
     """
     if not chi.nontrivial:
         raise TrivialCharacterUnsupported("identity character excluded")
     if len(chi) != p.rank:
         raise ValueError("character length does not match abelianization rank")
-    if not p.character_is_valid(chi):
-        raise InvalidAbelianization("character does not kill all relators")
     M = lcm(*[c.denominator for c in chi.coords])
     ks = [c.numerator * (M // c.denominator) for c in chi.coords]
     images = [sum(map(mul, ks, v)) for v in p.phi]
     inverses = [-n for n in images]
     rows = []
     for rel in p.relators:
+        walk, image = _fox_walk(rel, images, inverses, 0, add)
+        if image % M:
+            raise InvalidAbelianization("character does not kill all relators")
         lhs = [0] * M
         row = []
-        for n, terms in zip(images, _fox_walk(rel, images, inverses, 0, add)):
+        for n, terms in zip(images, walk):
             acc = [0] * M
             for e, c in terms.items():
                 acc[e % M] += c
                 lhs[(e + n) % M] += c
                 lhs[e % M] -= c
-            row.append(CyclotomicElement(M, acc))
+            row.append(_reduce(acc, M))
         if any(lhs):
             raise InternalError("Fox row identity violated (internal error)")
         rows.append(row)
-    return p.generators - 1 - cyclotomic_rank(rows)
+    return p.generators - 1 - cyclotomic_rank(rows, M)
 
 
 def depth(p: GroupPresentation, chi: CharacterPoint) -> int:
@@ -474,8 +464,9 @@ def koszul_support_membership(r: int, n: int, chi: CharacterPoint) -> bool:
     if sum(chi.coords) % 1 != 0:
         return False  # chi is not even a point of the subtorus
     rows, ncols = _koszul_presentation(r, n)
-    evaluated = [[evaluate_character(e, chi.coords) for e in row] for row in rows]
-    return cyclotomic_rank(evaluated) < ncols
+    evaluated = [[evaluate_character(e, chi.coords).coeffs for e in row] for row in rows]
+    conductor = lcm(*[c.denominator for c in chi.coords])
+    return cyclotomic_rank(evaluated, conductor) < ncols
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,23 @@
-"""Multivariable Laurent polynomials over Q and formal products
-prod (1 - t^v)^e, the two carriers of every Alexander-type invariant here.
+"""Multivariable Laurent polynomials over Q, and the one-variable unit
+normalization, gcd and root count on them.
 
 All arithmetic is exact.  A coefficient is stored as an ``int`` when it is
 integral and as a ``Fraction`` only when it is not, so a Fox matrix stays
-in Z from the words to the echelon; a coefficient is divided only through
-``Fraction`` (``uni.quotient``), never by ``/`` on two ints, so no float
-can appear.  ``normalize_unit`` canonicalizes one-variable results up to
-the unit group {+-t^a} and keeps rational content, so integral inputs stay
-integral; a gcd of two nonzero polynomials comes out monic.
+in Z from the words to the echelon; no coefficient is divided by ``/`` on
+two ints, so no float can appear.  ``normalize_unit`` canonicalizes
+one-variable results up to the unit group {+-t^a} and keeps rational
+content, so integral inputs stay integral; a gcd of two nonzero
+polynomials comes out monic.  Products prod (1 - t^v)^e are not
+multiplied out here: ``resolution`` carries them as maps v -> e.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 from . import uni
-from .errors import NotPolynomial, UnsupportedDimension, ZeroInput
+from .errors import UnsupportedDimension, ZeroInput
 
 Exponent = Tuple[int, ...]
 
@@ -156,7 +156,7 @@ class LaurentPolynomial:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("use formal products for negative powers")
+            raise ValueError("negative powers are not supported")
         result = LaurentPolynomial.one(self.var_count)
         base = self
         while n:
@@ -280,163 +280,3 @@ def common_root_count(p: LaurentPolynomial, n: int) -> int:
     cyc = LaurentPolynomial(1, {(n,): 1, (0,): -1})
     g = univariate_gcd(p, cyc)
     return g.max_degree() - g.min_degree()
-
-
-def exact_divide(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact division f / g in the Laurent ring, any number of variables.
-
-    Raises NotPolynomial when g does not divide f.
-    """
-    f._check(g)
-    if g.is_zero():
-        raise ZeroInput("division by zero polynomial")
-    if f.is_zero():
-        return LaurentPolynomial.zero(f.var_count)
-    # shift both into the polynomial cone
-    fshift = tuple(-min(e[i] for e in f.terms) for i in range(f.var_count))
-    gshift = tuple(-min(e[i] for e in g.terms) for i in range(g.var_count))
-    fp, gp = f.shift(fshift), g.shift(gshift)
-    quo_terms: Dict[Exponent, uni.Coefficient] = {}
-    glead = max(gp.terms, key=lambda e: (sum(e), e))
-    gc = gp.terms[glead]
-    rem = fp
-    while not rem.is_zero():
-        rlead = max(rem.terms, key=lambda e: (sum(e), e))
-        exp = tuple(a - b for a, b in zip(rlead, glead))
-        if any(e < 0 for e in exp):
-            raise NotPolynomial(f"{g} does not divide {f}")
-        coeff = uni.quotient(rem.terms[rlead], gc)
-        quo_terms[exp] = coeff
-        rem = rem - LaurentPolynomial.monomial(coeff, exp) * gp
-    quo = LaurentPolynomial(f.var_count, quo_terms)
-    back = tuple(b - a for a, b in zip(fshift, gshift))
-    return quo.shift(back)
-
-
-# ---------------------------------------------------------------------------
-# formal cyclotomic products
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FormalCycloProduct:
-    """A formal product  sign * t^shift * prod_v (1 - t^v)^{e_v}.
-
-    The exponent vectors v are stored as given (content not reduced);
-    multiplication only merges identical vectors, which is cancellation
-    enough for every zeta-function and link-polynomial identity used here.
-    """
-
-    var_count: int
-    factors: Dict[Exponent, int] = field(default_factory=dict)
-    sign: int = 1
-    shift: Exponent = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.shift is None:
-            self.shift = (0,) * self.var_count
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +-1")
-        clean = {}
-        for v, e in self.factors.items():
-            v = tuple(int(x) for x in v)
-            if len(v) != self.var_count:
-                raise ValueError("exponent vector of wrong length")
-            if all(x == 0 for x in v):
-                raise ValueError("factor vector must be nonzero")
-            e = int(e)
-            if e != 0:
-                clean[v] = clean.get(v, 0) + e
-        self.factors = {v: e for v, e in clean.items() if e != 0}
-
-    @classmethod
-    def one(cls, var_count: int = 1) -> "FormalCycloProduct":
-        return cls(var_count, {})
-
-    @classmethod
-    def one_minus_power(cls, v: Iterable[int], e: int = 1) -> "FormalCycloProduct":
-        v = tuple(int(x) for x in v)
-        return cls(len(v), {v: e})
-
-    @classmethod
-    def t_minus_one(cls) -> "FormalCycloProduct":
-        # t - 1 = -(1 - t)
-        return cls(1, {(1,): 1}, sign=-1)
-
-    def __mul__(self, other: "FormalCycloProduct") -> "FormalCycloProduct":
-        if self.var_count != other.var_count:
-            raise ValueError("variable counts differ")
-        factors = dict(self.factors)
-        for v, e in other.factors.items():
-            factors[v] = factors.get(v, 0) + e
-        return FormalCycloProduct(
-            self.var_count,
-            factors,
-            sign=self.sign * other.sign,
-            shift=tuple(a + b for a, b in zip(self.shift, other.shift)),
-        )
-
-    def inverse(self) -> "FormalCycloProduct":
-        return FormalCycloProduct(
-            self.var_count,
-            {v: -e for v, e in self.factors.items()},
-            sign=self.sign,
-            shift=tuple(-a for a in self.shift),
-        )
-
-    def eq_up_to_unit(self, other: "FormalCycloProduct") -> bool:
-        return self.var_count == other.var_count and self.factors == other.factors
-
-    def is_unit(self) -> bool:
-        return not self.factors
-
-    def diagonal_specialize(self) -> "FormalCycloProduct":
-        """t_i -> t for all i; exponent vectors map to their coordinate sums."""
-        factors: Dict[Exponent, int] = {}
-        for v, e in self.factors.items():
-            key = (sum(v),)
-            if key == (0,):
-                raise NotPolynomial("diagonal specialization hits 1 - t^0")
-            factors[key] = factors.get(key, 0) + e
-        return FormalCycloProduct(
-            1, factors, sign=self.sign, shift=(sum(self.shift),)
-        )
-
-    def expand(self) -> LaurentPolynomial:
-        """Multiply the product out exactly; NotPolynomial if it is not one."""
-        num = LaurentPolynomial.monomial(self.sign, self.shift)
-        den = LaurentPolynomial.one(self.var_count)
-        for v, e in self.factors.items():
-            base = LaurentPolynomial.one(self.var_count) - LaurentPolynomial.monomial(
-                1, v
-            )
-            if e > 0:
-                num = num * base**e
-            else:
-                den = den * base ** (-e)
-        return exact_divide(num, den)
-
-    def __str__(self) -> str:
-        names = (
-            ["t"] if self.var_count == 1 else [f"t{i+1}" for i in range(self.var_count)]
-        )
-
-        def mono(v):
-            out = []
-            for name, e in zip(names, v):
-                if e == 1:
-                    out.append(name)
-                elif e != 0:
-                    out.append(f"{name}^{e}")
-            return "*".join(out) or "1"
-
-        parts = []
-        if self.sign < 0:
-            parts.append("-1")
-        if any(self.shift):
-            parts.append(mono(self.shift))
-        for v in sorted(self.factors):
-            e = self.factors[v]
-            base = f"(1 - {mono(v)})"
-            parts.append(base if e == 1 else f"{base}^{e}")
-        return " * ".join(parts) if parts else "1"

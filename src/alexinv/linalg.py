@@ -1,16 +1,15 @@
 """Exact linear algebra.
 
-Two fraction-free elimination kernels take every rank.
-``_primitive_echelon`` takes the rank of a matrix over Q: each row is
-cleared of denominators, and elimination keeps the rows as primitive
-integer vectors, so no ``Fraction`` is normalised inside the loop.
-``echelon_insert`` is the same step for a matrix that arrives one row at a
-time: the superabundance rank of ``curves`` is taken that way, and stops
-early.  ``cyclotomic_rank`` takes a rank over Q(zeta_M) by the same
-elimination over the ring Z[zeta_M] = Z[x]/Phi_M, each entry a list of
-phi(M) integer coefficients.  Lattice results need unimodular integer
-operations, which these kernels do not give, so the Smith normal form has
-its own loop.
+One fraction-free elimination kernel over Q and one over Z[zeta_M] take
+every rank.  ``echelon_insert`` reduces an integer row against an echelon
+of primitive integer rows and inserts what is left, so no ``Fraction`` is
+normalised inside the loop: ``rational_rank`` inserts each row of a
+rational matrix, cleared of denominators, and the superabundance rank of
+``curves`` inserts its rows one at a time and stops early.
+``cyclotomic_rank`` takes a rank over Q(zeta_M) by the same step over the
+ring Z[zeta_M] = Z[x]/Phi_M, each entry a list of phi(M) integer
+coefficients.  Lattice results need unimodular integer operations, which
+these kernels do not give, so the Smith normal form has its own loop.
 
 Matrices are plain lists of lists; everything is small and desk-scale.
 """
@@ -22,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
-from .cyclotomic import CyclotomicElement, _reduce
+from .cyclotomic import _reduce
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> List[int]:
@@ -121,60 +120,24 @@ def _integer_row(row: Sequence) -> List[int]:
     return [x // g for x in out] if g > 1 else out
 
 
-def _primitive_echelon(matrix: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
-    """Row echelon form over Q of a rational matrix, in primitive integer rows.
-
-    Returns (rows, pivots): rows[i] is zero before column pivots[i] and
-    nonzero there, and the rows span the row space of the matrix.  Column
-    c is cleared from each later row by row <- (p/g) row - (f/g) top, with
-    p = top[c], f = row[c] and g = gcd(p, f); the result is divided by the
-    gcd of its entries, and dropped when it is zero.  That content
-    reduction keeps the entries from growing like the minors at the cost
-    of one gcd per changed row; ``Fraction`` arithmetic takes one per entry.
-    """
-    cols = len(matrix[0]) if matrix else 0
-    rest = [row for row in map(_integer_row, matrix) if any(row)]
+def rational_rank(matrix: Sequence[Sequence]) -> int:
+    """Rank over Q of a matrix of integers or ``Fraction`` entries: each
+    row, scaled to a primitive integer row, is inserted into one echelon."""
     rows: List[List[int]] = []
     pivots: List[int] = []
-    for c in range(cols):
-        if not rest:
-            break
-        pr = next((i for i, row in enumerate(rest) if row[c]), None)
-        if pr is None:
-            continue
-        top = rest.pop(pr)
-        p, tail = top[c], top[c + 1:]
-        reduced = []
-        for row in rest:
-            f = row[c]
-            if f:
-                g = gcd(p, f)
-                pg, fg = p // g, f // g
-                new = [pg * x - fg * y for x, y in zip(row[c + 1:], tail)]
-                g = gcd(*new)
-                if not g:
-                    continue
-                row[c:] = [0] + ([x // g for x in new] if g > 1 else new)
-            reduced.append(row)
-        rest = reduced
-        rows.append(top)
-        pivots.append(c)
-    return rows, pivots
-
-
-def rational_rank(matrix: Sequence[Sequence]) -> int:
-    """Rank over Q of a matrix of integers or ``Fraction`` entries."""
-    return len(_primitive_echelon(matrix)[1])
+    return sum(echelon_insert(rows, pivots, _integer_row(row)) for row in matrix)
 
 
 def echelon_insert(rows: List[List[int]], pivots: List[int], row: List[int]) -> bool:
     """Reduce an integer row against an echelon (rows, pivots) and insert
     what is left; True when it was independent of the rows.
 
-    The echelon is in the shape ``_primitive_echelon`` returns, pivots
-    increasing, and keeps it.  The row is reduced by the same step, row <-
-    (p/g) row - (f/g) top at each pivot in turn, with its content divided
-    out; earlier pivots stay cleared, since each top row is zero before its
+    The echelon is a list of primitive integer rows with increasing
+    pivots: rows[i] is zero before column pivots[i] and nonzero there.  The
+    row is reduced at each pivot c in turn by row <- (p/g) row - (f/g) top,
+    with p = top[c], f = row[c] and g = gcd(p, f), and its content is
+    divided out, which keeps the entries from growing like the minors;
+    earlier pivots stay cleared, since each top row is zero before its
     pivot.  A nonzero remainder is inserted at its first nonzero column; a
     row that is zero, or is reduced to zero, leaves the echelon as it was.
     """
@@ -202,32 +165,22 @@ def echelon_insert(rows: List[List[int]], pivots: List[int], row: List[int]) -> 
     return True
 
 
-def cyclotomic_rank(matrix: Sequence[Sequence[CyclotomicElement]]) -> int:
-    """Rank over Q(zeta_M) of a matrix of ``CyclotomicElement`` entries.
+def cyclotomic_rank(matrix: Sequence[Sequence[Sequence[int]]], conductor: int) -> int:
+    """Rank over Q(zeta_M), M the conductor, of a matrix whose entries are
+    given by their phi = phi(M) integer coefficients in the basis 1, x,
+    ..., x^(phi-1) of Z[zeta_M] = Z[x]/Phi_M.
 
-    The elimination runs in Z[zeta_M] = Z[x]/Phi_M, a domain whose field of
-    fractions is Q(zeta_M), on each entry's phi = phi(M) coefficients in
-    the basis 1, x, ..., x^(phi-1); a row with a ``Fraction`` coefficient
-    is first scaled to an integer row.  Column c is cleared from each later
-    row by row <- p row - f top, with p = top[c] and f = row[c]: ring
-    products, reduced by the monic Phi_M, so they stay integral, and p is
-    nonzero, so the span over Q(zeta_M) is kept.  The result is divided by
-    the integer gcd of all its coefficients, and dropped when it is zero.
-    An s x g matrix costs s g min(s, g) phi^2 coefficient operations; its
-    regular representation over Q, phi times as tall and as wide, would
-    cost phi^3 times s g min(s, g).
+    The elimination runs in Z[zeta_M], a domain whose field of fractions
+    is Q(zeta_M).  Column c is cleared from each later row by row <- p row
+    - f top, with p = top[c] and f = row[c]: ring products, reduced by the
+    monic Phi_M, so they stay integral, and p is nonzero, so the span over
+    Q(zeta_M) is kept.  The result is divided by the integer gcd of all
+    its coefficients, and dropped when it is zero.  An s x g matrix costs
+    s g min(s, g) phi^2 coefficient operations; its regular representation
+    over Q, phi times as tall and as wide, would cost phi^3 times s g
+    min(s, g).
     """
-    if not matrix:
-        return 0
-    conductor = matrix[0][0].conductor
-    phi = len(matrix[0][0].coeffs)
-    rest = []
-    for row in matrix:
-        flat = [c for e in row for c in e.coeffs]
-        if not all(type(c) is int for c in flat):
-            flat = _integer_row(flat)
-        if any(flat):
-            rest.append([flat[i:i + phi] for i in range(0, len(flat), phi)])
+    rest = [row for row in matrix if any(map(any, row))]
     # every row in rest is nonzero and starts at the column being cleared
     rank = 0
     while rest:
@@ -255,7 +208,7 @@ def cyclotomic_rank(matrix: Sequence[Sequence[CyclotomicElement]]) -> int:
     return rank
 
 
-def _mul_sub(p: List[int], a: List[int], f: List[int], b: List[int], conductor: int) -> List[int]:
+def _mul_sub(p: Sequence[int], a: Sequence[int], f: Sequence[int], b: Sequence[int], conductor: int) -> List[int]:
     """p a - f b in Z[x]/Phi_M, each given by its phi(M) coefficients."""
     out = [0] * (len(a) + len(p) - 1)
     if any(a):

@@ -3,6 +3,11 @@ blow-ups, and the invariants read off the resolution tree: A'Campo zeta
 functions, local one- and multivariable Alexander polynomials, and
 Jordan/Fitting exponents from Hodge data.
 
+The zeta function and the multivariable link polynomial are formal
+products prod (1 - t^v)^e over the exceptional curves, carried as the map
+v -> e (``FormalProduct``) and never multiplied out; the one-variable
+Alexander polynomial is read off the zeta map as Phi_m exponents.
+
 Blow-up centers are restricted to Q-rational points; an irrational
 infinitely-near point aborts with its minimal polynomial (from degree 4
 on, possibly a product of minimal polynomials) so the user can supply an
@@ -28,7 +33,7 @@ from .errors import (
     NonRationalInfinitelyNearPoint,
     ResolutionDidNotTerminate,
 )
-from .laurent import FormalCycloProduct, LaurentPolynomial
+from .laurent import LaurentPolynomial
 
 MAX_BLOWUPS = 500
 
@@ -295,28 +300,48 @@ def _ord_at_zero(coeffs: uni.Poly) -> int:
 # ---------------------------------------------------------------------------
 
 
-def acampo_zeta(tree: ResolutionTree) -> FormalCycloProduct:
+class FormalProduct(dict):
+    """prod_v (1 - t^v)^e as the map v -> e, each v a nonzero exponent
+    vector and each e nonzero; printed with the factors sorted by v, as in
+    (1 - t^4) * (1 - t^12)^-1 for one variable, t1^2*t2^3 in the factors
+    for r >= 2, and 1 for the empty product."""
+
+    def __str__(self) -> str:
+        parts = []
+        for v in sorted(self):
+            names = ["t"] if len(v) == 1 else [f"t{i}" for i in range(1, len(v) + 1)]
+            mono = "*".join(n if x == 1 else f"{n}^{x}" for n, x in zip(names, v) if x)
+            e = self[v]
+            parts.append(f"(1 - {mono})" if e == 1 else f"(1 - {mono})^{e}")
+        return " * ".join(parts) or "1"
+
+
+def _formal_product(factors) -> FormalProduct:
+    """The product of the given (v, e): equal vectors merged, zero
+    exponents dropped."""
+    out: Dict[Tuple[int, ...], int] = {}
+    for v, e in factors:
+        out[v] = out.get(v, 0) + e
+    return FormalProduct((v, e) for v, e in out.items() if e)
+
+
+def acampo_zeta(tree: ResolutionTree) -> FormalProduct:
     """zeta(t) = prod over nodes of (1 - t^{m_k})^{chi(E_k deg)} with m_k the
     total multiplicity."""
-    out = FormalCycloProduct.one(1)
-    for node in tree.nodes:
-        chi = node.chi_open()
-        if chi:
-            out = out * FormalCycloProduct.one_minus_power((node.total_multiplicity,), chi)
-    return out
+    return _formal_product(((n.total_multiplicity,), n.chi_open()) for n in tree.nodes)
 
 
-def zeta_exponents(zeta: FormalCycloProduct) -> Exponents:
+def zeta_exponents(zeta: Dict[Tuple[int], int]) -> Exponents:
     """Delta(t) = (t - 1) / zeta(t) as Phi_m exponents: every
     (1 - t^d)^e of the one-variable zeta adds -e into each m | d.
     NotPolynomial when some exponent is negative."""
-    out = cyclotomic_exponents((1, 1), *((abs(d), -e) for (d,), e in zeta.factors.items()))
+    out = cyclotomic_exponents((1, 1), *((abs(d), -e) for (d,), e in zeta.items()))
     if any(e < 0 for e in out.values()):
         raise NotPolynomial(f"(t - 1) / ({zeta}) is not a polynomial")
     return out
 
 
-def local_alexander_from_zeta(zeta: FormalCycloProduct) -> LaurentPolynomial:
+def local_alexander_from_zeta(zeta: Dict[Tuple[int], int]) -> LaurentPolynomial:
     """Delta(t) = (t - 1) / zeta(t), canonical up to +-t^a."""
     return expand_cyclotomic(zeta_exponents(zeta))
 
@@ -342,17 +367,12 @@ def torus_knot_alexander(p: int, q: int) -> LaurentPolynomial:
     return expand_cyclotomic(torus_knot_exponents(p, q))
 
 
-def multivariable_link_alexander(tree: ResolutionTree) -> FormalCycloProduct:
+def multivariable_link_alexander(tree: ResolutionTree) -> FormalProduct:
     """The multivariable Alexander polynomial of the link of a reducible
     germ as a formal product: prod over nodes of (1 - t^{a_k})^{-chi}."""
     if tree.r < 2:
         raise BadGerm("multivariable invariant needs r >= 2 components")
-    out = FormalCycloProduct.one(tree.r)
-    for node in tree.nodes:
-        chi = node.chi_open()
-        if chi:
-            out = out * FormalCycloProduct.one_minus_power(node.a, -chi)
-    return out
+    return _formal_product((n.a, -n.chi_open()) for n in tree.nodes)
 
 
 def fitting_exponents_from_hodge(h00: int, h10: int, h01: int) -> List[int]:

@@ -152,14 +152,19 @@ def rational_nullspace(matrix: Sequence[Sequence]) -> List[List[Fraction]]:
     """Basis of the right nullspace over Q.
 
     There is one basis vector per non-pivot column: it is 1 at that
-    column and 0 at the other non-pivot columns.
+    column and 0 at the other non-pivot columns.  The echelon is built by
+    ``linalg.echelon_insert``, row by row; back-substitution needs only
+    that each row is zero before its pivot and the pivots are distinct
+    and increasing.
     """
-    from alexinv.linalg import _primitive_echelon
+    from alexinv.linalg import _integer_row, echelon_insert
 
     if not matrix:
         return []
     cols = len(matrix[0])
-    rows, pivots = _primitive_echelon(matrix)
+    rows, pivots = [], []
+    for row in matrix:
+        echelon_insert(rows, pivots, _integer_row(row))
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
@@ -267,3 +272,86 @@ def unpruned_intersections(r: int, faces, max_size: int):
             verts = RationalPolytope(r, [c for i in combo for c in faces[i]]).vertices()
             if verts:
                 yield combo, verts
+
+
+def exact_divide(f, g):
+    """Exact division f / g of Laurent polynomials in any number of
+    variables, by long division on the leading term in graded
+    lexicographic order; NotPolynomial when g does not divide f.  The
+    multivariable division that the univariate finish of
+    ``groups.one_variable_alexander`` replaced, kept as the oracle for
+    divisibility and for multiplying out formal products."""
+    from alexinv import uni
+    from alexinv.errors import NotPolynomial, ZeroInput
+    from alexinv.laurent import LaurentPolynomial
+
+    if f.var_count != g.var_count:
+        raise ValueError("variable counts differ")
+    if g.is_zero():
+        raise ZeroInput("division by zero polynomial")
+    if f.is_zero():
+        return LaurentPolynomial.zero(f.var_count)
+    # shift both into the polynomial cone
+    fshift = tuple(-min(e[i] for e in f.terms) for i in range(f.var_count))
+    gshift = tuple(-min(e[i] for e in g.terms) for i in range(g.var_count))
+    fp, gp = f.shift(fshift), g.shift(gshift)
+    quo_terms = {}
+    glead = max(gp.terms, key=lambda e: (sum(e), e))
+    gc = gp.terms[glead]
+    rem = fp
+    while not rem.is_zero():
+        rlead = max(rem.terms, key=lambda e: (sum(e), e))
+        exp = tuple(a - b for a, b in zip(rlead, glead))
+        if any(e < 0 for e in exp):
+            raise NotPolynomial(f"{g} does not divide {f}")
+        coeff = uni.quotient(rem.terms[rlead], gc)
+        quo_terms[exp] = coeff
+        rem = rem - LaurentPolynomial.monomial(coeff, exp) * gp
+    quo = LaurentPolynomial(f.var_count, quo_terms)
+    return quo.shift(tuple(b - a for a, b in zip(fshift, gshift)))
+
+
+# Formal products prod_v (1 - t^v)^e, as the maps v -> e that
+# ``resolution.acampo_zeta`` and ``multivariable_link_alexander`` return.
+# t - 1 is the product {(1,): 1} up to the unit -1.
+
+
+def product_of(*products):
+    """The product of maps v -> e: exponents of equal vectors add, and zero
+    exponents are dropped."""
+    out = {}
+    for product in products:
+        for v, e in product.items():
+            out[v] = out.get(v, 0) + e
+    return {v: e for v, e in out.items() if e}
+
+
+def inverse_product(product):
+    return {v: -e for v, e in product.items()}
+
+
+def diagonal_product(product):
+    """t_i -> t for all i: each exponent vector goes to its coordinate sum;
+    NotPolynomial when some sum is 0, a factor 1 - t^0 = 0."""
+    from alexinv.errors import NotPolynomial
+
+    if any(sum(v) == 0 for v in product):
+        raise NotPolynomial("diagonal specialization hits 1 - t^0")
+    return product_of(*({(sum(v),): e} for v, e in product.items()))
+
+
+def expand_product(product):
+    """The product multiplied out by exact division of its numerator by its
+    denominator; NotPolynomial when it is not a polynomial.  The empty
+    product is the one-variable 1."""
+    from alexinv.laurent import LaurentPolynomial
+
+    r = len(next(iter(product), (0,)))
+    num = den = LaurentPolynomial.one(r)
+    for v, e in product.items():
+        base = LaurentPolynomial.one(r) - LaurentPolynomial.monomial(1, v)
+        if e > 0:
+            num = num * base**e
+        else:
+            den = den * base ** (-e)
+    return exact_divide(num, den)

@@ -282,7 +282,7 @@ def test_cli_import_does_not_load_sympy(files, tmp_path):
 
 
 def test_package_names_resolve():
-    assert len(alexinv.__all__) == 55
+    assert len(alexinv.__all__) == 54
     for name in alexinv.__all__:
         value = getattr(alexinv, name)
         assert getattr(sys.modules[value.__module__], name) is value

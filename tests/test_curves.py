@@ -22,12 +22,12 @@ from alexinv.curves import (
 from alexinv import curves
 from alexinv.cyclotomic import expand_cyclotomic
 from alexinv.errors import BadGerm, NotPolynomial, TheoremViolation
-from alexinv.laurent import LaurentPolynomial, exact_divide, normalize_unit
+from alexinv.laurent import LaurentPolynomial, normalize_unit
 from alexinv.polytope import RationalPolytope
 from alexinv.quasiadj import LocalIdealDescription, kappa_constant
 from alexinv.resolution import PlaneCurveGerm
 from alexinv.serialize import curve_from_json
-from conftest import full_sweep_triple, reference_h1, unpruned_intersections
+from conftest import exact_divide, full_sweep_triple, reference_h1, unpruned_intersections
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from alexinv import uni
 from alexinv.errors import NotPolynomial, ZeroInput
 from alexinv.laurent import (
-    FormalCycloProduct,
     LaurentPolynomial,
     common_root_count,
-    exact_divide,
     normalize_unit,
     univariate_gcd,
 )
+from conftest import diagonal_product, exact_divide, expand_product, inverse_product, product_of
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -133,15 +132,11 @@ def test_exact_divide_multivariable():
         exact_divide(a, b)
 
 
-def test_cyclo_product_merging_and_unit():
-    f = FormalCycloProduct.one_minus_power((1, 2), 3)
-    g = FormalCycloProduct.one_minus_power((1, 2), -3)
-    assert (f * g).is_unit()
-
-
 def test_cyclo_product_diagonal():
-    h = FormalCycloProduct.one_minus_power((1, 1, 1))
-    assert h.diagonal_specialize() == FormalCycloProduct.one_minus_power((3,))
+    assert diagonal_product({(1, 1, 1): 1}) == {(3,): 1}
+    assert diagonal_product({(1, 2): 1, (2, 1): -1}) == {}
+    with pytest.raises(NotPolynomial):
+        diagonal_product({(1, -1): 1})
 
 
 @given(
@@ -156,25 +151,17 @@ def test_cyclo_product_diagonal():
 )
 def test_diagonal_specialize_multiplicative(fs, gs):
     def build(items):
-        out = FormalCycloProduct.one(2)
-        for v, e in items:
-            if any(v) and sum(v) != 0:
-                out = out * FormalCycloProduct.one_minus_power(v, e)
-        return out
+        return product_of(*({v: e} for v, e in items if any(v) and sum(v) != 0))
 
     f, g = build(fs), build(gs)
-    assert (f * g).diagonal_specialize() == f.diagonal_specialize() * g.diagonal_specialize()
+    assert diagonal_product(product_of(f, g)) == product_of(diagonal_product(f), diagonal_product(g))
 
 
 def test_expand_cusp_pipeline():
-    zeta = (
-        FormalCycloProduct.one_minus_power((2,))
-        * FormalCycloProduct.one_minus_power((3,))
-        * FormalCycloProduct.one_minus_power((6,), -1)
-    )
+    zeta = {(2,): 1, (3,): 1, (6,): -1}
     with pytest.raises(NotPolynomial):
-        zeta.expand()
-    delta = (FormalCycloProduct.t_minus_one() * zeta.inverse()).expand()
+        expand_product(zeta)
+    delta = expand_product(product_of({(1,): 1}, inverse_product(zeta)))
     assert normalize_unit(delta) == PHI6
 
 
