@@ -7,11 +7,14 @@ of quasiadjunction with their predicted characteristic-variety components.
 The curve is always assumed transversal to the line at infinity, and all
 singular positions lie in one affine chart with rational coordinates.
 
-Each singular point carries a ``LocalData``.  Its ideals of
-quasiadjunction are monomial staircases below the certified jet bound,
-and each of its local faces is one list of local halfspaces
+Each singular point carries a ``LocalData``: the embedded resolution of
+its germ, shared by every point of the process with an equal germ.  A
+named type is the resolution of its normal form: a node is the germ
+(x, y), a cusp is x^2 + y^3, and a torus type (p, q) is x^p + y^q.  Its
+ideals of quasiadjunction are monomial staircases below the certified
+jet bound, and each of its local faces is one list of local halfspaces
 (normal, bound), lifted into the global cube through the point's
-incidence.
+incidence: one component label per branch, or one label for them all.
 
 A superabundance is the colength of the ideals minus the rank of the
 conditions they impose on curves of degree m.  The curves meeting every
@@ -31,25 +34,12 @@ from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Exponents, cyclotomic_exponents, expand_cyclotomic, root_multiplicity
-from .errors import BadGerm, InternalError, TheoremViolation, UnsupportedDimension
+from .errors import BadGerm, InternalError, NotCoprime, TheoremViolation, UnsupportedDimension
 from .laurent import LaurentPolynomial, common_root_count
 from .linalg import cokernel_invariants, echelon_insert
 from .polytope import RationalPolytope
-from .quasiadj import (
-    LocalIdealDescription,
-    ideal_of_quasiadjunction,
-    jumping_values,
-    polytopes_and_faces,
-    torus_constants,
-)
-from .resolution import (
-    PlaneCurveGerm,
-    ResolutionTree,
-    acampo_zeta,
-    resolve,
-    torus_knot_exponents,
-    zeta_exponents,
-)
+from .quasiadj import LocalIdealDescription, ideal_of_quasiadjunction, jumping_values, polytopes_and_faces
+from .resolution import PlaneCurveGerm, ResolutionTree, acampo_zeta, resolve, zeta_exponents
 
 
 # ---------------------------------------------------------------------------
@@ -58,63 +48,16 @@ from .resolution import (
 
 
 class LocalData:
-    """Closed-form or resolution-backed invariants of one singular germ.
-
-    Its interface: ``delta_exponents()``, the local Alexander polynomial as
-    Phi_m exponents; ``constants()``, the constants of quasiadjunction;
-    ``ideal_at(kappa)``, the strict ideal of quasiadjunction along the
-    diagonal xi = kappa, which cuts the linear-system conditions;
-    ``branch_count()``; and ``local_faces()``, the faces of quasiadjunction
-    in the local cube (r <= 3), each a list of local halfspaces
-    (normal, bound) that ``global_faces_and_components`` lifts."""
-
-
-@dataclass(frozen=True)
-class NamedGermData(LocalData):
-    """node, cusp, or a (p, q) torus-knot germ, via the monomial formulas.
-    Equal (p, q, kind) data are one local type: a curve's computations
-    that depend only on the type run once per type, not once per point."""
-
-    p: int
-    q: int
-    kind: str
-
-    def delta_exponents(self) -> Exponents:
-        if self.kind == "node":
-            return {1: 1}
-        return torus_knot_exponents(self.p, self.q)
-
-    def branch_count(self) -> int:
-        return 2 if self.kind == "node" else 1
-
-    def constants(self) -> List[Fraction]:
-        return [] if self.kind == "node" else torus_constants(self.p, self.q)
-
-    def ideal_at(self, kappa: Fraction) -> LocalIdealDescription:
-        """x^i y^j is a member iff kappa = n/d exceeds its constant
-        max(1 - (i+1)/p - (j+1)/q, 0), that is, iff n > 0 and
-        n p q > d (p q - (i+1) q - (j+1) p): decided on integers."""
-        kappa = Fraction(kappa)
-        n, d, p, q = kappa.numerator, kappa.denominator, self.p, self.q
-        bound = p + q
-        members, nonmembers = set(), []
-        for i in range(bound):
-            for j in range(bound - i):
-                if self.kind == "node" or (n > 0 and n * p * q > d * (p * q - (i + 1) * q - (j + 1) * p)):
-                    members.add((i, j))
-                else:
-                    nonmembers.append((i, j))
-        return LocalIdealDescription(bound, frozenset(members), tuple(nonmembers))
-
-    def local_faces(self):
-        """The point xi = kappa at each constant: the face kappa <= xi <= kappa."""
-        return [[((1,), kappa), ((-1,), -kappa)] for kappa in self.constants()]
-
-
-class ResolvedGermData(LocalData):
-    """Invariants produced by an embedded resolution of an explicit germ.
-    A smooth germ has the empty tree: no constants, no faces, and ideals of
-    colength 0."""
+    """The invariants of one singular germ, read off its embedded
+    resolution: ``delta_exponents()``, the local Alexander polynomial as
+    Phi_m exponents; ``constants()``, the jumping values of the diagonal
+    family xi = (kappa, ..., kappa); ``ideal_at(xi)``, the strict ideal of
+    quasiadjunction at xi, one coordinate per branch, which cuts the
+    linear-system conditions; ``branch_count()``; and ``local_faces()``,
+    the faces of quasiadjunction in the local cube (r <= 3), each a list of
+    local halfspaces (normal, bound) that ``global_faces_and_components``
+    lifts.  A smooth germ has the empty tree: no constants, no faces, and
+    ideals of colength 0."""
 
     def __init__(self, germ: PlaneCurveGerm):
         self.germ = germ
@@ -127,12 +70,10 @@ class ResolvedGermData(LocalData):
         return self.germ.r
 
     def constants(self) -> List[Fraction]:
-        """Jumping values of the diagonal family xi = (kappa, ..., kappa),
-        i.e. of the ideals attached to the cyclic covers z^n = f."""
         return jumping_values(self.tree)
 
-    def ideal_at(self, kappa: Fraction) -> LocalIdealDescription:
-        return ideal_of_quasiadjunction(self.tree, (Fraction(kappa),) * self.tree.r)
+    def ideal_at(self, xi: Sequence[Fraction]) -> LocalIdealDescription:
+        return ideal_of_quasiadjunction(self.tree, xi)
 
     def local_faces(self):
         """Each face of quasiadjunction as the halfspaces it saturates, in
@@ -151,27 +92,39 @@ class ResolvedGermData(LocalData):
         return out
 
 
+# One datum per distinct germ in the process, keyed by its parsed
+# components, and one per named type, keyed by (kind, pq): equal germs are
+# resolved once and are one local type, and a named type is parsed once.
+_LOCAL_DATA: Dict[tuple, LocalData] = {}
+
+
+def _named_germ(kind: str, pq) -> PlaneCurveGerm:
+    """The germ of a named type: 'node' is (x, y), 'cusp' is x^2 + y^3 and
+    'torus' with pq = (p, q) is x^p + y^q, for coprime p and q."""
+    if kind == "node":
+        return PlaneCurveGerm.from_strings("x", "y")
+    if kind == "cusp":
+        pq = (2, 3)
+    elif kind != "torus":
+        raise BadGerm(f"unknown singularity type {kind!r}")
+    p, q = pq
+    if gcd(p, q) != 1:
+        raise NotCoprime(f"torus type ({p}, {q}): gcd({p}, {q}) != 1")
+    return PlaneCurveGerm.from_strings(f"x^{p} + y^{q}")
+
+
 def local_data_for(kind_or_germ, pq: Optional[Tuple[int, int]] = None) -> LocalData:
-    if kind_or_germ == "node":
-        return NamedGermData(2, 2, "node")
-    if kind_or_germ == "cusp":
-        return NamedGermData(2, 3, "torus")
-    if kind_or_germ == "torus":
-        p, q = pq
-        return NamedGermData(p, q, "torus")
+    """The shared local datum of a germ, or of a named type (see
+    ``_named_germ``)."""
     if isinstance(kind_or_germ, PlaneCurveGerm):
-        return ResolvedGermData(kind_or_germ)
-    raise BadGerm(f"unknown singularity type {kind_or_germ!r}")
-
-
-def shared_germ_data(germ: PlaneCurveGerm, shared: dict) -> LocalData:
-    """The local datum of an explicit germ, one per distinct germ: keyed in
-    ``shared`` by the parsed components, so equal germs are resolved once
-    and count as one local type."""
-    key = tuple(tuple(sorted(c.items())) for c in germ.components)
-    if key not in shared:
-        shared[key] = local_data_for(germ)
-    return shared[key]
+        key = tuple(tuple(sorted(c.items())) for c in kind_or_germ.components)
+        if key not in _LOCAL_DATA:
+            _LOCAL_DATA[key] = LocalData(kind_or_germ)
+    else:
+        key = (kind_or_germ, pq)
+        if key not in _LOCAL_DATA:
+            _LOCAL_DATA[key] = local_data_for(_named_germ(kind_or_germ, pq))
+    return _LOCAL_DATA[key]
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +140,16 @@ class SingularPoint:
     incidence: Tuple[str, ...] = ()
 
 
-def singular_point(position, kind, germs: dict, incidence=()) -> SingularPoint:
+def singular_point(position, kind, incidence=()) -> SingularPoint:
     """The singular point at position of the given kind: 'node', 'cusp', a
-    torus type (p, q), or a germ string / PlaneCurveGerm.  Equal explicit
-    germs share one datum through ``germs`` (see shared_germ_data)."""
+    torus type (p, q), or a germ string / PlaneCurveGerm."""
     if kind in ("node", "cusp"):
         data, desc = local_data_for(kind), kind
     elif isinstance(kind, tuple):
         data, desc = local_data_for("torus", kind), f"torus({kind[0]},{kind[1]})"
     else:
         germ = kind if isinstance(kind, PlaneCurveGerm) else PlaneCurveGerm.from_strings(kind)
-        data, desc = shared_germ_data(germ, germs), f"germ({germ})"
+        data, desc = local_data_for(germ), f"germ({germ})"
     return SingularPoint((Fraction(position[0]), Fraction(position[1])), data, desc, tuple(incidence))
 
 
@@ -210,15 +162,22 @@ class ProjectiveCurveSpec:
     def __post_init__(self):
         if sum(d for _, d in self.components) != self.degree:
             raise BadGerm("component degrees do not sum to the total degree")
-        if len({lab for lab, _ in self.components}) != len(self.components):
+        labels = {lab for lab, _ in self.components}
+        if len(labels) != len(self.components):
             raise BadGerm("component labels must be distinct")
         positions = [p.position for p in self.singularities]
         if len(set(positions)) != len(positions):
             raise BadGerm("singular positions must be pairwise distinct")
         for p in self.singularities:
             for lab in p.incidence:
-                if lab not in {l for l, _ in self.components}:
+                if lab not in labels:
                     raise BadGerm(f"unknown component label {lab!r} in incidence")
+            branches = p.data.branch_count()
+            if len(p.incidence) not in (0, 1, branches):
+                raise BadGerm(
+                    f"incidence {list(p.incidence)} at {p.description} must give one label "
+                    f"or one per branch ({branches})"
+                )
         self._plucker_sanity()
 
     def _plucker_sanity(self):
@@ -242,8 +201,7 @@ class ProjectiveCurveSpec:
         ``singular_point``; on a one-component curve every point lies on it."""
         comps = components or [("C", degree)]
         incidence = (comps[0][0],) if len(comps) == 1 else ()
-        germs: dict = {}
-        pts = [singular_point(pos, kind, germs, incidence) for pos, kind in singularities]
+        pts = [singular_point(pos, kind, incidence) for pos, kind in singularities]
         return cls(degree=degree, components=list(comps), singularities=pts)
 
 
@@ -395,7 +353,7 @@ def superabundance(spec: ProjectiveCurveSpec, kappa: Fraction) -> int:
     m = spec.degree - 3 - int(dk)
     if m < 0:
         return 0
-    ideals = {data: data.ideal_at(kappa) for data in _local_types(spec)}
+    ideals = {data: data.ideal_at((kappa,) * data.branch_count()) for data in _local_types(spec)}
     return _h1(spec, [ideals[point.data] for point in spec.singularities], m)
 
 
@@ -609,12 +567,15 @@ class GlobalFace:
 
 
 def _coords(spec: ProjectiveCurveSpec, point: SingularPoint) -> List[int]:
-    """The global coordinates of a point's local branches: its incidence
-    labels, or the first branch_count() components when it has none."""
+    """The global coordinate of each local branch: its incidence label (one
+    label stands for every branch), or the first branch_count() components
+    when the point has none."""
     labels = [lab for lab, _ in spec.components]
-    if point.incidence:
-        return [labels.index(lab) for lab in point.incidence]
-    return list(range(len(labels)))[: point.data.branch_count()]
+    branches = point.data.branch_count()
+    incidence = point.incidence or labels[:branches]
+    if len(incidence) == 1:
+        incidence = incidence * branches
+    return [labels.index(lab) for lab in incidence]
 
 
 def _lifted_constraints(spec: ProjectiveCurveSpec, point: SingularPoint, local):
@@ -640,9 +601,10 @@ def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
         raise UnsupportedDimension("global faces supported for r <= 3 components")
     # identical lifted faces (e.g. many cusps of one component, all lifting
     # to xi = 1/6) are merged before the subset enumeration
+    local_faces = {data: data.local_faces() for data in _local_types(spec)}
     merged: Dict[frozenset, List[int]] = {}
     for idx, point in enumerate(spec.singularities):
-        for local in point.data.local_faces():
+        for local in local_faces[point.data]:
             key = frozenset(_lifted_constraints(spec, point, local))
             merged.setdefault(key, []).append(idx)
     lifted = [(sorted(set(points)), sorted(key)) for key, points in sorted(
@@ -712,15 +674,6 @@ def _face_h1(spec: ProjectiveCurveSpec, xi_global, m: int) -> int:
     for point in spec.singularities:
         key = (point.data, tuple(xi_global[c] for c in _coords(spec, point)))
         if key not in once:
-            once[key] = _ideal_at_vector(*key)
+            once[key] = point.data.ideal_at(key[1])
         ideals.append(once[key])
     return _h1(spec, ideals, m)
-
-
-def _ideal_at_vector(data: LocalData, xi_local):
-    if isinstance(data, ResolvedGermData):
-        if len(xi_local) != data.tree.r:
-            # single shared coordinate for a multibranch germ on one component
-            xi_local = list(xi_local) * data.tree.r
-        return ideal_of_quasiadjunction(data.tree, xi_local)
-    return data.ideal_at(xi_local[0])

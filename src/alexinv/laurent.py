@@ -106,11 +106,6 @@ class LaurentPolynomial:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ZeroInput("zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
-
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "LaurentPolynomial"):

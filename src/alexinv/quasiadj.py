@@ -182,11 +182,6 @@ class LocalIdealDescription:
     def colength(self) -> int:
         return len(self.nonmembers)
 
-    def contains_monomial(self, alpha: int, beta: int) -> bool:
-        if alpha + beta >= self.jet_bound:
-            return True
-        return (alpha, beta) in self.members
-
     def staircase_json(self) -> dict:
         return {
             "jet_bound": self.jet_bound,

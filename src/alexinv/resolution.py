@@ -327,8 +327,10 @@ def _formal_product(factors) -> FormalProduct:
 
 def acampo_zeta(tree: ResolutionTree) -> FormalProduct:
     """zeta(t) = prod over nodes of (1 - t^{m_k})^{chi(E_k deg)} with m_k the
-    total multiplicity."""
-    return _formal_product(((n.total_multiplicity,), n.chi_open()) for n in tree.nodes)
+    total multiplicity.  A smooth branch, the empty tree, has the zeta
+    function 1 - t of one blow-up (m = 1, chi = 1), so its Delta is 1."""
+    factors = [((n.total_multiplicity,), n.chi_open()) for n in tree.nodes]
+    return _formal_product(factors or [((1,), 1)])
 
 
 def zeta_exponents(zeta: Dict[Tuple[int], int]) -> Exponents:

@@ -152,7 +152,7 @@ def curve_from_json(data: dict) -> ProjectiveCurveSpec:
     )]
     if sum(d for _, d in components) != degree:
         violations.append("component degrees do not sum to total")
-    points, germs = [], {}
+    points = []
     for si, sing in enumerate(data.get("singularities", [])):
         where = f"singularities/{si}"
         pos = sing.get("pos")
@@ -190,7 +190,7 @@ def curve_from_json(data: dict) -> ProjectiveCurveSpec:
         incidence = tuple(str(x) for x in sing.get("incidence", ()))
         if not incidence and len(components) == 1:
             incidence = (components[0][0],)
-        points.append(singular_point(position, kind, germs, incidence))
+        points.append(singular_point(position, kind, incidence))
     if violations:
         raise ValidationError(violations)
     return ProjectiveCurveSpec(degree, components, points)

@@ -407,6 +407,36 @@ def test_curve_file_errors_name_the_json_path(tmp_path, capsys):
     assert err.value.violations == ["singularities/0/pos: must be a pair"]
 
 
+@pytest.mark.parametrize("sub", ["global", "faces"])
+def test_torus_type_with_common_factor_exit_3(tmp_path, capsys, sub):
+    """x^2 + y^4 is not a torus knot germ: loading the curve rejects it on
+    every subcommand, before any answer is computed."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"degree": 8, "singularities": [
+        {"pos": ["0", "0"], "type": "cusp"}, {"pos": ["1", "0"], "type": "torus", "pq": [2, 4]},
+    ]}))
+    code, out = _run([sub, "--curve", str(bad)])
+    assert code == 3 and out == ""
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: torus type (2, 4): gcd(2, 4) != 1"
+
+
+def test_incidence_needs_one_label_or_one_per_branch_exit_3(tmp_path, capsys):
+    """Two labels on a three-branch germ would lift two of its three
+    coordinates: the curve is rejected where the labels are checked."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "degree": 3, "components": [{"label": "A", "degree": 2}, {"label": "B", "degree": 1}],
+        "singularities": [{"pos": ["0", "0"], "germ": ["x", "y", "x-y"], "incidence": ["A", "B"]}],
+    }))
+    code, out = _run(["faces", "--curve", str(bad)])
+    assert code == 3 and out == ""
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (
+        "error: incidence ['A', 'B'] at germ(x, y, -y + x) must give one label or one per branch (3)"
+    )
+
+
 # One file per schema keyword that breaks only that keyword, with the
 # subcommand that reads it and the path the violation is reported at.
 KEYWORD_VIOLATIONS = {

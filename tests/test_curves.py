@@ -24,8 +24,8 @@ from alexinv.cyclotomic import expand_cyclotomic
 from alexinv.errors import BadGerm, NotPolynomial, TheoremViolation
 from alexinv.laurent import LaurentPolynomial, normalize_unit
 from alexinv.polytope import RationalPolytope
-from alexinv.quasiadj import LocalIdealDescription, kappa_constant
-from alexinv.resolution import PlaneCurveGerm
+from alexinv.quasiadj import LocalIdealDescription, kappa_constant, torus_constants
+from alexinv.resolution import PlaneCurveGerm, torus_knot_exponents
 from alexinv.serialize import curve_from_json
 from conftest import exact_divide, full_sweep_triple, reference_h1, unpruned_intersections
 
@@ -217,13 +217,13 @@ def test_superabundance_computes_one_ideal_per_local_type(monkeypatch):
     points += [((x, 1), "node") for x in (7, 8)] + [((x, 2), (2, 5)) for x in (7, 8)]
     spec = ProjectiveCurveSpec.build(12, points)
     calls = []
-    true_ideal_at = curves.NamedGermData.ideal_at
+    true_ideal_at = curves.LocalData.ideal_at
 
-    def counting(self, kappa):
+    def counting(self, xi):
         calls.append(self)
-        return true_ideal_at(self, kappa)
+        return true_ideal_at(self, xi)
 
-    monkeypatch.setattr(curves.NamedGermData, "ideal_at", counting)
+    monkeypatch.setattr(curves.LocalData, "ideal_at", counting)
     assert superabundance(spec, F(1, 6)) >= 0
     assert len(calls) == len(set(calls)) == 3
     calls.clear()
@@ -232,32 +232,38 @@ def test_superabundance_computes_one_ideal_per_local_type(monkeypatch):
 
 
 def test_equal_explicit_germs_share_one_resolution(monkeypatch):
-    """Six explicit x^2 + y^3 points, written two ways, are one local type:
-    one resolution, and one ideal per kappa; the answer is the cusps'."""
+    """Six explicit x^2 + y^3 points, written two ways, and the named cusp
+    are one local type: one resolution, and one ideal per kappa; the answer
+    is the cusps'.  Each count starts from an empty cache."""
     resolved = []
     true_resolve = curves.resolve
     monkeypatch.setattr(curves, "resolve", lambda germ: resolved.append(germ) or true_resolve(germ))
+    monkeypatch.setattr(curves, "_LOCAL_DATA", {})
     texts = ["x^2 + y^3", "y^3 + x^2"] * 3
     spec = ProjectiveCurveSpec.build(6, [(pos, text) for (pos, _), text in zip(ON_CONIC, texts)])
     assert len(resolved) == 1
     assert len({id(p.data) for p in spec.singularities}) == 1
+    named = ProjectiveCurveSpec.build(6, ON_CONIC)
+    assert len(resolved) == 1 and named.singularities[0].data is spec.singularities[0].data
     kappas = []
-    true_ideal_at = curves.ResolvedGermData.ideal_at
+    true_ideal_at = curves.LocalData.ideal_at
 
-    def counting(self, kappa):
-        kappas.append(kappa)
-        return true_ideal_at(self, kappa)
+    def counting(self, xi):
+        kappas.append(xi)
+        return true_ideal_at(self, xi)
 
-    monkeypatch.setattr(curves.ResolvedGermData, "ideal_at", counting)
+    monkeypatch.setattr(curves.LocalData, "ideal_at", counting)
     factorization = global_alexander(spec)
-    assert kappas == [F(1, 6)]
-    assert factorization.factors == global_alexander(ProjectiveCurveSpec.build(6, ON_CONIC)).factors
+    assert kappas == [(F(1, 6),)]
+    assert factorization.factors == global_alexander(named).factors
     resolved.clear()
+    monkeypatch.setattr(curves, "_LOCAL_DATA", {})
     curve_from_json({
-        "degree": 6,
-        "singularities": [{"pos": [str(x), str(y)], "germ": "x^2 + y^3"} for (x, y), _ in ON_CONIC],
+        "degree": 7,
+        "singularities": [{"pos": [str(x), str(y)], "germ": "x^2 + y^3"} for (x, y), _ in ON_CONIC]
+        + [{"pos": ["7", "7"], "type": "cusp"}, {"pos": ["8", "7"], "type": "node"}],
     })
-    assert len(resolved) == 1
+    assert len(resolved) == 2
 
 
 def test_equal_named_germs_give_equal_specs():
@@ -472,11 +478,26 @@ def test_build_and_curve_from_json_give_the_same_points():
         assert cusp_a is cusp_b and lines is not cusp_a
     for a, b in zip(built.singularities, loaded.singularities):
         assert (a.position, a.description, a.incidence) == (b.position, b.description, b.incidence)
-        if isinstance(a.data, curves.NamedGermData):
-            assert a.data == b.data
+        assert a.data is b.data
     assert [p.description for p in built.singularities][:4] == [
         "node", "cusp", "torus(2,5)", "germ(-y + x, y + x)",
     ]
+
+
+def test_single_label_lifts_every_branch_of_a_multibranch_germ():
+    """A tacnode on a one-component octic, with the default incidence
+    ("C",), lifts both of its coordinates onto xi: its one face is
+    xi = 1/4 at level 2, as with ("C", "C") and as the tacnode's diagonal
+    jumping value."""
+    tacnode = {"pos": ["0", "0"], "germ": ["y - x^2", "y + x^2"]}
+    specs = [curve_from_json({"degree": 8, "singularities": [dict(tacnode, **extra)]})
+             for extra in ({}, {"incidence": ["C"]}, {"incidence": ["C", "C"]})]
+    specs.append(ProjectiveCurveSpec.build(8, [((0, 0), PlaneCurveGerm.from_strings("y - x^2", "y + x^2"))]))
+    assert specs[0].singularities[0].data.constants() == [F(1, 4)]
+    for spec in specs:
+        (face,) = global_faces_and_components(spec)
+        assert face.vertices == ((F(1, 4),),)
+        assert (face.level, face.twist_degree, face.h1) == (2, 3, 0)
 
 
 def test_named_and_explicit_cusps_merge_into_one_face():
@@ -497,7 +518,8 @@ def test_smooth_explicit_germ_adds_no_condition():
     smooth = curves.local_data_for(PlaneCurveGerm.from_strings("y - x^2"))
     assert not smooth.tree.nodes
     assert smooth.local_faces() == [] and smooth.constants() == []
-    assert all(smooth.ideal_at(F(k, 6)).colength == 0 for k in range(1, 6))
+    assert smooth.delta_exponents() == {} and curves.local_data_for("torus", (1, 4)).delta_exponents() == {}
+    assert all(smooth.ideal_at((F(k, 6),)).colength == 0 for k in range(1, 6))
     with_smooth = ProjectiveCurveSpec.build(6, ON_CONIC + [((5, 7), "y - x^2")])
     plain = ProjectiveCurveSpec.build(6, ON_CONIC)
     for k in range(1, 6):
@@ -521,7 +543,6 @@ CONDITION_KINDS = [
     PlaneCurveGerm.from_strings("x^2 - y^3", "x^3 - y^2"),
     PlaneCurveGerm.from_strings("x - y", "x + y", "x"),
 ]
-_SHARED_GERMS: dict = {}  # explicit germs are resolved once for every example
 
 
 @st.composite
@@ -538,10 +559,14 @@ def condition_cases(draw):
         ts = [F(t, den) for t in draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))]
         positions = [(t, 3 * t - 1) if shape == "line" else (t, t * t) for t in ts]
     kinds = draw(st.lists(st.sampled_from(CONDITION_KINDS), min_size=n, max_size=n))
-    points = [curves.singular_point(p, k, _SHARED_GERMS, ("C",)) for p, k in zip(positions, kinds)]
+    points = [curves.singular_point(p, k, ("C",)) for p, k in zip(positions, kinds)]
     spec = ProjectiveCurveSpec(60, [("C", 60)], points)
     kappa = F(draw(st.integers(1, 60)), 60)
-    return spec, [point.data.ideal_at(kappa) for point in points], draw(st.integers(0, 9))
+    return spec, [_diagonal_ideal(point.data, kappa) for point in points], draw(st.integers(0, 9))
+
+
+def _diagonal_ideal(data, kappa):
+    return data.ideal_at((kappa,) * data.branch_count())
 
 
 @settings(max_examples=150)
@@ -563,7 +588,7 @@ def test_condition_rank_matches_whole_matrix_on_named_rungs(sextic_on_conic, sex
             m = spec.degree - 3 - k
             if m < 0:
                 continue
-            ideals = [point.data.ideal_at(kappa) for point in spec.singularities]
+            ideals = [_diagonal_ideal(point.data, kappa) for point in spec.singularities]
             assert curves._h1(spec, ideals, m) == reference_h1(spec, ideals, m)
 
 
@@ -591,13 +616,12 @@ def test_nonmembers_are_closed_downwards(texts, numerators):
     """The precondition of the walks in _condition_rank and in
     quasiadj.ideal_triple: with x^a y^b a nonmember, so are x^(a-1) y^b
     and x^a y^(b-1), for every variant at every xi (read from the full
-    sweep, which does not assume it), and for the named types along the
-    diagonal."""
+    sweep, which does not assume it), and for the closed-form ideals of
+    the torus types along the diagonal."""
     tree = _tree(texts)
     xi = [F(k, 60) for k in numerators[: tree.r]]
     ideals = list(full_sweep_triple(tree, xi))
-    ideals += [curves.local_data_for(kind).ideal_at(xi[0]) for kind in ("cusp", "node")]
-    ideals += [curves.local_data_for("torus", pq).ideal_at(xi[0]) for pq in ((2, 5), (3, 4), (4, 7))]
+    ideals += [_closed_form_ideal(p, q, xi[0]) for p, q in ((2, 3), (2, 5), (3, 4), (4, 7))]
     for ideal in ideals:
         nonmembers = set(ideal.nonmembers)
         for a, b in nonmembers:
@@ -605,15 +629,16 @@ def test_nonmembers_are_closed_downwards(texts, numerators):
             assert b == 0 or (a, b - 1) in nonmembers
 
 
-def _kappa_constant_ideal(data, kappa):
-    """The named ideal by comparing kappa with each monomial's Fraction
-    constant of quasiadjunction: the route that the integer test of
-    NamedGermData.ideal_at replaced, kept as its oracle."""
-    bound = data.p + data.q
+def _closed_form_ideal(p, q, kappa):
+    """The strict ideal of x^p + y^q along the diagonal by comparing kappa
+    with each monomial's constant of quasiadjunction, below the bound
+    p + q: the closed form that named types were once computed by, kept as
+    an oracle for their resolution route."""
+    bound = p + q
     members, nonmembers = set(), []
     for total in range(bound):
         for i in range(total + 1):
-            if data.kind == "node" or kappa > kappa_constant(data.p, data.q, i, total - i):
+            if kappa > kappa_constant(p, q, i, total - i):
                 members.add((i, total - i))
             else:
                 nonmembers.append((i, total - i))
@@ -621,13 +646,24 @@ def _kappa_constant_ideal(data, kappa):
 
 
 def test_named_ideal_matches_kappa_constant_route():
-    """Every k/d with d <= 42, on the cusp, (2,5), (3,4) and the node."""
-    types = [curves.local_data_for("cusp"), curves.local_data_for("node")]
-    types += [curves.local_data_for("torus", pq) for pq in ((2, 5), (3, 4))]
-    kappas = {F(k, d) for d in range(1, 43) for k in range(0, d + 1)}
-    for data in types:
-        for kappa in sorted(kappas):
-            assert data.ideal_at(kappa) == _kappa_constant_ideal(data, kappa)
+    """Every k/d with 1 <= k <= d <= 42, on the node, the cusp and six torus
+    types: the resolved normal form has the closed forms' nonmembers (none
+    for the node), constants, Phi_m exponents and branch count."""
+    kappas = sorted({F(k, d) for d in range(1, 43) for k in range(1, d + 1)})
+    tori = [("torus", pq) for pq in ((2, 5), (3, 4), (4, 7), (2, 7), (3, 5), (5, 9))]
+    for kind, pq in [("node", None), ("cusp", None)] + tori:
+        data = curves.local_data_for(kind, pq)
+        p, q = pq or (2, 3)
+        if kind == "node":
+            assert (data.branch_count(), data.constants(), data.delta_exponents()) == (2, [], {1: 1})
+            assert all(not data.ideal_at((kappa, kappa)).nonmembers for kappa in kappas)
+            continue
+        assert data.branch_count() == 1
+        assert data.constants() == torus_constants(p, q)
+        assert data.delta_exponents() == torus_knot_exponents(p, q)
+        for kappa in kappas:
+            got = sorted(data.ideal_at((kappa,)).nonmembers)
+            assert got == list(_closed_form_ideal(p, q, kappa).nonmembers), (kind, pq, kappa)
 
 
 def test_conic_rung_builds_few_columns(monkeypatch):
@@ -646,9 +682,8 @@ def test_conic_rung_builds_few_columns(monkeypatch):
 def _two_cusp_germ_and_a_cusp():
     """Degree 6, components A and B of degree 3, the two-cusp germ at
     (0, 0) and a cusp at (1, 1), both with no incidence: 10 lifted faces."""
-    germs: dict = {}
     two_cusps = PlaneCurveGerm.from_strings("x^2 - y^3", "x^3 - y^2")
-    points = [curves.singular_point((0, 0), two_cusps, germs), curves.singular_point((1, 1), "cusp", germs)]
+    points = [curves.singular_point((0, 0), two_cusps), curves.singular_point((1, 1), "cusp")]
     return ProjectiveCurveSpec(6, [("A", 3), ("B", 3)], points)
 
 
@@ -681,14 +716,13 @@ def test_pruned_subset_walk_matches_unpruned_enumeration(monkeypatch, sextic_on_
     for size in (1, 2, 3):
         assert sorted(walk(r, faces, size)) == sorted(unpruned_intersections(r, faces, size))
 
-    germs: dict = {}
     tacnode = PlaneCurveGerm.from_strings("y - x^2", "y + x^2")
     specs = [
         sextic_on_conic,
         ProjectiveCurveSpec(6, [("A", 3), ("B", 3)], [
-            curves.singular_point((0, 0), tacnode, germs, ("A", "B")),
-            curves.singular_point((1, 1), "cusp", germs, ("A",)),
-            curves.singular_point((2, 1), "cusp", germs, ("B",)),
+            curves.singular_point((0, 0), tacnode, ("A", "B")),
+            curves.singular_point((1, 1), "cusp", ("A",)),
+            curves.singular_point((2, 1), "cusp", ("B",)),
         ]),
         ProjectiveCurveSpec.build(10, [((0, 0), (2, 5)), ((1, 2), "cusp"), ((3, 1), "x^2+y^5"), ((2, 2), "x^3+y^4")]),
     ]

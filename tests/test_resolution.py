@@ -69,9 +69,17 @@ def test_node_zeta(node_tree):
 
 
 def test_empty_zeta():
+    """A smooth branch has the zeta function 1 - t of its disk Milnor
+    fibre, and the Alexander polynomial 1 of the unknot, the torus knot
+    (1, q)."""
     empty = ResolutionTree(r=1, nodes=[])
-    assert acampo_zeta(empty) == {}
-    assert str(acampo_zeta(empty)) == "1"
+    assert acampo_zeta(empty) == {(1,): 1}
+    assert str(acampo_zeta(empty)) == "(1 - t)"
+    smooth = resolve(PlaneCurveGerm.from_strings("y - x^2"))
+    assert acampo_zeta(smooth) == acampo_zeta(empty)
+    for q in (1, 2, 5):
+        assert zeta_exponents(acampo_zeta(smooth)) == torus_knot_exponents(1, q) == {}
+    assert local_alexander(smooth) == LaurentPolynomial.one()
 
 
 def test_products_merge_equal_vectors():
