@@ -151,17 +151,9 @@ def swap_xy(p: Poly2) -> Poly2:
 
 
 def to_string(p: Poly2) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for (i, j), c in sorted(p.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), kv[0])):
-        mono = "*".join(f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e)
-        body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
-        if parts:
-            parts.append((" + " if c > 0 else " - ") + body)
-        else:
-            parts.append(body if c > 0 else "-" + body)
-    return "".join(parts)
+    """p by descending total degree, then ascending (i, j)."""
+    terms = sorted(p.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), kv[0]))
+    return uni.format_terms(terms, ("x", "y"))
 
 
 # ---------------------------------------------------------------------------

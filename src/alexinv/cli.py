@@ -302,11 +302,9 @@ def _cmd_quasiadj(args) -> dict:
     rendered = []
     for qp in faces:
         for f in qp.faces:
-            cons = qp.polytope.constraints()
             planes = [
-                {"coeffs": [_fr(x) for x in cons[i][0]], "level": _fr(cons[i][1])}
-                for i in f.face.saturated
-                if i < len(qp.polytope.halfspaces)
+                {"coeffs": [_fr(x) for x in normal], "level": _fr(bound)}
+                for normal, bound in qp.polytope.planes(f.face)
             ]
             strict_ideal = f.ideals[0]
             rendered.append(
@@ -388,7 +386,7 @@ def _cmd_faces(args) -> dict:
                 "level": _fr(f.level) if f.level is not None else None,
                 "twist_degree": f.twist_degree,
                 "h1": f.h1,
-                "predicted_depth": f.predicted_depth,
+                "predicted_depth": f.h1,
                 "character": f.character_description(),
                 "points": f.contributing_points,
             }

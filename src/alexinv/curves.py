@@ -30,6 +30,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +38,7 @@ from .cyclotomic import Exponents, cyclotomic_exponents, expand_cyclotomic, root
 from .errors import BadGerm, InternalError, NotCoprime, TheoremViolation, UnsupportedDimension
 from .laurent import LaurentPolynomial, common_root_count
 from .linalg import cokernel_invariants, echelon_insert
-from .polytope import RationalPolytope
+from .polytope import RationalPolytope, centroid
 from .quasiadj import LocalIdealDescription, ideal_of_quasiadjunction, jumping_values, polytopes_and_faces
 from .resolution import PlaneCurveGerm, ResolutionTree, acampo_zeta, resolve, zeta_exponents
 
@@ -78,29 +79,24 @@ class LocalData:
     def local_faces(self):
         """Each face of quasiadjunction as the halfspaces it saturates, in
         both directions, followed by the halfspaces of its polytope."""
-        out = []
-        for qp in polytopes_and_faces(self.tree):
-            halfspaces = qp.polytope.halfspaces
-            cons = qp.polytope.constraints()
-            for f in qp.faces:
-                face = []
-                for i in f.face.saturated:
-                    if i < len(halfspaces):
-                        normal, bound = cons[i]
-                        face += [(normal, bound), (tuple(-x for x in normal), -bound)]
-                out.append(face + halfspaces)
-        return out
+        return [
+            [h for n, b in qp.polytope.planes(f.face) for h in ((n, b), (tuple(-x for x in n), -b))]
+            + qp.polytope.halfspaces
+            for qp in polytopes_and_faces(self.tree)
+            for f in qp.faces
+        ]
 
 
 # One datum per distinct germ in the process, keyed by its parsed
-# components, and one per named type, keyed by (kind, pq): equal germs are
-# resolved once and are one local type, and a named type is parsed once.
+# components: equal germs are resolved once and are one local type.
 _LOCAL_DATA: Dict[tuple, LocalData] = {}
 
 
+@lru_cache(maxsize=None)
 def _named_germ(kind: str, pq) -> PlaneCurveGerm:
-    """The germ of a named type: 'node' is (x, y), 'cusp' is x^2 + y^3 and
-    'torus' with pq = (p, q) is x^p + y^q, for coprime p and q."""
+    """The germ of a named type, parsed once per process: 'node' is (x, y),
+    'cusp' is x^2 + y^3 and 'torus' with pq = (p, q) is x^p + y^q, for
+    coprime p and q."""
     if kind == "node":
         return PlaneCurveGerm.from_strings("x", "y")
     if kind == "cusp":
@@ -116,15 +112,15 @@ def _named_germ(kind: str, pq) -> PlaneCurveGerm:
 def local_data_for(kind_or_germ, pq: Optional[Tuple[int, int]] = None) -> LocalData:
     """The shared local datum of a germ, or of a named type (see
     ``_named_germ``)."""
-    if isinstance(kind_or_germ, PlaneCurveGerm):
-        key = tuple(tuple(sorted(c.items())) for c in kind_or_germ.components)
-        if key not in _LOCAL_DATA:
-            _LOCAL_DATA[key] = LocalData(kind_or_germ)
-    else:
-        key = (kind_or_germ, pq)
-        if key not in _LOCAL_DATA:
-            _LOCAL_DATA[key] = local_data_for(_named_germ(kind_or_germ, pq))
+    germ = kind_or_germ if isinstance(kind_or_germ, PlaneCurveGerm) else _named_germ(kind_or_germ, pq)
+    key = _germ_key(germ)
+    if key not in _LOCAL_DATA:
+        _LOCAL_DATA[key] = LocalData(germ)
     return _LOCAL_DATA[key]
+
+
+def _germ_key(germ: PlaneCurveGerm) -> tuple:
+    return tuple(tuple(sorted(c.items())) for c in germ.components)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +174,20 @@ class ProjectiveCurveSpec:
                     f"incidence {list(p.incidence)} at {p.description} must give one label "
                     f"or one per branch ({branches})"
                 )
+            # with no incidence, branch i lies on component i (see _coords)
+            if not p.incidence and 1 < len(self.components) < branches:
+                x, y = p.position
+                raise BadGerm(
+                    f"{p.description} at ({x}, {y}) has {branches} branches but the curve has "
+                    f"{len(self.components)} components: give its incidence"
+                )
         self._plucker_sanity()
 
     def _plucker_sanity(self):
-        delta = sum(1 for p in self.singularities if p.description == "node")
-        kappa = sum(1 for p in self.singularities if p.description == "cusp")
+        # a node or a cusp is a point with that type's shared datum, however
+        # it was written; a type no point has used is not resolved here
+        shared = [_LOCAL_DATA.get(_germ_key(_named_germ(kind, None))) for kind in ("node", "cusp")]
+        delta, kappa = map([p.data for p in self.singularities].count, shared)
         genus_bound = (self.degree - 1) * (self.degree - 2) // 2
         if delta + kappa > genus_bound:
             warnings.warn(
@@ -557,8 +562,7 @@ class GlobalFace:
     interior_point: Tuple[Fraction, ...]
     level: Optional[Fraction]
     twist_degree: Optional[int]
-    h1: Optional[int]
-    predicted_depth: Optional[int]
+    h1: Optional[int]  # the superabundance: the predicted depth
     contributing_points: List[int]  # indices into spec.singularities
 
     def character_description(self) -> str:
@@ -568,8 +572,8 @@ class GlobalFace:
 
 def _coords(spec: ProjectiveCurveSpec, point: SingularPoint) -> List[int]:
     """The global coordinate of each local branch: its incidence label (one
-    label stands for every branch), or the first branch_count() components
-    when the point has none."""
+    label stands for every branch), or, when the point has none, branch i
+    on component i (all on the one component of a one-component curve)."""
     labels = [lab for lab, _ in spec.components]
     branches = point.data.branch_count()
     incidence = point.incidence or labels[:branches]
@@ -579,15 +583,13 @@ def _coords(spec: ProjectiveCurveSpec, point: SingularPoint) -> List[int]:
 
 
 def _lifted_constraints(spec: ProjectiveCurveSpec, point: SingularPoint, local):
-    """One local face, a list of local halfspaces, over the global cube."""
+    """One local face, a list of local halfspaces, over the global cube: the
+    coefficient of each branch goes to its component's coordinate."""
     coords = _coords(spec, point)
-    constraints = []
-    for normal_local, bound in local:
-        normal = [Fraction(0)] * spec.r
-        for c, nl in zip(coords, normal_local):
-            normal[c] += nl
-        constraints.append((tuple(normal), Fraction(bound)))
-    return constraints
+    return [
+        (tuple(sum(x for c, x in zip(coords, normal) if c == i) for i in range(spec.r)), bound)
+        for normal, bound in local
+    ]
 
 
 def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
@@ -615,21 +617,15 @@ def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
     max_size = len(lifted) if len(lifted) <= 12 else 3
     for combo, verts in _intersections(r, [faces for _, faces in lifted], max_size):
         key = tuple(verts)
-        interior = tuple(
-            sum((v[i] for v in verts), Fraction(0)) / len(verts)
-            for i in range(r)
-        )
+        interior = centroid(verts)
         if any(not 0 < x < 1 for x in interior):
             continue
         levels = {sum(d * v[i] for i, d in enumerate(degs)) for v in verts}
         level = levels.pop() if len(levels) == 1 else None
+        points = {pt for i in combo for pt in lifted[i][0]}
         if key in results:
-            existing = results[key]
-            for i in combo:
-                for pt in lifted[i][0]:
-                    if pt not in existing.contributing_points:
-                        existing.contributing_points.append(pt)
-            existing.contributing_points.sort()
+            face = results[key]
+            face.contributing_points = sorted(points.union(face.contributing_points))
             continue
         twist = h1 = None
         if level is not None and level.denominator == 1:
@@ -642,8 +638,7 @@ def global_faces_and_components(spec: ProjectiveCurveSpec) -> List[GlobalFace]:
             level=level,
             twist_degree=twist,
             h1=h1,
-            predicted_depth=h1,
-            contributing_points=sorted({pt for i in combo for pt in lifted[i][0]}),
+            contributing_points=sorted(points),
         )
     out = list(results.values())
     out.sort(key=lambda f: (f.level if f.level is not None else Fraction(-1), f.vertices))

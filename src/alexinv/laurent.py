@@ -14,7 +14,7 @@ multiplied out here: ``resolution`` carries them as maps v -> e.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from . import uni
 from .errors import UnsupportedDimension, ZeroInput
@@ -29,6 +29,11 @@ def _coefficient(c):
         if c.denominator == 1:
             c = c.numerator
     return c
+
+
+def variable_names(r: int) -> List[str]:
+    """t for one variable, t1, ..., tr for r >= 2."""
+    return ["t"] if r == 1 else [f"t{i}" for i in range(1, r + 1)]
 
 
 class LaurentPolynomial:
@@ -206,31 +211,7 @@ class LaurentPolynomial:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = (
-            ["t"] if self.var_count == 1 else [f"t{i+1}" for i in range(self.var_count)]
-        )
-        parts = []
-        for exp, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts)
+        return uni.format_terms(self.sorted_terms(), variable_names(self.var_count))
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self})"

@@ -108,21 +108,19 @@ def cokernel_invariants(matrix: Sequence[Sequence[int]], ambient_rank: int) -> T
 
 
 def _integer_row(row: Sequence) -> List[int]:
-    """The primitive integer row on the same line as a rational row: scaled
-    by the lcm of its denominators, then divided by the gcd of its entries."""
+    """A rational row scaled by the lcm of its denominators: an integer row
+    on the same line (``echelon_insert`` divides out its content)."""
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     # lcm of a list, not a generator: CPython builds a generator's argument
     # tuple by resizing, so it is never taken from the tuple free list of
     # its final length but is put back there, and those free lists fill up
     den = lcm(*[x.denominator for x in row])
-    out = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*out)
-    return [x // g for x in out] if g > 1 else out
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def rational_rank(matrix: Sequence[Sequence]) -> int:
     """Rank over Q of a matrix of integers or ``Fraction`` entries: each
-    row, scaled to a primitive integer row, is inserted into one echelon."""
+    row, cleared of denominators, is inserted into one echelon."""
     rows: List[List[int]] = []
     pivots: List[int] = []
     return sum(echelon_insert(rows, pivots, _integer_row(row)) for row in matrix)

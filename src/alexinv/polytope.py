@@ -5,10 +5,12 @@ A halfspace is (normal, bound) meaning normal . x >= bound.  The unit
 cube constraints 0 <= x_i <= 1 are always added implicitly.  An empty
 polytope has no vertices and no faces.
 
-All arithmetic is on integers: each constraint is scaled once to a
-primitive integer row (n, b), a vertex is solved by Cramer's rule as
-p / q with p an integer vector and q > 0, and n . x >= b is decided as
-n . p >= b q.
+All arithmetic is on integers.  The polytope is built once into integer
+rows (n, b): each halfspace scaled by the lcm of its denominators, so an
+integral one is kept as given, followed by the cube rows.  A vertex
+is solved by Cramer's rule as p / q with p an integer vector and q > 0,
+and n . x >= b is decided as n . p >= b q; only a reported vertex is a
+``Fraction`` tuple.
 """
 
 from __future__ import annotations
@@ -21,16 +23,11 @@ from operator import mul
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import UnsupportedDimension
-from .linalg import _integer_row, rational_rank
+from .linalg import rational_rank
 
 Vector = Tuple[Fraction, ...]
-Halfspace = Tuple[Vector, Fraction]
-# (n, b): the constraint n . x >= b as a primitive integer row
+# (n, b): the constraint n . x >= b as an integer row
 Row = Tuple[Tuple[int, ...], int]
-
-
-def _vec(v) -> Vector:
-    return tuple(Fraction(x) for x in v)
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
@@ -43,10 +40,15 @@ def _det(m: Sequence[Sequence[int]]) -> int:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def centroid(points: Sequence[Vector]) -> Vector:
+    """The mean of the points, which lies in the relative interior of their
+    convex hull."""
+    return tuple(sum(xs, Fraction(0)) / len(points) for xs in zip(*points))
+
+
 def _saturated(rows: Sequence[Row], point) -> frozenset:
     """Indices of the rows whose hyperplane holds the point, written as
     p / q with p integer and q > 0."""
-    point = [Fraction(x) for x in point]
     q = lcm(*[x.denominator for x in point])
     p = [x.numerator * (q // x.denominator) for x in point]
     return frozenset(i for i, (n, b) in enumerate(rows) if sum(map(mul, n, p)) == b * q)
@@ -61,41 +63,43 @@ class Face:
     saturated: Tuple[int, ...]  # indices into the polytope's constraint list
 
     def relative_interior_point(self) -> Vector:
-        n = len(self.vertices)
-        return tuple(
-            sum((v[i] for v in self.vertices), Fraction(0)) / n
-            for i in range(len(self.vertices[0]))
-        )
+        return centroid(self.vertices)
 
 
 @dataclass
 class RationalPolytope:
+    """The polytope cut from the unit cube by halfspaces (normal, bound)
+    with int or ``Fraction`` entries; ``halfspaces`` holds them as integer
+    rows."""
+
     dim: int
-    halfspaces: List[Halfspace] = field(default_factory=list)
+    halfspaces: List[Row] = field(default_factory=list)
 
     def __post_init__(self):
         if not 1 <= self.dim <= 3:
             raise UnsupportedDimension(
                 f"polytopes supported only for dimension <= 3, got {self.dim}"
             )
-        self.halfspaces = [(_vec(n), Fraction(b)) for n, b in self.halfspaces]
-
-    def constraints(self) -> List[Halfspace]:
-        """User halfspaces followed by the implicit cube constraints."""
-        cube: List[Halfspace] = []
-        for i in range(self.dim):
-            e = tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
-            cube.append((e, Fraction(0)))
-            cube.append((tuple(-x for x in e), Fraction(-1)))
-        return self.halfspaces + cube
-
-    def _rows(self) -> List[Row]:
-        """The constraints, in order, as primitive integer rows."""
         rows = []
-        for normal, bound in self.constraints():
-            *n, b = _integer_row(list(normal) + [bound])
+        for normal, bound in self.halfspaces:
+            row = (*normal, bound)
+            den = lcm(*[x.denominator for x in row])
+            *n, b = [x.numerator * (den // x.denominator) for x in row]
             rows.append((tuple(n), b))
-        return rows
+        self.halfspaces = rows
+        self._constraints = list(rows)
+        for i in range(self.dim):
+            e = tuple(int(j == i) for j in range(self.dim))
+            self._constraints += [(e, 0), (tuple(-x for x in e), -1)]
+
+    def constraints(self) -> List[Row]:
+        """The halfspaces followed by the cube rows x_i >= 0, -x_i >= -1."""
+        return self._constraints
+
+    def planes(self, face: Face) -> List[Row]:
+        """The halfspaces that the face saturates, the hyperplanes that
+        define it, in order."""
+        return [self.halfspaces[i] for i in face.saturated if i < len(self.halfspaces)]
 
     # -- geometry -----------------------------------------------------
 
@@ -103,7 +107,7 @@ class RationalPolytope:
         """Vertices, exact over Q: the points where dim constraint
         hyperplanes with a nonzero determinant meet, by Cramer's rule, that
         satisfy every constraint."""
-        rows = self._rows()
+        rows = self._constraints
         found = {}
         for subset in combinations(rows, self.dim):
             normals = [n for n, _ in subset]
@@ -135,8 +139,7 @@ class RationalPolytope:
         verts = self.vertices()
         if not verts:
             return []
-        rows = self._rows()
-        sat = [_saturated(rows, v) for v in verts]
+        sat = [_saturated(self._constraints, v) for v in verts]
         found = {}
 
         def record(vset, saturated):
@@ -146,7 +149,7 @@ class RationalPolytope:
 
         record(tuple(range(len(verts))), frozenset.intersection(*sat))
         for size in range(1, self.dim + 1):
-            for subset in combinations(range(len(rows)), size):
+            for subset in combinations(range(len(self._constraints)), size):
                 record(tuple(i for i, on in enumerate(sat) if on.issuperset(subset)), subset)
         faces = []
         for key, saturated in found.items():
@@ -163,11 +166,10 @@ class RationalPolytope:
         faces = self.faces()
         by_vertices = {f.vertices: f for f in faces}
         verts = faces[-1].vertices if faces else ()
-        rows = self._rows()
-        sat = {v: _saturated(rows, v) for v in verts}
+        sat = {v: _saturated(self._constraints, v) for v in verts}
 
         def face_of(point) -> Face:
-            through = _saturated(rows, point)
+            through = _saturated(self._constraints, point)
             return by_vertices[tuple(v for v, on in sat.items() if through <= on)]
 
         return face_of

@@ -330,8 +330,9 @@ class QuasiPolytope:
 
 
 def _region_halfspaces(tree: ResolutionTree, rhs: Sequence[int]):
-    """Non-vacuous halfspaces sum a_k . xi >= rhs_k(phi) for one monomial."""
-    return [(tuple(node.a), Fraction(r)) for node, r in zip(tree.nodes, rhs) if r > 0]
+    """Non-vacuous halfspaces a_k . xi >= rhs_k(phi) for one monomial, as
+    integer rows."""
+    return [(tuple(node.a), r) for node, r in zip(tree.nodes, rhs) if r > 0]
 
 
 def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
@@ -373,10 +374,7 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
             continue
         key = log_ideal.members
         if key not in found:
-            halfspaces = set()
-            for mono, hs in halfspaces_of.items():
-                if mono in key:
-                    halfspaces.update(hs)
+            halfspaces = {h for mono in key for h in halfspaces_of.get(mono, ())}
             poly = RationalPolytope(r, sorted(halfspaces))
             found[key] = (QuasiPolytope(polytope=poly, log_staircase=key, faces=[]), poly.face_lookup())
         qp, face_of = found[key]

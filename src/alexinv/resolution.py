@@ -33,7 +33,7 @@ from .errors import (
     NonRationalInfinitelyNearPoint,
     ResolutionDidNotTerminate,
 )
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, variable_names
 
 MAX_BLOWUPS = 500
 
@@ -307,13 +307,10 @@ class FormalProduct(dict):
     for r >= 2, and 1 for the empty product."""
 
     def __str__(self) -> str:
-        parts = []
-        for v in sorted(self):
-            names = ["t"] if len(v) == 1 else [f"t{i}" for i in range(1, len(v) + 1)]
-            mono = "*".join(n if x == 1 else f"{n}^{x}" for n, x in zip(names, v) if x)
-            e = self[v]
-            parts.append(f"(1 - {mono})" if e == 1 else f"(1 - {mono})^{e}")
-        return " * ".join(parts) or "1"
+        return " * ".join(
+            f"(1 - {uni.monomial(variable_names(len(v)), v)})" + (f"^{e}" if e != 1 else "")
+            for v, e in sorted(self.items())
+        ) or "1"
 
 
 def _formal_product(factors) -> FormalProduct:

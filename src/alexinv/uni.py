@@ -247,30 +247,26 @@ def x_power(n: int) -> Poly:
     return [0] * n + [1]
 
 
-def to_string(p: Poly, var: str = "t") -> str:
-    if not p:
-        return "0"
+def monomial(names, exponents) -> str:
+    """The product of name^e over the nonzero exponents, as x^2*y or
+    t1*t2^-1; a first power is written bare, and "" is the monomial 1."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e)
+
+
+def format_terms(terms, names) -> str:
+    """The sum of the terms (exponents, c), nonzero c, in the order given:
+    3*x^2*y - y^3 + 1, with no coefficient printed on a monomial when it is
+    1 or -1, and "0" for no terms.  Every polynomial printer (``uni``,
+    ``biv``, ``laurent``) comes through here with its own term order."""
     parts = []
-    for i in range(degree(p), -1, -1):
-        c = p[i]
-        if c == 0:
-            continue
-        if i == 0:
-            term = str(c)
-        elif i == 1:
-            term = f"{var}" if abs(c) == 1 else f"{c}*{var}"
-        else:
-            term = f"{var}^{i}" if abs(c) == 1 else f"{c}*{var}^{i}"
-        if c < 0 and abs(c) == 1 and i > 0:
-            term = "-" + term
-        if parts:
-            parts.append(" - " if c < 0 else " + ")
-            if abs(c) == 1 and i > 0:
-                parts.append(term.lstrip("-"))
-            elif c < 0:
-                parts.append(str(-c) if i == 0 else f"{-c}*{var}" + (f"^{i}" if i > 1 else ""))
-            else:
-                parts.append(term)
-        else:
-            parts.append(term)
-    return "".join(parts)
+    for exponents, c in terms:
+        mono = monomial(names, exponents)
+        body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+        sign = (" - " if c < 0 else " + ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
+def to_string(p: Poly, var: str = "t") -> str:
+    """p in descending degree."""
+    return format_terms((((i,), p[i]) for i in range(degree(p), -1, -1) if p[i]), [var])

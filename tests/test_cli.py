@@ -437,6 +437,23 @@ def test_incidence_needs_one_label_or_one_per_branch_exit_3(tmp_path, capsys):
     )
 
 
+def test_more_branches_than_components_without_incidence_exit_3(tmp_path, capsys):
+    """With no incidence, branch i lies on component i: a three-branch germ
+    on a two-component curve has no component for its third branch."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "degree": 3, "components": [{"label": "A", "degree": 1}, {"label": "B", "degree": 2}],
+        "singularities": [{"pos": ["0", "0"], "germ": ["x", "y", "x-y"]}],
+    }))
+    code, out = _run(["faces", "--curve", str(bad)])
+    assert code == 3 and out == ""
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (
+        "error: germ(x, y, -y + x) at (0, 0) has 3 branches but the curve has 2 components: "
+        "give its incidence"
+    )
+
+
 # One file per schema keyword that breaks only that keyword, with the
 # subcommand that reads it and the path the violation is reported at.
 KEYWORD_VIOLATIONS = {

@@ -388,7 +388,7 @@ def test_global_faces_zariski(sextic_on_conic):
     assert face.vertices == ((F(1, 6),),)
     assert face.level == 1
     assert face.twist_degree == 2
-    assert face.h1 == 1 and face.predicted_depth == 1
+    assert face.h1 == 1
     assert sorted(face.contributing_points) == list(range(6))
 
 
@@ -432,6 +432,14 @@ def test_spec_validation():
 def test_plucker_warning():
     with pytest.warns(UserWarning):
         ProjectiveCurveSpec.build(3, [((i, j), "node") for i in range(2) for j in range(2)])
+
+
+@pytest.mark.parametrize("kind", ["cusp", "x^2 + y^3"])
+def test_plucker_warning_counts_a_cusp_however_written(kind):
+    """An explicit x^2 + y^3 has the named cusp's datum, so it counts as a
+    cusp."""
+    with pytest.warns(UserWarning, match="0 nodes [+] 4 cusps exceed"):
+        ProjectiveCurveSpec.build(3, [((i, j), kind) for i in range(2) for j in range(2)])
 
 
 def test_transform_positions(sextic_on_conic):

@@ -106,6 +106,22 @@ def test_vertices_match_nullspace_oracle(case):
     assert p.vertices() == sorted(expected)
 
 
+@given(st.integers(1, 3).flatmap(_polytopes), st.lists(st.integers(1, 5), min_size=3, max_size=3))
+def test_scaled_halfspaces_give_the_same_polytope(case, scales):
+    """Each halfspace multiplied by a positive integer cuts the same
+    polytope: the same vertices, faces and saturated indices.  The
+    constraints are integer rows, and an integral halfspace is kept as
+    given."""
+    dim, halfspaces = case
+    scaled = [(tuple(s * x for x in n), s * b) for (n, b), s in zip(halfspaces, scales)]
+    p, q = RationalPolytope(dim, halfspaces), RationalPolytope(dim, scaled)
+    assert q.vertices() == p.vertices()
+    assert q.faces() == p.faces()
+    for poly in (p, q):
+        assert all(type(x) is int for n, b in poly.constraints() for x in (*n, b))
+        assert RationalPolytope(dim, poly.halfspaces).halfspaces == poly.halfspaces
+
+
 def _face_of(poly, faces, point):
     """The face of poly (whose face list is given) that holds the point in
     its relative interior: the smallest face whose vertices saturate every
