@@ -521,3 +521,18 @@ def test_cli_report_matches_bench_expected(name):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == (ROOT / "bench" / "expected" / f"{name}.out").read_bytes()
+
+
+# Each subcommand's -h output and one parse error, pinned byte for byte
+# from the parser as it was when every subparser was built on each run.
+PARSER_PINS = json.loads((ROOT / "tests" / "cli_parser_pins.json").read_text())
+
+
+@pytest.mark.parametrize("sub", sorted(PARSER_PINS))
+def test_parser_help_and_error_pinned(sub, monkeypatch, capsys):
+    pin = PARSER_PINS[sub]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _run([sub, "-h"]) == (0, "")
+    assert capsys.readouterr() == (pin["help"], "")
+    assert _run(pin["error_argv"]) == (pin["exit"], "")
+    assert capsys.readouterr() == ("", pin["error"])
