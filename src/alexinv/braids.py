@@ -9,24 +9,19 @@ a global inverse).  Braid-word letters act left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BadWord, Unsupported
 from .groups import GroupPresentation, Word, free_reduce, word_inverse
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """Element of the Artin braid group B_d as a sequence of signed
     generator indices in {+-1, ..., +-(d-1)}."""
 
-    strand_count: int
-    letters: Tuple[int, ...]
-
     def __init__(self, strand_count: int, letters: Sequence[int]):
-        object.__setattr__(self, "strand_count", int(strand_count))
-        object.__setattr__(self, "letters", tuple(int(l) for l in letters))
+        self.strand_count = int(strand_count)
+        self.letters: Tuple[int, ...] = tuple(int(l) for l in letters)
         if self.strand_count < 1:
             raise BadWord("need at least one strand")
         for l in self.letters:
@@ -76,16 +71,15 @@ def artin_action(braid: BraidWord, w: Word) -> Word:
     return out
 
 
-@dataclass
 class MonodromyData:
     """An ordered system of braids, one per singular fiber, with curve
     component labels per strand (1-based strand keys)."""
 
-    strand_count: int
-    braids: List[BraidWord]
-    component_labels: Dict[int, str] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, strand_count: int, braids: List[BraidWord],
+                 component_labels: Optional[Dict[int, str]] = None):
+        self.strand_count = strand_count
+        self.braids = braids
+        self.component_labels = component_labels
         for b in self.braids:
             if b.strand_count != self.strand_count:
                 raise BadWord("all braids must share the strand count")

@@ -7,6 +7,9 @@ Reports are deterministic byte-for-byte for identical inputs.
 
 Each subcommand handler imports the modules it runs, so a run loads only
 those: a Fox-calculus run loads no resolution, a germ run no group theory.
+A run builds the parser of its own subcommand alone, and no module it
+loads imports ``dataclasses``: the value classes are plain classes, so no
+class generates and compiles its methods at import.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ SUBCOMMANDS = (
     "faces",
 )
 
+CHOICES = "{" + ",".join(SUBCOMMANDS) + "}"
+
 USAGE = (
-    "usage: alexinv {" + ",".join(SUBCOMMANDS) + "} [options]\n"
+    "usage: alexinv " + CHOICES + " [options]\n"
     "Run 'alexinv <subcommand> --help' for details.\n"
 )
 
@@ -291,6 +296,8 @@ def _cmd_quasiadj(args) -> dict:
         report["constants"] = [_fr(k) for k in constants_of_quasiadjunction(tree)]
     if args.xi:
         xi = _parse_list("--xi", args.xi)
+        _check(len(xi) == tree.r, "--xi", f"need one entry per component ({tree.r})")
+        _check(all(0 < x <= 1 for x in xi), "--xi", "every entry must lie in (0, 1]")
         ideal = ideal_of_quasiadjunction(tree, xi, args.variant)
         report["ideal"] = {
             "xi": [_fr(x) for x in xi],
@@ -408,52 +415,49 @@ HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the subcommand ``name`` alone; its usage and error
+    lines still name every subcommand."""
     parser = argparse.ArgumentParser(
         prog="alexinv",
         description="Alexander-type invariants of plane curves and their singularities",
     )
-    sub = parser.add_subparsers(dest="subcommand")
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
-
-    p = add("local", help="resolve a germ and report its local invariants")
-    p.add_argument("--germ", action="append", metavar="POLY",
-                   help="component polynomial in x, y (repeat for several branches)")
-    p.add_argument("--tree", metavar="FILE",
-                   help="explicit resolution-tree file instead of a germ")
-    p = add("global", help="global Alexander polynomial and divisibility report")
-    p.add_argument("--curve", required=True, metavar="FILE")
-    p.add_argument("--cover", type=int, metavar="N",
-                   help="also report H_1 of the N-fold cyclic cover")
-    p.add_argument("--no-semisimple", dest="semisimple", action="store_false",
-                   help="report only the rank of the cover homology")
-    p = add("fox", help="Fox Jacobian and one-variable Alexander polynomial")
-    p.add_argument("--presentation", required=True, metavar="FILE")
-    p = add("charvar", help="characteristic-variety membership at characters")
-    p.add_argument("--presentation", required=True, metavar="FILE")
-    p.add_argument("--character", action="append", metavar="k/m[,k/m...]")
-    p.add_argument("--character-file", action="append", metavar="FILE")
-    p = add("covers", help="Betti numbers of finite covers")
-    p.add_argument("--presentation", required=True, metavar="FILE")
-    p.add_argument("--cyclic", type=int, metavar="N")
-    p.add_argument("--abelian", metavar="n1,n2,...")
-    p = add("quasiadj", help="ideals, constants and faces of quasiadjunction")
-    p.add_argument("--germ", action="append", required=True, metavar="POLY")
-    p.add_argument("--xi", metavar="k/m[,k/m...]")
-    p.add_argument("--variant", choices=("strict", "weight1", "log"), default="strict")
-    p = add("lct", help="log-canonical threshold of a germ")
-    p.add_argument("--germ", action="append", metavar="POLY")
-    p.add_argument("--tree", metavar="FILE")
-    p.add_argument("--direction", metavar="d1[,d2...]")
-    p = add("vankampen", help="Zariski-van Kampen presentation from braid data")
-    p.add_argument("--braids", required=True, metavar="FILE")
-    p.add_argument("--mode", choices=("affine", "projective"), default="affine")
-    p = add("faces", help="global faces of quasiadjunction of a curve")
-    p.add_argument("--curve", required=True, metavar="FILE")
+    p = parser.add_subparsers(dest="subcommand", metavar=CHOICES).add_parser(name)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    if name == "local":  # resolve a germ and report its local invariants
+        p.add_argument("--germ", action="append", metavar="POLY",
+                       help="component polynomial in x, y (repeat for several branches)")
+        p.add_argument("--tree", metavar="FILE",
+                       help="explicit resolution-tree file instead of a germ")
+    elif name == "global":  # global Alexander polynomial and divisibility report
+        p.add_argument("--curve", required=True, metavar="FILE")
+        p.add_argument("--cover", type=int, metavar="N",
+                       help="also report H_1 of the N-fold cyclic cover")
+        p.add_argument("--no-semisimple", dest="semisimple", action="store_false",
+                       help="report only the rank of the cover homology")
+    elif name == "fox":  # Fox Jacobian and one-variable Alexander polynomial
+        p.add_argument("--presentation", required=True, metavar="FILE")
+    elif name == "charvar":  # characteristic-variety membership at characters
+        p.add_argument("--presentation", required=True, metavar="FILE")
+        p.add_argument("--character", action="append", metavar="k/m[,k/m...]")
+        p.add_argument("--character-file", action="append", metavar="FILE")
+    elif name == "covers":  # Betti numbers of finite covers
+        p.add_argument("--presentation", required=True, metavar="FILE")
+        p.add_argument("--cyclic", type=int, metavar="N")
+        p.add_argument("--abelian", metavar="n1,n2,...")
+    elif name == "quasiadj":  # ideals, constants and faces of quasiadjunction
+        p.add_argument("--germ", action="append", required=True, metavar="POLY")
+        p.add_argument("--xi", metavar="k/m[,k/m...]")
+        p.add_argument("--variant", choices=("strict", "weight1", "log"), default="strict")
+    elif name == "lct":  # log-canonical threshold of a germ
+        p.add_argument("--germ", action="append", metavar="POLY")
+        p.add_argument("--tree", metavar="FILE")
+        p.add_argument("--direction", metavar="d1[,d2...]")
+    elif name == "vankampen":  # Zariski-van Kampen presentation from braid data
+        p.add_argument("--braids", required=True, metavar="FILE")
+        p.add_argument("--mode", choices=("affine", "projective"), default="affine")
+    elif name == "faces":  # global faces of quasiadjunction of a curve
+        p.add_argument("--curve", required=True, metavar="FILE")
     return parser
 
 
@@ -467,7 +471,7 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
         sys.stderr.write(f"alexinv: unknown subcommand {argv[0]!r}\n")
         sys.stderr.write(USAGE)
         return 64
-    parser = build_parser()
+    parser = build_parser(argv[0])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

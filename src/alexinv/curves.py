@@ -28,7 +28,6 @@ builds the column of a multiple of a leading monomial.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -128,12 +127,18 @@ def _germ_key(germ: PlaneCurveGerm) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SingularPoint:
-    position: Tuple[Fraction, Fraction]
-    data: LocalData
-    description: str
-    incidence: Tuple[str, ...] = ()
+    """A singular point of a curve; points with the same fields are equal."""
+
+    def __init__(self, position: Tuple[Fraction, Fraction], data: LocalData, description: str,
+                 incidence: Tuple[str, ...] = ()):
+        self.position = position
+        self.data = data
+        self.description = description
+        self.incidence = incidence
+
+    def __eq__(self, other):
+        return type(other) is SingularPoint and vars(self) == vars(other)
 
 
 def singular_point(position, kind, incidence=()) -> SingularPoint:
@@ -149,13 +154,15 @@ def singular_point(position, kind, incidence=()) -> SingularPoint:
     return SingularPoint((Fraction(position[0]), Fraction(position[1])), data, desc, tuple(incidence))
 
 
-@dataclass
 class ProjectiveCurveSpec:
-    degree: int
-    components: List[Tuple[str, int]]  # (label, degree)
-    singularities: List[SingularPoint] = field(default_factory=list)
+    """A projective plane curve by its degree, its components and its
+    singular points; specs with the same fields are equal."""
 
-    def __post_init__(self):
+    def __init__(self, degree: int, components: List[Tuple[str, int]],
+                 singularities: Optional[List[SingularPoint]] = None):
+        self.degree = degree
+        self.components = components  # (label, degree)
+        self.singularities = [] if singularities is None else singularities
         if sum(d for _, d in self.components) != self.degree:
             raise BadGerm("component degrees do not sum to the total degree")
         labels = {lab for lab, _ in self.components}
@@ -182,6 +189,9 @@ class ProjectiveCurveSpec:
                     f"{len(self.components)} components: give its incidence"
                 )
         self._plucker_sanity()
+
+    def __eq__(self, other):
+        return type(other) is ProjectiveCurveSpec and vars(self) == vars(other)
 
     def _plucker_sanity(self):
         # a node or a cusp is a point with that type's shared datum, however
@@ -367,17 +377,18 @@ def _local_types(spec: ProjectiveCurveSpec) -> List[LocalData]:
     return list(dict.fromkeys(point.data for point in spec.singularities))
 
 
-@dataclass
 class AlexanderFactorization:
     """Factor list ((t - e^{2 pi i kappa})(t - e^{-2 pi i kappa}))^s plus the
     assembled rational polynomial, as Phi_m exponents, when Galois-conjugate
     kappas carry equal exponents, and the (t-1)^{r-1} bookkeeping factor
     for reducible curves."""
 
-    factors: List[Tuple[Fraction, int]]
-    t_minus_one_exponent: int = 0
-    exponents: Optional[Exponents] = None
-    assembly_warning: Optional[str] = None
+    def __init__(self, factors: List[Tuple[Fraction, int]], t_minus_one_exponent: int = 0,
+                 exponents: Optional[Exponents] = None, assembly_warning: Optional[str] = None):
+        self.factors = factors
+        self.t_minus_one_exponent = t_minus_one_exponent
+        self.exponents = exponents
+        self.assembly_warning = assembly_warning
 
     def full_exponents(self) -> Optional[Exponents]:
         """Delta_C with its (t-1)^{r-1} part, as Phi_m exponents."""
@@ -443,16 +454,17 @@ def global_alexander(spec: ProjectiveCurveSpec) -> AlexanderFactorization:
     )
 
 
-@dataclass
 class DivisibilityReport:
     """Delta_C with its factorization, the two polynomials it divides and
     the quotients, carried as Phi_m exponents; each polynomial is expanded
     when it is read."""
 
-    factorization: AlexanderFactorization
-    alexander_exponents: Exponents
-    local_exponents: Exponents
-    infinity_exponents: Exponents
+    def __init__(self, factorization: AlexanderFactorization, alexander_exponents: Exponents,
+                 local_exponents: Exponents, infinity_exponents: Exponents):
+        self.factorization = factorization
+        self.alexander_exponents = alexander_exponents
+        self.local_exponents = local_exponents
+        self.infinity_exponents = infinity_exponents
 
     @property
     def alexander(self) -> LaurentPolynomial:
@@ -556,14 +568,21 @@ def cyclic_cover_h1(delta, n: int, semisimple: bool = True):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GlobalFace:
-    vertices: Tuple[Tuple[Fraction, ...], ...]
-    interior_point: Tuple[Fraction, ...]
-    level: Optional[Fraction]
-    twist_degree: Optional[int]
-    h1: Optional[int]  # the superabundance: the predicted depth
-    contributing_points: List[int]  # indices into spec.singularities
+    """A global face of quasiadjunction; its repr lists every field."""
+
+    def __init__(self, vertices: Tuple[Tuple[Fraction, ...], ...],
+                 interior_point: Tuple[Fraction, ...], level: Optional[Fraction],
+                 twist_degree: Optional[int], h1: Optional[int], contributing_points: List[int]):
+        self.vertices = vertices
+        self.interior_point = interior_point
+        self.level = level
+        self.twist_degree = twist_degree
+        self.h1 = h1  # the superabundance: the predicted depth
+        self.contributing_points = contributing_points  # indices into spec.singularities
+
+    def __repr__(self):
+        return f"GlobalFace({vars(self)})"
 
     def character_description(self) -> str:
         coords = ", ".join(str(x) for x in self.interior_point)

@@ -18,13 +18,12 @@ the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import add, mul
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import uni
 from .cyclotomic import _reduce, evaluate_character, expand_cyclotomic
@@ -66,16 +65,11 @@ def free_reduce(w: Word) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class CharacterPoint:
     """A torsion character, coordinates k_i/m_i reduced mod 1."""
 
-    coords: Tuple[Fraction, ...]
-
     def __init__(self, coords):
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) % 1 for c in coords)
-        )
+        self.coords: Tuple[Fraction, ...] = tuple(Fraction(c) % 1 for c in coords)
 
     @property
     def nontrivial(self) -> bool:
@@ -85,7 +79,6 @@ class CharacterPoint:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
 class GroupPresentation:
     """A finite presentation with a map phi to Z^r on generators.
 
@@ -95,17 +88,11 @@ class GroupPresentation:
     determine the finite cyclic image.
     """
 
-    generators: int
-    relators: Tuple[Word, ...]
-    phi: Tuple[Tuple[int, ...], ...]
-    torsion: bool = False
-
     def __init__(self, generators, relators, phi, torsion=False):
-        object.__setattr__(self, "generators", int(generators))
-        rels = tuple(word(r) if not _is_word(r) else tuple(r) for r in relators)
-        object.__setattr__(self, "relators", rels)
-        object.__setattr__(self, "phi", tuple(tuple(int(x) for x in v) for v in phi))
-        object.__setattr__(self, "torsion", bool(torsion))
+        self.generators = int(generators)
+        self.relators = tuple(word(r) if not _is_word(r) else tuple(r) for r in relators)
+        self.phi: Tuple[Tuple[int, ...], ...] = tuple(tuple(int(x) for x in v) for v in phi)
+        self.torsion = bool(torsion)
         self._validate()
 
     def _validate(self):
@@ -207,12 +194,13 @@ def _laurent_fox_row(
     return [LaurentPolynomial(rank, d) for d in terms], image
 
 
-@dataclass
 class AlexanderMatrix:
     """Fox Jacobian of a presentation over the Laurent ring in r variables."""
 
-    presentation: GroupPresentation
-    entries: List[List[LaurentPolynomial]] = field(default_factory=list)
+    def __init__(self, presentation: GroupPresentation,
+                 entries: Optional[List[List[LaurentPolynomial]]] = None):
+        self.presentation = presentation
+        self.entries = [] if entries is None else entries
 
     @property
     def rows(self) -> int:

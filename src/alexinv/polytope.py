@@ -15,7 +15,6 @@ and n . x >= b is decided as n . p >= b q; only a reported vertex is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -54,34 +53,35 @@ def _saturated(rows: Sequence[Row], point) -> frozenset:
     return frozenset(i for i, (n, b) in enumerate(rows) if sum(map(mul, n, p)) == b * q)
 
 
-@dataclass(frozen=True)
 class Face:
-    """A face of a polytope, given by its vertex set."""
+    """A face of a polytope, given by its vertex set; faces with the same
+    fields are equal."""
 
-    vertices: Tuple[Vector, ...]
-    dim: int
-    saturated: Tuple[int, ...]  # indices into the polytope's constraint list
+    def __init__(self, vertices: Tuple[Vector, ...], dim: int, saturated: Tuple[int, ...]):
+        self.vertices = vertices
+        self.dim = dim
+        self.saturated = saturated  # indices into the polytope's constraint list
+
+    def __eq__(self, other):
+        return type(other) is Face and vars(self) == vars(other)
 
     def relative_interior_point(self) -> Vector:
         return centroid(self.vertices)
 
 
-@dataclass
 class RationalPolytope:
     """The polytope cut from the unit cube by halfspaces (normal, bound)
     with int or ``Fraction`` entries; ``halfspaces`` holds them as integer
     rows."""
 
-    dim: int
-    halfspaces: List[Row] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, dim: int, halfspaces: Sequence = ()):
+        self.dim = dim
         if not 1 <= self.dim <= 3:
             raise UnsupportedDimension(
                 f"polytopes supported only for dimension <= 3, got {self.dim}"
             )
         rows = []
-        for normal, bound in self.halfspaces:
+        for normal, bound in halfspaces:
             row = (*normal, bound)
             den = lcm(*[x.denominator for x in row])
             *n, b = [x.numerator * (den // x.denominator) for x in row]

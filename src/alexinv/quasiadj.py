@@ -31,7 +31,6 @@ the run beta < h(a), and h does not increase with a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, lcm
@@ -167,16 +166,20 @@ def germ_membership(tree: ResolutionTree, xi, phi: biv.Poly2, variant: str) -> b
     return _memberships(tree, levels, _rhs(tree, tree.pullback_orders(phi)))[_variant_index(variant)]
 
 
-@dataclass
 class LocalIdealDescription:
     """An ideal of (log-)quasiadjunction as its monomial staircase below the
     certified jet bound: the member and nonmember monomials of degree
     < jet_bound.  Every monomial of degree >= jet_bound is a member.  For
-    an arbitrary germ, ``germ_membership`` is the exact predicate."""
+    an arbitrary germ, ``germ_membership`` is the exact predicate.  Two
+    descriptions with the same fields are equal."""
 
-    jet_bound: int
-    members: frozenset
-    nonmembers: Tuple[Monomial, ...]
+    def __init__(self, jet_bound: int, members: frozenset, nonmembers: Tuple[Monomial, ...]):
+        self.jet_bound = jet_bound
+        self.members = members
+        self.nonmembers = nonmembers
+
+    def __eq__(self, other):
+        return type(other) is LocalIdealDescription and vars(self) == vars(other)
 
     @property
     def colength(self) -> int:
@@ -309,24 +312,26 @@ def _cross_validate_constants(tree: ResolutionTree, computed: List[Fraction]):
         )
 
 
-@dataclass
 class QuasiFace:
-    """A face of quasiadjunction with its ideal data."""
+    """A face of quasiadjunction with its ideal data: the strict, weight-one
+    and log ideals at its level point."""
 
-    face: Face
-    level_point: Tuple[Fraction, ...]
-    ideals: Tuple[LocalIdealDescription, LocalIdealDescription, LocalIdealDescription]
-    dim_quotient: int
+    def __init__(self, face: Face, level_point: Tuple[Fraction, ...],
+                 ideals: Tuple[LocalIdealDescription, ...], dim_quotient: int):
+        self.face = face
+        self.level_point = level_point
+        self.ideals = ideals
+        self.dim_quotient = dim_quotient
 
 
-@dataclass
 class QuasiPolytope:
     """The polytope of an ideal of log-quasiadjunction with its faces of
     quasiadjunction (faces where the strict and log ideals differ)."""
 
-    polytope: RationalPolytope
-    log_staircase: frozenset
-    faces: List[QuasiFace]
+    def __init__(self, polytope: RationalPolytope, log_staircase: frozenset, faces: List[QuasiFace]):
+        self.polytope = polytope
+        self.log_staircase = log_staircase
+        self.faces = faces
 
 
 def _region_halfspaces(tree: ResolutionTree, rhs: Sequence[int]):

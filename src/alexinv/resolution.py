@@ -18,7 +18,6 @@ substitution into the stored chart maps, never by incremental shortcuts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -38,14 +37,12 @@ from .laurent import LaurentPolynomial, variable_names
 MAX_BLOWUPS = 500
 
 
-@dataclass
 class PlaneCurveGerm:
     """A reduced germ at the origin with user-declared components."""
 
-    components: List[biv.Poly2]
-
-    def __post_init__(self):
-        biv.validate_germ_components(self.components)
+    def __init__(self, components: List[biv.Poly2]):
+        self.components = components
+        biv.validate_germ_components(components)
 
     @classmethod
     def from_strings(cls, *texts: str) -> "PlaneCurveGerm":
@@ -59,16 +56,18 @@ class PlaneCurveGerm:
         return ", ".join(biv.to_string(c) for c in self.components)
 
 
-@dataclass
 class ResolutionNode:
     """One exceptional curve of the resolution."""
 
-    id: int
-    a: Tuple[int, ...]  # pullback order of each component
-    c: int  # pullback order of dx ^ dy
-    adjacent: set = field(default_factory=set)
-    strict: Dict[int, int] = field(default_factory=dict)  # component -> points
-    chart: Optional[Tuple[biv.Poly2, biv.Poly2]] = None  # (x(U,V), y(U,V)), E = {U=0}
+    def __init__(self, id: int, a: Tuple[int, ...], c: int, adjacent: Optional[set] = None,
+                 strict: Optional[Dict[int, int]] = None,
+                 chart: Optional[Tuple[biv.Poly2, biv.Poly2]] = None):
+        self.id = id
+        self.a = a  # pullback order of each component
+        self.c = c  # pullback order of dx ^ dy
+        self.adjacent = set() if adjacent is None else adjacent
+        self.strict = {} if strict is None else strict  # component -> points
+        self.chart = chart  # (x(U,V), y(U,V)), E = {U=0}
 
     @property
     def total_multiplicity(self) -> int:
@@ -78,18 +77,17 @@ class ResolutionNode:
         return 2 - len(self.adjacent) - sum(self.strict.values())
 
 
-@dataclass
 class ResolutionTree:
     """Exceptional curves with multiplicities, adjacency and strict-transform
     incidences.  Trees built by :func:`resolve` carry chart maps so that
     pullback orders of arbitrary germs can be replayed; trees loaded from
     files do not."""
 
-    r: int
-    nodes: List[ResolutionNode] = field(default_factory=list)
-    germ: Optional[PlaneCurveGerm] = None
-
-    def __post_init__(self):
+    def __init__(self, r: int, nodes: Optional[List[ResolutionNode]] = None,
+                 germ: Optional[PlaneCurveGerm] = None):
+        self.r = r
+        self.nodes = [] if nodes is None else nodes
+        self.germ = germ
         for node in self.nodes:
             if len(node.a) != self.r:
                 raise BadGerm("node multiplicity vector of wrong length")
@@ -146,16 +144,17 @@ class ResolutionTree:
         return cls(r=int(data["r"]), nodes=nodes)
 
 
-@dataclass
 class _Site:
     """An infinitely-near point scheduled for blow-up, in coordinates where
     the exceptional curves through it are the axes."""
 
-    subs_x: biv.Poly2
-    subs_y: biv.Poly2
-    germs: List[Tuple[int, biv.Poly2]]
-    axis_x: Optional[int] = None  # node id with local equation X = 0
-    axis_y: Optional[int] = None  # node id with local equation Y = 0
+    def __init__(self, subs_x: biv.Poly2, subs_y: biv.Poly2, germs: List[Tuple[int, biv.Poly2]],
+                 axis_x: Optional[int] = None, axis_y: Optional[int] = None):
+        self.subs_x = subs_x
+        self.subs_y = subs_y
+        self.germs = germs
+        self.axis_x = axis_x  # node id with local equation X = 0
+        self.axis_y = axis_y  # node id with local equation Y = 0
 
 
 def resolve(germ: PlaneCurveGerm) -> ResolutionTree:

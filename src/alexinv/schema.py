@@ -11,8 +11,8 @@ ignored.  It reports every violation with the path to the offending value.
 from __future__ import annotations
 
 import json
+import os
 import re
-from importlib import resources
 from typing import List, Tuple
 
 JsonPath = Tuple[object, ...]
@@ -38,8 +38,11 @@ def _same(a, b) -> bool:
 
 
 def load_schema(schema_id: str) -> dict:
-    text = resources.files("alexinv.schemas").joinpath(f"{schema_id}.json").read_text()
-    return json.loads(text)
+    """The bundled schema of that name, read from ``schemas/`` next to this
+    module."""
+    with open(os.path.join(os.path.dirname(__file__), "schemas", f"{schema_id}.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def violations(schema: dict, value) -> List[Tuple[JsonPath, str]]:

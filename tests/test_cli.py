@@ -235,17 +235,20 @@ POLYTOPE_FREE_SKIP = GERM_RUNS_SKIP | {"polytope", "linalg"}
 
 def test_cli_import_does_not_load_sympy(files, tmp_path):
     """Each subcommand, run in a fresh interpreter, loads only the modules
-    it runs; none loads sympy or jsonschema."""
+    it runs; none loads sympy or jsonschema, nor dataclasses or inspect,
+    which generate and compile code at import.  A module the interpreter
+    loaded before the package (a site hook may) does not count."""
     # the child imports the same alexinv as this process
     env = {**os.environ, "PYTHONPATH": str(Path(alexinv.__file__).parents[1])}
     sixth = tmp_path / "sixth.json"
     sixth.write_text(json.dumps({"coords": ["1/6"]}))
     probe = (
         "import io, sys\n"
+        "before = set(sys.modules)\n"
         "from alexinv.cli import run\n"
         "code = run(sys.argv[1:], out=io.StringIO())\n"
-        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('alexinv', 'sympy', 'jsonschema')))\n"
+        "print(code, *sorted(m for m in set(sys.modules) - before if m.split('.')[0] in "
+        "('alexinv', 'sympy', 'jsonschema', 'dataclasses', 'inspect')))\n"
     )
     runs = [
         (["fox", "--presentation", files["trefoil"]], GROUP_RUNS_SKIP),
@@ -320,6 +323,9 @@ def test_unparsable_option_value_exit_2(files, argv, option, capsys):
         (["charvar", "--presentation", "{trefoil}", "--character", "1/6,1/6"], "--character"),
         (["charvar", "--presentation", "{trefoil}", "--character-file", "{pair}"], "{pair}"),
         (["covers", "--presentation", "{hopf}", "--cyclic", "6"], "--cyclic"),
+        (["quasiadj", "--germ", "x^2 + y^3", "--xi", "0"], "--xi"),
+        (["quasiadj", "--germ", "x^2 + y^3", "--xi", "3/2"], "--xi"),
+        (["quasiadj", "--germ", "x^2 + y^3", "--xi", "1/2,1/3"], "--xi"),
     ],
 )
 def test_out_of_range_option_value_exit_2(files, argv, option, capsys):
