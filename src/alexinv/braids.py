@@ -4,7 +4,10 @@ of curve-complement groups from symbolic braid monodromy.
 Braid monodromy is always an input; nothing here computes it from
 equations.  Orientation convention: sigma_i sends x_i to
 x_i x_{i+1} x_i^-1 and x_{i+1} to x_i (the opposite convention differs by
-a global inverse).  Braid-word letters act left to right.
+a global inverse).  Braid-word letters act left to right.  A braid acts as
+the automorphism fixed by its images of x_1, ..., x_d: ``_images`` builds
+that table once, and the action on a word, the full-twist check and the
+van Kampen relators read it.
 """
 
 from __future__ import annotations
@@ -37,27 +40,22 @@ class BraidWord:
         return perm
 
 
-def _act_letter(letter: int, w: Word, d: int) -> Word:
-    """Apply a single sigma_i^+-1 to a word in x_1..x_d."""
-    i = abs(letter) - 1
-    out: List[Tuple[int, int]] = []
-    for g, e in w:
+def _images(braid: BraidWord) -> List[Word]:
+    """The reduced image of every generator x_g under the braid.
+
+    Letters act left to right, so the braid acts as sigma_L o ... o
+    sigma_1.  The table is built from the right: each letter substitutes
+    the images found so far into its own short images of x_i and x_{i+1}.
+    """
+    images = [((g, 1),) for g in range(braid.strand_count)]
+    for letter in reversed(braid.letters):
+        i = abs(letter) - 1
+        a, b = images[i], images[i + 1]
         if letter > 0:
-            if g == i:
-                image = ((i, 1), (i + 1, 1), (i, -1))
-            elif g == i + 1:
-                image = ((i, 1),)
-            else:
-                image = ((g, 1),)
+            images[i], images[i + 1] = free_reduce(a + b + word_inverse(a)), a
         else:
-            if g == i:
-                image = ((i + 1, 1),)
-            elif g == i + 1:
-                image = ((i + 1, -1), (i, 1), (i + 1, 1))
-            else:
-                image = ((g, 1),)
-        out.extend(image if e == 1 else word_inverse(image))
-    return free_reduce(tuple(out))
+            images[i], images[i + 1] = b, free_reduce(word_inverse(b) + a + b)
+    return images
 
 
 def artin_action(braid: BraidWord, w: Word) -> Word:
@@ -65,10 +63,10 @@ def artin_action(braid: BraidWord, w: Word) -> Word:
     for g, _ in w:
         if not 0 <= g < braid.strand_count:
             raise BadWord(f"word uses generator {g + 1} beyond {braid.strand_count} strands")
-    out = free_reduce(w)
-    for letter in braid.letters:
-        out = _act_letter(letter, out, braid.strand_count)
-    return out
+    images = _images(braid)
+    return free_reduce(tuple(
+        l for g, e in w for l in (images[g] if e == 1 else word_inverse(images[g]))
+    ))
 
 
 class MonodromyData:
@@ -108,14 +106,12 @@ def full_twist_check(m: MonodromyData) -> bool:
     """Whether the composite action of all braids (in order) is conjugation
     by x_1 x_2 ... x_d on every generator -- the full-twist identity."""
     d = m.strand_count
-    composite = BraidWord(d, [l for b in m.braids for l in b.letters])
+    images = _images(BraidWord(d, [l for b in m.braids for l in b.letters]))
     delta = tuple((i, 1) for i in range(d))
-    for g in range(d):
-        image = artin_action(composite, ((g, 1),))
-        expected = free_reduce(delta + ((g, 1),) + word_inverse(delta))
-        if image != expected:
-            return False
-    return True
+    return all(
+        image == free_reduce(delta + ((g, 1),) + word_inverse(delta))
+        for g, image in enumerate(images)
+    )
 
 
 def vankampen_presentation(m: MonodromyData, mode: str = "affine") -> GroupPresentation:
@@ -132,8 +128,8 @@ def vankampen_presentation(m: MonodromyData, mode: str = "affine") -> GroupPrese
     d = m.strand_count
     relators: List[Word] = []
     for b in m.braids:
-        for g in range(d):
-            rel = free_reduce(artin_action(b, ((g, 1),)) + ((g, -1),))
+        for g, image in enumerate(_images(b)):
+            rel = free_reduce(image + ((g, -1),))
             if rel:
                 relators.append(rel)
     labels = m.labels_in_order()

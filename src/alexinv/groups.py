@@ -6,27 +6,28 @@ model for generic-arrangement homotopy modules.
 Words are stored unreduced; Fox differentiation is invariant under free
 reduction, which the test suite checks.  One walk over a relator gives
 its Fox derivatives by every generator and its image under phi
-(``_fox_walk``): with exponent vectors in Z^r it builds the Alexander
-matrix over the Laurent ring, and with integer exponents read mod M it
-evaluates the matrix at a torsion character of conductor M without
-building it.  Both paths check the fundamental identity of every row they
-build against that image, the Laurent one in the Laurent ring and the
-character one in Z[x]/(x^M - 1), and raise ``InternalError`` when it
-fails; the character path also refuses a character that does not kill
-the image.
+(``_fox_walk``): with exponent vectors in Z^r its dicts are the entries
+of the Alexander matrix over the Laurent ring, with the integer images
+n_j = phi(x_j) in Z they give the one-variable order through its minors,
+and with integer exponents read mod M they evaluate the matrix at a
+torsion character of conductor M without building it.  Every path checks
+the fundamental identity of every row against that image, on the walk's
+own exponent dicts or, at a character, in Z[x]/(x^M - 1), and raises
+``InternalError`` when it fails; the character path also refuses a
+character that does not kill the image.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import add, mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import uni
-from .cyclotomic import _reduce, evaluate_character, expand_cyclotomic
+from .cyclotomic import _reduce, expand_cyclotomic
 from .errors import (
     BadWord,
     InternalError,
@@ -90,7 +91,7 @@ class GroupPresentation:
 
     def __init__(self, generators, relators, phi, torsion=False):
         self.generators = int(generators)
-        self.relators = tuple(word(r) if not _is_word(r) else tuple(r) for r in relators)
+        self.relators = tuple(word(r) for r in relators)
         self.phi: Tuple[Tuple[int, ...], ...] = tuple(tuple(int(x) for x in v) for v in phi)
         self.torsion = bool(torsion)
         self._validate()
@@ -139,12 +140,6 @@ class GroupPresentation:
         return m
 
 
-def _is_word(r) -> bool:
-    return isinstance(r, tuple) and all(
-        isinstance(l, tuple) and len(l) == 2 for l in r
-    )
-
-
 def free_group(rank: int) -> GroupPresentation:
     phi = [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
     return GroupPresentation(rank, (), phi)
@@ -183,15 +178,23 @@ def _add_vectors(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(map(add, a, b))
 
 
-def _laurent_fox_row(
-    w: Word, phi: Sequence[Sequence[int]], rank: int
-) -> Tuple[List[LaurentPolynomial], Tuple[int, ...]]:
-    """The Fox derivatives of w by every generator over the Laurent ring,
-    and phi(w)."""
-    images = [tuple(v) for v in phi]
-    inverses = [tuple(-x for x in v) for v in phi]
-    terms, image = _fox_walk(w, images, inverses, (0,) * rank, _add_vectors)
-    return [LaurentPolynomial(rank, d) for d in terms], image
+def _fox_rows(p: GroupPresentation, images, inverses, origin, plus) -> List[List[Dict]]:
+    """The Fox walk of every relator, each row checked against the
+    fundamental identity sum_j d r/d x_j (t^images[j] - 1) = t^phi(r) - 1
+    on the walk's own exponent dicts; InternalError when it fails."""
+    rows = []
+    for rel in p.relators:
+        terms, image = _fox_walk(rel, images, inverses, origin, plus)
+        diff = Counter({origin: 1})
+        diff[image] -= 1
+        for n, d in zip(images, terms):
+            for e, c in d.items():
+                diff[plus(e, n)] += c
+                diff[e] -= c
+        if any(diff.values()):
+            raise InternalError("Fox row identity violated (internal error)")
+        rows.append(terms)
+    return rows
 
 
 class AlexanderMatrix:
@@ -213,21 +216,9 @@ class AlexanderMatrix:
 
 def fox_jacobian(p: GroupPresentation) -> AlexanderMatrix:
     r = p.rank
-    entries = []
-    for rel in p.relators:
-        row, image = _laurent_fox_row(rel, p.phi, r)
-        # fundamental identity: row . (t^phi(x_j) - 1) = t^phi(rel) - 1
-        lhs: Dict[Tuple[int, ...], int] = {}
-        for j, d in enumerate(row):
-            for exp, c in d.terms.items():
-                shifted = tuple(a + b for a, b in zip(exp, p.phi[j]))
-                lhs[shifted] = lhs.get(shifted, 0) + c
-                lhs[exp] = lhs.get(exp, 0) - c
-        rhs = LaurentPolynomial.monomial(1, image) - LaurentPolynomial.one(r)
-        if LaurentPolynomial(r, lhs) != rhs:
-            raise InternalError("Fox row identity violated (internal error)")
-        entries.append(row)
-    return AlexanderMatrix(p, entries)
+    inverses = [tuple(-x for x in v) for v in p.phi]
+    rows = _fox_rows(p, p.phi, inverses, (0,) * r, _add_vectors)
+    return AlexanderMatrix(p, [[LaurentPolynomial(r, d) for d in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +253,11 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
     n = [v[0] for v in p.phi]
     j = min((k for k in range(p.generators) if n[k]), key=lambda k: abs(n[k]))
     rows = []
-    for row in fox_jacobian(p).entries:
-        row = [e for k, e in enumerate(row) if k != j]
-        low = min((e.min_degree() for e in row if not e.is_zero()), default=0)
+    for walk in _fox_rows(p, n, [-x for x in n], 0, add):
+        row = [{e: c for e, c in d.items() if c} for k, d in enumerate(walk) if k != j]
+        low = min((e for d in row for e in d), default=0)
         # each entry times t^-low, as a coefficient list from degree 0
-        rows.append([
-            [0] * (e.min_degree() - low) + e.to_univariate() if not e.is_zero() else []
-            for e in row
-        ])
+        rows.append([[d.get(e, 0) for e in range(low, max(d) + 1)] if d else [] for d in row])
     g = uni.maximal_minor_gcd(rows, p.generators - 1)
     if not g:
         raise NonTorsionModule(
@@ -416,34 +404,17 @@ def diagonal_multiplicity(p: GroupPresentation, omega: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _koszul_presentation(r: int, n: int):
-    """Rows presenting the degree-n homotopy module over
-    Z[t_1^+-, ..., t_r^+-]/(t_1...t_r - 1): the Koszul boundary from
-    degree n+1 together with the relation rows (t_1...t_r - 1) e_T."""
-    n_basis = list(combinations(range(r), n))
-    index = {T: i for i, T in enumerate(n_basis)}
-    rows = []
-    for S in combinations(range(r), n + 1):
-        row = [LaurentPolynomial.zero(r) for _ in n_basis]
-        for pos, j in enumerate(S):
-            T = tuple(x for x in S if x != j)
-            tj = LaurentPolynomial.variable(j, r) - LaurentPolynomial.one(r)
-            row[index[T]] = tj if pos % 2 == 0 else -tj
-        rows.append(row)
-    full = LaurentPolynomial.monomial(1, (1,) * r) - LaurentPolynomial.one(r)
-    for i in range(len(n_basis)):
-        row = [LaurentPolynomial.zero(r) for _ in n_basis]
-        row[i] = full
-        rows.append(row)
-    return rows, len(n_basis)
-
-
 def koszul_support_membership(r: int, n: int, chi: CharacterPoint) -> bool:
     """Whether chi lies in the support of the generic-arrangement homotopy
     module (Koszul cokernel over the subtorus t_1...t_r = 1).
 
-    True implies the product of the coordinates of chi is 1.
+    True implies the product of the coordinates of chi is 1.  The module is
+    presented over Z[t_1^+-, ..., t_r^+-]/(t_1...t_r - 1) by the Koszul
+    boundary from degree n+1 together with the relation rows
+    (t_1...t_r - 1) e_T.  At a character of the subtorus the relation rows
+    vanish, so the rank is taken on the boundary rows alone: with chi =
+    (k_1, ..., k_r)/M, row S has +-(zeta_M^{k_j} - 1) at T = S - {j}, the
+    sign alternating along S, each entry reduced mod Phi_M as a list.
     """
     if not 2 <= n <= r - 1:
         raise ValueError("need 2 <= n <= r - 1")
@@ -451,10 +422,21 @@ def koszul_support_membership(r: int, n: int, chi: CharacterPoint) -> bool:
         raise ValueError("character length must be r")
     if sum(chi.coords) % 1 != 0:
         return False  # chi is not even a point of the subtorus
-    rows, ncols = _koszul_presentation(r, n)
-    evaluated = [[evaluate_character(e, chi.coords).coeffs for e in row] for row in rows]
-    conductor = lcm(*[c.denominator for c in chi.coords])
-    return cyclotomic_rank(evaluated, conductor) < ncols
+    M = lcm(*[c.denominator for c in chi.coords])
+    ks = [c.numerator * (M // c.denominator) for c in chi.coords]
+    index = {T: i for i, T in enumerate(combinations(range(r), n))}
+    zero = _reduce([0] * M, M)
+    rows = []
+    for S in combinations(range(r), n + 1):
+        row = [zero] * len(index)
+        for pos, j in enumerate(S):
+            sign = -1 if pos % 2 else 1
+            acc = [0] * M
+            acc[ks[j] % M] += sign
+            acc[0] -= sign
+            row[index[tuple(x for x in S if x != j)]] = _reduce(acc, M)
+        rows.append(row)
+    return cyclotomic_rank(rows, M) < len(index)
 
 
 # ---------------------------------------------------------------------------

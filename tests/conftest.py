@@ -355,3 +355,67 @@ def expand_product(product):
         else:
             den = den * base ** (-e)
     return exact_divide(num, den)
+
+
+def letter_by_letter_action(braid, w):
+    """The image of the word w under the braid, one braid letter at a time:
+    each sigma_i^+-1 rewrites every letter of the whole word by its short
+    image, and the result is freely reduced.  The route that the table of
+    generator images in ``braids._images`` replaced, kept as its oracle."""
+    from alexinv.groups import free_reduce, word_inverse
+
+    out = free_reduce(w)
+    for letter in braid.letters:
+        i = abs(letter) - 1
+        rewritten = []
+        for g, e in out:
+            if letter > 0:
+                if g == i:
+                    image = ((i, 1), (i + 1, 1), (i, -1))
+                elif g == i + 1:
+                    image = ((i, 1),)
+                else:
+                    image = ((g, 1),)
+            else:
+                if g == i:
+                    image = ((i + 1, 1),)
+                elif g == i + 1:
+                    image = ((i + 1, -1), (i, 1), (i + 1, 1))
+                else:
+                    image = ((g, 1),)
+            rewritten.extend(image if e == 1 else word_inverse(image))
+        out = free_reduce(tuple(rewritten))
+    return out
+
+
+def laurent_koszul_membership(r: int, n: int, chi) -> bool:
+    """Whether chi lies in the support of the degree-n homotopy module of
+    the generic arrangement of r lines, from its whole Laurent
+    presentation: the Koszul boundary rows from degree n+1 and the
+    relation rows (t_1...t_r - 1) e_T, each entry evaluated at chi with
+    ``evaluate_character`` and the rank taken over the field Q(zeta_M) by
+    ``echelon``.  No shortcut off the subtorus: there the relation rows
+    alone have full rank.  The route that the integer boundary rows of
+    ``groups.koszul_support_membership`` replaced, kept as its oracle."""
+    from itertools import combinations
+
+    from alexinv.cyclotomic import evaluate_character
+    from alexinv.laurent import LaurentPolynomial
+
+    basis = list(combinations(range(r), n))
+    index = {T: i for i, T in enumerate(basis)}
+    one = LaurentPolynomial.one(r)
+    rows = []
+    for S in combinations(range(r), n + 1):
+        row = [LaurentPolynomial.zero(r) for _ in basis]
+        for pos, j in enumerate(S):
+            tj = LaurentPolynomial.variable(j, r) - one
+            row[index[tuple(x for x in S if x != j)]] = tj if pos % 2 == 0 else -tj
+        rows.append(row)
+    full = LaurentPolynomial.monomial(1, (1,) * r) - one
+    for i in range(len(basis)):
+        row = [LaurentPolynomial.zero(r) for _ in basis]
+        row[i] = full
+        rows.append(row)
+    evaluated = [[evaluate_character(e, chi.coords) for e in row] for row in rows]
+    return len(echelon(evaluated)) < len(basis)

@@ -13,6 +13,7 @@ from alexinv.braids import (
 )
 from alexinv.errors import BadWord, Unsupported
 from alexinv.groups import GroupPresentation, free_reduce, word, word_inverse
+from conftest import letter_by_letter_action
 
 
 def test_artin_examples():
@@ -31,6 +32,56 @@ def test_artin_bad_word():
         artin_action(BraidWord(2, [1]), ((5, 1),))
     with pytest.raises(BadWord):
         BraidWord(2, [2])
+    with pytest.raises(BadWord, match="at least one strand"):
+        BraidWord(0, [])
+
+
+def test_monodromy_bad_input():
+    with pytest.raises(BadWord, match="share the strand count"):
+        MonodromyData(2, [BraidWord(3, [1])])
+    with pytest.raises(BadWord, match="cover strands"):
+        MonodromyData(2, [], {1: "C"})
+
+
+@st.composite
+def monodromy_systems(draw):
+    """Up to three braids on d = 2..6 strands with 0..30 letters in all,
+    and a word of 0..30 letters; when asked, one more braid closes the
+    composite to the full twist (s_1 ... s_{d-1})^d."""
+    d = draw(st.integers(2, 6))
+    letters = draw(st.lists(st.integers(1 - d, d - 1).filter(bool), max_size=30))
+    cuts = sorted(draw(st.lists(st.integers(0, len(letters)), max_size=2)))
+    bounds = [0] + cuts + [len(letters)]
+    braids = [BraidWord(d, letters[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if draw(st.booleans()):
+        twist = [i for _ in range(d) for i in range(1, d)]
+        braids.append(BraidWord(d, [-l for l in reversed(letters)] + twist))
+    w = tuple(draw(st.lists(st.tuples(st.integers(0, d - 1), st.sampled_from([1, -1])), max_size=30)))
+    return MonodromyData(d, braids), w
+
+
+@given(monodromy_systems())
+def test_generator_images_match_letter_by_letter_action(system):
+    """artin_action, full_twist_check and the van Kampen relators, read
+    from the table of generator images, equal what rewriting the whole
+    word letter by letter gives."""
+    m, w = system
+    d = m.strand_count
+    for b in m.braids:
+        assert artin_action(b, w) == letter_by_letter_action(b, w)
+    composite = BraidWord(d, [l for b in m.braids for l in b.letters])
+    delta = tuple((i, 1) for i in range(d))
+    twist = all(
+        letter_by_letter_action(composite, ((g, 1),))
+        == free_reduce(delta + ((g, 1),) + word_inverse(delta))
+        for g in range(d)
+    )
+    assert full_twist_check(m) == twist
+    relators = [
+        rel for b in m.braids for g in range(d)
+        if (rel := free_reduce(letter_by_letter_action(b, ((g, 1),)) + ((g, -1),)))
+    ]
+    assert list(vankampen_presentation(m).relators) == relators
 
 
 @given(st.integers(3, 5), st.integers(1, 3), st.lists(st.tuples(st.integers(0, 4), st.sampled_from([1, -1])), min_size=1, max_size=6))

@@ -202,6 +202,18 @@ def test_math_error_exit_3(tmp_path):
     assert code == 3  # non-torsion Alexander module
 
 
+@pytest.mark.parametrize("phi, message", [
+    ([[1], [1, 0]], "phi vectors of unequal length"),
+    ([[2], [2]], "phi is not surjective onto Z^r"),
+])
+def test_bad_abelianization_in_file_exit_3(tmp_path, capsys, phi, message):
+    bad = tmp_path / "phi.json"
+    bad.write_text(json.dumps({"generators": 2, "relators": [], "phi": phi}))
+    code, out = _run(["fox", "--presentation", str(bad)])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_math_error_irrational_point(capsys):
     code, _ = _run(["local", "--germ", "(x^2 - 2*y^2)^2 + y^5"])
     assert code == 3

@@ -10,6 +10,7 @@ from alexinv import groups
 from alexinv.braids import BraidWord, MonodromyData, vankampen_presentation
 from alexinv.cyclotomic import evaluate_character
 from alexinv.errors import (
+    BadWord,
     InternalError,
     InvalidAbelianization,
     MissingSublinkData,
@@ -36,7 +37,7 @@ from alexinv.groups import (
     word,
 )
 from alexinv.laurent import LaurentPolynomial, univariate_gcd
-from conftest import echelon, integer_kernel_basis
+from conftest import echelon, integer_kernel_basis, laurent_koszul_membership
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -106,6 +107,23 @@ def test_invalid_abelianization():
         GroupPresentation(2, (word([(0, 1)]),), [[1], [1]])
     with pytest.raises(InvalidAbelianization):
         GroupPresentation(2, (), [[0], [0]], torsion=True)
+    with pytest.raises(InvalidAbelianization, match="a vector per generator"):
+        GroupPresentation(2, (), [[1]])
+    with pytest.raises(InvalidAbelianization, match="unequal length"):
+        GroupPresentation(2, (), [[1], [1, 0]])
+    with pytest.raises(InvalidAbelianization, match="not surjective"):
+        GroupPresentation(1, (), [[2]])
+
+
+def test_bad_presentation_words():
+    with pytest.raises(BadWord, match="at least one generator"):
+        GroupPresentation(0, (), [])
+    with pytest.raises(BadWord, match="out of range"):
+        GroupPresentation(2, (((2, 1), (0, -1)),), [[1], [1]])
+    # a tuple relator is checked like any other: the exponent 2 is refused
+    # here, not read later as an inverse letter by the Fox walk
+    with pytest.raises(BadWord, match="exponent must be"):
+        GroupPresentation(1, (((0, 2),),), [[1]], torsion=True)
 
 
 @given(st.integers(3, 6), st.integers(0, 30), st.integers(1, 30))
@@ -210,6 +228,20 @@ def test_koszul_false_off_subtorus(r, coords):
         assert result is True  # full support on the subtorus
 
 
+@given(st.integers(3, 5), st.data())
+def test_koszul_membership_matches_laurent_presentation(r, data):
+    """The rank on the boundary rows at chi agrees with the rank of the
+    whole Laurent presentation evaluated at chi, on the subtorus and off
+    it."""
+    n = data.draw(st.integers(2, r - 1))
+    m = data.draw(st.integers(1, 8))
+    ks = data.draw(st.lists(st.integers(0, m - 1), min_size=r, max_size=r))
+    if data.draw(st.booleans()):
+        ks[-1] = -sum(ks[:-1]) % m
+    chi = CharacterPoint([F(k, m) for k in ks])
+    assert koszul_support_membership(r, n, chi) == laurent_koszul_membership(r, n, chi)
+
+
 # ---------------------------------------------------------------------------
 # random-presentation properties
 # ---------------------------------------------------------------------------
@@ -257,8 +289,9 @@ def test_fox_row_identity_on_random_presentations(pres):
 
 def test_corrupted_fox_row_is_an_internal_error(monkeypatch):
     """A Fox walk that is off by one in one derivative breaks the
-    fundamental identity on both paths that build Fox rows: the Laurent
-    matrix and its evaluation at a character, which every cover takes."""
+    fundamental identity on every path that builds Fox rows: the Laurent
+    matrix, its evaluation at a character, which every cover takes, and
+    the integer walk of the one-variable minors."""
     true_walk = groups._fox_walk
 
     def corrupted(w, images, inverses, origin, plus):
@@ -274,16 +307,25 @@ def test_corrupted_fox_row_is_an_internal_error(monkeypatch):
         lambda: unbranched_cover_betti(tref, (4,)),
         lambda: branched_cover_betti({frozenset({0}): tref}, (4,)),
         lambda: one_variable_alexander(sphere_braid_presentation(4)),
+        lambda: one_variable_alexander(tref),
     ]
     for call in calls:
         with pytest.raises(InternalError, match="Fox row identity"):
             call()
 
 
+def _fox_derivatives(w):
+    """The Fox derivatives of w by x_1, x_2, x_3 under the identity map to
+    Z^3, with zero coefficients dropped, and the image of w."""
+    images = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    inverses = [tuple(-x for x in v) for v in images]
+    terms, image = groups._fox_walk(w, images, inverses, (0, 0, 0), groups._add_vectors)
+    return [{e: c for e, c in d.items() if c} for d in terms], image
+
+
 @given(words)
 def test_fox_derivative_invariant_under_free_reduction(w):
-    phi = [[1], [1], [1]]
-    assert groups._laurent_fox_row(w, phi, 1) == groups._laurent_fox_row(free_reduce(w), phi, 1)
+    assert _fox_derivatives(w) == _fox_derivatives(free_reduce(w))
 
 
 def test_cover_walls():
