@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BadWord, Unsupported
-from .groups import GroupPresentation, Word, free_reduce, word_inverse
+from .groups import GroupPresentation, Word, free_reduce, word, word_inverse
 
 
 class BraidWord:
@@ -60,6 +60,7 @@ def _images(braid: BraidWord) -> List[Word]:
 
 def artin_action(braid: BraidWord, w: Word) -> Word:
     """Image of the word w under the Artin action of the braid."""
+    w = word(w)
     for g, _ in w:
         if not 0 <= g < braid.strand_count:
             raise BadWord(f"word uses generator {g + 1} beyond {braid.strand_count} strands")

@@ -388,15 +388,15 @@ def letter_by_letter_action(braid, w):
     return out
 
 
-def laurent_koszul_membership(r: int, n: int, chi) -> bool:
-    """Whether chi lies in the support of the degree-n homotopy module of
-    the generic arrangement of r lines, from its whole Laurent
-    presentation: the Koszul boundary rows from degree n+1 and the
-    relation rows (t_1...t_r - 1) e_T, each entry evaluated at chi with
-    ``evaluate_character`` and the rank taken over the field Q(zeta_M) by
-    ``echelon``.  No shortcut off the subtorus: there the relation rows
-    alone have full rank.  The route that the integer boundary rows of
-    ``groups.koszul_support_membership`` replaced, kept as its oracle."""
+def laurent_koszul_rows(r: int, n: int, chi):
+    """The whole Laurent presentation of the degree-n homotopy module of
+    the generic arrangement of r lines, evaluated at chi entry by entry
+    with ``evaluate_character``: the Koszul boundary rows from degree n+1,
+    then the relation rows (t_1...t_r - 1) e_T.  The route that the
+    integer boundary rows of ``groups.koszul_support_membership``
+    replaced, kept as its oracle: chi is in the support when the rank over
+    Q(zeta_M), taken by ``echelon``, is below C(r, n).  No shortcut off the
+    subtorus: there the relation rows alone have full rank."""
     from itertools import combinations
 
     from alexinv.cyclotomic import evaluate_character
@@ -417,5 +417,4 @@ def laurent_koszul_membership(r: int, n: int, chi) -> bool:
         row = [LaurentPolynomial.zero(r) for _ in basis]
         row[i] = full
         rows.append(row)
-    evaluated = [[evaluate_character(e, chi.coords) for e in row] for row in rows]
-    return len(echelon(evaluated)) < len(basis)
+    return [[evaluate_character(e, chi.coords) for e in row] for row in rows]

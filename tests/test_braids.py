@@ -30,6 +30,9 @@ def test_artin_examples():
 def test_artin_bad_word():
     with pytest.raises(BadWord):
         artin_action(BraidWord(2, [1]), ((5, 1),))
+    # an exponent other than +-1 is refused, not read as an inverse letter
+    with pytest.raises(BadWord, match="exponent must be"):
+        artin_action(BraidWord(2, []), ((0, 2),))
     with pytest.raises(BadWord):
         BraidWord(2, [2])
     with pytest.raises(BadWord, match="at least one strand"):

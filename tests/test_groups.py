@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +38,7 @@ from alexinv.groups import (
     word,
 )
 from alexinv.laurent import LaurentPolynomial, univariate_gcd
-from conftest import echelon, integer_kernel_basis, laurent_koszul_membership
+from conftest import echelon, integer_kernel_basis, laurent_koszul_rows
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -230,16 +231,33 @@ def test_koszul_false_off_subtorus(r, coords):
 
 @given(st.integers(3, 5), st.data())
 def test_koszul_membership_matches_laurent_presentation(r, data):
-    """The rank on the boundary rows at chi agrees with the rank of the
-    whole Laurent presentation evaluated at chi, on the subtorus and off
-    it."""
+    """The rows ranked at chi are the Laurent boundary rows evaluated at
+    chi, entry by entry, and membership agrees with the rank of the whole
+    Laurent presentation evaluated at chi, on the subtorus and off it.
+    The support is the whole subtorus, so membership alone would not
+    show a wrong entry."""
     n = data.draw(st.integers(2, r - 1))
     m = data.draw(st.integers(1, 8))
     ks = data.draw(st.lists(st.integers(0, m - 1), min_size=r, max_size=r))
     if data.draw(st.booleans()):
         ks[-1] = -sum(ks[:-1]) % m
     chi = CharacterPoint([F(k, m) for k in ks])
-    assert koszul_support_membership(r, n, chi) == laurent_koszul_membership(r, n, chi)
+    ranked = []
+    true_rank = groups.cyclotomic_rank
+
+    def spy(rows, conductor):
+        ranked.append(rows)
+        return true_rank(rows, conductor)
+
+    with mock.patch.object(groups, "cyclotomic_rank", spy):
+        member = koszul_support_membership(r, n, chi)
+    oracle = laurent_koszul_rows(r, n, chi)
+    assert member == (len(echelon([list(row) for row in oracle])) < comb(r, n))
+    if ranked:
+        [rows] = ranked
+        assert rows == [[list(e.coeffs) for e in row] for row in oracle[:comb(r, n + 1)]]
+    else:
+        assert sum(chi.coords) % 1  # no rank is taken off the subtorus
 
 
 # ---------------------------------------------------------------------------
