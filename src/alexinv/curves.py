@@ -22,12 +22,20 @@ condition form an ideal, because each staircase's nonmembers are closed
 downwards; so the rank is the number of standard monomials of degree
 <= m of that ideal in a graded order (Buchberger and Moller, 1982), and
 ``_condition_rank`` counts them by a walk over the monomials that never
-builds the column of a multiple of a leading monomial.
+builds the column of a multiple of a leading monomial.  The walk runs
+modulo one fixed prime P.  A column that is independent mod P is
+independent over Q, since a minor that is nonzero mod P is a nonzero
+integer, so a standard monomial costs no exact work.  A column that is
+dependent mod P is decided exactly, over Q, before its monomial counts
+as leading.  Every rank is therefore exact; only its cost depends on P.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -38,7 +46,13 @@ from .errors import BadGerm, InternalError, NotCoprime, TheoremViolation, Unsupp
 from .laurent import LaurentPolynomial, common_root_count
 from .linalg import cokernel_invariants, echelon_insert
 from .polytope import RationalPolytope, centroid
-from .quasiadj import LocalIdealDescription, ideal_of_quasiadjunction, jumping_values, polytopes_and_faces
+from .quasiadj import (
+    LocalIdealDescription,
+    _rationals,
+    ideal_of_quasiadjunction,
+    jumping_values,
+    polytopes_and_faces,
+)
 from .resolution import PlaneCurveGerm, ResolutionTree, acampo_zeta, resolve, zeta_exponents
 
 
@@ -57,11 +71,17 @@ class LocalData:
     the faces of quasiadjunction in the local cube (r <= 3), each a list of
     local halfspaces (normal, bound) that ``global_faces_and_components``
     lifts.  A smooth germ has the empty tree: no constants, no faces, and
-    ideals of colength 0."""
+    ideals of colength 0.
+
+    The constants, the faces and one ideal per xi are computed once per
+    datum and shared by every caller, which only reads them."""
 
     def __init__(self, germ: PlaneCurveGerm):
         self.germ = germ
         self.tree: ResolutionTree = resolve(germ)
+        self._ideals: Dict[tuple, LocalIdealDescription] = {}
+        self._constants: Optional[List[Fraction]] = None
+        self._faces: Optional[list] = None
 
     def delta_exponents(self) -> Exponents:
         return zeta_exponents(acampo_zeta(self.tree))
@@ -70,20 +90,27 @@ class LocalData:
         return self.germ.r
 
     def constants(self) -> List[Fraction]:
-        return jumping_values(self.tree)
+        if self._constants is None:
+            self._constants = jumping_values(self.tree)
+        return self._constants
 
     def ideal_at(self, xi: Sequence[Fraction]) -> LocalIdealDescription:
-        return ideal_of_quasiadjunction(self.tree, xi)
+        key = tuple(_rationals(xi, "xi"))
+        if key not in self._ideals:
+            self._ideals[key] = ideal_of_quasiadjunction(self.tree, key)
+        return self._ideals[key]
 
     def local_faces(self):
         """Each face of quasiadjunction as the halfspaces it saturates, in
         both directions, followed by the halfspaces of its polytope."""
-        return [
-            [h for n, b in qp.polytope.planes(f.face) for h in ((n, b), (tuple(-x for x in n), -b))]
-            + qp.polytope.halfspaces
-            for qp in polytopes_and_faces(self.tree)
-            for f in qp.faces
-        ]
+        if self._faces is None:
+            self._faces = [
+                [h for n, b in qp.polytope.planes(f.face) for h in ((n, b), (tuple(-x for x in n), -b))]
+                + qp.polytope.halfspaces
+                for qp in polytopes_and_faces(self.tree)
+                for f in qp.faces
+            ]
+        return self._faces
 
 
 # One datum per distinct germ in the process, keyed by its parsed
@@ -305,41 +332,160 @@ def _monomials_up_to(m: int):
     return [(i, j) for total in range(m + 1) for i in range(total + 1) for j in [total - i]]
 
 
+# The prime of the condition walk; see ``_insert_mod_p`` for the slot bound.
+P = 2**20 - 3
+_SLOT = (1 << 64) - 1
+
+
+def _conditions(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: int, top: int,
+                modulus: Optional[int] = None) -> list:
+    """One pair (xr, yr) of Taylor rows (``_taylor_rows``) per condition,
+    for the columns of degree <= top.  The condition of a nonmember
+    x^alpha y^beta of ideals[k] is the Taylor coefficient at it around the
+    point spec.singularities[k] = (p/q, r/s); scaled by q^m s^m, it reads
+    xr[i] yr[j] on the monomial x^i y^j, with xr the row alpha of the
+    point's x and yr the row beta of its y."""
+    conditions = []
+    for point, ideal in zip(spec.singularities, ideals):
+        count = 1 + max((max(monomial) for monomial in ideal.nonmembers), default=-1)
+        xr, yr = (_taylor_rows(*c.as_integer_ratio(), m, top, modulus, count) for c in point.position)
+        conditions += [(xr[alpha], yr[beta]) for alpha, beta in ideal.nonmembers]
+    return conditions
+
+
+def _taylor_rows(a: int, b: int, m: int, top: int, modulus: Optional[int], count: int) -> List[List[int]]:
+    """Row alpha, for alpha < count, holds at i <= top the coefficient of
+    t^alpha in (t + a/b)^i, scaled by b^m so that it is an integer:
+    C(i, alpha) a^(i-alpha) b^(m-i+alpha), and 0 for i < alpha.  A
+    nonmember's exponents are closed downwards, so the rows below count
+    are the ones its conditions read.
+
+    Mod a prime modulus the powers are the residues b^m (a/b)^k, or all
+    zeros when the modulus divides b.  Such a point's residue rows are its
+    exact rows times 0, which keeps the certificate of ``_condition_rank``
+    sound: a minor of the residues that is nonzero mod P is still a minor
+    of the exact rows that is nonzero mod P."""
+    if modulus is None:
+        powers = [a**k * b ** (m - k) for k in range(top + 1)]
+    elif b % modulus:
+        ratio = a * pow(b, -1, modulus) % modulus
+        powers = [pow(b, m, modulus)]
+        for _ in range(top):
+            powers.append(powers[-1] * ratio % modulus)
+    else:
+        powers = [0] * (top + 1)
+    return [powers] + [
+        [comb(i, alpha) * powers[i - alpha] if i >= alpha else 0 for i in range(top + 1)]
+        for alpha in range(1, count)
+    ]
+
+
+def _column(conditions: list, i: int, j: int) -> List[int]:
+    """The condition column of the monomial x^i y^j: its scaled Taylor
+    coefficient at each condition of ``_conditions``."""
+    return [xr[i] * yr[j] for xr, yr in conditions]
+
+
+def _pack(residues) -> int:
+    return int.from_bytes(array("Q", residues).tobytes(), sys.byteorder)
+
+
+def _unpack(row: int, n: int) -> array:
+    return array("Q", row.to_bytes(n << 3, sys.byteorder))
+
+
+def _insert_mod_p(rows: List[int], pivots: List[int], column: List[int]) -> bool:
+    """Reduce an integer column mod P against an echelon (rows, pivots) of
+    packed rows and insert what is left; True when it was independent mod
+    P, the analogue of ``linalg.echelon_insert``.
+
+    A packed row is one int that holds the n residues of a column in
+    64-bit slots, entry c in bits 64c to 64c + 63.  Each echelon row is
+    scaled to 1 at its pivot and then negated mod P, so that every slot
+    lies in [0, P) and clearing pivot c is one multiply-add, row += f top,
+    with f the row's residue at c: no slot ever goes negative, and earlier
+    pivots stay cleared.  A step adds less than P^2 to each slot, so after
+    k steps from residues a slot is below (k + 1) P^2.  That is below 2^64
+    for every k < 2^24 at P = 2^20 - 3; the row is folded back to residues
+    before a step could break the bound, so no slot ever carries into the
+    next one."""
+    room = (1 << 64) // (P * P) - 1  # steps a slot takes from residues
+    if room < 1:
+        raise InternalError(f"P = {P} breaks the slot bound 2 P^2 <= 2^64 (internal error)")
+    n = len(column)
+    row, steps = _pack([x % P for x in column]), 0
+    for top, c in zip(rows, pivots):
+        f = (row >> (c << 6) & _SLOT) % P
+        if f:
+            if steps == room:
+                row, steps = _pack([x % P for x in _unpack(row, n)]), 0
+            row += f * top
+            steps += 1
+    residues = [x % P for x in _unpack(row, n)]
+    c = next((c for c, x in enumerate(residues) if x), None)
+    if c is None:
+        return False
+    scale = P - pow(residues[c], -1, P)
+    at = bisect_left(pivots, c)
+    rows.insert(at, _pack([x * scale % P for x in residues]))
+    pivots.insert(at, c)
+    return True
+
+
 def _condition_rank(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: int) -> int:
     """The rank of the conditions that the ideals (ideals[k] at
     spec.singularities[k]) impose on curves of degree <= m, as the number
     of standard monomials of degree <= m (see the module docstring).
 
-    A condition is the Taylor coefficient at a nonmember x^alpha y^beta
-    around its point, scaled by q^m s^m for x0 = p/q and y0 = r/s so that
-    every entry is an integer.  The monomials come in the graded order of
-    ``_monomials_up_to``.  A multiple of a leading monomial found so far
-    is skipped unbuilt; any other has its condition column reduced against
-    the standard columns kept so far, and is standard when a nonzero
-    remainder is left, leading when none is.  The walk stops at one
+    The monomials come in the graded order of ``_monomials_up_to``.  A
+    multiple of a leading monomial found so far is skipped unbuilt.  Any
+    other has its condition column (``_column``) reduced mod P against the
+    standard columns kept so far (``_insert_mod_p``).
+    - A nonzero remainder proves the column independent over Q, since a
+      minor that is nonzero mod P is a nonzero integer.  The monomial is
+      standard, and no exact work is done.
+    - A zero remainder only makes the monomial a candidate.  The exact
+      echelon of ``linalg.echelon_insert`` first takes the standard
+      columns it has not seen yet, then decides the column over Q.  If it
+      is dependent, the monomial is leading.  If it is independent, P
+      divides a minor, and the rest of the walk runs on the exact echelon
+      alone, since the packed one no longer spans the standard columns.
+    So the rank is exact whatever P is; only its cost depends on P.  A
+    walk meets at most m + 1 dependences, one per minimal generator of a
+    monomial ideal in two variables, and the exact tables are built only
+    up to the degree of the latest candidate.  The walk stops at one
     standard column per condition."""
-    conditions = []
-    for point, ideal in zip(spec.singularities, ideals):
-        (p, q), (r, s) = (c.as_integer_ratio() for c in point.position)
-        xs = [p**k * q ** (m - k) for k in range(m + 1)]  # x0^k q^m
-        ys = [r**k * s ** (m - k) for k in range(m + 1)]  # y0^k s^m
-        conditions += [(xs, ys, alpha, beta) for alpha, beta in ideal.nonmembers]
+    residues = _conditions(spec, ideals, m, m, P)
+    conditions, top = [], -1  # the exact tables, for the columns of degree <= top
+    packed: List[int] = []
+    packed_pivots: List[int] = []
     rows: List[List[int]] = []
     pivots: List[int] = []
+    unseen: List[Tuple[int, int]] = []  # standard monomials not yet in the exact echelon
     leading: List[Tuple[int, int]] = []
+    modular, rank = True, 0
     for i, j in _monomials_up_to(m):
-        if len(rows) == len(conditions):
+        if rank == len(residues):
             break
         if any(i >= a and j >= b for a, b in leading):
             continue
-        column = [
-            comb(i, alpha) * comb(j, beta) * xs[i - alpha] * ys[j - beta]
-            if i >= alpha and j >= beta else 0
-            for xs, ys, alpha, beta in conditions
-        ]
-        if not echelon_insert(rows, pivots, column):
+        if modular and _insert_mod_p(packed, packed_pivots, _column(residues, i, j)):
+            unseen.append((i, j))
+            rank += 1
+            continue
+        if top < i + j:
+            top = i + j if modular else m
+            conditions = _conditions(spec, ideals, m, top)
+        for monomial in unseen:
+            if not echelon_insert(rows, pivots, _column(conditions, *monomial)):
+                raise InternalError("a column independent mod P is dependent over Q (internal error)")
+        unseen = []
+        if echelon_insert(rows, pivots, _column(conditions, i, j)):
+            modular = False
+            rank += 1
+        else:
             leading.append((i, j))
-    return len(rows)
+    return rank
 
 
 def _h1(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: int) -> int:

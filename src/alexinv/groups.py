@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm
 from operator import add, mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -406,37 +406,24 @@ def diagonal_multiplicity(p: GroupPresentation, omega: Fraction) -> int:
 
 def koszul_support_membership(r: int, n: int, chi: CharacterPoint) -> bool:
     """Whether chi lies in the support of the generic-arrangement homotopy
-    module (Koszul cokernel over the subtorus t_1...t_r = 1).
+    module (Koszul cokernel over the subtorus t_1...t_r = 1): exactly when
+    chi is a point of the subtorus, that is when its coordinates sum to an
+    integer.
 
-    True implies the product of the coordinates of chi is 1.  The module is
-    presented over Z[t_1^+-, ..., t_r^+-]/(t_1...t_r - 1) by the Koszul
-    boundary from degree n+1 together with the relation rows
-    (t_1...t_r - 1) e_T.  At a character of the subtorus the relation rows
-    vanish, so the rank is taken on the boundary rows alone: with chi =
-    (k_1, ..., k_r)/M, row S has +-(zeta_M^{k_j} - 1) at T = S - {j}, the
-    sign alternating along S, each entry reduced mod Phi_M as a list.
+    The module is presented over Z[t_1^+-, ..., t_r^+-]/(t_1...t_r - 1) by
+    the Koszul boundary from degree n+1 together with the relation rows
+    (t_1...t_r - 1) e_T.  Off the subtorus the relation rows alone have
+    full rank.  On it they vanish, and the Koszul complex of (t_1 - 1, ...,
+    t_r - 1) evaluated at chi != 1 is exact, so the boundary has rank
+    C(r-1, n) and the cokernel dimension C(r-1, n-1) > 0; at chi = 1 the
+    boundary is zero.  So the support is the whole subtorus, and no rank
+    is taken.
     """
     if not 2 <= n <= r - 1:
         raise ValueError("need 2 <= n <= r - 1")
     if len(chi) != r:
         raise ValueError("character length must be r")
-    if sum(chi.coords) % 1 != 0:
-        return False  # chi is not even a point of the subtorus
-    M = lcm(*[c.denominator for c in chi.coords])
-    ks = [c.numerator * (M // c.denominator) for c in chi.coords]
-    index = {T: i for i, T in enumerate(combinations(range(r), n))}
-    zero = _reduce([0] * M, M)
-    rows = []
-    for S in combinations(range(r), n + 1):
-        row = [zero] * len(index)
-        for pos, j in enumerate(S):
-            sign = -1 if pos % 2 else 1
-            acc = [0] * M
-            acc[ks[j] % M] += sign
-            acc[0] -= sign
-            row[index[tuple(x for x in S if x != j)]] = _reduce(acc, M)
-        rows.append(row)
-    return cyclotomic_rank(rows, M) < len(index)
+    return sum(chi.coords) % 1 == 0
 
 
 # ---------------------------------------------------------------------------

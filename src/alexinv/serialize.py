@@ -99,6 +99,8 @@ def presentation_from_json(data: dict) -> GroupPresentation:
         phi = [[1]] * s
     if len(phi) != s:
         violations.append(f"phi must list one vector per generator ({s})")
+    if len({len(v) for v in phi}) > 1:
+        violations.append("phi vectors of unequal length")
     if violations:
         raise ValidationError(violations)
     return GroupPresentation(

@@ -392,11 +392,11 @@ def laurent_koszul_rows(r: int, n: int, chi):
     """The whole Laurent presentation of the degree-n homotopy module of
     the generic arrangement of r lines, evaluated at chi entry by entry
     with ``evaluate_character``: the Koszul boundary rows from degree n+1,
-    then the relation rows (t_1...t_r - 1) e_T.  The route that the
-    integer boundary rows of ``groups.koszul_support_membership``
-    replaced, kept as its oracle: chi is in the support when the rank over
-    Q(zeta_M), taken by ``echelon``, is below C(r, n).  No shortcut off the
-    subtorus: there the relation rows alone have full rank."""
+    then the relation rows (t_1...t_r - 1) e_T.  The first route of
+    ``groups.koszul_support_membership``, kept as its oracle: chi is in
+    the support when the rank over Q(zeta_M), taken by ``echelon``, is
+    below C(r, n).  No shortcut off the subtorus: there the relation rows
+    alone have full rank."""
     from itertools import combinations
 
     from alexinv.cyclotomic import evaluate_character
@@ -418,3 +418,34 @@ def laurent_koszul_rows(r: int, n: int, chi):
         row[i] = full
         rows.append(row)
     return [[evaluate_character(e, chi.coords) for e in row] for row in rows]
+
+
+def koszul_boundary_rows(r: int, n: int, chi):
+    """The Koszul boundary rows from degree n+1 at a character chi = (k_1,
+    ..., k_r)/M, over Z[zeta_M]: row S has +-(zeta_M^{k_j} - 1) at T =
+    S - {j}, the sign alternating along S, each entry its phi(M)
+    coefficients reduced mod Phi_M.  On the subtorus the relation rows
+    vanish, so chi is in the support when the rank of these rows, taken
+    by ``linalg.cyclotomic_rank``, is below C(r, n).  The route that
+    ``groups.koszul_support_membership`` took before its closed form,
+    kept as its second oracle.  Returns the rows and M."""
+    from itertools import combinations
+    from math import lcm
+
+    from alexinv.cyclotomic import _reduce
+
+    M = lcm(*[c.denominator for c in chi.coords])
+    ks = [c.numerator * (M // c.denominator) for c in chi.coords]
+    index = {T: i for i, T in enumerate(combinations(range(r), n))}
+    zero = _reduce([0] * M, M)
+    rows = []
+    for S in combinations(range(r), n + 1):
+        row = [zero] * len(index)
+        for pos, j in enumerate(S):
+            sign = -1 if pos % 2 else 1
+            acc = [0] * M
+            acc[ks[j] % M] += sign
+            acc[0] -= sign
+            row[index[tuple(x for x in S if x != j)]] = _reduce(acc, M)
+        rows.append(row)
+    return rows, M

@@ -203,15 +203,26 @@ def test_math_error_exit_3(tmp_path):
 
 
 @pytest.mark.parametrize("phi, message", [
-    ([[1], [1, 0]], "phi vectors of unequal length"),
+    ([[0], [0]], "phi is not surjective onto Z^r"),
     ([[2], [2]], "phi is not surjective onto Z^r"),
 ])
 def test_bad_abelianization_in_file_exit_3(tmp_path, capsys, phi, message):
+    """An image of rank 0 and one of index 2: a mathematical precondition."""
     bad = tmp_path / "phi.json"
     bad.write_text(json.dumps({"generators": 2, "relators": [], "phi": phi}))
     code, out = _run(["fox", "--presentation", str(bad)])
     assert code == 3 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unequal_phi_vectors_in_file_exit_2(tmp_path, capsys):
+    """phi vectors of unequal length are a malformed file: an input error
+    that names the file, not a mathematical precondition."""
+    bad = tmp_path / "phi.json"
+    bad.write_text(json.dumps({"generators": 2, "relators": [], "phi": [[1], [1, 0]]}))
+    code, out = _run(["fox", "--presentation", str(bad)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {bad}: phi vectors of unequal length\n"
 
 
 def test_math_error_irrational_point(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -584,6 +585,83 @@ def test_condition_rank_matches_whole_matrix(case):
     assert curves._h1(spec, ideals, m) == reference_h1(spec, ideals, m)
 
 
+@pytest.mark.parametrize("prime", [2, 3, 5, 2**31 - 1])
+@settings(max_examples=80)
+@given(case=condition_cases())
+def test_condition_rank_matches_whole_matrix_modulo_other_primes(prime, case):
+    """The walk with the module prime replaced: at 2, 3 and 5 many columns
+    are dependent mod P and some independent over Q, which forces the
+    exact decisions and the fall back to the exact echelon; 2^31 - 1 leaves
+    room for only three steps between folds of a packed row."""
+    spec, ideals, m = case
+    with mock.patch.object(curves, "P", prime):
+        assert curves._h1(spec, ideals, m) == reference_h1(spec, ideals, m)
+
+
+def test_condition_rank_when_p_divides_a_minor():
+    """Points whose coordinates have denominator P read zero rows mod P,
+    and points on the line y = P x have a y column that vanishes mod P
+    while their x column is y / P.  Either way a column that is dependent
+    mod P is independent over Q, and the walk must finish on the exact
+    echelon: on the line, x is then dependent over Q on 1 and y, though
+    independent of 1 mod P."""
+    p = curves.P
+    for positions in (
+        [(F(k, p), F(k * k, p * p)) for k in range(1, 9)],
+        [(F(k, p), F(3 * k - 1)) for k in range(1, 5)] + [(F(k), F(k * k)) for k in range(1, 5)],
+        [(F(k), F(p * k)) for k in range(6)],
+    ):
+        for kappa in (F(1, 6), F(1, 10)):
+            for kind in ("cusp", (2, 5)):
+                points = [curves.singular_point(pos, kind, ("C",)) for pos in positions]
+                spec = ProjectiveCurveSpec(10, [("C", 10)], points)
+                ideals = [_diagonal_ideal(point.data, kappa) for point in spec.singularities]
+                for m in range(6):
+                    assert curves._h1(spec, ideals, m) == reference_h1(spec, ideals, m)
+
+
+def _mod_p_rank(rows, prime):
+    """The rank mod a prime of integer rows, by plain elimination on lists:
+    the oracle of the packed echelon of ``curves._insert_mod_p``."""
+    rows = [[x % prime for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][c], -1, prime)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] * inverse
+            rows[r] = [(x - f * y) % prime for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 2**20 - 3, 2**31 - 1])
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-10**30, 10**30), min_size=n, max_size=n), min_size=1, max_size=14)))
+def test_packed_echelon_matches_plain_elimination(prime, columns):
+    """Inserting columns one at a time into the packed echelon: each
+    verdict is whether the rank mod P went up.  Columns are also repeated
+    as sums of earlier ones, so dependences occur at every prime."""
+    columns = columns + [[x + y for x, y in zip(columns[0], col)] for col in columns[1:3]]
+    rows, pivots = [], []
+    with mock.patch.object(curves, "P", prime):
+        for k, col in enumerate(columns, 1):
+            grew = _mod_p_rank(columns[:k], prime) > _mod_p_rank(columns[:k - 1], prime)
+            assert curves._insert_mod_p(rows, pivots, col) == grew
+    assert all(0 <= x < prime for row in rows for x in curves._unpack(row, len(columns[0])))
+
+
+def test_packed_echelon_refuses_a_prime_that_breaks_the_slot_bound():
+    """A prime above 2^31.5 leaves no room for a step between folds, as
+    2 P^2 > 2^64: it is refused, and nothing carries into the next slot."""
+    with mock.patch.object(curves, "P", 2**32 + 15):
+        with pytest.raises(AssertionError, match="slot bound"):
+            curves._insert_mod_p([], [], [1, 2])
+
+
 def test_condition_rank_matches_whole_matrix_on_named_rungs(sextic_on_conic, sextic_nine):
     """The seeded 8-point curve of (2, 5) germs, sheared or not, and the
     sextics: both routes agree where h^1 > 0 and where it is 0."""
@@ -674,17 +752,49 @@ def test_named_ideal_matches_kappa_constant_route():
             assert got == list(_closed_form_ideal(p, q, kappa).nonmembers), (kind, pq, kappa)
 
 
+def _count_columns(monkeypatch):
+    """Count the columns reduced mod P and the ones inserted exactly."""
+    counts = {"mod_p": 0, "exact": 0}
+    insert_mod_p, insert = curves._insert_mod_p, curves.echelon_insert
+
+    def counting_mod_p(*args):
+        counts["mod_p"] += 1
+        return insert_mod_p(*args)
+
+    def counting(*args):
+        counts["exact"] += 1
+        return insert(*args)
+
+    monkeypatch.setattr(curves, "_insert_mod_p", counting_mod_p)
+    monkeypatch.setattr(curves, "echelon_insert", counting)
+    return counts
+
+
 def test_conic_rung_builds_few_columns(monkeypatch):
     """120 cusps on y = x^2 at d = 24 (m = 17): every curve of degree 17
     through them contains the conic, whose leading monomial is x^2 in the
     graded order, so the walk builds the columns of y^j, x y^j and x^2
-    alone, 2m + 2 = 36 of them, and not the 171 of the whole matrix."""
-    built = []
-    insert = curves.echelon_insert
-    monkeypatch.setattr(curves, "echelon_insert", lambda *args: built.append(1) or insert(*args))
+    alone, 2m + 2 = 36 of them, and not the 171 of the whole matrix.  Only
+    x^2 is dependent, so the exact echelon takes the five monomials before
+    it and x^2 itself."""
+    counts = _count_columns(monkeypatch)
     spec = ProjectiveCurveSpec.build(24, [((x, x * x), "cusp") for x in range(-60, 60)])
     assert superabundance(spec, F(1, 6)) == 85
-    assert len(built) <= 2 * 17 + 2
+    assert counts["mod_p"] <= 2 * 17 + 2
+    assert counts["exact"] <= 6
+
+
+def test_general_rung_makes_no_exact_insert(monkeypatch):
+    """30 seeded grid points in general position at d = 12 (m = 7): the
+    first 30 of the 36 monomials are standard, each proved so mod P, and
+    the exact echelon is never used."""
+    grid = [(x, y) for x in range(-12, 13) for y in range(-12, 13)]
+    spec = ProjectiveCurveSpec.build(12, [(p, "cusp") for p in random.Random(20051018).sample(grid, 30)])
+    ideals = [_diagonal_ideal(point.data, F(1, 6)) for point in spec.singularities]
+    assert reference_h1(spec, ideals, 7) == 0
+    counts = _count_columns(monkeypatch)
+    assert superabundance(spec, F(1, 6)) == 0
+    assert counts == {"mod_p": 30, "exact": 0}
 
 
 def _two_cusp_germ_and_a_cusp():
