@@ -356,9 +356,9 @@ def _conditions(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescriptio
 def _taylor_rows(a: int, b: int, m: int, top: int, modulus: Optional[int], count: int) -> List[List[int]]:
     """Row alpha, for alpha < count, holds at i <= top the coefficient of
     t^alpha in (t + a/b)^i, scaled by b^m so that it is an integer:
-    C(i, alpha) a^(i-alpha) b^(m-i+alpha), and 0 for i < alpha.  A
-    nonmember's exponents are closed downwards, so the rows below count
-    are the ones its conditions read.
+    C(i, alpha) a^(i-alpha) b^(m-i+alpha), and 0 for i < alpha.
+    ``_conditions`` asks for one row more than the largest exponent of a
+    nonmember.
 
     Mod a prime modulus the powers are the residues b^m (a/b)^k, or all
     zeros when the modulus divides b.  Such a point's residue rows are its
