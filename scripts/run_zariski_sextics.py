@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Reproduce the six-cusp sextic computations: the Alexander polynomial is
-t^2 - t + 1 or 1 depending on whether the cusps lie on a conic, and the
-dual of a smooth cubic (nine cusps) gives (t^2 - t + 1)^3.
+t^2 - t + 1 or 1 depending on whether the cusps lie on a conic.
+
+The third configuration is nine points off a conic, a set of positions
+and not a curve.  A sextic with nine cusps is dual to a smooth cubic, and
+its cusps are dual to the cubic's flexes; a real smooth cubic has only
+three real flexes, so no sextic over Q has nine rational cusps.  The
+formula still reads (t^2 - t + 1)^3 off these positions.
 
 Run:  python scripts/run_zariski_sextics.py
 """
@@ -24,7 +29,7 @@ CONFIGURATIONS = {
         ((0, 0), "cusp"), ((1, 0), "cusp"), ((0, 1), "cusp"),
         ((1, 1), "cusp"), ((2, 1), "cusp"), ((1, 2), "cusp"),
     ],
-    "nine cusps (dual of a smooth cubic)": [
+    "nine points off a conic (positions only: no sextic over Q has nine rational cusps)": [
         ((0, 0), "cusp"), ((1, 0), "cusp"), ((0, 1), "cusp"),
         ((1, 1), "cusp"), ((2, 1), "cusp"), ((1, 2), "cusp"),
         ((3, 1), "cusp"), ((1, 3), "cusp"), ((2, 3), "cusp"),

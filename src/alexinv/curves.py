@@ -38,14 +38,14 @@ from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Exponents, cyclotomic_exponents, expand_cyclotomic, root_multiplicity
 from .errors import BadGerm, InternalError, NotCoprime, TheoremViolation, UnsupportedDimension
 from .laurent import LaurentPolynomial, common_root_count
 from .linalg import cokernel_invariants, echelon_insert
-from .polytope import RationalPolytope, centroid
+from .polytope import RationalPolytope, _det, centroid
 from .quasiadj import (
     LocalIdealDescription,
     _rationals,
@@ -248,26 +248,36 @@ class ProjectiveCurveSpec:
 
 
 def transform_positions(spec: ProjectiveCurveSpec, matrix) -> ProjectiveCurveSpec:
-    """Apply a projective change of coordinates (3x3 rational matrix, rows
-    act on (x, y, 1)) to the singular positions.  Positions landing at
-    infinity are rejected: the affine-chart assumption is mandatory."""
-    m = [[Fraction(x) for x in row] for row in matrix]
+    """Apply a projective change of coordinates to the singular positions:
+    an invertible 3x3 matrix of rationals (ints, Fractions, strings or
+    floats, each read exactly by ``Fraction``), whose rows act on
+    (x, y, 1).  The map runs on integer homogeneous coordinates: the
+    matrix is scaled by the lcm of its denominators, and (p/q, r/s) is the
+    vector (p s, r q, q s).  A wrongly shaped or singular matrix, and a
+    position landing at infinity, are rejected: the affine-chart
+    assumption is mandatory.
+
+    Only positions move.  Each point keeps its germ in its own local
+    coordinates; carrying germs along the map is ROADMAP item 1, slice 3."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    widths = [len(row) for row in rows]
+    if widths != [3, 3, 3]:
+        shape = f"{len(rows)}x{widths[0]}" if len(set(widths)) == 1 else f"rows of lengths {widths}"
+        raise BadGerm(f"a change of coordinates is a 3x3 matrix, not {shape}")
+    scale = lcm(*[x.denominator for row in rows for x in row])
+    m = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    if _det(m) == 0:
+        raise BadGerm("the matrix has determinant 0: it is no change of coordinates")
     new_points = []
     for p in spec.singularities:
-        v = (p.position[0], p.position[1], Fraction(1))
-        image = [sum(m[i][j] * v[j] for j in range(3)) for i in range(3)]
-        if image[2] == 0:
+        (a, q), (b, s) = (c.as_integer_ratio() for c in p.position)
+        v0, v1, v2 = a * s, b * q, q * s
+        x, y, z = (r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in m)
+        if z == 0:
             raise BadGerm(
                 f"position {p.position} maps to infinity; choose another chart"
             )
-        new_points.append(
-            SingularPoint(
-                position=(image[0] / image[2], image[1] / image[2]),
-                data=p.data,
-                description=p.description,
-                incidence=p.incidence,
-            )
-        )
+        new_points.append(SingularPoint((Fraction(x, z), Fraction(y, z)), p.data, p.description, p.incidence))
     return ProjectiveCurveSpec(spec.degree, list(spec.components), new_points)
 
 

@@ -259,6 +259,33 @@ def reference_h1(spec, ideals, m: int) -> int:
     return sum(ideal.colength for ideal in ideals) - rational_rank(rows)
 
 
+def reference_transform_positions(spec, matrix):
+    """``curves.transform_positions`` by Fraction arithmetic, its oracle:
+    each position (x, y, 1) times the rational matrix, divided by the last
+    coordinate.  It checks no shape and no determinant."""
+    from alexinv.curves import ProjectiveCurveSpec, SingularPoint
+    from alexinv.errors import BadGerm
+
+    m = [[Fraction(x) for x in row] for row in matrix]
+    new_points = []
+    for p in spec.singularities:
+        v = (p.position[0], p.position[1], Fraction(1))
+        image = [sum(m[i][j] * v[j] for j in range(3)) for i in range(3)]
+        if image[2] == 0:
+            raise BadGerm(
+                f"position {p.position} maps to infinity; choose another chart"
+            )
+        new_points.append(
+            SingularPoint(
+                position=(image[0] / image[2], image[1] / image[2]),
+                data=p.data,
+                description=p.description,
+                incidence=p.incidence,
+            )
+        )
+    return ProjectiveCurveSpec(spec.degree, list(spec.components), new_points)
+
+
 def unpruned_intersections(r: int, faces, max_size: int):
     """Every subset of at most max_size faces, by size and then in
     lexicographic order, with the vertices of its intersection when that is

@@ -124,7 +124,7 @@ def test_criterion_04_zariski_sextics():
     for label, (points, expected) in results.items():
         spec = ProjectiveCurveSpec.build(6, points)
         assert global_alexander(spec).full_polynomial() == expected, label
-    _report(4, "sextic Alexander polynomials: t^2-t+1 (on conic), 1 (generic), (t^2-t+1)^3 (nine cusps)")
+    _report(4, "sextic Alexander polynomials: t^2-t+1 (on conic), 1 (generic), (t^2-t+1)^3 (nine points off a conic)")
 
 
 def test_criterion_05_divisibility():

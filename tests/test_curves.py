@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alexinv.curves import (
@@ -28,7 +28,13 @@ from alexinv.polytope import RationalPolytope
 from alexinv.quasiadj import LocalIdealDescription, kappa_constant, torus_constants
 from alexinv.resolution import PlaneCurveGerm, torus_knot_exponents
 from alexinv.serialize import curve_from_json
-from conftest import exact_divide, full_sweep_triple, reference_h1, unpruned_intersections
+from conftest import (
+    exact_divide,
+    full_sweep_triple,
+    reference_h1,
+    reference_transform_positions,
+    unpruned_intersections,
+)
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -449,6 +455,72 @@ def test_transform_positions(sextic_on_conic):
     assert global_alexander(moved).full_polynomial() == PHI6
     with pytest.raises(BadGerm):
         transform_positions(sextic_on_conic, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+
+
+def test_transform_positions_refuses_a_singular_matrix(sextic_on_conic):
+    """[[1, 0, 0], [1, 0, 0], [0, 0, 1]] sends the six cusps of y = x^2 to
+    six distinct points of y = x, where the superabundance at 1/6 reads 3
+    and not 1: a singular matrix is no change of coordinates."""
+    with pytest.raises(BadGerm, match="determinant 0"):
+        transform_positions(sextic_on_conic, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+
+
+def test_transform_positions_refuses_a_4x4_matrix(sextic_on_conic):
+    four = [[int(i == j) for j in range(4)] for i in range(4)]
+    with pytest.raises(BadGerm, match="3x3 matrix, not 4x4"):
+        transform_positions(sextic_on_conic, four)
+
+
+def test_transform_positions_refuses_a_2x3_matrix(sextic_on_conic):
+    with pytest.raises(BadGerm, match="3x3 matrix, not 2x3"):
+        transform_positions(sextic_on_conic, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(BadGerm, match=r"not rows of lengths \[3, 2, 3\]"):
+        transform_positions(sextic_on_conic, [[1, 0, 0], [0, 1], [0, 0, 1]])
+
+
+# a matrix entry as an int, a Fraction, a string or a dyadic float, each
+# read exactly by Fraction
+ENTRIES = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-6, 6), st.integers(1, 6)),
+    st.sampled_from([0.5, -1.25, 2.0, 0.0]),
+)
+POSITIONS = st.lists(
+    st.tuples(*[st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))] * 2),
+    min_size=1, max_size=8, unique=True,
+)
+
+
+def _moved(transform, spec, matrix):
+    try:
+        return transform(spec, matrix)
+    except BadGerm as exc:
+        return BadGerm, str(exc)
+
+
+@settings(max_examples=200)
+@given(POSITIONS, st.sampled_from(["affine", "projective", "at infinity"]), st.data())
+def test_transform_positions_matches_fraction_oracle(positions, kind, data):
+    """On integer homogeneous coordinates the map gives the spec the
+    Fraction oracle gives, or the same error: for affine and projective
+    invertible matrices, and for one whose last row vanishes at a point."""
+    spec = ProjectiveCurveSpec.build(12, [(pos, "cusp") for pos in positions])
+    matrix = [[data.draw(ENTRIES) for _ in range(3)] for _ in range(3)]
+    if kind == "affine":
+        matrix[2] = [0, 0, data.draw(ENTRIES)]
+    elif kind == "at infinity":
+        x, y = data.draw(st.sampled_from(positions))
+        a, b = (Fraction(c) for c in matrix[2][:2])
+        matrix[2][2] = str(-(a * x + b * y))
+    assume(curves._det([[Fraction(c) for c in row] for row in matrix]) != 0)
+    moved = _moved(transform_positions, spec, matrix)
+    assert moved == _moved(reference_transform_positions, spec, matrix)
+    if isinstance(moved, ProjectiveCurveSpec):
+        assert kind != "at infinity"
+        assert all(type(c) is Fraction for p in moved.singularities for c in p.position)
+    else:
+        assert "maps to infinity" in moved[1]
 
 
 def test_explicit_germ_spec_matches_named():
