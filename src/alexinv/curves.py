@@ -22,12 +22,14 @@ condition form an ideal, because each staircase's nonmembers are closed
 downwards; so the rank is the number of standard monomials of degree
 <= m of that ideal in a graded order (Buchberger and Moller, 1982), and
 ``_condition_rank`` counts them by a walk over the monomials that never
-builds the column of a multiple of a leading monomial.  The walk runs
-modulo one fixed prime P.  A column that is independent mod P is
-independent over Q, since a minor that is nonzero mod P is a nonzero
-integer, so a standard monomial costs no exact work.  A column that is
-dependent mod P is decided exactly, over Q, before its monomial counts
-as leading.  Every rank is therefore exact; only its cost depends on P.
+builds the column of a multiple of a leading monomial; a column is the
+product of two lists, per coordinate and degree, over all conditions.
+The walk runs modulo one fixed prime P.  A column that is independent
+mod P is independent over Q, since a minor that is nonzero mod P is a
+nonzero integer, so a standard monomial costs no exact work.  A column
+that is dependent mod P is decided exactly, over Q, before its monomial
+counts as leading.  Every rank is therefore exact; only its cost depends
+on P.
 """
 
 from __future__ import annotations
@@ -347,53 +349,48 @@ P = 2**20 - 3
 _SLOT = (1 << 64) - 1
 
 
-def _conditions(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: int, top: int,
-                modulus: Optional[int] = None) -> list:
-    """One pair (xr, yr) of Taylor rows (``_taylor_rows``) per condition,
-    for the columns of degree <= top.  The condition of a nonmember
-    x^alpha y^beta of ideals[k] is the Taylor coefficient at it around the
-    point spec.singularities[k] = (p/q, r/s); scaled by q^m s^m, it reads
-    xr[i] yr[j] on the monomial x^i y^j, with xr the row alpha of the
-    point's x and yr the row beta of its y."""
-    conditions = []
+def _condition_tables(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescription], m: int, top: int,
+                      modulus: Optional[int] = None) -> Tuple[List[List[int]], List[List[int]]]:
+    """The condition rows (X, Y) of degree <= top, one entry per condition:
+    the column of the monomial x^i y^j is X[i] times Y[j], entry by entry.
+
+    A coordinate a/b of a point with conditions has the entry a^k b^(m-k)
+    at degree k, (a/b)^k scaled by b^m to an integer; one list per degree
+    holds it for all points, made from the list before it.  Modulo a prime
+    the entries are the residues b^m (a/b)^k, and all zeros at a point
+    whose b the modulus divides: its exact entries times 0.  That keeps
+    the certificate of ``_condition_rank`` sound, since a minor of the
+    residues that is nonzero mod P is a minor of the exact rows, nonzero
+    mod P.
+
+    The condition of a nonmember x^alpha y^beta of ideals[k], the Taylor
+    coefficient at it around spec.singularities[k], reads C(i, alpha)
+    C(j, beta) times the point's entries at degrees i - alpha and j - beta
+    on x^i y^j (0 below them); when each point's one condition is alpha =
+    beta = 0 (every cusp at kappa = 1/6), the lists are the rows."""
+    positions, conditions = [], []  # a condition is (point, alpha, beta)
     for point, ideal in zip(spec.singularities, ideals):
-        count = 1 + max((max(monomial) for monomial in ideal.nonmembers), default=-1)
-        xr, yr = (_taylor_rows(*c.as_integer_ratio(), m, top, modulus, count) for c in point.position)
-        conditions += [(xr[alpha], yr[beta]) for alpha, beta in ideal.nonmembers]
-    return conditions
-
-
-def _taylor_rows(a: int, b: int, m: int, top: int, modulus: Optional[int], count: int) -> List[List[int]]:
-    """Row alpha, for alpha < count, holds at i <= top the coefficient of
-    t^alpha in (t + a/b)^i, scaled by b^m so that it is an integer:
-    C(i, alpha) a^(i-alpha) b^(m-i+alpha), and 0 for i < alpha.
-    ``_conditions`` asks for one row more than the largest exponent of a
-    nonmember.
-
-    Mod a prime modulus the powers are the residues b^m (a/b)^k, or all
-    zeros when the modulus divides b.  Such a point's residue rows are its
-    exact rows times 0, which keeps the certificate of ``_condition_rank``
-    sound: a minor of the residues that is nonzero mod P is still a minor
-    of the exact rows that is nonzero mod P."""
-    if modulus is None:
-        powers = [a**k * b ** (m - k) for k in range(top + 1)]
-    elif b % modulus:
-        ratio = a * pow(b, -1, modulus) % modulus
-        powers = [pow(b, m, modulus)]
-        for _ in range(top):
-            powers.append(powers[-1] * ratio % modulus)
-    else:
-        powers = [0] * (top + 1)
-    return [powers] + [
-        [comb(i, alpha) * powers[i - alpha] if i >= alpha else 0 for i in range(top + 1)]
-        for alpha in range(1, count)
-    ]
-
-
-def _column(conditions: list, i: int, j: int) -> List[int]:
-    """The condition column of the monomial x^i y^j: its scaled Taylor
-    coefficient at each condition of ``_conditions``."""
-    return [xr[i] * yr[j] for xr, yr in conditions]
+        if ideal.nonmembers:
+            conditions += [(len(positions), alpha, beta) for alpha, beta in ideal.nonmembers]
+            positions.append(point.position)
+    plain = conditions == [(k, 0, 0) for k in range(len(positions))]
+    tables = []
+    for axis in (0, 1):
+        ratios = [c[axis].as_integer_ratio() for c in positions]
+        if modulus is None:
+            table = [[b**m for _, b in ratios]]
+            for _ in range(top):
+                table.append([x // b * a for x, (a, b) in zip(table[-1], ratios)])
+        else:
+            steps = [a * pow(b, -1, modulus) % modulus if b % modulus else 0 for a, b in ratios]
+            table = [[pow(b, m, modulus) if b % modulus else 0 for _, b in ratios]]
+            for _ in range(top):
+                table.append([x * s % modulus for x, s in zip(table[-1], steps)])
+        if not plain:
+            shifts = [(c[0], c[1 + axis]) for c in conditions]
+            table = [[comb(i, e) * table[i - e][k] if i >= e else 0 for k, e in shifts] for i in range(top + 1)]
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def _pack(residues) -> int:
@@ -449,8 +446,9 @@ def _condition_rank(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescri
 
     The monomials come in the graded order of ``_monomials_up_to``.  A
     multiple of a leading monomial found so far is skipped unbuilt.  Any
-    other has its condition column (``_column``) reduced mod P against the
-    standard columns kept so far (``_insert_mod_p``).
+    other has its column, the product of the lists X[i] and Y[j] of
+    ``_condition_tables`` (one entry per condition), reduced mod P against
+    the standard columns kept so far (``_insert_mod_p``).
     - A nonzero remainder proves the column independent over Q, since a
       minor that is nonzero mod P is a nonzero integer.  The monomial is
       standard, and no exact work is done.
@@ -465,8 +463,8 @@ def _condition_rank(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescri
     monomial ideal in two variables, and the exact tables are built only
     up to the degree of the latest candidate.  The walk stops at one
     standard column per condition."""
-    residues = _conditions(spec, ideals, m, m, P)
-    conditions, top = [], -1  # the exact tables, for the columns of degree <= top
+    xs, ys = _condition_tables(spec, ideals, m, m, P)
+    exact_xs, exact_ys, top = [], [], -1  # the exact tables, for the columns of degree <= top
     packed: List[int] = []
     packed_pivots: List[int] = []
     rows: List[List[int]] = []
@@ -475,22 +473,22 @@ def _condition_rank(spec: ProjectiveCurveSpec, ideals: Sequence[LocalIdealDescri
     leading: List[Tuple[int, int]] = []
     modular, rank = True, 0
     for i, j in _monomials_up_to(m):
-        if rank == len(residues):
+        if rank == len(xs[0]):
             break
         if any(i >= a and j >= b for a, b in leading):
             continue
-        if modular and _insert_mod_p(packed, packed_pivots, _column(residues, i, j)):
+        if modular and _insert_mod_p(packed, packed_pivots, [x * y for x, y in zip(xs[i], ys[j])]):
             unseen.append((i, j))
             rank += 1
             continue
         if top < i + j:
             top = i + j if modular else m
-            conditions = _conditions(spec, ideals, m, top)
-        for monomial in unseen:
-            if not echelon_insert(rows, pivots, _column(conditions, *monomial)):
+            exact_xs, exact_ys = _condition_tables(spec, ideals, m, top)
+        for a, b in unseen:
+            if not echelon_insert(rows, pivots, [x * y for x, y in zip(exact_xs[a], exact_ys[b])]):
                 raise InternalError("a column independent mod P is dependent over Q (internal error)")
         unseen = []
-        if echelon_insert(rows, pivots, _column(conditions, i, j)):
+        if echelon_insert(rows, pivots, [x * y for x, y in zip(exact_xs[i], exact_ys[j])]):
             modular = False
             rank += 1
         else:
@@ -524,6 +522,7 @@ def superabundance(spec: ProjectiveCurveSpec, kappa: Fraction) -> int:
     m = spec.degree - 3 - int(dk)
     if m < 0:
         return 0
+    # one ideal_at per local type: per point, its key check costs ten times the dict
     ideals = {data: data.ideal_at((kappa,) * data.branch_count()) for data in _local_types(spec)}
     return _h1(spec, [ideals[point.data] for point in spec.singularities], m)
 
@@ -840,7 +839,7 @@ def _intersections(r: int, faces: Sequence[list], max_size: int):
 
 
 def _face_h1(spec: ProjectiveCurveSpec, xi_global, m: int) -> int:
-    ideals, once = [], {}
+    ideals, once = [], {}  # one ideal_at per (type, xi), as in superabundance
     for point in spec.singularities:
         key = (point.data, tuple(xi_global[c] for c in _coords(spec, point)))
         if key not in once:

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import UnsupportedDimension
-from .linalg import rational_rank
+from .linalg import _integer_row, rational_rank
 
 Vector = Tuple[Fraction, ...]
 # (n, b): the constraint n . x >= b as an integer row
@@ -40,9 +40,9 @@ def _det(m: Sequence[Sequence[int]]) -> int:
 
 
 def centroid(points: Sequence[Vector]) -> Vector:
-    """The mean of the points, which lies in the relative interior of their
-    convex hull."""
-    return tuple(sum(xs, Fraction(0)) / len(points) for xs in zip(*points))
+    """The mean of the points, in the relative interior of their convex hull:
+    per coordinate, the numerators over the lcm of the denominators, summed."""
+    return tuple(Fraction(sum(h[:-1]), h[-1] * len(points)) for h in (_integer_row((*xs, 1)) for xs in zip(*points)))
 
 
 def _saturated(rows: Sequence[Row], point) -> frozenset:
@@ -176,8 +176,7 @@ class RationalPolytope:
 
 
 def _affine_dim(points: Sequence[Vector]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return rational_rank(rows)
+    """The rank of the differences to the first point, over one denominator."""
+    q = lcm(*[x.denominator for point in points for x in point])
+    base, *rest = [[x.numerator * (q // x.denominator) for x in point] for point in points]
+    return rational_rank([[x - b for x, b in zip(p, base)] for p in rest])

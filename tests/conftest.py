@@ -259,6 +259,60 @@ def reference_h1(spec, ideals, m: int) -> int:
     return sum(ideal.colength for ideal in ideals) - rational_rank(rows)
 
 
+def reference_condition_rows(spec, ideals, m: int, top: int, modulus=None):
+    """One pair (xr, yr) of Taylor rows per condition, for the columns of
+    degree <= top, built point by point: the layout that the column-major
+    tables of ``curves._condition_tables`` replaced, kept as their oracle.
+    The condition of a nonmember x^alpha y^beta of ideals[k] is the Taylor
+    coefficient at it around spec.singularities[k] = (p/q, r/s); scaled by
+    q^m s^m it reads xr[i] yr[j] on x^i y^j, with xr the row alpha of the
+    point's x and yr the row beta of its y.
+
+    Row alpha holds at i <= top the coefficient of t^alpha in (t + a/b)^i
+    scaled by b^m, C(i, alpha) a^(i-alpha) b^(m-i+alpha), and 0 for
+    i < alpha.  Modulo a prime the powers are the residues b^m (a/b)^k, or
+    all zeros when the modulus divides b."""
+
+    def taylor_rows(a, b, count):
+        if modulus is None:
+            powers = [a**k * b ** (m - k) for k in range(top + 1)]
+        elif b % modulus:
+            ratio = a * pow(b, -1, modulus) % modulus
+            powers = [pow(b, m, modulus)]
+            for _ in range(top):
+                powers.append(powers[-1] * ratio % modulus)
+        else:
+            powers = [0] * (top + 1)
+        return [powers] + [
+            [comb(i, alpha) * powers[i - alpha] if i >= alpha else 0 for i in range(top + 1)]
+            for alpha in range(1, count)
+        ]
+
+    conditions = []
+    for point, ideal in zip(spec.singularities, ideals):
+        count = 1 + max((max(monomial) for monomial in ideal.nonmembers), default=-1)
+        xr, yr = (taylor_rows(*c.as_integer_ratio(), count) for c in point.position)
+        conditions += [(xr[alpha], yr[beta]) for alpha, beta in ideal.nonmembers]
+    return conditions
+
+
+def reference_centroid(points):
+    """The mean of the points by ``Fraction`` sums, the oracle of
+    ``polytope.centroid``."""
+    return tuple(sum(xs, Fraction(0)) / len(points) for xs in zip(*points))
+
+
+def reference_affine_dim(points) -> int:
+    """The dimension of the affine hull as the rank of the differences to
+    the first point, the oracle of ``polytope._affine_dim``."""
+    from alexinv.linalg import rational_rank
+
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    return rational_rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
+
+
 def reference_transform_positions(spec, matrix):
     """``curves.transform_positions`` by Fraction arithmetic, its oracle:
     each position (x, y, 1) times the rational matrix, divided by the last

@@ -31,6 +31,7 @@ from alexinv.serialize import curve_from_json
 from conftest import (
     exact_divide,
     full_sweep_triple,
+    reference_condition_rows,
     reference_h1,
     reference_transform_positions,
     unpruned_intersections,
@@ -692,6 +693,49 @@ def test_condition_rank_when_p_divides_a_minor():
                 ideals = [_diagonal_ideal(point.data, kappa) for point in spec.singularities]
                 for m in range(6):
                     assert curves._h1(spec, ideals, m) == reference_h1(spec, ideals, m)
+
+
+TABLE_KINDS = ["cusp", "node", (2, 5), "x^3 + y^4", PlaneCurveGerm.from_strings("y - x^2", "y + x^2")]
+
+
+@st.composite
+def table_cases(draw):
+    """Points at positions whose denominators may be multiples of the
+    modulus, each with the ideal of a germ at a diagonal kappa (the (2, 5)
+    germ has nonmembers with beta >= 1, x^3 + y^4 with alpha, beta >= 1)
+    or a drawn staircase; a twist degree m, a top <= m and a modulus: none,
+    P or a small prime."""
+    modulus = draw(st.sampled_from([None, curves.P, 2, 3]))
+    dens = st.sampled_from([1, 2, 3, 7] + [k * (modulus or curves.P) for k in (1, 2, modulus or curves.P)])
+    coordinate = st.builds(F, st.integers(-9, 9), dens)
+    positions = draw(st.lists(st.tuples(coordinate, coordinate), max_size=6, unique=True))
+    kappa = F(draw(st.integers(1, 30)), 60)
+    points, ideals = [], []
+    for position in positions:
+        kind = draw(st.sampled_from(TABLE_KINDS + ["staircase"]))
+        point = curves.singular_point(position, "cusp" if kind == "staircase" else kind, ("C",))
+        if kind == "staircase":
+            heights = sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True)
+            staircase = tuple((a, b) for a, h in enumerate(heights) for b in range(h))
+            ideals.append(LocalIdealDescription(len(heights) + 4, frozenset(), staircase))
+        else:
+            ideals.append(_diagonal_ideal(point.data, kappa))
+        points.append(point)
+    m = draw(st.integers(0, 8))
+    return ProjectiveCurveSpec(60, [("C", 60)], points), ideals, m, draw(st.integers(0, m)), modulus
+
+
+@settings(max_examples=150)
+@given(table_cases())
+def test_condition_tables_are_the_taylor_rows_transposed(case):
+    """The column-major tables hold, at degree i, entry c, what the row of
+    condition c held at i in the point-by-point layout, exactly and mod a
+    prime; a point whose denominator the prime divides reads zeros."""
+    spec, ideals, m, top, modulus = case
+    rows = reference_condition_rows(spec, ideals, m, top, modulus)
+    xs, ys = curves._condition_tables(spec, ideals, m, top, modulus)
+    assert xs == [[xr[i] for xr, _ in rows] for i in range(top + 1)]
+    assert ys == [[yr[j] for _, yr in rows] for j in range(top + 1)]
 
 
 def _mod_p_rank(rows, prime):

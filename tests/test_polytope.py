@@ -4,8 +4,8 @@ from itertools import combinations
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alexinv.polytope import RationalPolytope
-from conftest import rational_nullspace
+from alexinv.polytope import RationalPolytope, _affine_dim, centroid
+from conftest import rational_nullspace, reference_affine_dim, reference_centroid
 
 
 def _dot(a, b):
@@ -151,6 +151,38 @@ def test_face_lookup_matches_search(case):
     for face in faces:
         point = face.relative_interior_point()
         assert face_of(point) == _face_of(p, faces, point) == face
+
+
+@st.composite
+def affine_point_sets(draw):
+    """1 to 6 rational points of dimension 1 to 3, each a drawn base point
+    plus a rational combination of at most dim drawn directions, so that
+    every affine dimension up to dim occurs, and repeated points too."""
+    dim = draw(st.integers(1, 3))
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    vector = st.tuples(*[coordinate] * dim)
+    base, directions = draw(vector), draw(st.lists(vector, max_size=dim))
+    weights = st.lists(coordinate, min_size=len(directions), max_size=len(directions))
+    return [
+        tuple(b + sum(w * d[k] for w, d in zip(ws, directions)) for k, b in enumerate(base))
+        for ws in draw(st.lists(weights, min_size=1, max_size=6))
+    ]
+
+
+@given(affine_point_sets())
+def test_centroid_matches_fraction_sum(points):
+    """The integer centroid is the Fraction mean, coordinate by coordinate,
+    and each coordinate is one Fraction."""
+    got = centroid(points)
+    assert got == reference_centroid(points)
+    assert all(type(x) is Fraction for x in got)
+
+
+@given(affine_point_sets())
+def test_affine_dim_matches_rank_of_differences(points):
+    """The rank of the integer differences to the first point, over one
+    common denominator, is the rank of the Fraction differences."""
+    assert _affine_dim(points) == reference_affine_dim(points)
 
 
 def test_dimension_cap():
