@@ -16,6 +16,17 @@ LABELS = {
     "run_zariski_sextics.py": [
         "nine points off a conic (positions only: no sextic over Q has nine rational cusps):",
     ],
+    # every row of both tables: any moved Betti number or depth fails here
+    "run_cover_table.py": [
+        "    n1 = 1: [2, 3, 4, 5]",
+        "    n1 = 2: [3, 5, 7, 9]",
+        "    n1 = 3: [4, 7, 10, 13]",
+        "    n1 = 4: [5, 9, 13, 17]",
+        "    n =  2: depths [0], unbranched b_1 = 1, branched b_1 = 0",
+        "    n =  3: depths [0, 0], unbranched b_1 = 1, branched b_1 = 0",
+        "    n =  5: depths [0, 0, 0, 0], unbranched b_1 = 1, branched b_1 = 0",
+        "    n = 12: depths [0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0], unbranched b_1 = 3, branched b_1 = 2",
+    ],
 }
 
 
