@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import serialize
-from .errors import AlexinvError, InternalError, ValidationError
+from .errors import AlexinvError, BadArgument, InternalError, ValidationError
 from .schema import load_schema, violations
 
 SUBCOMMANDS = (
@@ -481,6 +481,9 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
     except ValidationError as exc:
         for v in exc.violations:
             sys.stderr.write(f"error: {v}\n")
+        return 2
+    except BadArgument as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 2
     except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Mathematical precondition failures get their own classes so the CLI can
-distinguish them (exit 3) from file-validation problems (exit 2), and
-internal errors (exit 70) from both.
+distinguish them (exit 3) from input errors (exit 2: file validation and
+arguments out of range), and internal errors (exit 70) from both.
 """
 
 
@@ -13,6 +13,12 @@ class AlexinvError(Exception):
 class InternalError(AssertionError):
     """A check of the package's own arithmetic failed: a bug, not bad
     input, so the CLI exits 70 (EX_SOFTWARE)."""
+
+
+class BadArgument(AlexinvError, ValueError):
+    """An argument outside the function's domain, such as a character of
+    the wrong length or a cover order below 1: an input error (exit 2).
+    It is also a ValueError, which these functions raised before."""
 
 
 class ZeroInput(AlexinvError):

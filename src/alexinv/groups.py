@@ -29,6 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import uni
 from .cyclotomic import _reduce, expand_cyclotomic
 from .errors import (
+    BadArgument,
     BadWord,
     InternalError,
     InvalidAbelianization,
@@ -236,14 +237,10 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
     positive rank (e.g. free groups of rank >= 2).
     """
     if p.rank != 1:
-        raise ValueError("one-variable Alexander polynomial requires r = 1")
+        raise BadArgument("one-variable Alexander polynomial requires r = 1")
     m = p.torsion_order() if p.torsion else 0
     if m:
-        return expand_cyclotomic({
-            d: _h1_dim(p, CharacterPoint([Fraction(1, d)]))
-            for d in range(2, m + 1)
-            if m % d == 0
-        })
+        return expand_cyclotomic({d: _h1_at(p, ks, d) for ks, d, _ in _galois_orbits((m,))})
     # The order is the gcd of the (s - 1)-minors.  Every row r satisfies
     # sum_k r_k (t^n_k - 1) = 0 with n_k = phi(x_k), so on any s - 1 rows
     # the minor without column k is +-(t^n_k - 1)/(t^n_j - 1) times the one
@@ -277,31 +274,31 @@ def one_variable_alexander(p: GroupPresentation) -> LaurentPolynomial:
 def local_system_h1_dim(p: GroupPresentation, chi: CharacterPoint) -> int:
     """dim H_1 of the rank-one local system chi (chi nontrivial):
     s - 1 - rank of the Alexander matrix evaluated at chi."""
-    return _h1_dim(p, chi)
-
-
-def _h1_dim(p: GroupPresentation, chi: CharacterPoint) -> int:
-    """local_system_h1_dim; the covers and the torsion Alexander
-    polynomial call it here, so that a trace of ``local_system_h1_dim``
-    counts only the characters asked for.
-
-    The Fox matrix at chi is built without the Laurent matrix: with
-    chi = (k_1, ..., k_r)/M, generator j goes to zeta_M^{n_j}, n_j =
-    <phi(x_j), k>, and one integer walk per relator adds +-1 into each
-    generator's accumulator in Z[x]/(x^M - 1) at its prefix exponent
-    mod M.  The walk ends at <phi(rel), k>, and InvalidAbelianization is
-    raised when that is not 0 mod M: chi does not kill the relator.  The
-    fundamental identity sum_j row_j (x^{n_j} - 1) = x^{<phi(rel), k>} - 1
-    is then checked there, with right side 0, and InternalError is raised
-    when the left side is not 0.  Each accumulator is reduced mod Phi_M
-    once, and the rank is taken over Z[zeta_M] on the coefficient lists.
-    """
     if not chi.nontrivial:
         raise TrivialCharacterUnsupported("identity character excluded")
-    if len(chi) != p.rank:
-        raise ValueError("character length does not match abelianization rank")
     M = lcm(*[c.denominator for c in chi.coords])
-    ks = [c.numerator * (M // c.denominator) for c in chi.coords]
+    return _h1_at(p, [c.numerator * (M // c.denominator) for c in chi.coords], M)
+
+
+def _h1_at(p: GroupPresentation, ks: Sequence[int], M: int) -> int:
+    """dim H_1 at the nontrivial character chi = k/M, integer numerators k
+    over one conductor M; the covers and the torsion Alexander polynomial
+    call it once per Galois orbit, so that a trace of
+    ``local_system_h1_dim`` counts only the characters asked for.
+
+    The Fox matrix at chi is built without the Laurent matrix: generator j
+    goes to zeta_M^{n_j}, n_j = <phi(x_j), k>, and one integer walk per
+    relator adds +-1 into each generator's accumulator in Z[x]/(x^M - 1)
+    at its prefix exponent mod M.  The walk ends at <phi(rel), k>, and
+    InvalidAbelianization is raised when that is not 0 mod M: chi does not
+    kill the relator.  The fundamental identity sum_j row_j (x^{n_j} - 1) =
+    x^{<phi(rel), k>} - 1 is then checked there, with right side 0, and
+    InternalError is raised when the left side is not 0.  Each accumulator
+    is reduced mod Phi_M once, and the rank is taken over Z[zeta_M] on the
+    coefficient lists.
+    """
+    if len(ks) != p.rank:
+        raise BadArgument("character length does not match abelianization rank")
     images = [sum(map(mul, ks, v)) for v in p.phi]
     inverses = [-n for n in images]
     rows = []
@@ -331,27 +328,39 @@ def depth(p: GroupPresentation, chi: CharacterPoint) -> int:
 
 def charvar_membership(p: GroupPresentation, k: int, chi: CharacterPoint) -> bool:
     if k < 1:
-        raise ValueError("k must be positive")
+        raise BadArgument("k must be positive")
     return local_system_h1_dim(p, chi) >= k
 
 
 def _galois_orbits(orders: Sequence[int]):
-    """One nontrivial character (k_1, ..., k_r) of Z/n_1 x ... x Z/n_r per
-    Galois orbit, with the orbit's size.
+    """One nontrivial character of Z/n_1 x ... x Z/n_r per Galois orbit, as
+    (k, M, orbit size): the character k/M over its conductor M.
 
-    u prime to the conductor M of the character acts by k -> u k; the action
-    is free, so the orbit has phi(M) elements, and it keeps the support
-    {i : k_i != 0}.  The Fox matrix has integer entries, so the conjugate
-    characters are Galois conjugate points and have the same depth.
+    u prime to M acts by k -> u k; the action is free, so the orbit has
+    phi(M) elements, and it keeps the support {i : k_i != 0}.  The Fox
+    matrix has integer entries, so the conjugate characters are Galois
+    conjugate points and have the same depth.  One factor has one orbit
+    per divisor d > 1 of n, 1/d, found without a scan: phi(d) is d less
+    phi(e) for each divisor e < d of d.  Several factors are enumerated
+    over N = lcm(n_i), and each new orbit is scanned once.
     """
-    seen = set()
-    for ks in product(*(range(n) for n in orders)):
+    if any(n < 1 for n in orders):
+        raise BadArgument("orders must be >= 1")
+    if len(orders) == 1:
+        n, phi = orders[0], {1: 1}
+        for d in range(2, n + 1):
+            if n % d == 0:
+                phi[d] = d - sum(v for e, v in phi.items() if d % e == 0)
+                yield [1], d, phi[d]
+        return
+    N, seen = lcm(*orders), set()
+    for ks in product(*(range(0, N, N // n) for n in orders)):
         if ks in seen or not any(ks):
             continue
-        m = lcm(*(n // gcd(k, n) for k, n in zip(ks, orders)))
-        orbit = {tuple(u * k % n for k, n in zip(ks, orders)) for u in range(1, m) if gcd(u, m) == 1}
+        M = N // gcd(N, *ks)
+        orbit = {tuple(u * k % N for k in ks) for u in range(1, M) if gcd(u, M) == 1}
         seen |= orbit
-        yield ks, len(orbit)
+        yield [k * M // N for k in ks], M, len(orbit)
 
 
 def unbranched_cover_betti(p: GroupPresentation, orders: Sequence[int]) -> int:
@@ -359,14 +368,8 @@ def unbranched_cover_betti(p: GroupPresentation, orders: Sequence[int]) -> int:
     (n_1, ..., n_r): r plus the sum of depths over nontrivial torsion
     characters of the deck group, one depth per Galois orbit."""
     if len(orders) != p.rank:
-        raise ValueError("need one order per Z factor")
-    if any(n < 1 for n in orders):
-        raise ValueError("orders must be >= 1")
-    total = p.rank
-    for ks, size in _galois_orbits(orders):
-        chi = CharacterPoint([Fraction(k, n) for k, n in zip(ks, orders)])
-        total += size * _h1_dim(p, chi)
-    return total
+        raise BadArgument("need one order per Z factor")
+    return p.rank + sum(size * _h1_at(p, ks, M) for ks, M, size in _galois_orbits(orders))
 
 
 def branched_cover_betti(
@@ -381,21 +384,18 @@ def branched_cover_betti(
     taken per Galois orbit, which has one support.
     """
     total = 0
-    for ks, size in _galois_orbits(orders):
-        key = frozenset(i for i, k in enumerate(ks) if k != 0)
+    for ks, M, size in _galois_orbits(orders):
+        support = [i for i, k in enumerate(ks) if k]
+        key = frozenset(support)
         if key not in sublink_data:
-            raise MissingSublinkData(f"no presentation for components {sorted(i+1 for i in key)}")
-        reduced = CharacterPoint([Fraction(ks[i], orders[i]) for i in sorted(key)])
-        total += size * _h1_dim(sublink_data[key], reduced)
+            raise MissingSublinkData(f"no presentation for components {[i + 1 for i in support]}")
+        total += size * _h1_at(sublink_data[key], [ks[i] for i in support], M)
     return total
 
 
 def diagonal_multiplicity(p: GroupPresentation, omega: Fraction) -> int:
     """Multiplicity of omega as a Milnor-monodromy eigenvalue: the depth of
     the diagonal character (omega, ..., omega)."""
-    omega = Fraction(omega) % 1
-    if omega == 0:
-        raise TrivialCharacterUnsupported("omega must be nontrivial")
     return depth(p, CharacterPoint([omega] * p.rank))
 
 
@@ -420,9 +420,9 @@ def koszul_support_membership(r: int, n: int, chi: CharacterPoint) -> bool:
     is taken.
     """
     if not 2 <= n <= r - 1:
-        raise ValueError("need 2 <= n <= r - 1")
+        raise BadArgument("need 2 <= n <= r - 1")
     if len(chi) != r:
-        raise ValueError("character length must be r")
+        raise BadArgument("character length must be r")
     return sum(chi.coords) % 1 == 0
 
 
@@ -449,7 +449,7 @@ def sphere_braid_presentation(d: int) -> GroupPresentation:
     so the presentation is built in torsion mode."""
     s = d - 1
     if s < 1:
-        raise ValueError("need d >= 2")
+        raise BadArgument("need d >= 2")
     relators = []
     for i in range(s - 1):
         relators.append(

@@ -530,3 +530,72 @@ def koszul_boundary_rows(r: int, n: int, chi):
             row[index[tuple(x for x in S if x != j)]] = _reduce(acc, M)
         rows.append(row)
     return rows, M
+
+
+# Cover Betti numbers as ``groups`` computed them before it moved to integer
+# characters and one orbit per divisor: kept as the oracle of
+# ``groups._galois_orbits`` and ``groups._h1_at``.
+
+
+def reference_galois_orbits(orders):
+    """One nontrivial character (k_1, ..., k_r) of Z/n_1 x ... x Z/n_r per
+    Galois orbit, the first of its orbit in product order, with the orbit's
+    size: every character is enumerated, and each new one's orbit under
+    the units u mod its conductor m is scanned."""
+    from itertools import product
+    from math import gcd, lcm
+
+    seen = set()
+    for ks in product(*(range(n) for n in orders)):
+        if ks in seen or not any(ks):
+            continue
+        m = lcm(*(n // gcd(k, n) for k, n in zip(ks, orders)))
+        orbit = {tuple(u * k % n for k, n in zip(ks, orders)) for u in range(1, m) if gcd(u, m) == 1}
+        seen |= orbit
+        yield ks, len(orbit)
+
+
+def reference_h1_dim(p, chi):
+    """dim H_1 at a nontrivial ``CharacterPoint`` of Fractions: its
+    conductor M and numerators read off the coordinates, then one Fox walk
+    per relator into Z[x]/(x^M - 1), each accumulator reduced mod Phi_M,
+    and the rank over Z[zeta_M]."""
+    from math import lcm
+
+    from alexinv.cyclotomic import _reduce
+    from alexinv.groups import _fox_walk
+    from alexinv.linalg import cyclotomic_rank
+
+    assert chi.nontrivial and len(chi) == p.rank
+    M = lcm(*[c.denominator for c in chi.coords])
+    ks = [c.numerator * (M // c.denominator) for c in chi.coords]
+    images = [sum(k * x for k, x in zip(ks, v)) for v in p.phi]
+    rows = []
+    for rel in p.relators:
+        walk, image = _fox_walk(rel, images, [-n for n in images], 0, lambda a, b: a + b)
+        assert image % M == 0
+        row = []
+        for terms in walk:
+            acc = [0] * M
+            for e, c in terms.items():
+                acc[e % M] += c
+            row.append(_reduce(acc, M))
+        rows.append(row)
+    return p.generators - 1 - cyclotomic_rank(rows, M)
+
+
+def reference_cover_betti(p, sublinks, orders):
+    """(unbranched b_1, branched b_1) of the abelian cover of the given
+    orders, summed over ``reference_galois_orbits`` with
+    ``reference_h1_dim``; the branched sum evaluates each character,
+    reduced to its support, in the presentation ``sublinks`` gives for it."""
+    from alexinv.groups import CharacterPoint
+
+    unbranched, branched = p.rank, 0
+    for ks, size in reference_galois_orbits(orders):
+        chi = CharacterPoint([Fraction(k, n) for k, n in zip(ks, orders)])
+        unbranched += size * reference_h1_dim(p, chi)
+        support = [i for i, k in enumerate(ks) if k]
+        reduced = CharacterPoint([Fraction(ks[i], orders[i]) for i in support])
+        branched += size * reference_h1_dim(sublinks[frozenset(support)], reduced)
+    return unbranched, branched

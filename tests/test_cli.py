@@ -247,6 +247,19 @@ def test_internal_error_exit_70(files, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_bad_argument_exit_2(files, monkeypatch, capsys):
+    """An argument that a library check refuses (BadArgument) is an input
+    error, exit 2, even where the CLI's own checks let it through; here a
+    cover order of 0 reaches groups."""
+    from alexinv import groups
+
+    true_betti = groups.unbranched_cover_betti
+    monkeypatch.setattr(groups, "unbranched_cover_betti", lambda p, orders: true_betti(p, (0,)))
+    code, out = _run(["covers", "--presentation", files["trefoil"], "--cyclic", "6"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: orders must be >= 1\n"
+
+
 # Modules no run of these subcommands may load: the Fox-calculus runs
 # need no resolution or curve theory, the germ runs no group theory.
 GROUP_RUNS_SKIP = {"resolution", "biv", "quasiadj", "polytope", "curves", "braids"}

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +10,7 @@ from alexinv import groups
 from alexinv.braids import BraidWord, MonodromyData, vankampen_presentation
 from alexinv.cyclotomic import evaluate_character
 from alexinv.errors import (
+    BadArgument,
     BadWord,
     InternalError,
     InvalidAbelianization,
@@ -38,7 +39,14 @@ from alexinv.groups import (
 )
 from alexinv.laurent import LaurentPolynomial, univariate_gcd
 from alexinv.linalg import cyclotomic_rank
-from conftest import echelon, integer_kernel_basis, koszul_boundary_rows, laurent_koszul_rows
+from conftest import (
+    echelon,
+    integer_kernel_basis,
+    koszul_boundary_rows,
+    laurent_koszul_rows,
+    reference_cover_betti,
+    reference_galois_orbits,
+)
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -199,6 +207,32 @@ def test_branched_cover_betti():
     assert branched_cover_betti(hopf, (3, 3)) == 0
     with pytest.raises(MissingSublinkData):
         branched_cover_betti({frozenset({0}): tref}, (2, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: one_variable_alexander(hopf_link_presentation()), "requires r = 1"),
+    (lambda: local_system_h1_dim(hopf_link_presentation(), CharacterPoint([F(1, 2)])),
+     "character length does not match"),
+    (lambda: branched_cover_betti({frozenset({0}): hopf_link_presentation()}, (2,)),
+     "character length does not match"),
+    (lambda: charvar_membership(trefoil_presentation(), 0, CharacterPoint([F(1, 6)])),
+     "k must be positive"),
+    (lambda: unbranched_cover_betti(trefoil_presentation(), (2, 3)), "one order per Z factor"),
+    (lambda: unbranched_cover_betti(trefoil_presentation(), (0,)), "orders must be >= 1"),
+    (lambda: unbranched_cover_betti(hopf_link_presentation(), (2, 0)), "orders must be >= 1"),
+    (lambda: koszul_support_membership(3, 1, CharacterPoint([F(1, 2)] * 3)), "need 2 <= n <= r - 1"),
+    (lambda: koszul_support_membership(4, 2, CharacterPoint([F(1, 2)] * 3)), "character length must be r"),
+    (lambda: sphere_braid_presentation(1), "need d >= 2"),
+], ids=[
+    "alexander_rank", "h1_length", "branched_length", "charvar_k", "cover_order_count",
+    "cyclic_order", "abelian_order", "koszul_n", "koszul_length", "sphere_d",
+])
+def test_bad_argument_at_each_site(call, message):
+    """Every argument check in groups raises BadArgument, an input error
+    (exit 2) that is still a ValueError for callers that catch one."""
+    with pytest.raises(BadArgument, match=message) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 def test_diagonal_multiplicity():
@@ -448,6 +482,47 @@ def test_galois_orbit_sums_match_per_character_oracle(name, shifts, inverts, ord
         chi = CharacterPoint([F(ks[i], orders[i]) for i in support])
         branched += old_h1_dim(sublinks[frozenset(support)], chi)
     assert branched_cover_betti(sublinks, orders) == branched
+
+
+def _free_sublinks(r):
+    """The unlink of r components: every sublink's group is free."""
+    return {frozenset(S): free_group(len(S)) for k in range(1, r + 1) for S in combinations(range(r), k)}
+
+
+VK3 = vankampen_presentation(MonodromyData(3, [BraidWord(3, [1, 2] * 2)] * 3))
+COVER_LINKS = {
+    "trefoil": LINKS["trefoil"],
+    "hopf": LINKS["hopf"],
+    **{f"free{r}": (free_group(r), _free_sublinks(r)) for r in (1, 2, 3)},
+    "vankampen": (VK3, {frozenset({0}): VK3}),
+}
+# the largest order of each factor, by the number of factors
+ORDER_BOUNDS = {1: (40,), 2: (6, 6), 3: (3, 3, 2)}
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(sorted(COVER_LINKS)), st.data())
+def test_cover_betti_matches_scan_oracle(name, data):
+    """Both cover Betti numbers equal the scan oracle's, which enumerates
+    every character as a Fraction point and scans each orbit; the orbits
+    (k over M, size) are nontrivial characters of the deck group over
+    their conductors, their sizes add up to |A| - 1, and each lies in its
+    own orbit of the scan, of the size the scan finds."""
+    pres, sublinks = COVER_LINKS[name]
+    orders = tuple(data.draw(st.integers(1, b)) for b in ORDER_BOUNDS[pres.rank])
+    orbits = list(groups._galois_orbits(orders))
+    assert sum(size for _, _, size in orbits) == prod(orders) - 1
+    found = {}
+    for ks, M, size in orbits:
+        assert len(ks) == len(orders) and M > 1 and gcd(M, *ks) == 1
+        assert all(k * n % M == 0 for k, n in zip(ks, orders))
+        ks = [k * n // M for k, n in zip(ks, orders)]
+        first = min(tuple(u * k % n for k, n in zip(ks, orders)) for u in range(1, M) if gcd(u, M) == 1)
+        assert first not in found
+        found[first] = size
+    assert found == dict(reference_galois_orbits(orders))
+    assert (unbranched_cover_betti(pres, orders), branched_cover_betti(sublinks, orders)) == \
+        reference_cover_betti(pres, sublinks, orders)
 
 
 def test_semisimple_consistency_trefoil():
