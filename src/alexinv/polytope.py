@@ -11,6 +11,13 @@ integral one is kept as given, followed by the cube rows.  A vertex
 is solved by Cramer's rule as p / q with p an integer vector and q > 0,
 and n . x >= b is decided as n . p >= b q; only a reported vertex is a
 ``Fraction`` tuple.
+
+Vertices are solved on the tightest rows only (``tightest``): of the
+rows with one primitive normal, only the one with the largest bound
+touches the polytope, so a weaker parallel row adds no vertex and cuts
+none.  Faces are found from the vertices: a set of constraints cuts out
+a nonempty face only if some vertex saturates all of them, so only the
+subsets of each vertex's saturated rows are tried.
 """
 
 from __future__ import annotations
@@ -37,6 +44,27 @@ def _det(m: Sequence[Sequence[int]]) -> int:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def tightest(rows: Sequence[Row]) -> List[Row]:
+    """One row per direction, sorted: for each primitive normal n/g, the
+    row with the largest bound b/g, divided by the gcd of its entries.  A
+    zero normal with a positive bound holds nowhere and stays, as the row
+    (0, 1); with a bound <= 0 it holds everywhere and is dropped."""
+    best = {}
+    for n, b in rows:
+        g = gcd(*n)
+        if g:
+            key = tuple(x // g for x in n)
+            if key not in best or b * best[key][2] > best[key][1] * g:
+                best[key] = (n, b, g)
+        elif b > 0:
+            best[n] = (n, 1, 1)
+    out = []
+    for n, b, _ in best.values():
+        h = gcd(b, *n)
+        out.append((tuple(x // h for x in n), b // h))
+    return sorted(out)
 
 
 def centroid(points: Sequence[Vector]) -> Vector:
@@ -106,8 +134,8 @@ class RationalPolytope:
     def vertices(self) -> List[Vector]:
         """Vertices, exact over Q: the points where dim constraint
         hyperplanes with a nonzero determinant meet, by Cramer's rule, that
-        satisfy every constraint."""
-        rows = self._constraints
+        satisfy every constraint; only the ``tightest`` rows are tried."""
+        rows = tightest(self._constraints)
         found = {}
         for subset in combinations(rows, self.dim):
             normals = [n for n, _ in subset]
@@ -131,26 +159,25 @@ class RationalPolytope:
     def faces(self) -> List[Face]:
         """Face lattice, sorted by (dim, vertices); [] when empty.
 
-        Faces are the distinct vertex sets obtained by saturating
-        constraint subsets; every vertex satisfies all halfspaces and every
-        facet's vertices saturate its defining halfspace.  The polytope
-        itself comes last.
+        Faces are the distinct nonempty vertex sets cut out by subsets of
+        at most dim constraints.  Only a subset that some vertex saturates
+        cuts out a nonempty set, so the subsets tried are those of each
+        vertex's saturated constraints.  A face's ``saturated`` is the first
+        subset, by size and then lexicographically, that cuts out its vertex
+        set; the polytope itself, which comes last, keeps every constraint
+        that all its vertices saturate.
         """
         verts = self.vertices()
         if not verts:
             return []
         sat = [_saturated(self._constraints, v) for v in verts]
-        found = {}
-
-        def record(vset, saturated):
-            # vset: ascending indices into verts, which are sorted
-            if vset and vset not in found:
-                found[vset] = tuple(sorted(saturated))
-
-        record(tuple(range(len(verts))), frozenset.intersection(*sat))
-        for size in range(1, self.dim + 1):
-            for subset in combinations(range(len(self._constraints)), size):
-                record(tuple(i for i, on in enumerate(sat) if on.issuperset(subset)), subset)
+        # vset: ascending indices into verts, which are sorted
+        found = {tuple(range(len(verts))): tuple(sorted(frozenset.intersection(*sat)))}
+        subsets = {s for on in sat for size in range(1, self.dim + 1) for s in combinations(sorted(on), size)}
+        for subset in sorted(subsets, key=lambda s: (len(s), s)):
+            vset = tuple(i for i, on in enumerate(sat) if on.issuperset(subset))
+            if vset not in found:
+                found[vset] = subset
         faces = []
         for key, saturated in found.items():
             vlist = [verts[i] for i in key]

@@ -348,23 +348,29 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
     Each candidate point gets its three ideals from their staircase walks,
     and its face by a lookup in the face lattice of its polytope, computed
     once per polytope."""
-    from .polytope import RationalPolytope
+    from .polytope import RationalPolytope, tightest
 
     r = tree.r
     if r > 3:
         raise UnsupportedDimension("faces supported for r <= 3 components")
-    halfspaces_of = {
-        mono: _region_halfspaces(tree, rhs) for mono, rhs in _rhs_table(tree).items() if rhs
-    }
+    rhs_of = _rhs_table(tree)
+    halfspaces_of = {mono: _region_halfspaces(tree, rhs) for mono, rhs in rhs_of.items() if rhs}
     regions = {frozenset(hs): hs for hs in halfspaces_of.values()}
     # candidate points: relative-interior points of faces of the regions and
-    # of their pairwise (and triple, for r = 3) intersections
-    pool = []
+    # of their pairwise (and triple, for r = 3) intersections.  Combinations
+    # with the same tightest rows cut the same polytope, whose faces give
+    # only points already met, so each distinct polytope is built once, on
+    # its tightest rows.
+    pool, built = [], set()
     region_lists = sorted(regions.values(), key=lambda hs: sorted(hs))
     depth = min(r, len(region_lists))
     for size in range(1, depth + 1):
         for combo in combinations(region_lists, size):
-            pool.extend(RationalPolytope(r, [h for hs in combo for h in hs]).faces())
+            rows = tightest([h for hs in combo for h in hs])
+            key = tuple(rows)
+            if key not in built:
+                built.add(key)
+                pool.extend(RationalPolytope(r, rows).faces())
     found: Dict[frozenset, Tuple[QuasiPolytope, Callable]] = {}
     seen_points, seen_faces = set(), set()
     for face in pool:
@@ -379,7 +385,7 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
             continue
         key = log_ideal.members
         if key not in found:
-            halfspaces = {h for mono in key for h in halfspaces_of.get(mono, ())}
+            halfspaces = {h for mono, hs in halfspaces_of.items() if mono in key for h in hs}
             poly = RationalPolytope(r, sorted(halfspaces))
             found[key] = (QuasiPolytope(polytope=poly, log_staircase=key, faces=[]), poly.face_lookup())
         qp, face_of = found[key]
@@ -400,7 +406,9 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
     result = [qp for qp, _ in found.values() if qp.faces]
     for qp in result:
         qp.faces.sort(key=lambda f: (f.face.dim, f.face.vertices))
-    result.sort(key=lambda qp: sorted(qp.log_staircase))
+    # the table lists its monomials in sorted order: a staircase read off it
+    # is sorted(qp.log_staircase), with no sort
+    result.sort(key=lambda qp: [mono for mono in rhs_of if mono in qp.log_staircase])
     return result
 
 

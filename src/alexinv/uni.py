@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import gcd as igcd, isqrt, lcm
 from typing import List, Union
 
+from .errors import InternalError
+
 Coefficient = Union[int, Fraction]
 Poly = List[Coefficient]
 
@@ -94,9 +96,11 @@ def divmod_exact(p: Poly, q: Poly):
 
 
 def exact_div(p: Poly, q: Poly) -> Poly:
+    """p / q where q is known to divide p: every caller divides by a proven
+    factor, so a remainder is a bug (``InternalError``), not bad input."""
     quo, rem = divmod_exact(p, q)
     if rem:
-        raise ValueError("division is not exact")
+        raise InternalError(f"{to_string(q)} does not divide {to_string(p)}")
     return quo
 
 
@@ -223,9 +227,11 @@ def _divisors(n: int) -> List[int]:
 def rational_roots(p: Poly) -> List[Fraction]:
     """Distinct rational roots of a nonzero p with integer coefficients: 0,
     and a/b in lowest terms with a dividing the lowest nonzero coefficient
-    and b the leading one."""
+    and b the leading one; a linear part gives its root directly."""
     k = next(i for i, c in enumerate(p) if c)
     roots = [Fraction(0)] if k else []
+    if len(p) - k == 2:
+        return roots + [Fraction(-p[k], p[-1])]
     for b in _divisors(int(p[-1])):
         for a in _divisors(int(p[k])):
             for r in (Fraction(a, b), Fraction(-a, b)):

@@ -313,6 +313,70 @@ def reference_affine_dim(points) -> int:
     return rational_rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
 
 
+def reference_vertices(poly):
+    """The vertices of a ``RationalPolytope`` by Cramer's rule on every
+    subset of dim constraints, all rows kept: the route that the walk on
+    ``polytope.tightest`` rows replaced, kept as its oracle.  It takes the
+    polytope as ``self`` would, so a test can set it as the method."""
+    from itertools import combinations
+    from math import gcd
+    from operator import mul
+
+    from alexinv.polytope import _det
+
+    rows = poly.constraints()
+    found = {}
+    for subset in combinations(rows, poly.dim):
+        normals = [n for n, _ in subset]
+        q = _det(normals)
+        if not q:
+            continue
+        p = [_det([n[:j] + (b,) + n[j + 1:] for n, b in subset]) for j in range(poly.dim)]
+        if q < 0:
+            q, p = -q, [-x for x in p]
+        g = gcd(q, *p)
+        key = (tuple(x // g for x in p), q // g)
+        if key in found:
+            continue
+        if all(sum(map(mul, n, p)) >= b * q for n, b in rows):
+            found[key] = tuple(Fraction(x, q) for x in p)
+    return sorted(found.values())
+
+
+def reference_faces(poly):
+    """The face lattice of a ``RationalPolytope`` from every subset of at
+    most dim constraints, by size and then lexicographically, each face
+    keeping the first subset that cuts out its vertex set, and every
+    dimension an affine rank: the route that the walk over each vertex's
+    saturated rows replaced, kept as its oracle.  The polytope itself comes
+    first, with every constraint that all its vertices saturate."""
+    from itertools import combinations
+
+    from alexinv.polytope import Face, _affine_dim, _saturated
+
+    verts = reference_vertices(poly)
+    if not verts:
+        return []
+    cons = poly.constraints()
+    sat = [_saturated(cons, v) for v in verts]
+    found = {}
+
+    def record(vset, saturated):
+        if vset and vset not in found:
+            found[vset] = tuple(sorted(saturated))
+
+    record(tuple(range(len(verts))), frozenset.intersection(*sat))
+    for size in range(1, poly.dim + 1):
+        for subset in combinations(range(len(cons)), size):
+            record(tuple(i for i, on in enumerate(sat) if on.issuperset(subset)), subset)
+    faces = []
+    for key, saturated in found.items():
+        vlist = [verts[i] for i in key]
+        faces.append(Face(vertices=tuple(vlist), dim=_affine_dim(vlist), saturated=saturated))
+    faces.sort(key=lambda f: (f.dim, f.vertices))
+    return faces
+
+
 def reference_transform_positions(spec, matrix):
     """``curves.transform_positions`` by Fraction arithmetic, its oracle:
     each position (x, y, 1) times the rational matrix, divided by the last

@@ -247,6 +247,19 @@ def test_internal_error_exit_70(files, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_inexact_division_exit_70(monkeypatch, capsys):
+    """A factor that does not divide is a bug in the package, exit 70, not
+    a failed precondition: here a wrong rational root reaches the
+    tangent-cone factorization of the resolution."""
+    from alexinv import uni
+
+    true_roots = uni.rational_roots
+    monkeypatch.setattr(uni, "rational_roots", lambda p: true_roots(p) + [Fraction(7)])
+    code, out = _run(["local", "--germ", "x^2 + y^3"])
+    assert code == 70 and out == ""
+    assert capsys.readouterr().err == "internal error: t - 7 does not divide 1\n"
+
+
 def test_bad_argument_exit_2(files, monkeypatch, capsys):
     """An argument that a library check refuses (BadArgument) is an input
     error, exit 2, even where the CLI's own checks let it through; here a

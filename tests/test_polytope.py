@@ -4,8 +4,14 @@ from itertools import combinations
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alexinv.polytope import RationalPolytope, _affine_dim, centroid
-from conftest import rational_nullspace, reference_affine_dim, reference_centroid
+from alexinv.polytope import RationalPolytope, _affine_dim, centroid, tightest
+from conftest import (
+    rational_nullspace,
+    reference_affine_dim,
+    reference_centroid,
+    reference_faces,
+    reference_vertices,
+)
 
 
 def _dot(a, b):
@@ -120,6 +126,56 @@ def test_scaled_halfspaces_give_the_same_polytope(case, scales):
     for poly in (p, q):
         assert all(type(x) is int for n, b in poly.constraints() for x in (*n, b))
         assert RationalPolytope(dim, poly.halfspaces).halfspaces == poly.halfspaces
+
+
+def test_tightest_keeps_one_row_per_direction():
+    rows = [((2, 0), 1), ((1, 0), 1), ((3, 0), 1), ((0, 0), -1), ((2, 4), 6), ((-1, 0), -1)]
+    # x >= 1/2, x >= 1 and x >= 1/3 keep x >= 1; 2x + 4y >= 6 is x + 2y >= 3;
+    # 0 >= -1 holds everywhere
+    assert tightest(rows) == [((-1, 0), -1), ((1, 0), 1), ((1, 2), 3)]
+    assert tightest([((1, 0), 0), ((0, 0), 2)]) == [((0, 0), 1), ((1, 0), 0)]
+
+
+def test_zero_normal_with_positive_bound_is_empty():
+    """0 . x >= 1/2 holds nowhere, whatever the other rows."""
+    p = RationalPolytope(2, [((1, 1), 1), ((0, 0), Fraction(1, 2))])
+    assert p.vertices() == [] and p.faces() == []
+    assert RationalPolytope(2, [((0, 0), 0)]).vertices() == RationalPolytope(2, []).vertices()
+
+
+@st.composite
+def redundant_polytopes(draw):
+    """Halfspaces of dimension 1 to 3 with the redundancy that ``tightest``
+    removes: after each drawn row, maybe a duplicate of it, a positive
+    multiple of its normal with another bound, or a zero normal with any
+    bound; then all of them in a drawn order."""
+    dim = draw(st.integers(1, 3))
+    normal = st.tuples(*[st.integers(-3, 3)] * dim)
+    bound = st.fractions(min_value=-2, max_value=3, max_denominator=4)
+    rows = []
+    for n, b in draw(st.lists(st.tuples(normal, bound), max_size=4)):
+        rows.append((n, b))
+        kind = draw(st.sampled_from(("none", "duplicate", "parallel", "zero")))
+        if kind == "duplicate":
+            rows.append((n, b))
+        elif kind == "parallel":
+            rows.append((tuple(draw(st.integers(1, 3)) * x for x in n), draw(bound)))
+        elif kind == "zero":
+            rows.append(((0,) * dim, draw(bound)))
+    return dim, draw(st.permutations(rows))
+
+
+@given(redundant_polytopes())
+@example((2, [((1, 0), Fraction(1, 3)), ((2, 0), Fraction(1)), ((0, 0), Fraction(-1))]))
+@example((3, [((1, 1, 1), Fraction(1)), ((2, 2, 2), Fraction(2)), ((1, 1, 0), Fraction(1, 2))]))
+def test_vertices_and_faces_match_reference(case):
+    """The walk on the tightest rows finds the reference's vertices, and the
+    saturation walk its faces: the same vertex sets, dimensions and first
+    saturated subsets, in the same order."""
+    dim, halfspaces = case
+    p = RationalPolytope(dim, halfspaces)
+    assert p.vertices() == reference_vertices(p)
+    assert p.faces() == reference_faces(p)
 
 
 def _face_of(poly, faces, point):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alexinv import biv, quasiadj
+from alexinv import biv, polytope, quasiadj
 from alexinv.errors import UseFacesForMultiComponent, ValidationError
 from alexinv.quasiadj import (
     constants_of_quasiadjunction,
@@ -22,7 +22,9 @@ from alexinv.quasiadj import (
     polytopes_and_faces,
     xi_steps,
 )
-from conftest import full_sweep_triple
+from alexinv.polytope import RationalPolytope
+from alexinv.resolution import PlaneCurveGerm, resolve
+from conftest import full_sweep_triple, reference_faces, reference_vertices
 
 F = Fraction
 
@@ -246,6 +248,28 @@ def test_faces_match_full_sweep_oracle(fixture, request, monkeypatch):
     monkeypatch.setattr(quasiadj, "ideal_triple", lambda tree, xi: swept.append(xi) or full_sweep_triple(tree, xi))
     assert _faces_dump(polytopes_and_faces(tree)) == walked
     assert swept
+
+
+@pytest.mark.parametrize(
+    "germ",
+    ["two_cusp_tree", "puiseux2_tree", "three_branch_tree", ("x^2-y^5", "x^3-y^2", "x-y")],
+    ids=["two_cusps", "puiseux2", "three_branch", "three_branch_25"],
+)
+def test_faces_match_reference_polytope_route(germ, request, monkeypatch):
+    """polytopes_and_faces reports the same fields, vertices, dimensions,
+    saturated constraints and level points included, when the polytope
+    layer takes the reference route: vertices and faces from every subset
+    of all rows, and one polytope per combination of regions in the pool."""
+    if isinstance(germ, str):
+        tree = request.getfixturevalue(germ)
+    else:
+        tree = resolve(PlaneCurveGerm.from_strings(*germ))
+    fast = _faces_dump(polytopes_and_faces(tree))
+    assert fast
+    monkeypatch.setattr(RationalPolytope, "vertices", reference_vertices)
+    monkeypatch.setattr(RationalPolytope, "faces", reference_faces)
+    monkeypatch.setattr(polytope, "tightest", list)
+    assert _faces_dump(polytopes_and_faces(tree)) == fast
 
 
 def test_monotonicity_in_xi(cusp_tree, two_cusp_tree):

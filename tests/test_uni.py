@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexinv import uni
+from alexinv.errors import InternalError
 
 
 def fraction_maximal_minor_gcd(matrix, cols):
@@ -78,3 +80,48 @@ def test_evaluate_keeps_integer_inputs_integral():
     assert uni.evaluate([], 7) == 0 and type(uni.evaluate([], 7)) is int
     assert uni.evaluate([1, 1], Fraction(1, 2)) == Fraction(3, 2)
     assert type(uni.evaluate([Fraction(1), 2], 3)) is Fraction
+
+
+def brute_force_roots(p):
+    """Every rational root of p with integer coefficients, by evaluating p
+    at each a/b with |a| at most the lowest nonzero coefficient and
+    1 <= b at most the leading one, with no divisor logic."""
+    k = next(i for i, c in enumerate(p) if c)
+    roots = {Fraction(0)} if k else set()
+    for b in range(1, abs(p[-1]) + 1):
+        for a in range(-abs(p[k]), abs(p[k]) + 1):
+            if a and uni.evaluate(p, Fraction(a, b)) == 0:
+                roots.add(Fraction(a, b))
+    return sorted(roots)
+
+
+small_polynomials = st.lists(st.integers(-12, 12), min_size=2, max_size=5).map(uni.trim).filter(lambda p: len(p) > 1)
+
+
+@settings(max_examples=200)
+@given(small_polynomials)
+def test_rational_roots_match_brute_force(p):
+    roots = uni.rational_roots(p)
+    assert len(set(roots)) == len(roots)
+    assert sorted(roots) == brute_force_roots(p)
+
+
+def test_rational_roots_examples():
+    # a linear part with large coefficients: 3^16 + 128 t
+    assert uni.rational_roots([43046721, 128]) == [Fraction(-43046721, 128)]
+    # a zero root of multiplicity 2 and the linear part 6t + 3
+    assert uni.rational_roots([0, 0, 3, 6]) == [0, Fraction(-1, 2)]
+    assert uni.rational_roots([0, 5]) == [0]
+    # degrees 2 to 4, each against the oracle
+    for p in ([-2, 1, 3], [1, 0, 1], [6, -5, -2, 1], [0, -6, 11, -6, 1], [4, 0, -5, 0, 1], [1, 0, 2, 0, 1]):
+        assert sorted(uni.rational_roots(p)) == brute_force_roots(p)
+    # Fraction coefficients with integer values, as biv.factor_univariate passes them
+    assert uni.rational_roots([Fraction(-3), Fraction(9)]) == [Fraction(1, 3)]
+
+
+def test_inexact_division_is_an_internal_error():
+    """Every caller of exact_div divides by a proven factor, so a remainder
+    is a bug: InternalError (exit 70), not a bare ValueError (exit 3)."""
+    assert uni.exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+    with pytest.raises(InternalError, match="t \\+ 1 does not divide t\\^2 \\+ 1"):
+        uni.exact_div([1, 0, 1], [1, 1])
