@@ -271,16 +271,6 @@ def _cmd_covers(args) -> dict:
     return report
 
 
-def _staircase_generators(members, bound):
-    """Minimal monomials of a staircase (generators of a monomial ideal)."""
-    out = []
-    for (a, b) in sorted(members):
-        if (a == 0 or (a - 1, b) not in members) and (b == 0 or (a, b - 1) not in members):
-            if a + b < bound:
-                out.append([a, b])
-    return out
-
-
 def _cmd_quasiadj(args) -> dict:
     from .quasiadj import (
         constants_of_quasiadjunction,
@@ -313,15 +303,12 @@ def _cmd_quasiadj(args) -> dict:
                 {"coeffs": [_fr(x) for x in normal], "level": _fr(bound)}
                 for normal, bound in qp.polytope.planes(f.face)
             ]
-            strict_ideal = f.ideals[0]
             rendered.append(
                 {
                     "hyperplane": planes[0] if planes else None,
                     "vertices": [[_fr(x) for x in v] for v in f.face.vertices],
                     "dim": f.face.dim,
-                    "ideal_staircase": _staircase_generators(
-                        strict_ideal.members, strict_ideal.jet_bound
-                    ),
+                    "ideal_staircase": f.ideals[0].generators(),
                     "dim_quotient": f.dim_quotient,
                 }
             )
@@ -488,7 +475,7 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
     except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 70
-    except (AlexinvError, ValueError) as exc:
+    except AlexinvError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     out.write(_emit(report, args.format))

@@ -24,7 +24,7 @@ from operator import mul
 from typing import Dict, Sequence, Tuple
 
 from . import uni
-from .errors import NotPolynomial
+from .errors import BadArgument, NotPolynomial
 from .laurent import LaurentPolynomial
 
 # The product prod_m Phi_m^{e_m} as the map m -> e_m.  A product of two
@@ -37,7 +37,7 @@ def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
     """Integer coefficients of the monic Phi_n, computed by dividing
     x^n - 1 by the proper cyclotomic factors."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise BadArgument("n must be positive")
     p = uni.sub(uni.x_power(n), [1])
     for d in range(1, n):
         if n % d == 0:
@@ -140,7 +140,7 @@ class CyclotomicElement:
 
     def _check(self, other: "CyclotomicElement"):
         if self.conductor != other.conductor:
-            raise ValueError("conductors differ")
+            raise BadArgument("conductors differ")
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -208,7 +208,7 @@ def evaluate_character(p: LaurentPolynomial, chi: Sequence[Fraction]) -> Cycloto
     """
     chi = [c if isinstance(c, Fraction) else Fraction(c) for c in chi]
     if len(chi) != p.var_count:
-        raise ValueError("character length does not match variable count")
+        raise BadArgument("character length does not match variable count")
     M = lcm(*[c.denominator for c in chi])
     powers = [c.numerator * (M // c.denominator) % M for c in chi]
     den = lcm(*[c.denominator for c in p.terms.values()])

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from . import uni
-from .errors import UnsupportedDimension, ZeroInput
+from .errors import BadArgument, UnsupportedDimension, ZeroInput
 
 Exponent = Tuple[int, ...]
 
@@ -48,7 +48,7 @@ class LaurentPolynomial:
 
     def __init__(self, var_count: int, terms: Dict[Exponent, uni.Coefficient] | None = None):
         if var_count < 1:
-            raise ValueError("var_count must be positive")
+            raise BadArgument("var_count must be positive")
         self.var_count = var_count
         clean: Dict[Exponent, uni.Coefficient] = {}
         for exp, c in (terms or {}).items():
@@ -56,7 +56,7 @@ class LaurentPolynomial:
                 continue
             exp = tuple(map(int, exp))
             if len(exp) != var_count:
-                raise ValueError("exponent vector of wrong length")
+                raise BadArgument("exponent vector of wrong length")
             if exp in clean:
                 c = clean[exp] + c
             clean[exp] = c = _coefficient(c)
@@ -115,7 +115,7 @@ class LaurentPolynomial:
 
     def _check(self, other: "LaurentPolynomial"):
         if self.var_count != other.var_count:
-            raise ValueError("variable counts differ")
+            raise BadArgument("variable counts differ")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,7 +156,7 @@ class LaurentPolynomial:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers are not supported")
+            raise BadArgument("negative powers are not supported")
         result = LaurentPolynomial.one(self.var_count)
         base = self
         while n:
@@ -252,7 +252,7 @@ def common_root_count(p: LaurentPolynomial, n: int) -> int:
     if p.is_zero():
         raise ZeroInput("zero polynomial")
     if n < 1:
-        raise ValueError("n must be positive")
+        raise BadArgument("n must be positive")
     cyc = LaurentPolynomial(1, {(n,): 1, (0,): -1})
     g = univariate_gcd(p, cyc)
     return g.max_degree() - g.min_degree()

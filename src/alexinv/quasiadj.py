@@ -14,10 +14,10 @@ on integers: a_k . xi >= rhs iff floor(a_k . xi) >= rhs, and a_k . xi =
 rhs iff a_k . xi is an integer and floor(a_k . xi) = rhs.  So each point
 becomes one pair (floor, integral) per node, computed once per point;
 the right side is written once, in ``_rhs``, and tabulated once per tree
-for the monomials below the certified jet bound.  An ideal is described
-by its monomial staircase below that bound; every monomial of degree at
-or above it lies in all three ideals at every xi, so no larger bound
-changes an answer.
+for the monomials below the certified jet bound.  An ideal is stored as
+its nonmember staircase below that bound, and its members are derived
+from it; every monomial of degree at or above it lies in all three
+ideals at every xi, so no larger bound changes an answer.
 
 Each staircase is found by a walk along its boundary, which tests O(B)
 monomials of the B(B+1)/2 below the jet bound B.  The walk is exact
@@ -167,15 +167,14 @@ def germ_membership(tree: ResolutionTree, xi, phi: biv.Poly2, variant: str) -> b
 
 
 class LocalIdealDescription:
-    """An ideal of (log-)quasiadjunction as its monomial staircase below the
-    certified jet bound: the member and nonmember monomials of degree
-    < jet_bound.  Every monomial of degree >= jet_bound is a member.  For
-    an arbitrary germ, ``germ_membership`` is the exact predicate.  Two
-    descriptions with the same fields are equal."""
+    """An ideal of (log-)quasiadjunction stored as its nonmember staircase
+    below the certified jet bound alone, in table order (alpha, then beta);
+    every other monomial is a member, and ``members`` derives those below
+    the bound.  For an arbitrary germ, ``germ_membership`` is the exact
+    predicate.  Two descriptions with the same fields are equal."""
 
-    def __init__(self, jet_bound: int, members: frozenset, nonmembers: Tuple[Monomial, ...]):
+    def __init__(self, jet_bound: int, nonmembers: Tuple[Monomial, ...]):
         self.jet_bound = jet_bound
-        self.members = members
         self.nonmembers = nonmembers
 
     def __eq__(self, other):
@@ -184,6 +183,19 @@ class LocalIdealDescription:
     @property
     def colength(self) -> int:
         return len(self.nonmembers)
+
+    @property
+    def members(self) -> frozenset:
+        bound = self.jet_bound
+        return frozenset((a, b) for a in range(bound) for b in range(bound - a)).difference(self.nonmembers)
+
+    def generators(self) -> List[List[int]]:
+        """The minimal members [a, h(a)] below the jet bound, where column a
+        holds h(a) nonmembers: the corners, where h drops (or at a = 0)."""
+        heights = [0] * self.jet_bound
+        for a, _ in self.nonmembers:
+            heights[a] += 1
+        return [[a, h] for a, h in enumerate(heights) if a + h < self.jet_bound and (a == 0 or heights[a - 1] > h)]
 
     def staircase_json(self) -> dict:
         return {
@@ -223,8 +235,7 @@ def ideal_triple(tree: ResolutionTree, xi):
     if any(not 0 < x <= 1 for x in xi):
         raise BadGerm("xi coordinates must lie in (0, 1]")
     levels = _node_floors(tree, xi)
-    rhs_of = _rhs_table(tree)
-    monomials, bound = frozenset(rhs_of), jet_bound(tree)
+    rhs_of, bound = _rhs_table(tree), jet_bound(tree)
     memo: Dict[Monomial, Tuple[bool, bool, bool]] = {}
 
     def memberships(mono: Monomial) -> Tuple[bool, bool, bool]:
@@ -246,7 +257,7 @@ def ideal_triple(tree: ResolutionTree, xi):
             if not height:
                 break
             nonmembers.extend((alpha, beta) for beta in range(height))
-        out.append(LocalIdealDescription(bound, monomials.difference(nonmembers), tuple(nonmembers)))
+        out.append(LocalIdealDescription(bound, tuple(nonmembers)))
     return tuple(out)
 
 
@@ -325,10 +336,10 @@ class QuasiFace:
 
 
 class QuasiPolytope:
-    """The polytope of an ideal of log-quasiadjunction with its faces of
-    quasiadjunction (faces where the strict and log ideals differ)."""
+    """The polytope of an ideal of log-quasiadjunction, named by its
+    nonmembers, with its faces of quasiadjunction (strict != log)."""
 
-    def __init__(self, polytope: RationalPolytope, log_staircase: frozenset, faces: List[QuasiFace]):
+    def __init__(self, polytope: RationalPolytope, log_staircase: Tuple[Monomial, ...], faces: List[QuasiFace]):
         self.polytope = polytope
         self.log_staircase = log_staircase
         self.faces = faces
@@ -371,7 +382,7 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
             if key not in built:
                 built.add(key)
                 pool.extend(RationalPolytope(r, rows).faces())
-    found: Dict[frozenset, Tuple[QuasiPolytope, Callable]] = {}
+    found: Dict[Tuple[Monomial, ...], Tuple[QuasiPolytope, Callable]] = {}
     seen_points, seen_faces = set(), set()
     for face in pool:
         xi = face.relative_interior_point()
@@ -381,11 +392,12 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
         seen_points.add(xi)
         ideals = ideal_triple(tree, xi)
         strict_ideal, _, log_ideal = ideals
-        if strict_ideal.members == log_ideal.members:
+        if strict_ideal.nonmembers == log_ideal.nonmembers:
             continue
-        key = log_ideal.members
+        key = log_ideal.nonmembers
         if key not in found:
-            halfspaces = {h for mono, hs in halfspaces_of.items() if mono in key for h in hs}
+            outside = frozenset(key)
+            halfspaces = {h for mono, hs in halfspaces_of.items() if mono not in outside for h in hs}
             poly = RationalPolytope(r, sorted(halfspaces))
             found[key] = (QuasiPolytope(polytope=poly, log_staircase=key, faces=[]), poly.face_lookup())
         qp, face_of = found[key]
@@ -400,15 +412,16 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
                 face=canonical,
                 level_point=xi,
                 ideals=ideals,
-                dim_quotient=len(log_ideal.members - strict_ideal.members),
+                dim_quotient=strict_ideal.colength - log_ideal.colength,  # strict <= log
             )
         )
     result = [qp for qp, _ in found.values() if qp.faces]
     for qp in result:
         qp.faces.sort(key=lambda f: (f.face.dim, f.face.vertices))
-    # the table lists its monomials in sorted order: a staircase read off it
-    # is sorted(qp.log_staircase), with no sort
-    result.sort(key=lambda qp: [mono for mono in rhs_of if mono in qp.log_staircase])
+    # by the sorted members of the log ideal: where two member lists first
+    # differ, the later has a nonmember, so its (sorted) nonmembers, each
+    # closed by a monomial above the bound, are the smaller
+    result.sort(key=lambda qp: qp.log_staircase + ((jet_bound(tree), 0),), reverse=True)
     return result
 
 

@@ -86,15 +86,28 @@ def full_sweep_triple(tree, xi):
     from alexinv import quasiadj
 
     levels = quasiadj._node_floors(tree, [Fraction(x) for x in xi])
-    members: tuple = ([], [], [])
     nonmembers: tuple = ([], [], [])
     for mono, rhs in quasiadj._rhs_table(tree).items():
         for i, member in enumerate(quasiadj._memberships(tree, levels, rhs)):
-            (members if member else nonmembers)[i].append(mono)
+            if not member:
+                nonmembers[i].append(mono)
     return tuple(
-        quasiadj.LocalIdealDescription(quasiadj.jet_bound(tree), frozenset(members[i]), tuple(nonmembers[i]))
+        quasiadj.LocalIdealDescription(quasiadj.jet_bound(tree), tuple(nonmembers[i]))
         for i in range(len(quasiadj.VARIANTS))
     )
+
+
+def staircase_generators_by_scan(members, bound):
+    """Minimal monomials of a staircase below the bound, by a scan of its
+    members: the route that ``LocalIdealDescription.generators`` replaced
+    (it reads the corners off the column heights of the nonmembers), kept
+    as its oracle."""
+    out = []
+    for (a, b) in sorted(members):
+        if (a == 0 or (a - 1, b) not in members) and (b == 0 or (a, b - 1) not in members):
+            if a + b < bound:
+                out.append([a, b])
+    return out
 
 
 def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> List[List[int]]:

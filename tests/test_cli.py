@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import alexinv
-from alexinv import curves
+from alexinv import cli, curves, quasiadj
 from alexinv.cli import parse_and_validate, run
 from alexinv.errors import ValidationError
 from alexinv.serialize import curve_from_json
@@ -258,6 +258,27 @@ def test_inexact_division_exit_70(monkeypatch, capsys):
     code, out = _run(["local", "--germ", "x^2 + y^3"])
     assert code == 70 and out == ""
     assert capsys.readouterr().err == "internal error: t - 7 does not divide 1\n"
+
+
+def test_plain_value_error_is_not_exit_3(monkeypatch):
+    """Only the package's own errors become exit codes: a ValueError that
+    Python raises inside a handler is a bug and propagates, rather than
+    pass as a failed mathematical precondition (exit 3)."""
+
+    def broken(args):
+        raise ValueError("invalid literal for int() with base 10: 'x'")
+
+    monkeypatch.setitem(cli.HANDLERS, "lct", broken)
+    with pytest.raises(ValueError, match="invalid literal"):
+        _run(["lct", "--germ", "x^2 + y^3"])
+
+
+def test_variant_choices_are_the_quasiadj_variants():
+    """The parser spells out the variants so that building it does not
+    import quasiadj; they must stay the ones quasiadj accepts."""
+    (subparsers,) = [a for a in cli.build_parser("quasiadj")._actions if a.dest == "subcommand"]
+    (variant,) = [a for a in subparsers.choices["quasiadj"]._actions if a.dest == "variant"]
+    assert tuple(variant.choices) == quasiadj.VARIANTS
 
 
 def test_bad_argument_exit_2(files, monkeypatch, capsys):

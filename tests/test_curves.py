@@ -717,7 +717,7 @@ def table_cases(draw):
         if kind == "staircase":
             heights = sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True)
             staircase = tuple((a, b) for a, h in enumerate(heights) for b in range(h))
-            ideals.append(LocalIdealDescription(len(heights) + 4, frozenset(), staircase))
+            ideals.append(LocalIdealDescription(len(heights) + 4, staircase))
         else:
             ideals.append(_diagonal_ideal(point.data, kappa))
         points.append(point)
@@ -839,14 +839,11 @@ def _closed_form_ideal(p, q, kappa):
     p + q: the closed form that named types were once computed by, kept as
     an oracle for their resolution route."""
     bound = p + q
-    members, nonmembers = set(), []
-    for total in range(bound):
-        for i in range(total + 1):
-            if kappa > kappa_constant(p, q, i, total - i):
-                members.add((i, total - i))
-            else:
-                nonmembers.append((i, total - i))
-    return LocalIdealDescription(bound, frozenset(members), tuple(sorted(nonmembers)))
+    nonmembers = [
+        (i, total - i) for total in range(bound) for i in range(total + 1)
+        if kappa <= kappa_constant(p, q, i, total - i)
+    ]
+    return LocalIdealDescription(bound, tuple(sorted(nonmembers)))
 
 
 def test_named_ideal_matches_kappa_constant_route():

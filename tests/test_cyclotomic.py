@@ -12,7 +12,7 @@ from alexinv.cyclotomic import (
     expand_cyclotomic,
     root_multiplicity,
 )
-from alexinv.errors import NotPolynomial
+from alexinv.errors import BadArgument, NotPolynomial
 from alexinv.laurent import LaurentPolynomial, normalize_unit
 
 t = LaurentPolynomial.variable()
@@ -24,6 +24,19 @@ def test_cyclotomic_polynomials():
     assert list(cyclotomic_polynomial(2)) == [1, 1]
     assert list(cyclotomic_polynomial(6)) == [1, -1, 1]
     assert list(cyclotomic_polynomial(12)) == [1, 0, -1, 0, 1]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cyclotomic_polynomial(0), "n must be positive"),
+    (lambda: CyclotomicElement(3, [1]) + CyclotomicElement(4, [1]), "conductors differ"),
+    (lambda: evaluate_character(PHI6, [Fraction(1, 6)] * 2), "character length does not match"),
+], ids=["phi_n", "conductors", "character_length"])
+def test_bad_argument_at_each_site(call, message):
+    """Every argument check in cyclotomic raises BadArgument, an input
+    error (exit 2) that is still a ValueError for callers that catch one."""
+    with pytest.raises(BadArgument, match=message) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 def _phi_power_product(exponents):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alexinv import uni
-from alexinv.errors import NotPolynomial, ZeroInput
+from alexinv.errors import BadArgument, NotPolynomial, ZeroInput
 from alexinv.laurent import (
     LaurentPolynomial,
     common_root_count,
@@ -20,6 +20,21 @@ PHI6 = t**2 - t + 1
 
 def poly_from(coeffs, lo=0):
     return LaurentPolynomial(1, {(i + lo,): c for i, c in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LaurentPolynomial(0), "var_count must be positive"),
+    (lambda: LaurentPolynomial(2, {(1,): 1}), "exponent vector of wrong length"),
+    (lambda: t + LaurentPolynomial(2, {(1, 0): 1}), "variable counts differ"),
+    (lambda: t**-1, "negative powers are not supported"),
+    (lambda: common_root_count(PHI6, 0), "n must be positive"),
+], ids=["var_count", "exponent_length", "var_counts_differ", "negative_power", "root_count_n"])
+def test_bad_argument_at_each_site(call, message):
+    """Every argument check in laurent raises BadArgument, an input error
+    (exit 2) that is still a ValueError for callers that catch one."""
+    with pytest.raises(BadArgument, match=message) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 coeff = st.integers(-5, 5)

@@ -3,7 +3,7 @@ from itertools import combinations
 from math import floor
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alexinv import biv, polytope, quasiadj
@@ -24,7 +24,7 @@ from alexinv.quasiadj import (
 )
 from alexinv.polytope import RationalPolytope
 from alexinv.resolution import PlaneCurveGerm, resolve
-from conftest import full_sweep_triple, reference_faces, reference_vertices
+from conftest import full_sweep_triple, reference_faces, reference_vertices, staircase_generators_by_scan
 
 F = Fraction
 
@@ -199,9 +199,10 @@ def _points(draw, tree):
     return tuple(xi)
 
 
-@pytest.mark.parametrize(
-    "fixture", ["cusp_tree", "two_cusp_tree", "t25_tree", "puiseux2_tree", "x5y9_tree", "three_branch_tree"]
-)
+ORACLE_TREES = ["cusp_tree", "two_cusp_tree", "t25_tree", "puiseux2_tree", "x5y9_tree", "three_branch_tree"]
+
+
+@pytest.mark.parametrize("fixture", ORACLE_TREES)
 def test_integer_triple_matches_fraction_oracle(fixture, request):
     """The staircase walk against the Fraction comparisons for the members
     and against the full sweep for the nonmembers, in table order."""
@@ -218,6 +219,44 @@ def test_integer_triple_matches_fraction_oracle(fixture, request):
             assert len(ideal.members) + ideal.colength == jet_bound(tree) * (jet_bound(tree) + 1) // 2
 
     check()
+
+
+@pytest.mark.parametrize("fixture", ORACLE_TREES)
+def test_staircase_reads_match_member_scans(fixture, request):
+    """The corners read off the column heights against the scan of the
+    members, at drawn points and at every face's level point; and each
+    face's quotient dimension, a difference of colengths, against the
+    members that the log ideal has and the strict ideal lacks.  The
+    polytopes come in the order of the sorted members of their log ideals."""
+    tree = request.getfixturevalue(fixture)
+
+    def check_generators(ideals):
+        for ideal in ideals:
+            assert ideal.generators() == staircase_generators_by_scan(ideal.members, ideal.jet_bound)
+
+    given(_points(tree))(lambda xi: check_generators(ideal_triple(tree, xi)))()
+    qps = polytopes_and_faces(tree)
+    for qp in qps:
+        for f in qp.faces:
+            check_generators(f.ideals)
+            strict, _, log = f.ideals
+            assert f.dim_quotient == len(log.members - strict.members)
+            assert qp.log_staircase == log.nonmembers
+    members = [sorted(qp.faces[0].ideals[2].members) for qp in qps]
+    assert members == sorted(members)
+
+
+@given(st.integers(1, 12), st.lists(st.integers(0, 12), max_size=12))
+@example(3, [3, 3, 3])
+@example(3, [])
+def test_generators_of_any_staircase_match_member_scan(bound, heights):
+    """Staircases of every shape, from empty to the whole triangle below
+    the bound, columns cut at the bound as the walk cuts them."""
+    heights = [min(h, bound - a) for a, h in enumerate(sorted(heights, reverse=True)[:bound])]
+    staircase = tuple((a, b) for a, h in enumerate(heights) for b in range(h))
+    ideal = quasiadj.LocalIdealDescription(bound, staircase)
+    assert ideal.generators() == staircase_generators_by_scan(ideal.members, bound)
+    assert len(ideal.members) + ideal.colength == bound * (bound + 1) // 2
 
 
 def _faces_dump(qps):
@@ -359,7 +398,7 @@ def test_two_cusp_faces_hold_every_jump(two_cusp_tree):
     """Where the strict and log ideals differ, the log staircase is one of
     the reported polytopes."""
     log = ideal_triple(two_cusp_tree, TWO_CUSP_JUMP)[2]
-    assert log.members in [qp.log_staircase for qp in polytopes_and_faces(two_cusp_tree)]
+    assert log.nonmembers in [qp.log_staircase for qp in polytopes_and_faces(two_cusp_tree)]
 
 
 def test_order_of_zero_cusp(cusp_tree):
