@@ -591,10 +591,6 @@ def global_alexander(spec: ProjectiveCurveSpec) -> AlexanderFactorization:
     kappas = sorted({k for data in _local_types(spec) for k in data.constants()})
     factors = []
     for kappa in kappas:
-        if (spec.degree * kappa).denominator != 1:
-            continue
-        if spec.degree - 3 - int(spec.degree * kappa) < 0:
-            continue
         s = superabundance(spec, kappa)
         if s > 0:
             factors.append((kappa, s))

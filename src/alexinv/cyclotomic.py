@@ -5,11 +5,12 @@ exponents.
 
 An element of Z[zeta_M] = Z[x]/Phi_M is a list of phi(M) integer
 coefficients wherever a rank is taken (``linalg.cyclotomic_rank``): the
-Fox path reduces its accumulators with ``_reduce``, and the Koszul path
-takes the coefficients of ``evaluate_character``.  ``CyclotomicElement``
-is the field element that ``evaluate_character`` returns, with the field
-arithmetic the test oracles use.  Character evaluation must decide exact
-vanishing, so no floating point appears anywhere.  A coefficient is an ``int`` when it is integral and a
+Fox path reduces its accumulators with ``_reduce``.  No path of the
+package evaluates a character (Koszul support membership is a closed
+form); ``evaluate_character`` and the field element ``CyclotomicElement``
+it returns are kept for the tests and for the benchmark's ``TARGETS``.
+Character evaluation must decide exact vanishing, so no floating point
+appears anywhere.  A coefficient is an ``int`` when it is integral and a
 ``Fraction`` otherwise: an integral Laurent polynomial evaluates to an
 element with ``int`` coefficients, and a coefficient is divided only
 through ``Fraction``, never by ``/`` on two ints.
@@ -39,9 +40,8 @@ def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
     if n < 1:
         raise BadArgument("n must be positive")
     p = uni.sub(uni.x_power(n), [1])
-    for d in range(1, n):
-        if n % d == 0:
-            p = uni.exact_div(p, list(cyclotomic_polynomial(d)))
+    for d in uni.divisors(n)[:-1]:
+        p = uni.exact_div(p, list(cyclotomic_polynomial(d)))
     return tuple(p)
 
 
@@ -51,9 +51,8 @@ def cyclotomic_exponents(*powers: Tuple[int, int]) -> Exponents:
     exponents are dropped; negative ones stand for a quotient."""
     out: Exponents = {}
     for d, e in powers:
-        for m in range(1, d + 1):
-            if d % m == 0:
-                out[m] = out.get(m, 0) + e
+        for m in uni.divisors(d):
+            out[m] = out.get(m, 0) + e
     return {m: e for m, e in sorted(out.items()) if e}
 
 
@@ -76,7 +75,7 @@ def expand_cyclotomic(exponents: Exponents) -> LaurentPolynomial:
             raise NotPolynomial(f"Phi_{m} has exponent {e} < 0")
     blocks = []
     for n in sorted(rest, reverse=True):
-        divisors = [m for m in range(1, n + 1) if n % m == 0]
+        divisors = uni.divisors(n)
         k = min(rest.get(m, 0) for m in divisors)
         if k:
             blocks.append((n, k))

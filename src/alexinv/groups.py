@@ -116,11 +116,9 @@ class GroupPresentation:
                 )
         if self.torsion and (r != 1 or not any(v[0] for v in self.phi)):
             raise InvalidAbelianization("torsion abelianizations need r = 1 and phi != 0")
-        if not self.torsion:
-            # surjectivity of phi onto Z^r, checked via Smith form
-            diag = smith_normal_form([list(v) for v in self.phi])
-            if sorted(d for d in diag if d)[: r] != [1] * r or sum(1 for d in diag if d) < r:
-                raise InvalidAbelianization("phi is not surjective onto Z^r")
+        # phi is onto Z^r exactly when its r invariant factors are all 1
+        if not self.torsion and smith_normal_form(self.phi) != [1] * r:
+            raise InvalidAbelianization("phi is not surjective onto Z^r")
 
     @property
     def rank(self) -> int:
@@ -348,10 +346,9 @@ def _galois_orbits(orders: Sequence[int]):
         raise BadArgument("orders must be >= 1")
     if len(orders) == 1:
         n, phi = orders[0], {1: 1}
-        for d in range(2, n + 1):
-            if n % d == 0:
-                phi[d] = d - sum(v for e, v in phi.items() if d % e == 0)
-                yield [1], d, phi[d]
+        for d in uni.divisors(n)[1:]:
+            phi[d] = d - sum(v for e, v in phi.items() if d % e == 0)
+            yield [1], d, phi[d]
         return
     N, seen = lcm(*orders), set()
     for ks in product(*(range(0, N, N // n) for n in orders)):

@@ -9,7 +9,9 @@ rational matrix, cleared of denominators, and the superabundance rank of
 ``cyclotomic_rank`` takes a rank over Q(zeta_M) by the same step over the
 ring Z[zeta_M] = Z[x]/Phi_M, each entry a list of phi(M) integer
 coefficients.  Lattice results need unimodular integer operations, which
-these kernels do not give, so the Smith normal form has its own loop.
+these kernels do not give, so the Smith normal form has its own loop: one
+Euclid loop that always pivots on an entry of least absolute value, so
+its entries stay small and it ends.
 
 Matrices are plain lists of lists; everything is small and desk-scale.
 """
@@ -25,74 +27,47 @@ from .cyclotomic import _reduce
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> List[int]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+    """Invariant factors d_1 | d_2 | ... of an integer matrix: min(rows,
+    cols) nonnegative entries, zeros trailing.
 
-    Returns min(rows, cols) nonnegative diagonal entries, zeros trailing.
+    One Euclid loop on the minor a[t:][t:]: each round moves an entry p of
+    least absolute value to the corner and clears its column, then its row,
+    by floor quotients; a nonzero remainder is smaller than |p| and becomes
+    the next pivot.  If p then fails to divide an entry below and to the
+    right, that entry's row is added into the corner row and the round
+    repeats; otherwise |p| is the next invariant factor.  |p| falls at
+    least every second round, and a least pivot keeps the entries small.
     """
     a = [[int(x) for x in row] for row in matrix]
-    if not a or not a[0]:
-        return []
-    rows, cols = len(a), len(a[0])
-    n = min(rows, cols)
-    diag: List[int] = []
-    top = 0
-    while top < n:
-        # find a nonzero pivot
-        pivot = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if a[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
+    rows, cols = len(a), len(a[0]) if a else 0
+    n, t, diag = min(rows, cols), 0, []
+    while t < n:
+        least = min(((abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]),
+                    default=None)
+        if least is None:
             break
-        i, j = pivot
-        a[top], a[i] = a[i], a[top]
-        for r in range(rows):
-            a[r][top], a[r][j] = a[r][j], a[r][top]
-        # reduce row and column below/right of the pivot
-        while True:
-            changed = False
-            for i in range(top + 1, rows):
-                if a[i][top]:
-                    q = a[i][top] // a[top][top]
-                    for j in range(top, cols):
-                        a[i][j] -= q * a[top][j]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                    changed = True
-            for j in range(top + 1, cols):
-                if a[top][j]:
-                    q = a[top][j] // a[top][top]
-                    for i in range(top, rows):
-                        a[i][j] -= q * a[i][top]
-                    if a[top][j]:
-                        for i in range(top, rows):
-                            a[i][top], a[i][j] = a[i][j], a[i][top]
-                    changed = True
-            if not changed:
-                break
-        # make the pivot divide every remaining entry
-        d = a[top][top]
-        fix = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if a[i][j] % d:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            for j in range(top, cols):
-                a[top][j] += a[fix][j]
+        _, i, j = least
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+        top, p = a[t], a[t][t]
+        for row in a[t + 1:]:
+            q = row[t] // p
+            for k in range(t, cols):
+                row[k] -= q * top[k]
+        for k in range(t + 1, cols):
+            q = top[k] // p
+            for row in a[t:]:
+                row[k] -= q * row[t]
+        if any(row[t] for row in a[t + 1:]) or any(top[t + 1:]):
             continue
-        diag.append(abs(d))
-        top += 1
-    diag += [0] * (n - len(diag))
-    # enforce divisibility chain sign conventions (already divisible by construction)
-    return diag
+        bad = next((row for row in a[t + 1:] if any(x % p for x in row[t + 1:])), None)
+        if bad is not None:
+            a[t] = [x + y for x, y in zip(top, bad)]
+            continue
+        diag.append(abs(p))
+        t += 1
+    return diag + [0] * (n - len(diag))
 
 
 def cokernel_invariants(matrix: Sequence[Sequence[int]], ambient_rank: int) -> Tuple[int, List[int]]:

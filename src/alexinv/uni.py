@@ -218,7 +218,9 @@ def primitive(p: Poly) -> Poly:
     return [Fraction(c // g) for c in ints]
 
 
-def _divisors(n: int) -> List[int]:
+def divisors(n: int) -> List[int]:
+    """The positive divisors of |n| in ascending order, by trial division
+    up to sqrt(|n|); none for 0."""
     n = abs(n)
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in reversed(small) if d * d != n]
@@ -232,8 +234,8 @@ def rational_roots(p: Poly) -> List[Fraction]:
     roots = [Fraction(0)] if k else []
     if len(p) - k == 2:
         return roots + [Fraction(-p[k], p[-1])]
-    for b in _divisors(int(p[-1])):
-        for a in _divisors(int(p[k])):
+    for b in divisors(int(p[-1])):
+        for a in divisors(int(p[k])):
             for r in (Fraction(a, b), Fraction(-a, b)):
                 if r.denominator == b and evaluate(p, r) == 0:
                     roots.append(r)

@@ -14,6 +14,17 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# phi : Z^6 -> Z^5, onto; a naive Smith loop lets its entries grow without
+# bound on it, and its check of surjectivity never ends
+RUNAWAY_PHI = [
+    [0, 15, 97, 86, 36],
+    [-70, 5, 45, -94, 0],
+    [-22, 0, 80, 0, 87],
+    [-56, -67, 0, 0, -55],
+    [7, 22, 99, -7, 0],
+    [-37, -91, 0, 36, 98],
+]
+
 
 @pytest.fixture(scope="session")
 def cusp_tree():

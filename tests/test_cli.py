@@ -12,8 +12,15 @@ import pytest
 import alexinv
 from alexinv import cli, curves, quasiadj
 from alexinv.cli import parse_and_validate, run
-from alexinv.errors import ValidationError
+from alexinv.errors import (
+    AlexinvError,
+    BadArgument,
+    InternalError,
+    NonRationalInfinitelyNearPoint,
+    ValidationError,
+)
 from alexinv.serialize import curve_from_json
+from conftest import RUNAWAY_PHI
 
 TREFOIL = {
     "schema_version": 1,
@@ -215,6 +222,15 @@ def test_bad_abelianization_in_file_exit_3(tmp_path, capsys, phi, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_fox_on_a_runaway_phi_exits_0(tmp_path):
+    """The file's phi is onto Z^5, and a naive Smith loop never ends its
+    surjectivity check."""
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"generators": 6, "relators": [], "phi": RUNAWAY_PHI}))
+    code, out = _run(["fox", "--presentation", str(path)])
+    assert code == 0 and out == "generators: 6\nrelators: 0\nrank: 5\nmatrix:\n"
+
+
 def test_unequal_phi_vectors_in_file_exit_2(tmp_path, capsys):
     """phi vectors of unequal length are a malformed file: an input error
     that names the file, not a mathematical precondition."""
@@ -271,6 +287,29 @@ def test_plain_value_error_is_not_exit_3(monkeypatch):
     monkeypatch.setitem(cli.HANDLERS, "lct", broken)
     with pytest.raises(ValueError, match="invalid literal"):
         _run(["lct", "--germ", "x^2 + y^3"])
+
+
+def _subclasses(cls):
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+# Input errors exit 2 and internal errors 70; every other package error is
+# a failed mathematical precondition, exit 3.  A new class lands here, so
+# it must be given its exit code on purpose.
+EXIT_CODES = {ValidationError: 2, BadArgument: 2, InternalError: 70}
+ERROR_ARGS = {ValidationError: (["boom"],), NonRationalInfinitelyNearPoint: ("x^2 - 2", True)}
+
+
+@pytest.mark.parametrize(
+    "error", _subclasses(AlexinvError) + [InternalError], ids=lambda cls: cls.__name__
+)
+def test_exit_code_of_every_error_class(error, monkeypatch):
+    def broken(args):
+        raise error(*ERROR_ARGS.get(error, ("boom",)))
+
+    monkeypatch.setitem(cli.HANDLERS, "lct", broken)
+    code, out = _run(["lct", "--germ", "x^2 + y^3"])
+    assert code == EXIT_CODES.get(error, 3) and out == ""
 
 
 def test_variant_choices_are_the_quasiadj_variants():

@@ -40,6 +40,7 @@ from alexinv.groups import (
 from alexinv.laurent import LaurentPolynomial, univariate_gcd
 from alexinv.linalg import cyclotomic_rank
 from conftest import (
+    RUNAWAY_PHI,
     echelon,
     integer_kernel_basis,
     koszul_boundary_rows,
@@ -122,6 +123,13 @@ def test_invalid_abelianization():
         GroupPresentation(2, (), [[1], [1, 0]])
     with pytest.raises(InvalidAbelianization, match="not surjective"):
         GroupPresentation(1, (), [[2]])
+
+
+def test_surjectivity_check_ends_on_a_runaway_phi():
+    assert GroupPresentation(6, (), RUNAWAY_PHI).rank == 5
+    doubled = [row[:-1] + [2 * row[-1]] for row in RUNAWAY_PHI]
+    with pytest.raises(InvalidAbelianization, match="not surjective"):
+        GroupPresentation(6, (), doubled)
 
 
 def test_bad_presentation_words():

@@ -13,7 +13,7 @@ from alexinv.linalg import (
     rational_rank,
     smith_normal_form,
 )
-from conftest import echelon, integer_kernel_basis, rational_nullspace, regular_representation_rank
+from conftest import RUNAWAY_PHI, echelon, integer_kernel_basis, rational_nullspace, regular_representation_rank
 
 
 def test_smith_examples():
@@ -25,32 +25,22 @@ def test_smith_examples():
     assert cokernel_invariants([[6]], 1) == (0, [6])
 
 
-def maximal_minor_gcd(matrix):
-    """gcd of the rank-sized minors; 0 for the zero matrix."""
-    if not matrix or not matrix[0]:
-        return 0
-    r = rational_rank(matrix)
-    if r == 0:
-        return 0
+def determinantal_divisors(matrix):
+    """d_k = D_k / D_(k-1) for k up to min(rows, cols), where D_k is the gcd
+    of the k x k minors and D_0 = 1; zeros once some D_k vanishes.  Each
+    k-minor expands along its first row into (k-1)-minors of the rows
+    below, so no elimination (and no code of the package) is involved."""
     rows, cols = len(matrix), len(matrix[0])
-
-    def det(sub):
-        n = len(sub)
-        if n == 1:
-            return sub[0][0]
-        total = 0
-        for j in range(n):
-            if sub[0][j] == 0:
-                continue
-            minor = [row[:j] + row[j + 1:] for row in sub[1:]]
-            total += (-1) ** j * sub[0][j] * det(minor)
-        return total
-
-    g = 0
-    for ri in combinations(range(rows), r):
-        for ci in combinations(range(cols), r):
-            g = gcd(g, det([[matrix[i][j] for j in ci] for i in ri]))
-    return abs(g)
+    minors, out = {((), ()): 1}, [1]
+    for k in range(1, min(rows, cols) + 1):
+        minors = {
+            (ri, ci): sum((-1) ** s * matrix[ri[0]][c] * minors[ri[1:], ci[:s] + ci[s + 1:]]
+                          for s, c in enumerate(ci))
+            for ri in combinations(range(rows), k)
+            for ci in combinations(range(cols), k)
+        }
+        out.append(gcd(*minors.values()))
+    return [b // a if a else 0 for a, b in zip(out, out[1:])]
 
 
 matrices = st.lists(
@@ -58,16 +48,33 @@ matrices = st.lists(
 )
 
 
-@given(matrices)
+@st.composite
+def wide_matrices(draw):
+    """Shapes up to 6 x 6 with entries up to 100: enough for a naive Smith
+    loop to let its entries run away."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(-100, 100), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=300)
+@given(wide_matrices())
 def test_smith_divisibility_chain_and_minor_gcd(m):
     diag = smith_normal_form(m)
+    assert diag == determinantal_divisors(m)
     nonzero = [d for d in diag if d]
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
-    product = 1
-    for d in nonzero:
-        product *= d
-    assert product == maximal_minor_gcd(m) or (not nonzero and maximal_minor_gcd(m) == 0)
+
+
+def test_smith_form_of_a_surjection_that_ran_away():
+    """phi : Z^6 -> Z^5 on which a naive Smith loop lets its entries grow
+    without bound; it is onto, and onto a subgroup of index 2 once its
+    last column is doubled."""
+    assert smith_normal_form(RUNAWAY_PHI) == determinantal_divisors(RUNAWAY_PHI) == [1] * 5
+    doubled = [row[:-1] + [2 * row[-1]] for row in RUNAWAY_PHI]
+    assert smith_normal_form(doubled) == determinantal_divisors(doubled) == [1, 1, 1, 1, 2]
 
 
 def test_rank_examples():

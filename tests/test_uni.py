@@ -119,6 +119,13 @@ def test_rational_roots_examples():
     assert uni.rational_roots([Fraction(-3), Fraction(9)]) == [Fraction(1, 3)]
 
 
+@given(st.integers(-500, 500))
+def test_divisors_match_the_scan(n):
+    """Ascending, as the cyclotomic factors and the Galois orbits of a
+    cyclic cover are listed in this order."""
+    assert uni.divisors(n) == [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
 def test_inexact_division_is_an_internal_error():
     """Every caller of exact_div divides by a proven factor, so a remainder
     is a bug: InternalError (exit 70), not a bare ValueError (exit 3)."""
