@@ -651,3 +651,24 @@ def test_parser_help_and_error_pinned(sub, monkeypatch, capsys):
     assert capsys.readouterr() == (pin["help"], "")
     assert _run(pin["error_argv"]) == (pin["exit"], "")
     assert capsys.readouterr() == ("", pin["error"])
+
+
+# The resolution_tree block of `local --format json` for germs with two
+# Puiseux pairs, three branches, recentred infinitely near points and
+# scaled coefficients, pinned byte for byte from the route that built the
+# node orders by substituting every component into each chart.
+TREE_PINS = json.loads((ROOT / "tests" / "resolution_tree_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", TREE_PINS, ids=[", ".join(p["germ"]) for p in TREE_PINS])
+def test_local_resolution_tree_pinned(pin):
+    argv = ["local", "--format", "json"]
+    for component in pin["germ"]:
+        argv += ["--germ", component]
+    code, out = _run(argv)
+    assert code == 0
+
+    def block(tree):
+        return json.dumps(tree, indent=2, sort_keys=True)
+
+    assert block(json.loads(out)["resolution_tree"]) == block(pin["resolution_tree"])

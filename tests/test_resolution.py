@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -330,3 +332,14 @@ def test_blowup_cap(monkeypatch):
     monkeypatch.setattr(resolution, "MAX_BLOWUPS", 2)
     with pytest.raises(ResolutionDidNotTerminate):
         resolve(PlaneCurveGerm.from_strings("x^2 + y^3"))
+
+
+TREE_PINS = json.loads((Path(__file__).parent / "resolution_tree_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", TREE_PINS, ids=[", ".join(p["germ"]) for p in TREE_PINS])
+def test_charts_pinned(pin):
+    """The stored chart maps (x(U, V), y(U, V)) of every node, term for
+    term, as pullback_orders replays them."""
+    tree = resolve(PlaneCurveGerm.from_strings(*pin["germ"]))
+    assert [[biv.to_string(p) for p in node.chart] for node in tree.nodes] == pin["charts"]
