@@ -115,10 +115,6 @@ def compose(p: Poly2, px: Poly2, py: Poly2) -> Poly2:
     return clean(out)
 
 
-def partial_x(p: Poly2) -> Poly2:
-    return clean({(i - 1, j): c * i for (i, j), c in p.items() if i})
-
-
 def partial_y(p: Poly2) -> Poly2:
     return clean({(i, j - 1): c * j for (i, j), c in p.items() if j})
 
@@ -128,11 +124,6 @@ def ord_x(p: Poly2) -> int:
     if not p:
         raise BadGerm("zero polynomial has no order")
     return min(i for i, _ in p)
-
-
-def shift_x(p: Poly2, n: int) -> Poly2:
-    """Divide by x^n (exact by construction of callers)."""
-    return {(i - n, j): c for (i, j), c in p.items()}
 
 
 def restrict_x0(p: Poly2) -> uni.Poly:

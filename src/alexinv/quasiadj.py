@@ -14,7 +14,9 @@ on integers: a_k . xi >= rhs iff floor(a_k . xi) >= rhs, and a_k . xi =
 rhs iff a_k . xi is an integer and floor(a_k . xi) = rhs.  So each point
 becomes one pair (floor, integral) per node, computed once per point;
 the right side is written once, in ``_rhs``, and tabulated once per tree
-for the monomials below the certified jet bound.  An ideal is stored as
+for the monomials below the certified jet bound that bound a region
+(those with some rhs_k > 0; every other one is a member of all three
+ideals at every xi).  An ideal is stored as
 its nonmember staircase below that bound, and its members are derived
 from it; every monomial of degree at or above it lies in all three
 ideals at every xi, so no larger bound changes an answer.
@@ -69,9 +71,11 @@ def kappa_constant(a: int, b: int, i: int = 0, j: int = 0) -> Fraction:
 
 def torus_constants(a: int, b: int) -> List[Fraction]:
     """The constants of quasiadjunction of x^a + y^b: the values
-    kappa_constant(a, b, i, j) in (0, 1) over i < a, j < b, sorted."""
-    kappas = {kappa_constant(a, b, i, j) for i in range(a) for j in range(b)}
-    return sorted(k for k in kappas if 0 < k < 1)
+    kappa_constant(a, b, i, j) in (0, 1) over i < a, j < b, sorted, as
+    their numerators ab - (i+1) b - (j+1) a over ab."""
+    ab = a * b
+    nums = {ab - (i + 1) * b - (j + 1) * a for i in range(a) for j in range(b)}
+    return [Fraction(n, ab) for n in sorted(nums) if n > 0]
 
 
 def xi_steps(a: int, b: int, i: int, j: int, n: int) -> int:
@@ -206,11 +210,14 @@ class LocalIdealDescription:
 
 
 def _rhs_table(tree: ResolutionTree) -> Dict[Monomial, Tuple[int, ...]]:
-    """monomial -> rhs for every monomial below the jet bound, in table
-    order (alpha, then beta); e_k(x^alpha y^beta) = alpha e_k(x) + beta
-    e_k(y).  A monomial with no positive rhs_k gets the empty row: a_k . xi
-    > 0 on (0, 1]^r, so it lies in all three ideals at every xi and bounds
-    no region.  Cached on the tree: every point reads the same table."""
+    """monomial -> rhs for the monomials that bound a region, those with
+    some rhs_k > 0, in table order (alpha, then beta); e_k(x^alpha y^beta)
+    = alpha e_k(x) + beta e_k(y).  Every other monomial lies in all three
+    ideals at every xi, since a_k . xi > 0 on (0, 1]^r, and reads as the
+    empty row.  As e_k(x), e_k(y) >= 0, every rhs_k falls with alpha and
+    with beta: a column stops at its first row with no positive entry, and
+    the walk stops at the first column whose row (alpha, 0) has none.
+    Cached on the tree: every point reads the same table."""
     if "_rhs_table" not in tree.__dict__:
         ex = tree.pullback_orders(biv.variable_x())
         ey = tree.pullback_orders(biv.variable_y())
@@ -220,7 +227,11 @@ def _rhs_table(tree: ResolutionTree) -> Dict[Monomial, Tuple[int, ...]]:
         for alpha in range(bound):
             for beta in range(bound - alpha):
                 rhs = tuple(u - alpha * x - beta * y for u, x, y in zip(unit, ex, ey))
-                table[alpha, beta] = rhs if any(r > 0 for r in rhs) else ()
+                if not any(r > 0 for r in rhs):
+                    break
+                table[alpha, beta] = rhs
+            if (alpha, 0) not in table:
+                break
         tree.__dict__["_rhs_table"] = table
     return tree.__dict__["_rhs_table"]
 
@@ -240,7 +251,7 @@ def ideal_triple(tree: ResolutionTree, xi):
 
     def memberships(mono: Monomial) -> Tuple[bool, bool, bool]:
         if mono not in memo:
-            memo[mono] = _memberships(tree, levels, rhs_of[mono])
+            memo[mono] = _memberships(tree, levels, rhs_of.get(mono, ()))
         return memo[mono]
 
     out = []

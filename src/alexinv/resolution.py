@@ -11,14 +11,19 @@ Alexander polynomial is read off the zeta map as Phi_m exponents.
 Blow-up centers are restricted to Q-rational points; an irrational
 infinitely-near point aborts with its minimal polynomial (from degree 4
 on, possibly a product of minimal polynomials) so the user can supply an
-explicit tree instead.  All multiplicities are computed by
-substitution into the stored chart maps, never by incremental shortcuts.
+explicit tree instead.  A blow-up maps exponents, x^i y^j to U^(i+j) V^j
+or U^i V^(i+j), and recentring expands powers of Y + v0.  The orders a_k
+of the components and c_k of dx ^ dy along each new curve follow from
+the multiplicities of the strict transforms at its center and from the
+orders along the curves through it (the proximity recurrence); each node
+keeps its chart map, so the orders of any other germ are replayed by
+substitution (``pullback_orders``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from math import gcd
+from math import comb, gcd
 from typing import Dict, List, Optional, Tuple
 
 from . import biv, uni
@@ -31,6 +36,7 @@ from .errors import (
     NotPolynomial,
     NonRationalInfinitelyNearPoint,
     ResolutionDidNotTerminate,
+    ValidationError,
 )
 from .laurent import LaurentPolynomial, variable_names
 
@@ -130,18 +136,43 @@ class ResolutionTree:
 
     @classmethod
     def from_json(cls, data: dict) -> "ResolutionTree":
-        nodes = []
-        for nd in data["nodes"]:
-            nodes.append(
-                ResolutionNode(
-                    id=int(nd["id"]),
-                    a=tuple(int(x) for x in nd["a"]),
-                    c=int(nd["c"]),
-                    adjacent=set(int(x) for x in nd.get("adj", [])),
-                    strict={int(i) - 1: int(cnt) for i, cnt in nd.get("strict", [])},
-                )
+        """The tree of a schema-checked file; ValidationError, naming the
+        JSON path of each, when node ids do not run 1..n in order, an
+        ``a`` has other than r entries, an ``adj`` entry names the node
+        itself, a missing node or one that does not name it back, or a
+        ``strict`` component exceeds r."""
+        r, raw = int(data["r"]), data["nodes"]
+        adj = [[int(x) for x in nd.get("adj", [])] for nd in raw]
+        found = []
+        for k, nd in enumerate(raw):
+            where = f"nodes/{k}"
+            if int(nd["id"]) != k + 1:
+                found.append(f"{where}/id: {nd['id']} where {k + 1} is due; ids run 1..{len(raw)} in order")
+            if len(nd["a"]) != r:
+                found.append(f"{where}/a: {len(nd['a'])} entries for r = {r}")
+            for j, other in enumerate(adj[k]):
+                if other == k + 1:
+                    found.append(f"{where}/adj/{j}: node {other} names itself")
+                elif other > len(raw):
+                    found.append(f"{where}/adj/{j}: no node {other}")
+                elif k + 1 not in adj[other - 1]:
+                    found.append(f"{where}/adj/{j}: node {other} does not name node {k + 1}")
+            for j, (i, _) in enumerate(nd.get("strict", [])):
+                if int(i) > r:
+                    found.append(f"{where}/strict/{j}/0: component {i} above r = {r}")
+        if found:
+            raise ValidationError(found)
+        nodes = [
+            ResolutionNode(
+                id=k + 1,
+                a=tuple(int(x) for x in nd["a"]),
+                c=int(nd["c"]),
+                adjacent=set(adj[k]),
+                strict={int(i) - 1: int(cnt) for i, cnt in nd.get("strict", [])},
             )
-        return cls(r=int(data["r"]), nodes=nodes)
+            for k, nd in enumerate(raw)
+        ]
+        return cls(r=r, nodes=nodes)
 
 
 class _Site:
@@ -164,10 +195,9 @@ def resolve(germ: PlaneCurveGerm) -> ResolutionTree:
     creation order, which is deterministic.
     """
     components = germ.components
-    r = len(components)
     # the lowest form of a product is the product of the lowest forms
     total_mult = sum(biv.multiplicity(c) for c in components)
-    tree = ResolutionTree(r=r, nodes=[], germ=germ)
+    tree = ResolutionTree(r=len(components), nodes=[], germ=germ)
     if total_mult == 1:
         return tree
     queue = deque(
@@ -183,21 +213,42 @@ def resolve(germ: PlaneCurveGerm) -> ResolutionTree:
         if len(tree.nodes) >= MAX_BLOWUPS:
             raise ResolutionDidNotTerminate(f"more than {MAX_BLOWUPS} blow-ups")
         site = queue.popleft()
-        _blow_up(tree, site, components, queue)
+        _blow_up(tree, site, queue)
     return tree
 
 
-def _blow_up(tree: ResolutionTree, site: _Site, components, queue):
+def _chart1(p: biv.Poly2, drop: int = 0) -> biv.Poly2:
+    """p(U, U V) / U^drop: x^i y^j goes to U^(i+j-drop) V^j."""
+    return {(i + j - drop, j): c for (i, j), c in p.items()}
+
+
+def _chart2(p: biv.Poly2, drop: int = 0) -> biv.Poly2:
+    """p(U V, V) / V^drop: x^i y^j goes to U^i V^(i+j-drop)."""
+    return {(i, i + j - drop): c for (i, j), c in p.items()}
+
+
+def _recenter(p: biv.Poly2, v0) -> biv.Poly2:
+    """p(X, Y + v0), by the binomial expansion of each power of Y."""
+    if not v0:
+        return p
+    out: biv.Poly2 = {}
+    for (i, j), c in p.items():
+        for k in range(j + 1):
+            out[i, k] = out.get((i, k), 0) + c * comb(j, k) * v0 ** (j - k)
+    return biv.clean(out)
+
+
+def _blow_up(tree: ResolutionTree, site: _Site, queue):
     node_id = len(tree.nodes) + 1
-    u, uv = biv.variable_x(), {(1, 1): 1}
-    chart_x = biv.compose(site.subs_x, u, uv)
-    chart_y = biv.compose(site.subs_y, u, uv)
-    a = tuple(biv.ord_x(biv.compose(f, chart_x, chart_y)) for f in components)
-    jac = biv.add(
-        biv.mul(biv.partial_x(chart_x), biv.partial_y(chart_y)),
-        biv.scale(biv.mul(biv.partial_y(chart_x), biv.partial_x(chart_y)), -1),
-    )
-    c = biv.ord_x(jac)
+    # at the site, component i is X^(a_x,i) Y^(a_y,i) g_i times a unit, with
+    # g_i its strict transform (or a unit, if it misses the site) and the
+    # axes the exceptional curves through it; dx ^ dy is X^c_x Y^c_y dX ^ dY
+    # times a unit, and dX ^ dY = U dU ^ dV in chart 1
+    axes = [tree.nodes[k - 1] for k in (site.axis_x, site.axis_y) if k is not None]
+    mult_of = {i: biv.multiplicity(g) for i, g in site.germs}
+    a = tuple(mult_of.get(i, 0) + sum(n.a[i] for n in axes) for i in range(tree.r))
+    c = 1 + sum(n.c for n in axes)
+    chart_x, chart_y = _chart1(site.subs_x), _chart1(site.subs_y)
     node = ResolutionNode(id=node_id, a=a, c=c, chart=(chart_x, chart_y))
     for axis in (site.axis_x, site.axis_y):
         if axis is not None:
@@ -209,11 +260,7 @@ def _blow_up(tree: ResolutionTree, site: _Site, components, queue):
     tree.nodes.append(node)
 
     # --- chart 1: (X, Y) -> (U, U V); E_new = {U = 0}, coordinate V -----
-    strict1: List[Tuple[int, biv.Poly2]] = []
-    for i, g in site.germs:
-        m = biv.multiplicity(g)
-        g1 = biv.shift_x(biv.compose(g, u, uv), m)
-        strict1.append((i, g1))
+    strict1 = [(i, _chart1(g, mult_of[i])) for i, g in site.germs]
     factored: Dict[Tuple[uni.Coefficient, ...], Dict[int, int]] = {}
     irrational = []
     for i, g1 in strict1:
@@ -242,30 +289,20 @@ def _blow_up(tree: ResolutionTree, site: _Site, components, queue):
         if len(h) != 2:
             raise NonRationalInfinitelyNearPoint(uni.to_string(h, "v"), len(h) <= 4)
         v0 = uni.quotient(-h[0], h[1])
-        # new coordinates (X, Y) with (old X, old Y) = (X, X (Y + v0));
-        # germs are the chart-1 strict transforms recentered at (0, v0)
-        recentered_y = {(0, 1): 1, (0, 0): v0} if v0 else {(0, 1): 1}
+        # new coordinates (X, Y) with (old X, old Y) = (X, X (Y + v0)), the
+        # chart recentred at (0, v0); so are the chart-1 strict transforms
         new_site = _Site(
-            subs_x=biv.compose(site.subs_x, biv.variable_x(), _times_x(recentered_y)),
-            subs_y=biv.compose(site.subs_y, biv.variable_x(), _times_x(recentered_y)),
-            germs=[
-                (i, biv.compose(g1, biv.variable_x(), recentered_y))
-                for i, g1 in strict1
-                if i in per_comp
-            ],
+            subs_x=_recenter(chart_x, v0),
+            subs_y=_recenter(chart_y, v0),
+            germs=[(i, _recenter(g1, v0)) for i, g1 in strict1 if i in per_comp],
             axis_x=node_id,
             axis_y=site.axis_y if (v0 == 0 and site.axis_y is not None) else None,
         )
         queue.append(new_site)
 
     # --- chart 2: (X, Y) -> (U V, V); E_new = {V = 0}, origin = [0:1] ---
-    vu, v = {(1, 1): 1}, biv.variable_y()
-    through: List[Tuple[int, biv.Poly2]] = []
-    for i, g in site.germs:
-        m = biv.multiplicity(g)
-        g2 = biv.swap_xy(biv.shift_x(biv.swap_xy(biv.compose(g, vu, v)), m))
-        if (0, 0) not in g2:
-            through.append((i, g2))
+    strict2 = [(i, _chart2(g, mult_of[i])) for i, g in site.germs]
+    through = [(i, g2) for i, g2 in strict2 if (0, 0) not in g2]
     if through:
         corner = site.axis_x is not None
         total = sum(_ord_at_zero(biv.restrict_y0(g2)) for _, g2 in through)
@@ -274,17 +311,13 @@ def _blow_up(tree: ResolutionTree, site: _Site, components, queue):
             node.strict[comp] = node.strict.get(comp, 0) + 1
         else:
             new_site = _Site(
-                subs_x=biv.compose(site.subs_x, vu, v),
-                subs_y=biv.compose(site.subs_y, vu, v),
-                germs=list(through),
+                subs_x=_chart2(site.subs_x),
+                subs_y=_chart2(site.subs_y),
+                germs=through,
                 axis_x=site.axis_x,
                 axis_y=node_id,
             )
             queue.append(new_site)
-
-
-def _times_x(p: biv.Poly2) -> biv.Poly2:
-    return biv.mul(biv.variable_x(), p)
 
 
 def _ord_at_zero(coeffs: uni.Poly) -> int:

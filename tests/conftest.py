@@ -3,7 +3,8 @@ from math import comb
 from typing import List, Sequence
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, reject, settings
+from hypothesis import strategies as st
 
 settings.register_profile(
     "suite",
@@ -89,6 +90,25 @@ def three_branch_tree():
 # ---------------------------------------------------------------------------
 
 
+def reference_rhs_table(tree):
+    """monomial -> rhs for every monomial below the jet bound, in table
+    order, with the empty row where no rhs_k is positive: the full triangle
+    that ``quasiadj._rhs_table`` filled before it kept the bounding rows
+    alone, kept as its oracle."""
+    from alexinv import biv, quasiadj
+
+    ex = tree.pullback_orders(biv.variable_x())
+    ey = tree.pullback_orders(biv.variable_y())
+    unit = quasiadj._rhs(tree, [0] * len(tree.nodes))
+    bound = quasiadj.jet_bound(tree)
+    table = {}
+    for alpha in range(bound):
+        for beta in range(bound - alpha):
+            rhs = tuple(u - alpha * x - beta * y for u, x, y in zip(unit, ex, ey))
+            table[alpha, beta] = rhs if any(r > 0 for r in rhs) else ()
+    return table
+
+
 def full_sweep_triple(tree, xi):
     """The strict, weight-one and log ideals at xi from one sweep of every
     monomial below the jet bound, in table order: the route that the
@@ -98,7 +118,7 @@ def full_sweep_triple(tree, xi):
 
     levels = quasiadj._node_floors(tree, [Fraction(x) for x in xi])
     nonmembers: tuple = ([], [], [])
-    for mono, rhs in quasiadj._rhs_table(tree).items():
+    for mono, rhs in reference_rhs_table(tree).items():
         for i, member in enumerate(quasiadj._memberships(tree, levels, rhs)):
             if not member:
                 nonmembers[i].append(mono)
@@ -106,6 +126,65 @@ def full_sweep_triple(tree, xi):
         quasiadj.LocalIdealDescription(quasiadj.jet_bound(tree), tuple(nonmembers[i]))
         for i in range(len(quasiadj.VARIANTS))
     )
+
+
+def reference_node_orders(tree):
+    """(a, c) of every node by substitution into its chart: the order along
+    U = 0 of each component composed with the chart, and of the chart's
+    Jacobian determinant.  This is the route that the proximity recurrence
+    of ``resolution._blow_up`` replaced, kept as its oracle."""
+    from alexinv import biv
+
+    def d_du(p):
+        return {(i - 1, j): c * i for (i, j), c in p.items() if i}
+
+    def d_dv(p):
+        return {(i, j - 1): c * j for (i, j), c in p.items() if j}
+
+    out = []
+    for node in tree.nodes:
+        px, py = node.chart
+        a = tuple(biv.ord_x(biv.compose(f, px, py)) for f in tree.germ.components)
+        jacobian = biv.add(
+            biv.mul(d_du(px), d_dv(py)),
+            biv.scale(biv.mul(d_dv(px), d_du(py)), -1),
+        )
+        out.append((a, biv.ord_x(jacobian)))
+    return out
+
+
+@st.composite
+def drawn_germs(draw):
+    """Component strings of a germ: a sheared and scaled x^a + y^b with a
+    term above its Newton boundary, or two smooth branches with contact k
+    (sharing a drawn jet below x^k), each possibly with x and y swapped."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+        s, t = draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, -1, -3]))
+        i = draw(st.integers(0, a))
+        j = b + 1 - (i * b) // a  # i b + j a > a b
+        c = draw(st.integers(-2, 2))
+        texts = [f"{t}*(x+{s}*y)^{a}-y^{b}+{c}*x^{i}*y^{j}"]
+    else:
+        k = draw(st.integers(1, 5))
+        jet = "".join(f"+{draw(st.integers(-2, 2))}*x^{e}" for e in range(1, k))
+        c1, c2 = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
+        texts = [f"y{jet}+{c1}*x^{k}", f"y{jet}+{c2}*x^{k}"]
+    if draw(st.booleans()):
+        texts = [t.replace("x", "X").replace("y", "x").replace("X", "y") for t in texts]
+    return texts
+
+
+def resolve_drawn(texts):
+    """The tree of drawn component strings, rejecting the draws that are
+    not reduced or need an irrational center."""
+    from alexinv.errors import NonRationalInfinitelyNearPoint, NotReduced
+    from alexinv.resolution import PlaneCurveGerm, resolve
+
+    try:
+        return resolve(PlaneCurveGerm.from_strings(*texts))
+    except (NotReduced, NonRationalInfinitelyNearPoint):
+        reject()
 
 
 def staircase_generators_by_scan(members, bound):

@@ -672,3 +672,63 @@ def test_local_resolution_tree_pinned(pin):
         return json.dumps(tree, indent=2, sort_keys=True)
 
     assert block(json.loads(out)["resolution_tree"]) == block(pin["resolution_tree"])
+
+
+# Tree files that pass the schema but describe no tree, one fault each,
+# with the JSON path and the message each is refused with.
+NODE = {"id": 1, "a": [2], "c": 1}
+MALFORMED_TREES = {
+    "ids_out_of_order": (
+        {"r": 1, "nodes": [NODE, {**NODE, "id": 3}]},
+        ["nodes/1/id: 3 where 2 is due; ids run 1..2 in order"],
+    ),
+    "adj_missing_node": (
+        {"r": 1, "nodes": [{**NODE, "adj": [2]}]},
+        ["nodes/0/adj/0: no node 2"],
+    ),
+    "adj_itself": (
+        {"r": 1, "nodes": [{**NODE, "adj": [1]}]},
+        ["nodes/0/adj/0: node 1 names itself"],
+    ),
+    "adj_not_symmetric": (
+        {"r": 1, "nodes": [{**NODE, "adj": [2]}, {**NODE, "id": 2}]},
+        ["nodes/0/adj/0: node 2 does not name node 1"],
+    ),
+    "strict_above_r": (
+        {"r": 1, "nodes": [{**NODE, "strict": [[1, 1], [2, 1]]}]},
+        ["nodes/0/strict/1/0: component 2 above r = 1"],
+    ),
+    "a_wrong_length": (
+        {"r": 2, "nodes": [NODE]},
+        ["nodes/0/a: 1 entries for r = 2"],
+    ),
+    "every_fault_at_once": (
+        {"r": 1, "nodes": [{**NODE, "adj": [7]}, {"id": 5, "a": [3], "c": 2, "strict": [[3, 1]]}]},
+        [
+            "nodes/0/adj/0: no node 7",
+            "nodes/1/id: 5 where 2 is due; ids run 1..2 in order",
+            "nodes/1/strict/0/0: component 3 above r = 1",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("sub", ["local", "lct"])
+@pytest.mark.parametrize("fault", sorted(MALFORMED_TREES))
+def test_malformed_tree_file_exit_2(tmp_path, capsys, fault, sub):
+    """Each fault is an input error that names the file and the JSON path,
+    reported before any invariant is read off the tree."""
+    data, messages = MALFORMED_TREES[fault]
+    bad = tmp_path / "tree.json"
+    bad.write_text(json.dumps(data))
+    code, out = _run([sub, "--tree", str(bad)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {m}" for m in messages]
+
+
+def test_tree_file_round_trip_passes_the_checks(tmp_path, three_branch_tree):
+    """A tree written by to_json loads back unchanged through the CLI's
+    checks."""
+    good = tmp_path / "tree.json"
+    good.write_text(json.dumps(three_branch_tree.to_json()))
+    assert parse_and_validate(str(good), "tree").to_json() == three_branch_tree.to_json()

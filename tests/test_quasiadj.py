@@ -17,14 +17,24 @@ from alexinv.quasiadj import (
     kappa_constant,
     lct_region,
     lct_threshold,
+    jumping_values,
     newton_adjoint_membership,
     order_of_zero,
     polytopes_and_faces,
+    torus_constants,
     xi_steps,
 )
 from alexinv.polytope import RationalPolytope
 from alexinv.resolution import PlaneCurveGerm, resolve
-from conftest import full_sweep_triple, reference_faces, reference_vertices, staircase_generators_by_scan
+from conftest import (
+    drawn_germs,
+    full_sweep_triple,
+    reference_faces,
+    reference_rhs_table,
+    reference_vertices,
+    resolve_drawn,
+    staircase_generators_by_scan,
+)
 
 F = Fraction
 
@@ -35,6 +45,15 @@ def test_kappa_constants():
     assert kappa_constant(2, 3, 0, 1) == 0
     assert kappa_constant(2, 5, 0, 0) == F(3, 10)
     assert kappa_constant(2, 5, 0, 1) == F(1, 10)
+
+
+def test_torus_constants_match_kappa_values():
+    """The integer numerators over ab against the set of kappa_constant
+    values in (0, 1)."""
+    for a in range(1, 13):
+        for b in range(1, 13):
+            kappas = {kappa_constant(a, b, i, j) for i in range(a) for j in range(b)}
+            assert torus_constants(a, b) == sorted(k for k in kappas if 0 < k < 1)
 
 
 def test_xi_steps():
@@ -200,6 +219,30 @@ def _points(draw, tree):
 
 
 ORACLE_TREES = ["cusp_tree", "two_cusp_tree", "t25_tree", "puiseux2_tree", "x5y9_tree", "three_branch_tree"]
+
+
+def _assert_bounding_rows(tree):
+    """The table holds the nonempty rows of the full triangle, in its
+    order."""
+    reference = reference_rhs_table(tree)
+    assert list(quasiadj._rhs_table(tree).items()) == [(m, rhs) for m, rhs in reference.items() if rhs]
+
+
+@given(drawn_germs())
+def test_rhs_table_keeps_the_bounding_rows(texts):
+    _assert_bounding_rows(resolve_drawn(texts))
+
+
+@pytest.mark.parametrize("fixture", ORACLE_TREES)
+def test_rhs_table_and_jumping_values_match_full_triangle(fixture, request):
+    """The pruned table against the full triangle, and the jumping values
+    against the largest Fraction threshold rhs_k / sum a_k of every row
+    of it."""
+    tree = request.getfixturevalue(fixture)
+    _assert_bounding_rows(tree)
+    totals = [node.total_multiplicity for node in tree.nodes]
+    tops = {max(F(r, m) for r, m in zip(rhs, totals)) for rhs in reference_rhs_table(tree).values() if rhs}
+    assert jumping_values(tree) == sorted(v for v in tops if 0 < v < 1)
 
 
 @pytest.mark.parametrize("fixture", ORACLE_TREES)

@@ -33,7 +33,15 @@ from alexinv.resolution import (
     torus_knot_exponents,
     zeta_exponents,
 )
-from conftest import diagonal_product, expand_product, inverse_product, product_of
+from conftest import (
+    diagonal_product,
+    drawn_germs,
+    expand_product,
+    inverse_product,
+    product_of,
+    reference_node_orders,
+    resolve_drawn,
+)
 
 t = LaurentPolynomial.variable()
 PHI6 = t**2 - t + 1
@@ -343,3 +351,27 @@ def test_charts_pinned(pin):
     term, as pullback_orders replays them."""
     tree = resolve(PlaneCurveGerm.from_strings(*pin["germ"]))
     assert [[biv.to_string(p) for p in node.chart] for node in tree.nodes] == pin["charts"]
+
+
+@given(drawn_germs())
+def test_node_orders_match_chart_substitution(texts):
+    """a_k and c_k from the proximity recurrence against the orders of
+    each component and of the Jacobian composed with the stored chart."""
+    tree = resolve_drawn(texts)
+    assert [(n.a, n.c) for n in tree.nodes] == reference_node_orders(tree)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["cusp_tree", "node_tree", "two_cusp_tree", "t25_tree", "t34_tree", "puiseux2_tree", "x5y9_tree",
+     "three_branch_tree"],
+)
+def test_named_node_orders_match_chart_substitution(fixture, request):
+    tree = request.getfixturevalue(fixture)
+    assert [(n.a, n.c) for n in tree.nodes] == reference_node_orders(tree)
+
+
+@pytest.mark.parametrize("pin", TREE_PINS, ids=[", ".join(p["germ"]) for p in TREE_PINS])
+def test_pinned_node_orders_match_chart_substitution(pin):
+    tree = resolve(PlaneCurveGerm.from_strings(*pin["germ"]))
+    assert [(n.a, n.c) for n in tree.nodes] == reference_node_orders(tree)
