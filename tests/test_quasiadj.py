@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import floor
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -316,6 +318,53 @@ def _faces_dump(qps):
         )
         for qp in qps
     ]
+
+
+FACE_PINS = json.loads((Path(__file__).parent / "quasiadj_face_pins.json").read_text())
+
+
+def _pinned_fields(qps):
+    """Every field polytopes_and_faces reports, in the JSON form of the
+    pins: rationals as strings, integer rows as ints."""
+
+    def vector(v):
+        return [str(x) for x in v]
+
+    def row(h):
+        return [list(h[0]), h[1]]
+
+    return [
+        {
+            "halfspaces": [row(h) for h in qp.polytope.halfspaces],
+            "vertices": [vector(v) for v in qp.polytope.vertices()],
+            "log_staircase": [list(m) for m in qp.log_staircase],
+            "faces": [
+                {
+                    "vertices": [vector(v) for v in f.face.vertices],
+                    "dim": f.face.dim,
+                    "saturated": list(f.face.saturated),
+                    "level_point": vector(f.level_point),
+                    "ideals": [
+                        {"jet_bound": i.jet_bound, "nonmembers": [list(m) for m in i.nonmembers]}
+                        for i in f.ideals
+                    ],
+                    "dim_quotient": f.dim_quotient,
+                    "planes": [row(h) for h in qp.polytope.planes(f.face)],
+                }
+                for f in qp.faces
+            ],
+        }
+        for qp in qps
+    ]
+
+
+@pytest.mark.parametrize("pin", FACE_PINS, ids=[", ".join(p["germ"]) for p in FACE_PINS])
+def test_faces_pinned(pin):
+    """Every field of the polytopes and faces of quasiadjunction of 14
+    germs, the r = 3 wall germ (x^3-y^4, x^4-y^3, x-2*y) included, as the
+    Fraction polytope layer computed them."""
+    tree = resolve(PlaneCurveGerm.from_strings(*pin["germ"]))
+    assert _pinned_fields(polytopes_and_faces(tree)) == pin["polytopes"]
 
 
 @pytest.mark.parametrize("fixture", ["two_cusp_tree", "puiseux2_tree", "three_branch_tree"])
