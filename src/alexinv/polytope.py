@@ -7,10 +7,14 @@ polytope has no vertices and no faces.
 
 All arithmetic is on integers.  The polytope is built once into integer
 rows (n, b): each halfspace scaled by the lcm of its denominators, so an
-integral one is kept as given, followed by the cube rows.  A vertex
-is solved by Cramer's rule as p / q with p an integer vector and q > 0,
-and n . x >= b is decided as n . p >= b q; only a reported vertex is a
-``Fraction`` tuple.
+integral one is kept as given, followed by the cube rows.  A point is
+carried as a ``Point`` (p, q): an integer vector p over a denominator
+q > 0 with gcd(q, *p) = 1, so one rational point has one form, and equal
+points are equal tuples.  Vertices are solved by Cramer's rule into this
+form, n . x >= b is decided as n . p >= b q, and saturation sets, face
+dimensions and centroids are computed on it.  A point becomes a tuple of
+``Fraction``s only where it is reported: ``vertices()``,
+``Face.vertices`` and ``centroid``.
 
 Vertices are solved on the tightest rows only (``tightest``): of the
 rows with one primitive normal, only the one with the largest bound
@@ -26,12 +30,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import UnsupportedDimension
 from .linalg import _integer_row, rational_rank
 
 Vector = Tuple[Fraction, ...]
+# (p, q): the point p / q, with q > 0 and gcd(q, *p) = 1
+Point = Tuple[Tuple[int, ...], int]
 # (n, b): the constraint n . x >= b as an integer row
 Row = Tuple[Tuple[int, ...], int]
 
@@ -67,42 +73,89 @@ def tightest(rows: Sequence[Row]) -> List[Row]:
     return sorted(out)
 
 
+def _point(p: Sequence[int], q: int) -> Point:
+    """The point p / q for a nonzero q, in lowest terms."""
+    if q < 0:
+        q, p = -q, [-x for x in p]
+    g = gcd(q, *p)
+    return tuple(x // g for x in p), q // g
+
+
+def as_point(vector: Sequence) -> Point:
+    """A vector of ints or ``Fraction``s as a point."""
+    *p, q = _integer_row((*vector, 1))
+    return _point(p, q)
+
+
+def as_vector(point: Point) -> Vector:
+    p, q = point
+    return tuple(Fraction(x, q) for x in p)
+
+
+def _mean(points: Sequence[Point]) -> Point:
+    """The mean of the points, in the relative interior of their convex
+    hull: the numerators over the lcm of the denominators, summed."""
+    q = lcm(*[d for _, d in points])
+    sums = [sum(xs) for xs in zip(*[[x * (q // d) for x in p] for p, d in points])]
+    return _point(sums, q * len(points))
+
+
 def centroid(points: Sequence[Vector]) -> Vector:
-    """The mean of the points, in the relative interior of their convex hull:
-    per coordinate, the numerators over the lcm of the denominators, summed."""
-    return tuple(Fraction(sum(h[:-1]), h[-1] * len(points)) for h in (_integer_row((*xs, 1)) for xs in zip(*points)))
+    """The mean of rational points, in the relative interior of their
+    convex hull, as ``Fraction``s."""
+    return as_vector(_mean([as_point(v) for v in points]))
 
 
-def _saturated(rows: Sequence[Row], point) -> frozenset:
-    """Indices of the rows whose hyperplane holds the point, written as
-    p / q with p integer and q > 0."""
-    q = lcm(*[x.denominator for x in point])
-    p = [x.numerator * (q // x.denominator) for x in point]
+def _saturated(rows: Sequence[Row], point: Point) -> frozenset:
+    """Indices of the rows whose hyperplane holds the point."""
+    p, q = point
     return frozenset(i for i, (n, b) in enumerate(rows) if sum(map(mul, n, p)) == b * q)
 
 
-class Face:
-    """A face of a polytope, given by its vertex set; faces with the same
-    fields are equal."""
+def _affine_dim(points: Sequence[Point]) -> int:
+    """The rank of the differences to the first point, over one denominator."""
+    q = lcm(*[d for _, d in points])
+    base, *rest = [[x * (q // d) for x in p] for p, d in points]
+    return rational_rank([[x - b for x, b in zip(p, base)] for p in rest])
 
-    def __init__(self, vertices: Tuple[Vector, ...], dim: int, saturated: Tuple[int, ...]):
-        self.vertices = vertices
+
+def _in_order(points) -> List[Point]:
+    """The points sorted as their ``Fraction`` vectors are: by their
+    numerators over the lcm of the denominators."""
+    q = lcm(*[d for _, d in points])
+    return sorted(points, key=lambda point: [x * (q // point[1]) for x in point[0]])
+
+
+class Face:
+    """A face of a polytope, given by its vertices as points, in the
+    polytope's vertex order; faces with the same fields are equal."""
+
+    def __init__(self, points: Tuple[Point, ...], dim: int, saturated: Tuple[int, ...]):
+        self.points = points
         self.dim = dim
         self.saturated = saturated  # indices into the polytope's constraint list
 
     def __eq__(self, other):
         return type(other) is Face and vars(self) == vars(other)
 
-    def relative_interior_point(self) -> Vector:
-        return centroid(self.vertices)
+    @property
+    def vertices(self) -> Tuple[Vector, ...]:
+        """The vertices as ``Fraction`` tuples."""
+        return tuple(map(as_vector, self.points))
+
+    def relative_interior_point(self) -> Point:
+        """The mean of the vertices, as a point."""
+        return _mean(self.points)
 
 
 class RationalPolytope:
     """The polytope cut from the unit cube by halfspaces (normal, bound)
     with int or ``Fraction`` entries; ``halfspaces`` holds them as integer
-    rows."""
+    rows.  Polytopes built with one ``solved`` dict share their vertices
+    through it, keyed by their tightest rows: those with the same tightest
+    rows are one polytope, and its vertices are solved once."""
 
-    def __init__(self, dim: int, halfspaces: Sequence = ()):
+    def __init__(self, dim: int, halfspaces: Sequence = (), solved: Optional[Dict[tuple, List[Point]]] = None):
         self.dim = dim
         if not 1 <= self.dim <= 3:
             raise UnsupportedDimension(
@@ -115,6 +168,8 @@ class RationalPolytope:
             *n, b = [x.numerator * (den // x.denominator) for x in row]
             rows.append((tuple(n), b))
         self.halfspaces = rows
+        self._solved = {} if solved is None else solved
+        self._points = None
         self._constraints = list(rows)
         for i in range(self.dim):
             e = tuple(int(j == i) for j in range(self.dim))
@@ -132,29 +187,31 @@ class RationalPolytope:
     # -- geometry -----------------------------------------------------
 
     def vertices(self) -> List[Vector]:
-        """Vertices, exact over Q: the points where dim constraint
+        """Vertices, exact over Q, sorted: the points where dim constraint
         hyperplanes with a nonzero determinant meet, by Cramer's rule, that
-        satisfy every constraint; only the ``tightest`` rows are tried."""
-        rows = tightest(self._constraints)
-        found = {}
-        for subset in combinations(rows, self.dim):
-            normals = [n for n, _ in subset]
-            q = _det(normals)
-            if not q:
-                continue
-            p = [
-                _det([n[:j] + (b,) + n[j + 1:] for n, b in subset])
-                for j in range(self.dim)
-            ]
-            if q < 0:
-                q, p = -q, [-x for x in p]
-            g = gcd(q, *p)
-            key = (tuple(x // g for x in p), q // g)
-            if key in found:
-                continue
-            if all(sum(map(mul, n, p)) >= b * q for n, b in rows):
-                found[key] = tuple(Fraction(x, q) for x in p)
-        return sorted(found.values())
+        satisfy every constraint; only the ``tightest`` rows are tried.
+        They are solved once, into points, which ``points()`` returns."""
+        if self._points is None:
+            rows = tuple(tightest(self._constraints))
+            if rows not in self._solved:
+                found = set()
+                for subset in combinations(rows, self.dim):
+                    q = _det([n for n, _ in subset])
+                    if not q:
+                        continue
+                    point = _point([_det([n[:j] + (b,) + n[j + 1:] for n, b in subset]) for j in range(self.dim)], q)
+                    p, q = point
+                    if point not in found and all(sum(map(mul, n, p)) >= b * q for n, b in rows):
+                        found.add(point)
+                self._solved[rows] = _in_order(found)
+            self._points = self._solved[rows]
+        return [as_vector(point) for point in self._points]
+
+    def points(self) -> List[Point]:
+        """The vertices as points, sorted as ``vertices()``."""
+        if self._points is None:
+            self.vertices()
+        return self._points
 
     def faces(self) -> List[Face]:
         """Face lattice, sorted by (dim, vertices); [] when empty.
@@ -165,45 +222,51 @@ class RationalPolytope:
         vertex's saturated constraints.  A face's ``saturated`` is the first
         subset, by size and then lexicographically, that cuts out its vertex
         set; the polytope itself, which comes last, keeps every constraint
-        that all its vertices saturate.
+        that all its vertices saturate.  The vertices are sorted, so the
+        order of the ascending vertex indices of each face is the order of
+        its vertices.
         """
-        verts = self.vertices()
+        verts = self.points()
         if not verts:
             return []
         sat = [_saturated(self._constraints, v) for v in verts]
-        # vset: ascending indices into verts, which are sorted
+        # vset: ascending indices into verts
         found = {tuple(range(len(verts))): tuple(sorted(frozenset.intersection(*sat)))}
         subsets = {s for on in sat for size in range(1, self.dim + 1) for s in combinations(sorted(on), size)}
         for subset in sorted(subsets, key=lambda s: (len(s), s)):
             vset = tuple(i for i, on in enumerate(sat) if on.issuperset(subset))
             if vset not in found:
                 found[vset] = subset
-        faces = []
-        for key, saturated in found.items():
-            vlist = [verts[i] for i in key]
-            faces.append(Face(vertices=tuple(vlist), dim=_affine_dim(vlist), saturated=saturated))
-        faces.sort(key=lambda f: (f.dim, f.vertices))
-        return faces
+        faces = sorted((_affine_dim([verts[i] for i in vset]), vset, saturated) for vset, saturated in found.items())
+        return [Face(tuple(verts[i] for i in vset), dim, saturated) for dim, vset, saturated in faces]
 
-    def face_lookup(self) -> Callable[[Sequence], Face]:
+    def face_lookup(self) -> Callable[[Point], Face]:
         """A map from a point of the polytope to the face that holds it in
-        its relative interior.  That face's vertices are exactly the
-        polytope's vertices on every constraint hyperplane through the
-        point.  The face lattice is computed once, here, not per point."""
-        faces = self.faces()
-        by_vertices = {f.vertices: f for f in faces}
-        verts = faces[-1].vertices if faces else ()
-        sat = {v: _saturated(self._constraints, v) for v in verts}
+        its relative interior, equal to the one ``faces()`` lists.  That
+        face's vertices are exactly the polytope's vertices on every
+        constraint hyperplane through the point.  Its ``saturated`` is the
+        first subset, by size and then lexicographically, of the rows that
+        all its vertices saturate which cuts out its vertex set, or all
+        those rows for the polytope itself.  Only the faces asked for are
+        built, each once."""
+        verts = self.points()
+        sat = [_saturated(self._constraints, v) for v in verts]
+        whole = tuple(range(len(verts)))
+        built: Dict[Tuple[int, ...], Face] = {}
 
-        def face_of(point) -> Face:
-            through = _saturated(self._constraints, point)
-            return by_vertices[tuple(v for v, on in sat.items() if through <= on)]
+        def cut(rows) -> Tuple[int, ...]:
+            return tuple(i for i, on in enumerate(sat) if on.issuperset(rows))
+
+        def face_of(point: Point) -> Face:
+            vset = cut(_saturated(self._constraints, point))
+            if vset not in built:
+                common = sorted(frozenset.intersection(*[sat[i] for i in vset]))
+                if vset != whole:
+                    common = next(
+                        s for size in range(1, self.dim + 1) for s in combinations(common, size) if cut(s) == vset
+                    )
+                vlist = [verts[i] for i in vset]
+                built[vset] = Face(tuple(vlist), _affine_dim(vlist), tuple(common))
+            return built[vset]
 
         return face_of
-
-
-def _affine_dim(points: Sequence[Vector]) -> int:
-    """The rank of the differences to the first point, over one denominator."""
-    q = lcm(*[x.denominator for point in points for x in point])
-    base, *rest = [[x.numerator * (q // x.denominator) for x in point] for point in points]
-    return rational_rank([[x - b for x, b in zip(p, base)] for p in rest])

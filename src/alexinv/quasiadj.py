@@ -109,15 +109,22 @@ def jet_bound(tree: ResolutionTree) -> int:
 Levels = List[Tuple[int, bool]]
 
 
-def _node_floors(tree: ResolutionTree, xi: Sequence[Fraction]) -> Levels:
-    """(floor(a_k . xi), whether a_k . xi is an integer) for every node k."""
-    den = lcm(*[x.denominator for x in xi])
-    nums = [x.numerator * (den // x.denominator) for x in xi]
+def _node_floors(tree: ResolutionTree, point: Tuple[Sequence[int], int]) -> Levels:
+    """(floor(a_k . xi), whether a_k . xi is an integer) for every node k,
+    at xi = p / q given as the integers (p, q), q > 0."""
+    p, q = point
     out = []
     for node in tree.nodes:
-        q, rem = divmod(sum(map(mul, node.a, nums)), den)
-        out.append((q, not rem))
+        floor_k, rem = divmod(sum(map(mul, node.a, p)), q)
+        out.append((floor_k, not rem))
     return out
+
+
+def _over_one_denominator(xi: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """The numerators of a rational point over the lcm of its denominators,
+    and that lcm."""
+    den = lcm(*[x.denominator for x in xi])
+    return [x.numerator * (den // x.denominator) for x in xi], den
 
 
 def _rhs(tree: ResolutionTree, e: Sequence[int]) -> Tuple[int, ...]:
@@ -166,7 +173,7 @@ def _variant_index(variant: str) -> int:
 
 def germ_membership(tree: ResolutionTree, xi, phi: biv.Poly2, variant: str) -> bool:
     """Membership of an arbitrary germ, by replaying the blow-ups on it."""
-    levels = _node_floors(tree, _rationals(xi, "xi"))
+    levels = _node_floors(tree, _over_one_denominator(_rationals(xi, "xi")))
     return _memberships(tree, levels, _rhs(tree, tree.pullback_orders(phi)))[_variant_index(variant)]
 
 
@@ -238,14 +245,19 @@ def _rhs_table(tree: ResolutionTree) -> Dict[Monomial, Tuple[int, ...]]:
 
 def ideal_triple(tree: ResolutionTree, xi):
     """The strict, weight-one and log ideals at xi, each read off its
-    staircase by a walk that tests O(jet bound) monomials; the three walks
-    share one memo of membership triples."""
+    staircase by a walk that tests O(jet bound) monomials."""
     xi = _rationals(xi, "xi")
     if len(xi) != tree.r:
         raise BadGerm("xi must have one coordinate per component")
     if any(not 0 < x <= 1 for x in xi):
         raise BadGerm("xi coordinates must lie in (0, 1]")
-    levels = _node_floors(tree, xi)
+    return _ideals_at(tree, _node_floors(tree, _over_one_denominator(xi)))
+
+
+def _ideals_at(tree: ResolutionTree, levels: Levels):
+    """The strict, weight-one and log ideals at the point whose node floors
+    are given; the three staircase walks share one memo of membership
+    triples."""
     rhs_of, bound = _rhs_table(tree), jet_bound(tree)
     memo: Dict[Monomial, Tuple[bool, bool, bool]] = {}
 
@@ -367,10 +379,11 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
     quasiadjunction in the open cube, with ideal triples and quotient
     dimensions attached per face.
 
-    Each candidate point gets its three ideals from their staircase walks,
-    and its face by a lookup in the face lattice of its polytope, computed
-    once per polytope."""
-    from .polytope import RationalPolytope, tightest
+    Each candidate point is an integer point (p, q) of ``polytope``: its
+    node floors are read off p and q, its three ideals off their staircase
+    walks, and its face off a lookup that builds only the faces asked for.
+    A point becomes ``Fraction``s only as a reported level point."""
+    from .polytope import RationalPolytope, as_vector, tightest
 
     r = tree.r
     if r > 3:
@@ -382,8 +395,9 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
     # of their pairwise (and triple, for r = 3) intersections.  Combinations
     # with the same tightest rows cut the same polytope, whose faces give
     # only points already met, so each distinct polytope is built once, on
-    # its tightest rows.
-    pool, built = [], set()
+    # its tightest rows.  Every polytope here solves its vertices through
+    # ``solved``, so a log polytope takes them from the pool.
+    pool, built, solved = [], set(), {}
     region_lists = sorted(regions.values(), key=lambda hs: sorted(hs))
     depth = min(r, len(region_lists))
     for size in range(1, depth + 1):
@@ -392,16 +406,16 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
             key = tuple(rows)
             if key not in built:
                 built.add(key)
-                pool.extend(RationalPolytope(r, rows).faces())
+                pool.extend(RationalPolytope(r, rows, solved).faces())
     found: Dict[Tuple[Monomial, ...], Tuple[QuasiPolytope, Callable]] = {}
     seen_points, seen_faces = set(), set()
     for face in pool:
-        xi = face.relative_interior_point()
+        point = face.relative_interior_point()
         # a point met again would give the same ideals and the same face
-        if xi in seen_points or any(not 0 < x for x in xi):
+        if point in seen_points or any(x <= 0 for x in point[0]):
             continue
-        seen_points.add(xi)
-        ideals = ideal_triple(tree, xi)
+        seen_points.add(point)
+        ideals = _ideals_at(tree, _node_floors(tree, point))
         strict_ideal, _, log_ideal = ideals
         if strict_ideal.nonmembers == log_ideal.nonmembers:
             continue
@@ -409,26 +423,29 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
         if key not in found:
             outside = frozenset(key)
             halfspaces = {h for mono, hs in halfspaces_of.items() if mono not in outside for h in hs}
-            poly = RationalPolytope(r, sorted(halfspaces))
+            poly = RationalPolytope(r, sorted(halfspaces), solved)
             found[key] = (QuasiPolytope(polytope=poly, log_staircase=key, faces=[]), poly.face_lookup())
         qp, face_of = found[key]
-        # xi lies in the polytope: it satisfies every halfspace of its log ideal
-        canonical = face_of(xi)
-        face_key = (key, canonical.vertices)
+        # the point lies in the polytope: it satisfies every halfspace of
+        # its log ideal
+        canonical = face_of(point)
+        face_key = (key, canonical.points)
         if face_key in seen_faces:
             continue
         seen_faces.add(face_key)
         qp.faces.append(
             QuasiFace(
                 face=canonical,
-                level_point=xi,
+                level_point=as_vector(point),
                 ideals=ideals,
                 dim_quotient=strict_ideal.colength - log_ideal.colength,  # strict <= log
             )
         )
     result = [qp for qp, _ in found.values() if qp.faces]
     for qp in result:
-        qp.faces.sort(key=lambda f: (f.face.dim, f.face.vertices))
+        # by (dim, vertices): the vertices are sorted, so by vertex indices
+        index = {v: i for i, v in enumerate(qp.polytope.points())}
+        qp.faces.sort(key=lambda f: (f.face.dim, [index[v] for v in f.face.points]))
     # by the sorted members of the log ideal: where two member lists first
     # differ, the later has a nonmember, so its (sorted) nonmembers, each
     # closed by a monomial above the bound, are the smaller
@@ -485,7 +502,7 @@ def lct_region(tree: ResolutionTree, gamma: Sequence) -> bool:
         raise BadGerm("gamma must have one entry per component")
     if any(not 0 <= g <= 1 for g in gamma):
         raise BadGerm("gamma coordinates must lie in [0, 1]")
-    levels = _node_floors(tree, [1 - g for g in gamma])
+    levels = _node_floors(tree, _over_one_denominator([1 - g for g in gamma]))
     return all(lhs >= r for (lhs, _), r in zip(levels, _rhs(tree, [0] * len(tree.nodes))))
 
 

@@ -138,28 +138,38 @@ class ResolutionTree:
     def from_json(cls, data: dict) -> "ResolutionTree":
         """The tree of a schema-checked file; ValidationError, naming the
         JSON path of each, when node ids do not run 1..n in order, an
-        ``a`` has other than r entries, an ``adj`` entry names the node
-        itself, a missing node or one that does not name it back, or a
-        ``strict`` component exceeds r."""
+        ``a`` has other than r entries or only zeros, an ``adj`` entry
+        names the node itself, a missing node or one that does not name it
+        back, a ``strict`` component exceeds r, or the adjacency is not a
+        tree: the dual graph of a resolution has n - 1 edges and is
+        connected."""
         r, raw = int(data["r"]), data["nodes"]
         adj = [[int(x) for x in nd.get("adj", [])] for nd in raw]
-        found = []
+        found, links_ok = [], True
         for k, nd in enumerate(raw):
             where = f"nodes/{k}"
             if int(nd["id"]) != k + 1:
                 found.append(f"{where}/id: {nd['id']} where {k + 1} is due; ids run 1..{len(raw)} in order")
             if len(nd["a"]) != r:
                 found.append(f"{where}/a: {len(nd['a'])} entries for r = {r}")
+            elif not any(int(x) for x in nd["a"]):
+                found.append(f"{where}/a: every entry is 0; the total transform vanishes on every exceptional curve")
             for j, other in enumerate(adj[k]):
                 if other == k + 1:
-                    found.append(f"{where}/adj/{j}: node {other} names itself")
+                    fault = f"node {other} names itself"
                 elif other > len(raw):
-                    found.append(f"{where}/adj/{j}: no node {other}")
+                    fault = f"no node {other}"
                 elif k + 1 not in adj[other - 1]:
-                    found.append(f"{where}/adj/{j}: node {other} does not name node {k + 1}")
+                    fault = f"node {other} does not name node {k + 1}"
+                else:
+                    continue
+                found.append(f"{where}/adj/{j}: {fault}")
+                links_ok = False
             for j, (i, _) in enumerate(nd.get("strict", [])):
                 if int(i) > r:
                     found.append(f"{where}/strict/{j}/0: component {i} above r = {r}")
+        if links_ok:
+            found += _tree_faults(adj)
         if found:
             raise ValidationError(found)
         nodes = [
@@ -173,6 +183,29 @@ class ResolutionTree:
             for k, nd in enumerate(raw)
         ]
         return cls(r=r, nodes=nodes)
+
+
+def _tree_faults(adj: List[List[int]]) -> List[str]:
+    """Why a symmetric adjacency on the nodes 1..n is not a tree, if it is
+    not: it has other than n - 1 edges, or some node is not joined to
+    node 1 (the first such node is named)."""
+    if not adj:
+        return []
+    n = len(adj)
+    edges = {frozenset((k + 1, other)) for k, others in enumerate(adj) for other in others}
+    faults = []
+    if len(edges) != n - 1:
+        faults.append(f"nodes: {len(edges)} edges join {n} nodes; a tree has {n - 1}")
+    reached, stack = {1}, [1]
+    while stack:
+        for other in adj[stack.pop() - 1]:
+            if other not in reached:
+                reached.add(other)
+                stack.append(other)
+    apart = [k for k in range(1, n + 1) if k not in reached]
+    if apart:
+        faults.append(f"nodes/{apart[0] - 1}: node {apart[0]} is not joined to node 1")
+    return faults
 
 
 class _Site:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 from typing import List, Sequence
 
 import pytest
@@ -109,14 +109,13 @@ def reference_rhs_table(tree):
     return table
 
 
-def full_sweep_triple(tree, xi):
-    """The strict, weight-one and log ideals at xi from one sweep of every
-    monomial below the jet bound, in table order: the route that the
-    staircase walk of ``quasiadj.ideal_triple`` replaced, kept as its
-    oracle."""
+def full_sweep_at(tree, levels):
+    """The strict, weight-one and log ideals at the point whose node floors
+    are given, from one sweep of every monomial below the jet bound, in
+    table order: the route that the staircase walk of
+    ``quasiadj._ideals_at`` replaced, kept as its oracle."""
     from alexinv import quasiadj
 
-    levels = quasiadj._node_floors(tree, [Fraction(x) for x in xi])
     nonmembers: tuple = ([], [], [])
     for mono, rhs in reference_rhs_table(tree).items():
         for i, member in enumerate(quasiadj._memberships(tree, levels, rhs)):
@@ -126,6 +125,21 @@ def full_sweep_triple(tree, xi):
         quasiadj.LocalIdealDescription(quasiadj.jet_bound(tree), tuple(nonmembers[i]))
         for i in range(len(quasiadj.VARIANTS))
     )
+
+
+def fraction_node_floors(tree, xi):
+    """(floor(a_k . xi), whether a_k . xi is an integer) for every node k,
+    by Fraction sums: the oracle of ``quasiadj._node_floors``."""
+    out = []
+    for node in tree.nodes:
+        level = sum((a * Fraction(x) for a, x in zip(node.a, xi)), Fraction(0))
+        out.append((floor(level), level.denominator == 1))
+    return out
+
+
+def full_sweep_triple(tree, xi):
+    """The three ideals at xi by the full sweep."""
+    return full_sweep_at(tree, fraction_node_floors(tree, xi))
 
 
 def reference_node_orders(tree):
@@ -446,22 +460,30 @@ def reference_vertices(poly):
     return sorted(found.values())
 
 
+def fraction_saturated(rows, vector) -> frozenset:
+    """Indices of the integer rows (n, b) with n . x = b at the rational
+    point x, by Fraction sums."""
+    return frozenset(i for i, (n, b) in enumerate(rows) if sum(c * x for c, x in zip(n, vector)) == b)
+
+
 def reference_faces(poly):
     """The face lattice of a ``RationalPolytope`` from every subset of at
     most dim constraints, by size and then lexicographically, each face
     keeping the first subset that cuts out its vertex set, and every
-    dimension an affine rank: the route that the walk over each vertex's
-    saturated rows replaced, kept as its oracle.  The polytope itself comes
-    first, with every constraint that all its vertices saturate."""
+    dimension an affine rank, all on ``Fraction`` vertices: the route that
+    the walk over each vertex's saturated rows on integer points replaced,
+    kept as its oracle.  The polytope itself comes first, with every
+    constraint that all its vertices saturate.  The faces are sorted by
+    (dim, vertices) and built from their vertices as points."""
     from itertools import combinations
 
-    from alexinv.polytope import Face, _affine_dim, _saturated
+    from alexinv.polytope import Face, as_point
 
     verts = reference_vertices(poly)
     if not verts:
         return []
     cons = poly.constraints()
-    sat = [_saturated(cons, v) for v in verts]
+    sat = [fraction_saturated(cons, v) for v in verts]
     found = {}
 
     def record(vset, saturated):
@@ -475,9 +497,72 @@ def reference_faces(poly):
     faces = []
     for key, saturated in found.items():
         vlist = [verts[i] for i in key]
-        faces.append(Face(vertices=tuple(vlist), dim=_affine_dim(vlist), saturated=saturated))
-    faces.sort(key=lambda f: (f.dim, f.vertices))
-    return faces
+        faces.append((reference_affine_dim(vlist), tuple(vlist), saturated))
+    faces.sort(key=lambda f: f[:2])
+    return [Face(tuple(map(as_point, vlist)), dim, saturated) for dim, vlist, saturated in faces]
+
+
+def reference_polytopes_and_faces(tree):
+    """Every field that ``quasiadj.polytopes_and_faces`` reports, by the
+    ``Fraction`` route that the integer points replaced, kept as its
+    oracle: one polytope per combination of at most r regions, all rows
+    kept, with vertices and faces by ``reference_vertices`` and
+    ``reference_faces``; candidate points as Fraction centroids, with their
+    ideals by ``ideal_triple``; and each point's face looked up in the full
+    face lattice of its log polytope, as the Fraction vertices on every
+    constraint hyperplane through the point.  Per polytope: halfspaces,
+    vertices, log staircase and faces; per face: vertices, dim, saturated
+    rows, level point, ideals, quotient dimension and planes.  The
+    polytopes come in the order of the sorted members of their log
+    ideals."""
+    from itertools import combinations
+
+    from alexinv import quasiadj
+    from alexinv.polytope import RationalPolytope
+
+    r = tree.r
+    halfspaces_of = {
+        mono: [(tuple(node.a), level) for node, level in zip(tree.nodes, rhs) if level > 0]
+        for mono, rhs in reference_rhs_table(tree).items()
+        if rhs
+    }
+    regions = sorted({frozenset(hs): hs for hs in halfspaces_of.values()}.values(), key=sorted)
+    pool = []
+    for size in range(1, min(r, len(regions)) + 1):
+        for combo in combinations(regions, size):
+            pool += reference_faces(RationalPolytope(r, [h for hs in combo for h in hs]))
+    found, seen_points = {}, set()
+    for face in pool:
+        xi = reference_centroid(face.vertices)
+        if xi in seen_points or any(x <= 0 for x in xi):
+            continue
+        seen_points.add(xi)
+        ideals = quasiadj.ideal_triple(tree, xi)
+        strict, _, log = ideals
+        if strict.nonmembers == log.nonmembers:
+            continue
+        if log.nonmembers not in found:
+            outside = set(log.nonmembers)
+            poly = RationalPolytope(r, sorted({h for mono, hs in halfspaces_of.items() if mono not in outside for h in hs}))
+            found[log.nonmembers] = (poly, reference_faces(poly), {})
+        poly, lattice, reported = found[log.nonmembers]
+        cons = poly.constraints()
+        through = fraction_saturated(cons, xi)
+        on = tuple(v for v in lattice[-1].vertices if through <= fraction_saturated(cons, v))
+        canonical = next(f for f in lattice if f.vertices == on)
+        if on not in reported:
+            planes = [poly.halfspaces[i] for i in canonical.saturated if i < len(poly.halfspaces)]
+            reported[on] = (
+                canonical.vertices, canonical.dim, canonical.saturated, xi, ideals,
+                len(log.members - strict.members), planes,
+            )
+    out = [
+        (poly.halfspaces, reference_vertices(poly), key, sorted(reported.values(), key=lambda f: (f[1], f[0])))
+        for key, (poly, _, reported) in found.items()
+        if reported
+    ]
+    out.sort(key=lambda entry: sorted(entry[3][0][4][2].members))
+    return out
 
 
 def reference_transform_positions(spec, matrix):

@@ -679,7 +679,7 @@ def test_local_resolution_tree_pinned(pin):
 NODE = {"id": 1, "a": [2], "c": 1}
 MALFORMED_TREES = {
     "ids_out_of_order": (
-        {"r": 1, "nodes": [NODE, {**NODE, "id": 3}]},
+        {"r": 1, "nodes": [{**NODE, "adj": [2]}, {**NODE, "id": 3, "adj": [1]}]},
         ["nodes/1/id: 3 where 2 is due; ids run 1..2 in order"],
     ),
     "adj_missing_node": (
@@ -701,6 +701,29 @@ MALFORMED_TREES = {
     "a_wrong_length": (
         {"r": 2, "nodes": [NODE]},
         ["nodes/0/a: 1 entries for r = 2"],
+    ),
+    "a_all_zero": (
+        {"r": 1, "nodes": [{"id": 1, "a": [0], "c": 1}]},
+        ["nodes/0/a: every entry is 0; the total transform vanishes on every exceptional curve"],
+    ),
+    "cycle": (  # read as a tree, it gave Alexander t^7 - t^6 - t + 1 and lct 5/6
+        {"r": 1, "nodes": [
+            {"id": 1, "a": [2], "c": 1, "adj": [2, 3]},
+            {"id": 2, "a": [3], "c": 2, "adj": [1, 3]},
+            {"id": 3, "a": [6], "c": 4, "adj": [1, 2], "strict": [[1, 1]]},
+        ]},
+        ["nodes: 3 edges join 3 nodes; a tree has 2"],
+    ),
+    "disconnected": (
+        {"r": 1, "nodes": [
+            {**NODE, "adj": [2, 3]}, {**NODE, "id": 2, "adj": [1, 3]}, {**NODE, "id": 3, "adj": [1, 2]},
+            {**NODE, "id": 4},
+        ]},
+        ["nodes/3: node 4 is not joined to node 1"],
+    ),
+    "apart_without_edges": (
+        {"r": 1, "nodes": [NODE, {**NODE, "id": 2}]},
+        ["nodes: 0 edges join 2 nodes; a tree has 1", "nodes/1: node 2 is not joined to node 1"],
     ),
     "every_fault_at_once": (
         {"r": 1, "nodes": [{**NODE, "adj": [7]}, {"id": 5, "a": [3], "c": 2, "strict": [[3, 1]]}]},

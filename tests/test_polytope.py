@@ -1,10 +1,11 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alexinv.polytope import RationalPolytope, _affine_dim, centroid, tightest
+from alexinv.polytope import RationalPolytope, _affine_dim, as_point, as_vector, centroid, tightest
 from conftest import (
     rational_nullspace,
     reference_affine_dim,
@@ -198,15 +199,22 @@ def _face_of(poly, faces, point):
 
 @given(st.integers(1, 3).flatmap(_polytopes))
 def test_face_lookup_matches_search(case):
-    """At the relative-interior point of every face, the lookup and the
-    search both find that face."""
+    """At the relative-interior point of every face, an integer point, the
+    lookup and the search both find that face."""
     dim, halfspaces = case
     p = RationalPolytope(dim, halfspaces)
     face_of = p.face_lookup()
     faces = p.faces()
+    # a lookup on a polytope whose face lattice cannot be built: it builds
+    # only the faces asked for
+    lazy = RationalPolytope(dim, halfspaces)
+    lazy.faces = None
+    lazy_face_of = lazy.face_lookup()
     for face in faces:
         point = face.relative_interior_point()
-        assert face_of(point) == _face_of(p, faces, point) == face
+        assert point == as_point(centroid(face.vertices))
+        assert face_of(point) == _face_of(p, faces, as_vector(point)) == face
+        assert lazy_face_of(point) == face
 
 
 @st.composite
@@ -235,10 +243,37 @@ def test_centroid_matches_fraction_sum(points):
 
 
 @given(affine_point_sets())
+def test_points_are_in_lowest_terms(points):
+    """A rational vector has one point (p, q): q > 0, gcd(q, *p) = 1, and
+    back as Fractions it is the vector."""
+    for v in points:
+        p, q = as_point(v)
+        assert q > 0 and gcd(q, *p) == 1
+        assert as_vector((p, q)) == v
+
+
+def test_polytopes_with_one_solved_dict_share_their_vertices():
+    """Rows with the same tightest rows solve their vertices once; other
+    rows add their own."""
+    solved = {}
+    square = RationalPolytope(2, [((2, 0), 1), ((0, 1), Fraction(1, 3))], solved)
+    assert square.vertices() == [
+        (Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2), 1), (1, Fraction(1, 3)), (1, 1)
+    ]
+    assert len(solved) == 1
+    # the same polytope with a weaker parallel row and a scaled row
+    same = RationalPolytope(2, [((1, 0), Fraction(1, 4)), ((4, 0), 2), ((0, 3), 1)], solved)
+    assert same.points() is square.points()
+    assert len(solved) == 1
+    assert RationalPolytope(2, [((1, 1), 1)], solved).vertices() != square.vertices()
+    assert len(solved) == 2
+
+
+@given(affine_point_sets())
 def test_affine_dim_matches_rank_of_differences(points):
     """The rank of the integer differences to the first point, over one
     common denominator, is the rank of the Fraction differences."""
-    assert _affine_dim(points) == reference_affine_dim(points)
+    assert _affine_dim([as_point(v) for v in points]) == reference_affine_dim(points)
 
 
 def test_dimension_cap():

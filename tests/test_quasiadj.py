@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alexinv import biv, polytope, quasiadj
+from alexinv import biv, quasiadj
 from alexinv.errors import UseFacesForMultiComponent, ValidationError
 from alexinv.quasiadj import (
     constants_of_quasiadjunction,
@@ -26,14 +26,13 @@ from alexinv.quasiadj import (
     torus_constants,
     xi_steps,
 )
-from alexinv.polytope import RationalPolytope
 from alexinv.resolution import PlaneCurveGerm, resolve
 from conftest import (
     drawn_germs,
+    full_sweep_at,
     full_sweep_triple,
-    reference_faces,
+    reference_polytopes_and_faces,
     reference_rhs_table,
-    reference_vertices,
     resolve_drawn,
     staircase_generators_by_scan,
 )
@@ -305,14 +304,16 @@ def test_generators_of_any_staircase_match_member_scan(bound, heights):
 
 
 def _faces_dump(qps):
-    """Everything polytopes_and_faces reports, as comparable values."""
+    """Everything polytopes_and_faces reports, as comparable values, in the
+    form of ``reference_polytopes_and_faces``."""
     return [
         (
             qp.polytope.halfspaces,
             qp.polytope.vertices(),
-            sorted(qp.log_staircase),
+            qp.log_staircase,
             [
-                (f.face.vertices, f.face.dim, f.face.saturated, f.level_point, f.ideals, f.dim_quotient)
+                (f.face.vertices, f.face.dim, f.face.saturated, f.level_point, f.ideals, f.dim_quotient,
+                 qp.polytope.planes(f.face))
                 for f in qp.faces
             ],
         )
@@ -371,12 +372,13 @@ def test_faces_pinned(pin):
 def test_faces_match_full_sweep_oracle(fixture, request, monkeypatch):
     """polytopes_and_faces reads the same halfspaces, vertices, saturated
     constraints, ideal triples and quotient dimensions when every ideal
-    comes from the full sweep in place of the staircase walk."""
+    comes from the full sweep in place of the staircase walk: every
+    triple passes through ``_ideals_at``, which is patched here."""
     tree = request.getfixturevalue(fixture)
     walked = _faces_dump(polytopes_and_faces(tree))
     assert walked
     swept = []
-    monkeypatch.setattr(quasiadj, "ideal_triple", lambda tree, xi: swept.append(xi) or full_sweep_triple(tree, xi))
+    monkeypatch.setattr(quasiadj, "_ideals_at", lambda tree, levels: swept.append(levels) or full_sweep_at(tree, levels))
     assert _faces_dump(polytopes_and_faces(tree)) == walked
     assert swept
 
@@ -386,21 +388,31 @@ def test_faces_match_full_sweep_oracle(fixture, request, monkeypatch):
     ["two_cusp_tree", "puiseux2_tree", "three_branch_tree", ("x^2-y^5", "x^3-y^2", "x-y")],
     ids=["two_cusps", "puiseux2", "three_branch", "three_branch_25"],
 )
-def test_faces_match_reference_polytope_route(germ, request, monkeypatch):
+def test_faces_match_reference_polytope_route(germ, request):
     """polytopes_and_faces reports the same fields, vertices, dimensions,
-    saturated constraints and level points included, when the polytope
-    layer takes the reference route: vertices and faces from every subset
-    of all rows, and one polytope per combination of regions in the pool."""
+    saturated constraints and level points included, as the Fraction
+    route: vertices and faces from every subset of all rows, one polytope
+    per combination of regions in the pool, and each face looked up in
+    the full lattice of its polytope."""
     if isinstance(germ, str):
         tree = request.getfixturevalue(germ)
     else:
         tree = resolve(PlaneCurveGerm.from_strings(*germ))
     fast = _faces_dump(polytopes_and_faces(tree))
     assert fast
-    monkeypatch.setattr(RationalPolytope, "vertices", reference_vertices)
-    monkeypatch.setattr(RationalPolytope, "faces", reference_faces)
-    monkeypatch.setattr(polytope, "tightest", list)
-    assert _faces_dump(polytopes_and_faces(tree)) == fast
+    assert fast == reference_polytopes_and_faces(tree)
+
+
+@pytest.mark.parametrize("fixture", ORACLE_TREES)
+def test_faces_match_fraction_route(fixture, request):
+    tree = request.getfixturevalue(fixture)
+    assert _faces_dump(polytopes_and_faces(tree)) == reference_polytopes_and_faces(tree)
+
+
+@given(drawn_germs())
+def test_faces_of_drawn_germs_match_fraction_route(texts):
+    tree = resolve_drawn(texts)
+    assert _faces_dump(polytopes_and_faces(tree)) == reference_polytopes_and_faces(tree)
 
 
 def test_monotonicity_in_xi(cusp_tree, two_cusp_tree):

@@ -16,6 +16,7 @@ from alexinv.errors import (
     NonRationalInfinitelyNearPoint,
     NotReduced,
     ResolutionDidNotTerminate,
+    ValidationError,
 )
 from alexinv.cyclotomic import expand_cyclotomic
 from alexinv.laurent import LaurentPolynomial, normalize_unit
@@ -308,6 +309,15 @@ def test_validation_errors():
         PlaneCurveGerm.from_strings("x^2")
     with pytest.raises(NotReduced):
         PlaneCurveGerm.from_strings("x - y", "x^2 - y^2")
+
+
+def test_zero_multiplicities_refused_as_a_germ_fault_through_the_api():
+    """A file's all-zero ``a`` is an input error (``from_json``); built
+    directly, the tree still refuses it as a mathematical one."""
+    with pytest.raises(BadGerm):
+        ResolutionTree(r=1, nodes=[ResolutionNode(id=1, a=(0,), c=1)])
+    with pytest.raises(ValidationError):
+        ResolutionTree.from_json({"r": 1, "nodes": [{"id": 1, "a": [0], "c": 1}]})
 
 
 def test_tree_json_round_trip(two_cusp_tree):
