@@ -12,9 +12,10 @@ carried as a ``Point`` (p, q): an integer vector p over a denominator
 q > 0 with gcd(q, *p) = 1, so one rational point has one form, and equal
 points are equal tuples.  Vertices are solved by Cramer's rule into this
 form, n . x >= b is decided as n . p >= b q, and saturation sets, face
-dimensions and centroids are computed on it.  A point becomes a tuple of
-``Fraction``s only where it is reported: ``vertices()``,
-``Face.vertices`` and ``centroid``.
+dimensions and a face's interior point are computed on it.  A point
+becomes a tuple of ``Fraction``s only where it is reported:
+``vertices()`` and ``Face.vertices``.  ``centroid`` is the mean of
+``Fraction`` vectors, for callers that hold them.
 
 Vertices are solved on the tightest rows only (``tightest``): of the
 rows with one primitive normal, only the one with the largest bound
@@ -81,12 +82,6 @@ def _point(p: Sequence[int], q: int) -> Point:
     return tuple(x // g for x in p), q // g
 
 
-def as_point(vector: Sequence) -> Point:
-    """A vector of ints or ``Fraction``s as a point."""
-    *p, q = _integer_row((*vector, 1))
-    return _point(p, q)
-
-
 def as_vector(point: Point) -> Vector:
     p, q = point
     return tuple(Fraction(x, q) for x in p)
@@ -101,9 +96,10 @@ def _mean(points: Sequence[Point]) -> Point:
 
 
 def centroid(points: Sequence[Vector]) -> Vector:
-    """The mean of rational points, in the relative interior of their
-    convex hull, as ``Fraction``s."""
-    return as_vector(_mean([as_point(v) for v in points]))
+    """The mean of rational points given as ``Fraction``s, in the relative
+    interior of their convex hull: per coordinate, the numerators over the
+    lcm of the denominators, summed."""
+    return tuple(Fraction(sum(h[:-1]), h[-1] * len(points)) for h in (_integer_row((*xs, 1)) for xs in zip(*points)))
 
 
 def _saturated(rows: Sequence[Row], point: Point) -> frozenset:

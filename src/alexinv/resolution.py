@@ -196,12 +196,9 @@ def _tree_faults(adj: List[List[int]]) -> List[str]:
     faults = []
     if len(edges) != n - 1:
         faults.append(f"nodes: {len(edges)} edges join {n} nodes; a tree has {n - 1}")
-    reached, stack = {1}, [1]
-    while stack:
-        for other in adj[stack.pop() - 1]:
-            if other not in reached:
-                reached.add(other)
-                stack.append(other)
+    reached = {1}
+    for _ in range(n):  # a node is at most n - 1 steps from node 1
+        reached |= {other for k in reached for other in adj[k - 1]}
     apart = [k for k in range(1, n + 1) if k not in reached]
     if apart:
         faults.append(f"nodes/{apart[0] - 1}: node {apart[0]} is not joined to node 1")

@@ -413,6 +413,15 @@ def reference_condition_rows(spec, ideals, m: int, top: int, modulus=None):
     return conditions
 
 
+def point_of(vector):
+    """A rational vector as a point (p, q) of ``polytope``: q is the lcm of
+    the denominators and p the vector times q, so gcd(q, *p) = 1."""
+    from math import lcm
+
+    q = lcm(*[Fraction(x).denominator for x in vector])
+    return tuple(int(Fraction(x) * q) for x in vector), q
+
+
 def reference_centroid(points):
     """The mean of the points by ``Fraction`` sums, the oracle of
     ``polytope.centroid``."""
@@ -477,7 +486,7 @@ def reference_faces(poly):
     (dim, vertices) and built from their vertices as points."""
     from itertools import combinations
 
-    from alexinv.polytope import Face, as_point
+    from alexinv.polytope import Face
 
     verts = reference_vertices(poly)
     if not verts:
@@ -499,7 +508,7 @@ def reference_faces(poly):
         vlist = [verts[i] for i in key]
         faces.append((reference_affine_dim(vlist), tuple(vlist), saturated))
     faces.sort(key=lambda f: f[:2])
-    return [Face(tuple(map(as_point, vlist)), dim, saturated) for dim, vlist, saturated in faces]
+    return [Face(tuple(map(point_of, vlist)), dim, saturated) for dim, vlist, saturated in faces]
 
 
 def reference_polytopes_and_faces(tree):

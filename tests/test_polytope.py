@@ -5,8 +5,9 @@ from math import gcd
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alexinv.polytope import RationalPolytope, _affine_dim, as_point, as_vector, centroid, tightest
+from alexinv.polytope import RationalPolytope, _affine_dim, _point, as_vector, centroid, tightest
 from conftest import (
+    point_of,
     rational_nullspace,
     reference_affine_dim,
     reference_centroid,
@@ -212,7 +213,7 @@ def test_face_lookup_matches_search(case):
     lazy_face_of = lazy.face_lookup()
     for face in faces:
         point = face.relative_interior_point()
-        assert point == as_point(centroid(face.vertices))
+        assert point == point_of(centroid(face.vertices))
         assert face_of(point) == _face_of(p, faces, as_vector(point)) == face
         assert lazy_face_of(point) == face
 
@@ -242,12 +243,14 @@ def test_centroid_matches_fraction_sum(points):
     assert all(type(x) is Fraction for x in got)
 
 
-@given(affine_point_sets())
-def test_points_are_in_lowest_terms(points):
-    """A rational vector has one point (p, q): q > 0, gcd(q, *p) = 1, and
-    back as Fractions it is the vector."""
+@given(affine_point_sets(), st.integers(-5, 5).filter(bool))
+def test_points_are_in_lowest_terms(points, k):
+    """An integer vector over a nonzero denominator, here each vector's
+    numerators over k times their common denominator, becomes its one
+    point: q > 0 and gcd(q, *p) = 1; back as Fractions it is the vector."""
     for v in points:
-        p, q = as_point(v)
+        p, q = point_of(v)
+        assert _point([k * x for x in p], k * q) == (p, q)
         assert q > 0 and gcd(q, *p) == 1
         assert as_vector((p, q)) == v
 
@@ -273,7 +276,7 @@ def test_polytopes_with_one_solved_dict_share_their_vertices():
 def test_affine_dim_matches_rank_of_differences(points):
     """The rank of the integer differences to the first point, over one
     common denominator, is the rank of the Fraction differences."""
-    assert _affine_dim([as_point(v) for v in points]) == reference_affine_dim(points)
+    assert _affine_dim([point_of(v) for v in points]) == reference_affine_dim(points)
 
 
 def test_dimension_cap():

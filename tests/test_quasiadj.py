@@ -405,12 +405,15 @@ def test_faces_match_reference_polytope_route(germ, request):
 
 @pytest.mark.parametrize("fixture", ORACLE_TREES)
 def test_faces_match_fraction_route(fixture, request):
+    """Every reported field on integer points, against the Fraction
+    route."""
     tree = request.getfixturevalue(fixture)
     assert _faces_dump(polytopes_and_faces(tree)) == reference_polytopes_and_faces(tree)
 
 
 @given(drawn_germs())
 def test_faces_of_drawn_germs_match_fraction_route(texts):
+    """The same on drawn germs of one and two branches."""
     tree = resolve_drawn(texts)
     assert _faces_dump(polytopes_and_faces(tree)) == reference_polytopes_and_faces(tree)
 
