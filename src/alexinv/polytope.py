@@ -108,13 +108,6 @@ def _saturated(rows: Sequence[Row], point: Point) -> frozenset:
     return frozenset(i for i, (n, b) in enumerate(rows) if sum(map(mul, n, p)) == b * q)
 
 
-def _affine_dim(points: Sequence[Point]) -> int:
-    """The rank of the differences to the first point, over one denominator."""
-    q = lcm(*[d for _, d in points])
-    base, *rest = [[x * (q // d) for x in p] for p, d in points]
-    return rational_rank([[x - b for x, b in zip(p, base)] for p in rest])
-
-
 def _in_order(points) -> List[Point]:
     """The points sorted as their ``Fraction`` vectors are: by their
     numerators over the lcm of the denominators."""
@@ -266,3 +259,10 @@ class RationalPolytope:
             return built[vset]
 
         return face_of
+
+
+def _affine_dim(points: Sequence[Point]) -> int:
+    """The rank of the differences to the first point, over one denominator."""
+    q = lcm(*[d for _, d in points])
+    base, *rest = [[x * (q // d) for x in p] for p, d in points]
+    return rational_rank([[x - b for x, b in zip(p, base)] for p in rest])
