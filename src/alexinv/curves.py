@@ -43,9 +43,10 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cyclotomic import Exponents, cyclotomic_exponents, expand_cyclotomic, root_multiplicity
+from . import uni
+from .cyclotomic import Exponents, cyclotomic_exponents, cyclotomic_polynomial, expand_cyclotomic
 from .errors import BadGerm, InternalError, NotCoprime, TheoremViolation, UnsupportedDimension
-from .laurent import LaurentPolynomial, common_root_count
+from .laurent import LaurentPolynomial, univariate_gcd
 from .linalg import cokernel_invariants, echelon_insert
 from .polytope import RationalPolytope, _det, centroid
 from .quasiadj import (
@@ -678,40 +679,33 @@ def cyclic_cover_h1(delta, n: int, semisimple: bool = True):
     """Rank of H_1 of (a resolution of) the n-fold cyclic cover, plus the
     per-eigenvalue multiplicities when the module is semisimple.
 
-    ``delta`` is a one-variable polynomial (treated as a single cyclic
-    factor: each common root with t^n - 1 counts once) or an
-    AlexanderFactorization (each conjugate-pair factor contributes its
-    exponent at every matching root, and the (t-1)^{r-1} part contributes
-    r - 1 at the trivial eigenvalue)."""
+    Both readings of ``delta`` build one map from the n-th roots of unity
+    exp(2 pi i k/n), keyed by k/n, to multiplicities: the rank is their
+    sum, and the eigenvalues are the roots k/n with k = 1..n-1 of nonzero
+    multiplicity, in order.  An AlexanderFactorization gives each factor's
+    exponent s to kappa and to -kappa (mod 1), and its (t-1)^{r-1} part
+    gives r - 1 to the trivial root.  A one-variable polynomial is read as
+    the cyclic module Q[t]/(Delta): each root of gcd(Delta, t^n - 1), which
+    is squarefree, counts once, and Phi_d divides that gcd for the d | n
+    whose primitive d-th roots it holds."""
     if n < 1:
         raise BadGerm("n must be positive")
-    eigen: List[Tuple[Fraction, int]] = []
+    mult: Dict[Fraction, int] = {}
     if isinstance(delta, AlexanderFactorization):
-        rank = delta.t_minus_one_exponent
+        mult[Fraction(0)] = delta.t_minus_one_exponent
         for kappa, s in delta.factors:
-            if (n * kappa).denominator == 1:
-                pair = 1 if kappa == Fraction(1, 2) else 2
-                rank += pair * s
-        if semisimple:
-            for k in range(1, n):
-                omega = Fraction(k, n)
-                mult = sum(
-                    s
-                    for kappa, s in delta.factors
-                    if omega % 1 in (kappa % 1, (-kappa) % 1)
-                )
-                if mult:
-                    eigen.append((omega, mult))
-        return rank, eigen
-    if delta.is_zero():
-        raise BadGerm("zero polynomial")
-    rank = common_root_count(delta, n)
-    if semisimple:
-        for k in range(1, n):
-            mult = root_multiplicity(delta, Fraction(k, n))
-            if mult:
-                eigen.append((Fraction(k, n), mult))
-    return rank, eigen
+            for omega in {kappa % 1, -kappa % 1}:
+                if (n * omega).denominator == 1:
+                    mult[omega] = mult.get(omega, 0) + s
+    else:
+        if delta.is_zero():
+            raise BadGerm("zero polynomial")
+        g = univariate_gcd(delta, LaurentPolynomial(1, {(n,): 1, (0,): -1})).to_univariate()
+        for d in uni.divisors(n):
+            if not uni.divmod_exact(g, list(cyclotomic_polynomial(d)))[1]:
+                mult.update((Fraction(j, d), 1) for j in range(d) if gcd(j, d) == 1)
+    eigen = sorted((omega, m) for omega, m in mult.items() if omega and m) if semisimple else []
+    return sum(mult.values()), eigen
 
 
 # ---------------------------------------------------------------------------

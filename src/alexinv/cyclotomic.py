@@ -218,18 +218,3 @@ def evaluate_character(p: LaurentPolynomial, chi: Sequence[Fraction]) -> Cycloto
     reduced = _reduce(acc, M)
     return CyclotomicElement(M, reduced if den == 1 else [Fraction(c, den) for c in reduced])
 
-
-def root_multiplicity(p: LaurentPolynomial, kappa: Fraction) -> int:
-    """Multiplicity of exp(2 pi i kappa) as a root of the one-variable p,
-    computed by repeated exact division by the minimal polynomial."""
-    kappa = Fraction(kappa) % 1
-    modulus = list(cyclotomic_polynomial(kappa.denominator))
-    coeffs = uni.trim(p.to_univariate())
-    count = 0
-    while coeffs:
-        quotient, remainder = uni.divmod_exact(coeffs, modulus)
-        if remainder:
-            break
-        count += 1
-        coeffs = quotient
-    return count

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import UnsupportedDimension
+from .errors import BadArgument, UnsupportedDimension
 from .linalg import _integer_row, rational_rank
 
 Vector = Tuple[Fraction, ...]
@@ -139,10 +139,11 @@ class Face:
 
 class RationalPolytope:
     """The polytope cut from the unit cube by halfspaces (normal, bound)
-    with int or ``Fraction`` entries; ``halfspaces`` holds them as integer
-    rows.  Polytopes built with one ``solved`` dict share their vertices
-    through it, keyed by their tightest rows: those with the same tightest
-    rows are one polytope, and its vertices are solved once."""
+    with int or ``Fraction`` entries (any other entry is refused with
+    ``BadArgument``); ``halfspaces`` holds them as integer rows.  Polytopes
+    built with one ``solved`` dict share their vertices through it, keyed
+    by their tightest rows: those with the same tightest rows are one
+    polytope, and its vertices are solved once."""
 
     def __init__(self, dim: int, halfspaces: Sequence = (), solved: Optional[Dict[tuple, List[Point]]] = None):
         self.dim = dim
@@ -153,7 +154,10 @@ class RationalPolytope:
         rows = []
         for normal, bound in halfspaces:
             row = (*normal, bound)
-            den = lcm(*[x.denominator for x in row])
+            try:
+                den = lcm(*[x.denominator for x in row])
+            except AttributeError:
+                raise BadArgument(f"halfspace {(normal, bound)!r} needs int or Fraction entries") from None
             *n, b = [x.numerator * (den // x.denominator) for x in row]
             rows.append((tuple(n), b))
         self.halfspaces = rows
@@ -237,7 +241,8 @@ class RationalPolytope:
         first subset, by size and then lexicographically, of the rows that
         all its vertices saturate which cuts out its vertex set, or all
         those rows for the polytope itself.  Only the faces asked for are
-        built, each once."""
+        built, each once.  A point outside the polytope, which is every
+        point when it is empty, is refused with ``BadArgument``."""
         verts = self.points()
         sat = [_saturated(self._constraints, v) for v in verts]
         whole = tuple(range(len(verts)))
@@ -247,7 +252,11 @@ class RationalPolytope:
             return tuple(i for i, on in enumerate(sat) if on.issuperset(rows))
 
         def face_of(point: Point) -> Face:
-            vset = cut(_saturated(self._constraints, point))
+            p, q = point
+            slack = [sum(map(mul, n, p)) - b * q for n, b in self._constraints]
+            if min(slack) < 0:
+                raise BadArgument(f"point ({', '.join(map(str, as_vector(point)))}) lies outside the polytope")
+            vset = cut({i for i, s in enumerate(slack) if not s})
             if vset not in built:
                 common = sorted(frozenset.intersection(*[sat[i] for i in vset]))
                 if vset != whole:

@@ -860,3 +860,22 @@ def reference_cover_betti(p, sublinks, orders):
         reduced = CharacterPoint([Fraction(ks[i], orders[i]) for i in support])
         branched += size * reference_h1_dim(sublinks[frozenset(support)], reduced)
     return unbranched, branched
+
+
+def reference_factorization_cover(fac, n: int):
+    """(rank, eigenvalues) of the n-fold cyclic cover from an
+    AlexanderFactorization, by the two loops that answered it before the
+    root-multiplicity map: each factor whose kappa is an n-th root adds its
+    exponent once at kappa = 1/2 and twice elsewhere, and each k/n, k = 1..n-1,
+    sums the exponents of the factors at k/n or at -k/n."""
+    rank = fac.t_minus_one_exponent
+    for kappa, s in fac.factors:
+        if (n * kappa).denominator == 1:
+            rank += (1 if kappa == Fraction(1, 2) else 2) * s
+    eigen = []
+    for k in range(1, n):
+        omega = Fraction(k, n)
+        mult = sum(s for kappa, s in fac.factors if omega in (kappa % 1, (-kappa) % 1))
+        if mult:
+            eigen.append((omega, mult))
+    return rank, eigen

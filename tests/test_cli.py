@@ -638,6 +638,21 @@ def test_cli_report_matches_bench_expected(name):
     assert out.stdout == (ROOT / "bench" / "expected" / f"{name}.out").read_bytes()
 
 
+def test_global_cover_without_semisimple_reports_rank_only():
+    """--no-semisimple keeps the cover's rank and drops its eigenvalues,
+    in text and in json."""
+    argv = ["global", "--curve", str(ROOT / "data" / "zariski_sextic_conic.json"), "--cover", "6"]
+    code, out = _run([*argv, "--no-semisimple", "--format", "json"])
+    assert code == 0 and json.loads(out)["cyclic_cover"] == {"n": 6, "rank": 2}
+    code, out = _run([*argv, "--no-semisimple"])
+    assert code == 0 and out.endswith("cyclic_cover:\n  n: 6\n  rank: 2\n")
+    code, out = _run([*argv, "--format", "json"])
+    assert code == 0 and json.loads(out)["cyclic_cover"]["eigenvalues"] == [
+        {"omega": "1/6", "multiplicity": 1},
+        {"omega": "5/6", "multiplicity": 1},
+    ]
+
+
 # Each subcommand's -h output and one parse error, pinned byte for byte
 # from the parser as it was when every subparser was built on each run.
 PARSER_PINS = json.loads((ROOT / "tests" / "cli_parser_pins.json").read_text())

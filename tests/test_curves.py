@@ -32,6 +32,7 @@ from conftest import (
     exact_divide,
     full_sweep_triple,
     reference_condition_rows,
+    reference_factorization_cover,
     reference_h1,
     reference_transform_positions,
     unpruned_intersections,
@@ -354,9 +355,14 @@ def test_nori_examples():
 
 
 def test_cyclic_cover_h1():
+    """A polynomial is one cyclic module Q[t]/(Delta): a repeated root
+    that is an n-th root of unity counts once, in the rank and in the
+    eigenvalues alike, so dim Q[t]/(Delta, t^n - 1) is their sum."""
     rank, eigen = cyclic_cover_h1(PHI6, 6)
     assert rank == 2
     assert eigen == [(F(1, 6), 1), (F(5, 6), 1)]
+    assert cyclic_cover_h1(PHI6**2, 6) == (2, [(F(1, 6), 1), (F(5, 6), 1)])
+    assert cyclic_cover_h1(PHI6**3 * (t - 1), 6) == (3, [(F(1, 6), 1), (F(5, 6), 1)])
     assert cyclic_cover_h1(PHI6, 5)[0] == 0
     assert cyclic_cover_h1(LaurentPolynomial.one(), 9)[0] == 0
 
@@ -379,6 +385,48 @@ def test_cyclic_cover_refinement_monotone():
     refined_rank, _ = cyclic_cover_h1(fac, 6)
     assert refined_rank >= bare_rank
     assert bare_rank == 2 and refined_rank == 6
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """Delta = prod Phi_m^e over up to four orders m <= 30 with e in 1..3,
+    times t^2 - 3t + 1 (no root of unity) in some draws, and an order n <= 30."""
+    exponents = draw(st.dictionaries(st.integers(1, 30), st.integers(1, 3), max_size=4))
+    delta = expand_cyclotomic(exponents)
+    if draw(st.booleans()):
+        delta = delta * (t**2 - 3 * t + 1)
+    return delta, draw(st.integers(1, 30))
+
+
+@given(cyclotomic_products())
+def test_cyclic_cover_h1_is_the_common_root_count(case):
+    """The rank is deg gcd(Delta, t^n - 1) (sympy), every eigenvalue has
+    multiplicity 1, and the rank is the eigenvalues plus the trivial root
+    when Delta(1) = 0."""
+    import sympy
+
+    delta, n = case
+    v = sympy.Symbol("t")
+    poly = sympy.Poly(list(reversed(delta.to_univariate())), v)
+    rank, eigen = cyclic_cover_h1(delta, n)
+    assert rank == sympy.gcd(poly, sympy.Poly(v**n - 1, v)).degree()
+    assert all(m == 1 for _, m in eigen)
+    assert rank == len(eigen) + (poly.eval(1) == 0)
+    assert cyclic_cover_h1(delta, n, semisimple=False) == (rank, [])
+
+
+def test_cyclic_cover_h1_factorization_matches_oracle():
+    """On seeded factorizations with every kappa in (0, 1), the one map
+    gives the rank and eigenvalues of the two loops it replaced."""
+    rng = random.Random(32)
+    for _ in range(200):
+        factors = [
+            (F(rng.randint(1, d - 1), d), rng.randint(1, 3))
+            for d in (rng.randint(2, 12) for _ in range(rng.randint(0, 4)))
+        ]
+        fac = AlexanderFactorization(factors, t_minus_one_exponent=rng.randint(0, 3))
+        n = rng.randint(1, 24)
+        assert cyclic_cover_h1(fac, n) == reference_factorization_cover(fac, n)
 
 
 def test_superabundance_nonnegative_randomized():

@@ -10,7 +10,6 @@ from alexinv.cyclotomic import (
     cyclotomic_polynomial,
     evaluate_character,
     expand_cyclotomic,
-    root_multiplicity,
 )
 from alexinv.errors import BadArgument, NotPolynomial
 from alexinv.laurent import LaurentPolynomial, normalize_unit
@@ -154,9 +153,3 @@ def test_evaluation_is_ring_homomorphism(p, q, chi):
     assert evaluate_character(p * q, chi) == ep * eq
     assert evaluate_character(p + q, chi) == ep + eq
 
-
-def test_root_multiplicity():
-    p = PHI6**2 * (t - 1)
-    assert root_multiplicity(p, Fraction(1, 6)) == 2
-    assert root_multiplicity(p, Fraction(0)) == 1
-    assert root_multiplicity(p, Fraction(1, 3)) == 0

@@ -1,10 +1,13 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from alexinv.errors import BadArgument
 from alexinv.polytope import RationalPolytope, _affine_dim, _point, as_vector, centroid, tightest
 from conftest import (
     point_of,
@@ -216,6 +219,30 @@ def test_face_lookup_matches_search(case):
         assert point == point_of(centroid(face.vertices))
         assert face_of(point) == _face_of(p, faces, as_vector(point)) == face
         assert lazy_face_of(point) == face
+
+
+@pytest.mark.parametrize(
+    "bound, point, shown",
+    [
+        (3, ((0, 0), 1), "(0, 0)"),  # the polytope is empty
+        (3, ((1, 1), 2), "(1/2, 1/2)"),
+        (1, ((0, 0), 1), "(0, 0)"),  # below x + y = 1
+        (1, ((2, 0), 1), "(2, 0)"),  # beyond the vertex (1, 0)
+    ],
+)
+def test_face_lookup_refuses_outside_points(bound, point, shown):
+    """On {x + y >= bound} in the unit square, a point outside is refused
+    and named, not given a face or failing inside the lookup."""
+    face_of = RationalPolytope(2, [((1, 1), bound)]).face_lookup()
+    with pytest.raises(BadArgument, match=f"point {re.escape(shown)} lies outside the polytope"):
+        face_of(point)
+
+
+@pytest.mark.parametrize("halfspace", [((1, 0.5), 1), ((1, 1), "1/2")])
+def test_halfspace_entry_not_int_or_fraction_refused(halfspace):
+    """A float or string entry is refused, naming its halfspace."""
+    with pytest.raises(BadArgument, match=re.escape(f"halfspace {halfspace!r} needs int or Fraction entries")):
+        RationalPolytope(2, [((1, 0), 0), halfspace])
 
 
 @st.composite
