@@ -244,7 +244,7 @@ def _share_factor_in_y(p: Poly2, q: Poly2) -> bool:
 
 def _content(p: Poly2) -> uni.Poly:
     """The gcd over Q[x] of the coefficients of p in y, monic."""
-    return reduce(uni.gcd, _by_y(p))
+    return reduce(uni.gcd, filter(None, _by_y(p)), [])
 
 
 def is_squarefree(p: Poly2) -> bool:
@@ -264,15 +264,15 @@ def factor_univariate(coeffs: uni.Poly):
     root (Yun's squarefree decomposition, then the rational root test).
 
     Returns (constant, [(factor coeff list, multiplicity)]) sorted by
-    (length, coefficients); every factor is primitive over Z with positive
-    leading coefficient, so a root a/b gives [-a, b].  A rest of degree at
+    (length, coefficients); every factor is a primitive integer list with
+    positive leading coefficient, so a root a/b gives [-a, b], and the
+    constant is an int for integer coefficients.  A rest of degree at
     most 3 is irreducible; a longer one may be a product of irreducibles.
     """
     out = []
-    for mult, part in enumerate(uni.squarefree_decomposition(coeffs), 1):
-        rest = uni.primitive(part)
+    for mult, rest in enumerate(uni.squarefree_decomposition(coeffs), 1):
         for r in uni.rational_roots(rest):
-            key = uni.primitive([-r, Fraction(1)])
+            key = [-r.numerator, r.denominator]
             out.append((key, mult))
             rest = uni.exact_div(rest, key)
         if len(rest) > 1:

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import uni
 from .cyclotomic import Exponents, cyclotomic_exponents, cyclotomic_polynomial, expand_cyclotomic
-from .errors import BadGerm, InternalError, NotCoprime, TheoremViolation, UnsupportedDimension
+from .errors import BadArgument, BadGerm, InternalError, NotCoprime, TheoremViolation, UnsupportedDimension
 from .laurent import LaurentPolynomial, univariate_gcd
 from .linalg import cokernel_invariants, echelon_insert
 from .polytope import RationalPolytope, _det, centroid
@@ -537,10 +537,14 @@ class AlexanderFactorization:
     """Factor list ((t - e^{2 pi i kappa})(t - e^{-2 pi i kappa}))^s plus the
     assembled rational polynomial, as Phi_m exponents, when Galois-conjugate
     kappas carry equal exponents, and the (t-1)^{r-1} bookkeeping factor
-    for reducible curves."""
+    for reducible curves.  A factor with kappa outside (0, 1) or an
+    exponent below 1 is refused with ``BadArgument``."""
 
     def __init__(self, factors: List[Tuple[Fraction, int]], t_minus_one_exponent: int = 0,
                  exponents: Optional[Exponents] = None, assembly_warning: Optional[str] = None):
+        for kappa, s in factors:
+            if not 0 < kappa < 1 or s < 1:
+                raise BadArgument(f"factor ({kappa}, {s}) needs kappa in (0, 1) and an exponent of at least 1")
         self.factors = factors
         self.t_minus_one_exponent = t_minus_one_exponent
         self.exponents = exponents
@@ -683,7 +687,7 @@ def cyclic_cover_h1(delta, n: int, semisimple: bool = True):
     exp(2 pi i k/n), keyed by k/n, to multiplicities: the rank is their
     sum, and the eigenvalues are the roots k/n with k = 1..n-1 of nonzero
     multiplicity, in order.  An AlexanderFactorization gives each factor's
-    exponent s to kappa and to -kappa (mod 1), and its (t-1)^{r-1} part
+    exponent s to kappa and to 1 - kappa, and its (t-1)^{r-1} part
     gives r - 1 to the trivial root.  A one-variable polynomial is read as
     the cyclic module Q[t]/(Delta): each root of gcd(Delta, t^n - 1), which
     is squarefree, counts once, and Phi_d divides that gcd for the d | n
@@ -694,7 +698,7 @@ def cyclic_cover_h1(delta, n: int, semisimple: bool = True):
     if isinstance(delta, AlexanderFactorization):
         mult[Fraction(0)] = delta.t_minus_one_exponent
         for kappa, s in delta.factors:
-            for omega in {kappa % 1, -kappa % 1}:
+            for omega in {kappa, 1 - kappa}:
                 if (n * omega).denominator == 1:
                     mult[omega] = mult.get(omega, 0) + s
     else:

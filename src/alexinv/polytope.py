@@ -179,11 +179,11 @@ class RationalPolytope:
 
     # -- geometry -----------------------------------------------------
 
-    def vertices(self) -> List[Vector]:
-        """Vertices, exact over Q, sorted: the points where dim constraint
-        hyperplanes with a nonzero determinant meet, by Cramer's rule, that
-        satisfy every constraint; only the ``tightest`` rows are tried.
-        They are solved once, into points, which ``points()`` returns."""
+    def points(self) -> List[Point]:
+        """The vertices as points, exact over Q, sorted: the points where
+        dim constraint hyperplanes with a nonzero determinant meet, by
+        Cramer's rule, that satisfy every constraint; only the ``tightest``
+        rows are tried.  They are solved once."""
         if self._points is None:
             rows = tuple(tightest(self._constraints))
             if rows not in self._solved:
@@ -198,13 +198,11 @@ class RationalPolytope:
                         found.add(point)
                 self._solved[rows] = _in_order(found)
             self._points = self._solved[rows]
-        return [as_vector(point) for point in self._points]
-
-    def points(self) -> List[Point]:
-        """The vertices as points, sorted as ``vertices()``."""
-        if self._points is None:
-            self.vertices()
         return self._points
+
+    def vertices(self) -> List[Vector]:
+        """The vertices as ``Fraction`` tuples, sorted as ``points()``."""
+        return [as_vector(point) for point in self.points()]
 
     def faces(self) -> List[Face]:
         """Face lattice, sorted by (dim, vertices); [] when empty.

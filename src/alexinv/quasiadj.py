@@ -106,7 +106,7 @@ def jet_bound(tree: ResolutionTree) -> int:
     return max((n.total_multiplicity for n in tree.nodes), default=1)
 
 
-Levels = List[Tuple[int, bool]]
+Levels = Sequence[Tuple[int, bool]]
 
 
 def _node_floors(tree: ResolutionTree, point: Tuple[Sequence[int], int]) -> Levels:
@@ -381,7 +381,8 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
 
     Each candidate point is an integer point (p, q) of ``polytope``: its
     node floors are read off p and q, its three ideals off their staircase
-    walks, and its face off a lookup that builds only the faces asked for.
+    walks, once per distinct tuple of node floors, and its face off a
+    lookup that builds only the faces asked for.
     A point becomes ``Fraction``s only as a reported level point."""
     from .polytope import RationalPolytope, as_vector, tightest
 
@@ -408,14 +409,17 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
                 built.add(key)
                 pool.extend(RationalPolytope(r, rows, solved).faces())
     found: Dict[Tuple[Monomial, ...], Tuple[QuasiPolytope, Callable]] = {}
-    seen_points, seen_faces = set(), set()
+    seen_points, seen_faces, triples = set(), set(), {}
     for face in pool:
         point = face.relative_interior_point()
         # a point met again would give the same ideals and the same face
         if point in seen_points or any(x <= 0 for x in point[0]):
             continue
         seen_points.add(point)
-        ideals = _ideals_at(tree, _node_floors(tree, point))
+        levels = tuple(_node_floors(tree, point))
+        if levels not in triples:
+            triples[levels] = _ideals_at(tree, levels)
+        ideals = triples[levels]
         strict_ideal, _, log_ideal = ideals
         if strict_ideal.nonmembers == log_ideal.nonmembers:
             continue

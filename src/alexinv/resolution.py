@@ -302,7 +302,7 @@ def _blow_up(tree: ResolutionTree, site: _Site, queue):
                 irrational.append((i, coeffs, mult))
     # a factor shared by two components lands in one key of a coprime basis
     for b in uni.coprime_basis([coeffs for _, coeffs, _ in irrational]):
-        per_comp = factored.setdefault(tuple(uni.primitive(b)), {})
+        per_comp = factored.setdefault(tuple(b), {})
         for i, coeffs, mult in irrational:
             if not uni.divmod_exact(coeffs, b)[1]:
                 per_comp[i] = per_comp.get(i, 0) + mult

@@ -7,6 +7,10 @@ coefficient is an ``int`` or a ``Fraction``: sums and products start from
 the integer 0, so integer inputs give integer results, and a coefficient
 is divided only through ``Fraction`` (``quotient``), never by ``/`` on two
 ints, so no float can appear.
+
+Integer lists are the working form of gcds, squarefree parts and
+rational roots: denominators are cleared first (``primitive``), and only
+exact quotients over Z follow.  Q appears only in ``gcd``'s monic result.
 """
 
 from __future__ import annotations
@@ -111,11 +115,20 @@ def monic(p: Poly) -> Poly:
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    a, b = list(p), list(q)
+    """The monic gcd over Q; [] when p and q are both zero."""
+    g = _primitive_gcd(p, q)
+    return [Fraction(c, g[-1]) for c in g]
+
+
+def _primitive_gcd(p: Poly, q: Poly) -> List[int]:
+    """The primitive gcd with positive leading coefficient, by Euclid on
+    primitive pseudo-remainders (``_pseudo_remainder``) over Z."""
+    a, b = primitive(p), primitive(q)
     while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    return monic(a)
+        row = [a]
+        _pseudo_remainder(row, [b], 0)
+        a, b = b, row[0]
+    return a if not a or a[-1] > 0 else neg(a)
 
 
 def maximal_minor_gcd(matrix: List[List[Poly]], cols: int) -> Poly:
@@ -176,46 +189,55 @@ def derivative(p: Poly) -> Poly:
     return trim([p[i] * i for i in range(1, len(p))])
 
 
-def squarefree_decomposition(p: Poly) -> List[Poly]:
-    """Yun's algorithm: monic, pairwise coprime, squarefree a_1, a_2, ...
-    with p = lc(p) * prod a_i^i (some a_i may be 1); p must be nonzero."""
+def squarefree_decomposition(p: Poly) -> List[List[int]]:
+    """Yun's algorithm on the primitive integer multiple of p: pairwise
+    coprime, squarefree, primitive a_1, a_2, ... with positive leading
+    coefficients and p = c * prod a_i^i for a constant c (some a_i may be 1,
+    the last is not; none for a constant p).  By Gauss's lemma every
+    quotient by a primitive divisor is integral."""
+    p = primitive(p)
+    if len(p) < 2:
+        return []
     d = derivative(p)
-    g = gcd(p, d)
+    g = _primitive_gcd(p, d)
     w, y = exact_div(p, g), exact_div(d, g)
     parts = []
     while len(w) > 1:
         z = sub(y, derivative(w))
-        a = gcd(w, z)
+        a = _primitive_gcd(w, z)
         parts.append(a)
         w, y = exact_div(w, a), exact_div(z, a)
     return parts
 
 
-def coprime_basis(polys: List[Poly]) -> List[Poly]:
-    """Pairwise coprime monic polynomials of positive degree whose products
-    give every one of the squarefree polys up to a constant."""
-    basis: List[Poly] = []
+def coprime_basis(polys: List[Poly]) -> List[List[int]]:
+    """Pairwise coprime primitive polynomials of positive degree with
+    positive leading coefficients whose products give every one of the
+    squarefree polys up to a constant."""
+    basis: List[List[int]] = []
     for p in polys:
-        refined = []
+        p, refined = primitive(p), []
         for b in basis:
-            g = gcd(p, b)
+            g = _primitive_gcd(p, b)
             if len(g) > 1:
                 p = exact_div(p, g)
                 refined.append(g)
-                b = monic(exact_div(b, g))
+                b = exact_div(b, g)
             if len(b) > 1:
                 refined.append(b)
-        basis = refined + ([monic(p)] if len(p) > 1 else [])
+        basis = refined + ([p] if len(p) > 1 else [])
     return basis
 
 
-def primitive(p: Poly) -> Poly:
+def primitive(p: Poly) -> List[int]:
     """The primitive integer multiple of p with positive leading
-    coefficient, as Fractions."""
+    coefficient, as ints; [] for the zero polynomial."""
+    if not p:
+        return []
     den = lcm(*[c.denominator for c in p])
     ints = [c.numerator * (den // c.denominator) for c in p]
     g = igcd(*ints) * (1 if ints[-1] > 0 else -1)
-    return [Fraction(c // g) for c in ints]
+    return [c // g for c in ints]
 
 
 def divisors(n: int) -> List[int]:
@@ -229,16 +251,21 @@ def divisors(n: int) -> List[int]:
 def rational_roots(p: Poly) -> List[Fraction]:
     """Distinct rational roots of a nonzero p with integer coefficients: 0,
     and a/b in lowest terms with a dividing the lowest nonzero coefficient
-    and b the leading one; a linear part gives its root directly."""
+    c_k and b the leading one c_n, a root exactly when the integer
+    sum_i c_i a^(i-k) b^(n-i) is zero; a linear part gives its root
+    directly."""
     k = next(i for i, c in enumerate(p) if c)
     roots = [Fraction(0)] if k else []
     if len(p) - k == 2:
         return roots + [Fraction(-p[k], p[-1])]
     for b in divisors(int(p[-1])):
         for a in divisors(int(p[k])):
-            for r in (Fraction(a, b), Fraction(-a, b)):
-                if r.denominator == b and evaluate(p, r) == 0:
-                    roots.append(r)
+            for s in (a, -a) if igcd(a, b) == 1 else ():
+                acc, power = 0, 1
+                for c in reversed(p[k:]):
+                    acc, power = acc * s + c * power, power * b
+                if not acc:
+                    roots.append(Fraction(s, b))
     return roots
 
 

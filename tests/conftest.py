@@ -653,6 +653,37 @@ def exact_divide(f, g):
     return quo.shift(tuple(b - a for a, b in zip(fshift, gshift)))
 
 
+def fraction_gcd(p, q):
+    """The monic gcd over Q by Euclid on ``Fraction`` remainders: the route
+    that the primitive integer pseudo-remainders of ``uni.gcd`` replaced,
+    kept as its oracle."""
+    from alexinv import uni
+
+    a, b = list(p), list(q)
+    while b:
+        _, r = uni.divmod_exact(a, b)
+        a, b = b, r
+    return uni.monic(a)
+
+
+def fraction_squarefree_decomposition(p):
+    """Yun's algorithm over Q on ``fraction_gcd``: monic, pairwise coprime,
+    squarefree a_1, a_2, ... with p = lc(p) * prod a_i^i, for a nonzero p;
+    the oracle of ``uni.squarefree_decomposition``."""
+    from alexinv import uni
+
+    d = uni.derivative(p)
+    g = fraction_gcd(p, d)
+    w, y = uni.exact_div(p, g), uni.exact_div(d, g)
+    parts = []
+    while len(w) > 1:
+        z = uni.sub(y, uni.derivative(w))
+        a = fraction_gcd(w, z)
+        parts.append(a)
+        w, y = uni.exact_div(w, a), uni.exact_div(z, a)
+    return parts
+
+
 # Formal products prod_v (1 - t^v)^e, as the maps v -> e that
 # ``resolution.acampo_zeta`` and ``multivariable_link_alexander`` return.
 # t - 1 is the product {(1,): 1} up to the unit -1.

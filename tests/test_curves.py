@@ -22,7 +22,7 @@ from alexinv.curves import (
 )
 from alexinv import curves
 from alexinv.cyclotomic import expand_cyclotomic
-from alexinv.errors import BadGerm, NotPolynomial, TheoremViolation
+from alexinv.errors import BadArgument, BadGerm, NotPolynomial, TheoremViolation
 from alexinv.laurent import LaurentPolynomial, normalize_unit
 from alexinv.polytope import RationalPolytope
 from alexinv.quasiadj import LocalIdealDescription, kappa_constant, torus_constants
@@ -385,6 +385,20 @@ def test_cyclic_cover_refinement_monotone():
     refined_rank, _ = cyclic_cover_h1(fac, 6)
     assert refined_rank >= bare_rank
     assert bare_rank == 2 and refined_rank == 6
+
+
+@pytest.mark.parametrize("kappa", [F(0), F(1), F(3, 2), F(-1, 6)])
+def test_factorization_refuses_kappa_outside_the_open_interval(kappa):
+    """kappa is read as the root exp(2 pi i kappa) only in (0, 1): another
+    value is refused, naming the factor, not read mod 1."""
+    with pytest.raises(BadArgument, match=f"factor \\({kappa}, 2\\)"):
+        AlexanderFactorization(factors=[(F(1, 6), 1), (kappa, 2)])
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_factorization_refuses_exponent_below_one(s):
+    with pytest.raises(BadArgument, match=f"factor \\(1/6, {s}\\)"):
+        AlexanderFactorization(factors=[(F(1, 6), s)], t_minus_one_exponent=1)
 
 
 @st.composite

@@ -383,6 +383,21 @@ def test_faces_match_full_sweep_oracle(fixture, request, monkeypatch):
     assert swept
 
 
+@pytest.mark.parametrize("fixture, points, walks", [("two_cusp_tree", 27, 20), ("three_branch_tree", 74, 41)])
+def test_faces_walk_once_per_floor_signature(fixture, points, walks, request, monkeypatch):
+    """polytopes_and_faces walks the staircases once per distinct tuple of
+    node floors, not once per candidate point: the candidate points are
+    counted through ``_node_floors``, the walks through ``_ideals_at``."""
+    tree = request.getfixturevalue(fixture)
+    floors, walked = [], []
+    node_floors, ideals_at = quasiadj._node_floors, quasiadj._ideals_at
+    monkeypatch.setattr(quasiadj, "_node_floors", lambda tree, point: floors.append(point) or node_floors(tree, point))
+    monkeypatch.setattr(quasiadj, "_ideals_at", lambda tree, levels: walked.append(levels) or ideals_at(tree, levels))
+    polytopes_and_faces(tree)
+    assert len(floors) == len(set(floors)) == points
+    assert len(walked) == len(set(walked)) == walks
+
+
 @pytest.mark.parametrize(
     "germ",
     ["two_cusp_tree", "puiseux2_tree", "three_branch_tree", ("x^2-y^5", "x^3-y^2", "x-y")],

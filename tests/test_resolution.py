@@ -311,6 +311,14 @@ def test_validation_errors():
         PlaneCurveGerm.from_strings("x - y", "x^2 - y^2")
 
 
+def test_squared_two_pair_germ_not_reduced():
+    """The square of the two-pair branch ``puiseux2`` shares the factor
+    puiseux2 with its y-derivative: every point of the resultant bound
+    finds a common root, by integer gcds."""
+    with pytest.raises(NotReduced, match="is not squarefree"):
+        PlaneCurveGerm.from_strings("((x^2-y^3)^2-4*x^5*y-x^7)^2")
+
+
 def test_zero_multiplicities_refused_as_a_germ_fault_through_the_api():
     """A file's all-zero ``a`` is an input error (``from_json``); built
     directly, the tree still refuses it as a mathematical one."""

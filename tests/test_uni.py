@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexinv import uni
+from alexinv import biv, uni
 from alexinv.errors import InternalError
+from conftest import fraction_gcd, fraction_squarefree_decomposition
 
 
 def fraction_maximal_minor_gcd(matrix, cols):
@@ -115,7 +116,7 @@ def test_rational_roots_examples():
     # degrees 2 to 4, each against the oracle
     for p in ([-2, 1, 3], [1, 0, 1], [6, -5, -2, 1], [0, -6, 11, -6, 1], [4, 0, -5, 0, 1], [1, 0, 2, 0, 1]):
         assert sorted(uni.rational_roots(p)) == brute_force_roots(p)
-    # Fraction coefficients with integer values, as biv.factor_univariate passes them
+    # Fraction coefficients with integer values are read as their integers
     assert uni.rational_roots([Fraction(-3), Fraction(9)]) == [Fraction(1, 3)]
 
 
@@ -132,3 +133,71 @@ def test_inexact_division_is_an_internal_error():
     assert uni.exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
     with pytest.raises(InternalError, match="t \\+ 1 does not divide t\\^2 \\+ 1"):
         uni.exact_div([1, 0, 1], [1, 1])
+
+
+# int and Fraction coefficients; a polynomial is a product of small factors,
+# each up to a cube, so repeated factors, constants (the empty product) and
+# zero (a zero factor) all occur
+coefficients = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+factors = st.lists(coefficients, max_size=4).map(uni.trim)
+
+
+def _power(a, n):
+    out = [1]
+    for _ in range(n):
+        out = uni.mul(out, a)
+    return out
+
+
+def _product(powers):
+    out = [1]
+    for a, n in powers:
+        out = uni.mul(out, _power(a, n))
+    return out
+
+
+products = st.lists(st.tuples(factors, st.integers(1, 3)), max_size=3).map(_product)
+
+
+@settings(max_examples=200)
+@given(products, products)
+def test_gcd_matches_fraction_euclid(p, q):
+    """The same monic gcd as Euclid over Q, zero and constants included."""
+    g = uni.gcd(p, q)
+    assert g == fraction_gcd(p, q)
+    assert all(type(c) is Fraction for c in g)
+
+
+@settings(max_examples=200)
+@given(products)
+def test_squarefree_parts_are_coprime_squarefree_and_give_p(p):
+    """Primitive integer parts with positive leading coefficients, pairwise
+    coprime and squarefree, with p = c * prod a_i^i; made monic, they are
+    the parts of Yun's algorithm over Q.  A constant, zero included, has
+    none."""
+    parts = uni.squarefree_decomposition(p)
+    if len(p) < 2:
+        assert parts == []
+        return
+    for i, a in enumerate(parts, 1):
+        assert all(type(c) is int for c in a) and uni.primitive(a) == a and a[-1] > 0
+        assert len(fraction_gcd(a, uni.derivative(a))) == 1
+        assert all(fraction_gcd(a, b) == [1] for b in parts[i:])
+    assert len(parts[-1]) > 1
+    quo, rem = uni.divmod_exact(p, _product((a, i) for i, a in enumerate(parts, 1)))
+    assert not rem and len(quo) == 1
+    assert [uni.monic(a) for a in parts] == fraction_squarefree_decomposition(p)
+
+
+@settings(max_examples=200)
+@given(products.filter(bool), st.booleans())
+def test_factor_univariate_keeps_integers(p, integral):
+    """Every factor is a primitive integer list with positive leading
+    coefficient, the constant is an int on integer input, and constant
+    and factors give p back."""
+    if integral:
+        p = [-6 * c for c in uni.primitive(p)]
+    const, found = biv.factor_univariate(p)
+    assert all(type(c) is int and uni.primitive(key) == key for key, _ in found for c in key)
+    assert type(const) is int or not integral
+    assert uni.mul([const], _product(found)) == p
