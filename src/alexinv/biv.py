@@ -25,15 +25,6 @@ Term = Tuple[int, int]
 Poly2 = Dict[Term, uni.Coefficient]
 
 
-def _coefficient(c) -> uni.Coefficient:
-    """c as an exact coefficient: an ``int`` when integral, else a
-    ``Fraction``."""
-    if isinstance(c, int):
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def clean(p: Poly2) -> Poly2:
     """p without its zero terms, each integral ``Fraction`` as an ``int``."""
     return {
@@ -60,7 +51,7 @@ def mul(p: Poly2, q: Poly2) -> Poly2:
 
 
 def scale(p: Poly2, c) -> Poly2:
-    c = _coefficient(c)
+    c = uni.coefficient(c)
     return clean({k: v * c for k, v in p.items()})
 
 
@@ -76,7 +67,7 @@ def power(p: Poly2, n: int) -> Poly2:
 
 
 def constant(c) -> Poly2:
-    c = _coefficient(c)
+    c = uni.coefficient(c)
     return {(0, 0): c} if c else {}
 
 
@@ -242,8 +233,8 @@ def _share_factor_in_y(p: Poly2, q: Poly2) -> bool:
     return True
 
 
-def _content(p: Poly2) -> uni.Poly:
-    """The gcd over Q[x] of the coefficients of p in y, monic."""
+def _content(p: Poly2) -> List[int]:
+    """The gcd over Q[x] of the coefficients of p in y, primitive."""
     return reduce(uni.gcd, filter(None, _by_y(p)), [])
 
 

@@ -44,9 +44,9 @@ from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import uni
-from .cyclotomic import Exponents, cyclotomic_exponents, cyclotomic_polynomial, expand_cyclotomic
+from .cyclotomic import Exponents, _product, _reduce, cyclotomic_exponents, expand_cyclotomic
 from .errors import BadArgument, BadGerm, InternalError, NotCoprime, TheoremViolation, UnsupportedDimension
-from .laurent import LaurentPolynomial, univariate_gcd
+from .laurent import LaurentPolynomial
 from .linalg import cokernel_invariants, echelon_insert
 from .polytope import RationalPolytope, _det, centroid
 from .quasiadj import (
@@ -295,14 +295,6 @@ def h1_complement(degrees: Sequence[int]) -> Tuple[int, List[int]]:
     if any(d < 1 for d in degrees):
         raise BadGerm("degrees must be positive")
     return cokernel_invariants([degrees], len(degrees))
-
-
-def _product(*factors: Exponents) -> Exponents:
-    out: Exponents = {}
-    for exponents in factors:
-        for m, e in exponents.items():
-            out[m] = out.get(m, 0) + e
-    return {m: e for m, e in sorted(out.items()) if e}
 
 
 def infinity_exponents(d: int) -> Exponents:
@@ -689,9 +681,10 @@ def cyclic_cover_h1(delta, n: int, semisimple: bool = True):
     multiplicity, in order.  An AlexanderFactorization gives each factor's
     exponent s to kappa and to 1 - kappa, and its (t-1)^{r-1} part
     gives r - 1 to the trivial root.  A one-variable polynomial is read as
-    the cyclic module Q[t]/(Delta): each root of gcd(Delta, t^n - 1), which
-    is squarefree, counts once, and Phi_d divides that gcd for the d | n
-    whose primitive d-th roots it holds."""
+    the cyclic module Q[t]/(Delta): each common root of Delta and t^n - 1,
+    which is squarefree, counts once.  For d | n the primitive d-th roots
+    are common roots exactly when Delta reduces to zero mod Phi_d, since
+    Phi_d is irreducible and divides t^n - 1."""
     if n < 1:
         raise BadGerm("n must be positive")
     mult: Dict[Fraction, int] = {}
@@ -704,9 +697,9 @@ def cyclic_cover_h1(delta, n: int, semisimple: bool = True):
     else:
         if delta.is_zero():
             raise BadGerm("zero polynomial")
-        g = univariate_gcd(delta, LaurentPolynomial(1, {(n,): 1, (0,): -1})).to_univariate()
+        coeffs = delta.to_univariate()
         for d in uni.divisors(n):
-            if not uni.divmod_exact(g, list(cyclotomic_polynomial(d)))[1]:
+            if not any(_reduce(list(coeffs), d)):
                 mult.update((Fraction(j, d), 1) for j in range(d) if gcd(j, d) == 1)
     eigen = sorted((omega, m) for omega, m in mult.items() if omega and m) if semisimple else []
     return sum(mult.values()), eigen

@@ -33,6 +33,14 @@ from .laurent import LaurentPolynomial
 Exponents = Dict[int, int]
 
 
+def _product(*factors: Exponents) -> Exponents:
+    out: Exponents = {}
+    for exponents in factors:
+        for m, e in exponents.items():
+            out[m] = out.get(m, 0) + e
+    return {m: e for m, e in sorted(out.items()) if e}
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
     """Integer coefficients of the monic Phi_n, computed by dividing

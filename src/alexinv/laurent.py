@@ -18,17 +18,9 @@ from typing import Dict, Iterable, List, Tuple
 
 from . import uni
 from .errors import BadArgument, UnsupportedDimension, ZeroInput
+from .uni import coefficient
 
 Exponent = Tuple[int, ...]
-
-
-def _coefficient(c):
-    """c as an ``int`` when it is integral, else as a ``Fraction``."""
-    if type(c) is not int:
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if c.denominator == 1:
-            c = c.numerator
-    return c
 
 
 def variable_names(r: int) -> List[str]:
@@ -59,7 +51,7 @@ class LaurentPolynomial:
                 raise BadArgument("exponent vector of wrong length")
             if exp in clean:
                 c = clean[exp] + c
-            clean[exp] = c = _coefficient(c)
+            clean[exp] = c = coefficient(c)
             if not c:
                 del clean[exp]
         self.terms = clean
@@ -243,7 +235,7 @@ def univariate_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynom
     argument is zero, the monic associate of the other."""
     if p.is_zero() and q.is_zero():
         raise ZeroInput("gcd(0, 0) is undefined")
-    g = uni.gcd(p.to_univariate(), q.to_univariate())
+    g = uni.monic(uni.gcd(p.to_univariate(), q.to_univariate()))
     return normalize_unit(LaurentPolynomial.from_univariate(g))
 
 

@@ -11,18 +11,19 @@ integral one is kept as given, followed by the cube rows.  A point is
 carried as a ``Point`` (p, q): an integer vector p over a denominator
 q > 0 with gcd(q, *p) = 1, so one rational point has one form, and equal
 points are equal tuples.  Vertices are solved by Cramer's rule into this
-form, n . x >= b is decided as n . p >= b q, and saturation sets, face
-dimensions and a face's interior point are computed on it.  A point
-becomes a tuple of ``Fraction``s only where it is reported:
-``vertices()`` and ``Face.vertices``.  ``centroid`` is the mean of
-``Fraction`` vectors, for callers that hold them.
+form, n . x >= b is decided as n . p >= b q, and saturation sets and a
+face's interior point are computed on it.  A point becomes a tuple of
+``Fraction``s only where it is reported: ``vertices()`` and
+``Face.vertices``.  ``centroid`` is the mean of ``Fraction`` vectors,
+for callers that hold them.
 
 Vertices are solved on the tightest rows only (``tightest``): of the
 rows with one primitive normal, only the one with the largest bound
 touches the polytope, so a weaker parallel row adds no vertex and cuts
 none.  Faces are found from the vertices: a set of constraints cuts out
 a nonempty face only if some vertex saturates all of them, so only the
-subsets of each vertex's saturated rows are tried.
+subsets of each vertex's saturated rows are tried, and a proper face's
+dimension is read off its vertex count (``_face_dim``).
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ class RationalPolytope:
             vset = tuple(i for i, on in enumerate(sat) if on.issuperset(subset))
             if vset not in found:
                 found[vset] = subset
-        faces = sorted((_affine_dim([verts[i] for i in vset]), vset, saturated) for vset, saturated in found.items())
+        faces = sorted((_face_dim(verts, vset), vset, saturated) for vset, saturated in found.items())
         return [Face(tuple(verts[i] for i in vset), dim, saturated) for dim, vset, saturated in faces]
 
     def face_lookup(self) -> Callable[[Point], Face]:
@@ -261,11 +262,17 @@ class RationalPolytope:
                     common = next(
                         s for size in range(1, self.dim + 1) for s in combinations(common, size) if cut(s) == vset
                     )
-                vlist = [verts[i] for i in vset]
-                built[vset] = Face(tuple(vlist), _affine_dim(vlist), tuple(common))
+                built[vset] = Face(tuple(verts[i] for i in vset), _face_dim(verts, vset), tuple(common))
             return built[vset]
 
         return face_of
+
+
+def _face_dim(verts: Sequence[Point], vset: Tuple[int, ...]) -> int:
+    """The dimension of the face on the vertices vset.  A proper face is a
+    point, an edge or a polygon, and no three of its vertices, which are
+    extreme points, are collinear; only the polytope itself is ranked."""
+    return min(len(vset), 3) - 1 if len(vset) < len(verts) else _affine_dim(verts)
 
 
 def _affine_dim(points: Sequence[Point]) -> int:

@@ -10,7 +10,8 @@ ints, so no float can appear.
 
 Integer lists are the working form of gcds, squarefree parts and
 rational roots: denominators are cleared first (``primitive``), and only
-exact quotients over Z follow.  Q appears only in ``gcd``'s monic result.
+exact quotients over Z follow.  No gcd leaves Z: only
+``laurent.univariate_gcd`` makes one monic, through ``monic``.
 """
 
 from __future__ import annotations
@@ -81,6 +82,15 @@ def quotient(a, b):
     return a / b  # a Fraction operand makes this a Fraction division
 
 
+def coefficient(c) -> Coefficient:
+    """c as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(c) is not int:
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
+    return c
+
+
 def divmod_exact(p: Poly, q: Poly):
     """Quotient and remainder of p by q over Q; q must be nonzero."""
     if not q:
@@ -114,15 +124,9 @@ def monic(p: Poly) -> Poly:
     return scale(p, Fraction(1) / p[-1])
 
 
-def gcd(p: Poly, q: Poly) -> Poly:
-    """The monic gcd over Q; [] when p and q are both zero."""
-    g = _primitive_gcd(p, q)
-    return [Fraction(c, g[-1]) for c in g]
-
-
-def _primitive_gcd(p: Poly, q: Poly) -> List[int]:
-    """The primitive gcd with positive leading coefficient, by Euclid on
-    primitive pseudo-remainders (``_pseudo_remainder``) over Z."""
+def gcd(p: Poly, q: Poly) -> List[int]:
+    """The primitive gcd with positive leading coefficient ([] for two
+    zeros), by Euclid on primitive pseudo-remainders over Z."""
     a, b = primitive(p), primitive(q)
     while b:
         row = [a]
@@ -199,12 +203,12 @@ def squarefree_decomposition(p: Poly) -> List[List[int]]:
     if len(p) < 2:
         return []
     d = derivative(p)
-    g = _primitive_gcd(p, d)
+    g = gcd(p, d)
     w, y = exact_div(p, g), exact_div(d, g)
     parts = []
     while len(w) > 1:
         z = sub(y, derivative(w))
-        a = _primitive_gcd(w, z)
+        a = gcd(w, z)
         parts.append(a)
         w, y = exact_div(w, a), exact_div(z, a)
     return parts
@@ -218,7 +222,7 @@ def coprime_basis(polys: List[Poly]) -> List[List[int]]:
     for p in polys:
         p, refined = primitive(p), []
         for b in basis:
-            g = _primitive_gcd(p, b)
+            g = gcd(p, b)
             if len(g) > 1:
                 p = exact_div(p, g)
                 refined.append(g)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, floor
+from math import ceil, comb, floor
 from typing import List, Sequence
 
 import pytest
@@ -199,6 +199,55 @@ def resolve_drawn(texts):
         return resolve(PlaneCurveGerm.from_strings(*texts))
     except (NotReduced, NonRationalInfinitelyNearPoint):
         reject()
+
+
+def unloading_colength(tree, xi, variant):
+    """The colength of {phi : e_k(phi) >= n_k for every node k} at xi, for
+    variant "strict" or "log", from the tree's intersection form alone:
+    no chart, no monomial and no jet row.  It is the oracle of the
+    staircase colength, which it equals exactly when the ideal is spanned
+    by monomials.
+
+    - Levels: strict n_k = sum a_k - c_k - ceil(a_k . xi), log n_k =
+      sum a_k - c_k - 1 - floor(a_k . xi); D = sum max(n_k, 0) E_k.
+    - Self-intersections by the projection formula (pi^* f_i) . E_j = 0:
+      E_j^2 = -(sum_{k ~ j} a_{k,i} + strict_{j,i}) / a_{j,i}, one negative
+      integer for every branch i.
+    - Unloading: while some D . E_j > 0, raise d_j by
+      ceil(D . E_j / -E_j^2), which gives the least antinef divisor >= D
+      and the same ideal (Lipman, 1969; Casas-Alvero, 2000).
+    - Hoskin-Deligne: the colength is -(D . D + K . D) / 2 with K =
+      sum c_k E_k, where K . E_j = c_j E_j^2 + sum_{k ~ j} c_k.
+    """
+    nodes = tree.nodes
+    index = {node.id: k for k, node in enumerate(nodes)}
+    near = [[index[j] for j in node.adjacent] for node in nodes]
+    square = []
+    for j, node in enumerate(nodes):
+        (e2,) = {
+            Fraction(-sum(nodes[k].a[i] for k in near[j]) - node.strict.get(i, 0), node.a[i])
+            for i in range(tree.r)
+        }
+        assert e2.denominator == 1 and e2 < 0, f"E_{node.id}^2 = {e2}"
+        square.append(int(e2))
+
+    def dot(v, j):
+        return v[j] * square[j] + sum(v[k] for k in near[j])
+
+    d = []
+    for node in nodes:
+        level = sum((a * Fraction(x) for a, x in zip(node.a, xi)), Fraction(0))
+        drop = ceil(level) if variant == "strict" else 1 + floor(level)
+        d.append(max(sum(node.a) - node.c - drop, 0))
+    while True:
+        j = next((j for j in range(len(nodes)) if dot(d, j) > 0), None)
+        if j is None:
+            break
+        d[j] += -(dot(d, j) // square[j])  # ceil(D . E_j / -E_j^2)
+    c = [node.c for node in nodes]
+    twice = sum(dj * (dot(d, j) + dot(c, j)) for j, dj in enumerate(d))
+    assert twice % 2 == 0
+    return -twice // 2
 
 
 def staircase_generators_by_scan(members, bound):

@@ -20,10 +20,10 @@ from alexinv.curves import (
     superabundance,
     transform_positions,
 )
-from alexinv import curves
+from alexinv import curves, cyclotomic
 from alexinv.cyclotomic import expand_cyclotomic
 from alexinv.errors import BadArgument, BadGerm, NotPolynomial, TheoremViolation
-from alexinv.laurent import LaurentPolynomial, normalize_unit
+from alexinv.laurent import LaurentPolynomial, common_root_count, normalize_unit
 from alexinv.polytope import RationalPolytope
 from alexinv.quasiadj import LocalIdealDescription, kappa_constant, torus_constants
 from alexinv.resolution import PlaneCurveGerm, torus_knot_exponents
@@ -197,7 +197,7 @@ def test_divisibility_verdict_matches_exact_divide(num, den, force):
     expanded polynomials: den divides num exactly when no Phi_m exponent
     of the quotient is negative, and the quotients agree."""
     if force:
-        num = curves._product(num, den)
+        num = cyclotomic._product(num, den)
     try:
         oracle = normalize_unit(exact_divide(expand_cyclotomic(num), expand_cyclotomic(den)))
     except NotPolynomial:
@@ -414,9 +414,10 @@ def cyclotomic_products(draw):
 
 @given(cyclotomic_products())
 def test_cyclic_cover_h1_is_the_common_root_count(case):
-    """The rank is deg gcd(Delta, t^n - 1) (sympy), every eigenvalue has
-    multiplicity 1, and the rank is the eigenvalues plus the trivial root
-    when Delta(1) = 0."""
+    """The rank is deg gcd(Delta, t^n - 1), by sympy and by the gcd route
+    of ``common_root_count`` that the reduction mod Phi_d replaced, every
+    eigenvalue has multiplicity 1, and the rank is the eigenvalues plus
+    the trivial root when Delta(1) = 0."""
     import sympy
 
     delta, n = case
@@ -424,6 +425,7 @@ def test_cyclic_cover_h1_is_the_common_root_count(case):
     poly = sympy.Poly(list(reversed(delta.to_univariate())), v)
     rank, eigen = cyclic_cover_h1(delta, n)
     assert rank == sympy.gcd(poly, sympy.Poly(v**n - 1, v)).degree()
+    assert rank == common_root_count(delta, n)
     assert all(m == 1 for _, m in eigen)
     assert rank == len(eigen) + (poly.eval(1) == 0)
     assert cyclic_cover_h1(delta, n, semisimple=False) == (rank, [])

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import floor
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from conftest import (
     reference_rhs_table,
     resolve_drawn,
     staircase_generators_by_scan,
+    unloading_colength,
 )
 
 F = Fraction
@@ -586,3 +587,72 @@ def test_lct_matches_region(cusp_tree):
     c = lct_threshold(cusp_tree, [1])
     assert lct_region(cusp_tree, [c])
     assert not lct_region(cusp_tree, [c + F(1, 30)])
+
+
+# ---------------------------------------------------------------------------
+# the unloading colength: an oracle of the staircase from the intersection
+# form alone
+# ---------------------------------------------------------------------------
+
+
+def _unit_grid(r):
+    """Every point of (0, 1]^r on the grid 1/13, or 1/7 for r = 3."""
+    q = 13 if r <= 2 else 7
+    return product([F(k, q) for k in range(1, q + 1)], repeat=r)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["x^2 + y^3"],
+        ["x^3 + y^4"],
+        ["x^5 + y^9"],
+        ["x^2 - y^3", "x^3 - y^2"],
+        ["y - x^2", "y + x^2"],
+        ["x^2 - y^3", "x^3 - y^2", "x - y"],
+    ],
+)
+def test_staircase_colength_is_the_unloading_colength(texts):
+    """On germs whose ideals are spanned by monomials, the strict and log
+    staircases have the unloading colength at every grid point."""
+    tree = resolve(PlaneCurveGerm.from_strings(*texts))
+    for xi in _unit_grid(tree.r):
+        for variant in ("strict", "log"):
+            assert ideal_of_quasiadjunction(tree, xi, variant).colength == unloading_colength(tree, xi, variant)
+
+
+@given(drawn_germs(), st.data())
+def test_staircase_colength_bounds_the_unloading_colength(texts, data):
+    """The member monomials span a monomial ideal inside the complete
+    ideal, so the staircase colength is never below the unloading one."""
+    tree = resolve_drawn(texts)
+    xi = [F(data.draw(st.integers(1, 13)), 13) for _ in range(tree.r)]
+    for variant in ("strict", "log"):
+        assert ideal_of_quasiadjunction(tree, xi, variant).colength >= unloading_colength(tree, xi, variant)
+
+
+# (germ, kappa, unloading colength) of the strict ideal at xi = (kappa,),
+# an ideal that monomials do not span: the staircase misses members and
+# reads 8, 7, 12 and 3
+NON_MONOMIAL_IDEALS = [
+    ("(x^2-y^3)^2-4*x^5*y-x^7", F(1, 11), 7),
+    ("(x^2-y^3)^2-4*x^5*y-x^7", F(2, 11), 6),
+    ("(x^2-y^3)^2-4*x^5*y-x^7", F(1, 34), 10),
+    ("(x-y)^2+y^5", F(1, 10), 2),
+]
+
+
+@pytest.mark.parametrize("text, kappa, colength", NON_MONOMIAL_IDEALS)
+def test_unloading_colength_pins(text, kappa, colength):
+    assert unloading_colength(resolve(PlaneCurveGerm.from_strings(text)), [kappa], "strict") == colength
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the staircase decides membership monomial by monomial, which "
+    "misses the members of an ideal that monomials do not span",
+)
+def test_staircase_colength_on_non_monomial_ideals():
+    for text, kappa, colength in NON_MONOMIAL_IDEALS:
+        tree = resolve(PlaneCurveGerm.from_strings(text))
+        assert ideal_of_quasiadjunction(tree, [kappa], "strict").colength == colength

@@ -162,10 +162,11 @@ products = st.lists(st.tuples(factors, st.integers(1, 3)), max_size=3).map(_prod
 @settings(max_examples=200)
 @given(products, products)
 def test_gcd_matches_fraction_euclid(p, q):
-    """The same monic gcd as Euclid over Q, zero and constants included."""
+    """An integer gcd with positive leading coefficient, which made monic
+    is the gcd of Euclid over Q, zero and constants included."""
     g = uni.gcd(p, q)
-    assert g == fraction_gcd(p, q)
-    assert all(type(c) is Fraction for c in g)
+    assert uni.monic(g) == fraction_gcd(p, q)
+    assert all(type(c) is int for c in g) and (not g or g[-1] > 0)
 
 
 @settings(max_examples=200)
