@@ -57,11 +57,7 @@ def cyclotomic_exponents(*powers: Tuple[int, int]) -> Exponents:
     """The exponents of prod (t^d - 1)^e over the given (d, e): each
     t^d - 1 = prod_{m | d} Phi_m adds e into every divisor m of d.  Zero
     exponents are dropped; negative ones stand for a quotient."""
-    out: Exponents = {}
-    for d, e in powers:
-        for m in uni.divisors(d):
-            out[m] = out.get(m, 0) + e
-    return {m: e for m, e in sorted(out.items()) if e}
+    return _product(*({m: e for m in uni.divisors(d)} for d, e in powers))
 
 
 def expand_cyclotomic(exponents: Exponents) -> LaurentPolynomial:
