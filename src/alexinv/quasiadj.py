@@ -21,14 +21,19 @@ its nonmember staircase below that bound, and its members are derived
 from it; every monomial of degree at or above it lies in all three
 ideals at every xi, so no larger bound changes an answer.
 
-Each staircase is found by a walk along its boundary, which tests O(B)
-monomials of the B(B+1)/2 below the jet bound B.  The walk is exact
-because the nonmembers of every variant are closed downwards: e_k of
-x^a y^b grows with a and b, so every rhs_k falls; a point that satisfies
-the inequalities for a monomial satisfies them for its multiples, and the
-nodes where equality holds can only drop out, so a weight-one member's
-multiples stay weight-one members.  Column a of the nonmembers is thus
-the run beta < h(a), and h does not increase with a.
+Each staircase is found by a walk along its boundary, ``_staircase``,
+which tests O(B) monomials of the B(B+1)/2 below the jet bound B.  The
+walk is exact because the nonmembers of every variant are closed
+downwards: e_k of x^a y^b grows with a and b, so every rhs_k falls; a
+point that satisfies the inequalities for a monomial satisfies them for
+its multiples, and the nodes where equality holds can only drop out, so a
+weight-one member's multiples stay weight-one members.  Column a of the
+nonmembers is thus the run beta < h(a), and h does not increase with a.
+
+A query walks only the staircases it returns, with no memo shared between
+variants: ``ideal_of_quasiadjunction`` walks one, ``ideal_triple`` three,
+and ``polytopes_and_faces`` the strict and log ones once per floor
+signature, and the weight-one one only where a face is reported.
 """
 
 from __future__ import annotations
@@ -102,8 +107,11 @@ def newton_adjoint_membership(a: int, b: int, n: int, monomial: Tuple[int, int, 
 
 def jet_bound(tree: ResolutionTree) -> int:
     """Certified truncation degree B = max_k sum_i a_{k,i}: every germ of
-    order >= B lies in all three ideals for every xi, since e_k >= ord."""
-    return max((n.total_multiplicity for n in tree.nodes), default=1)
+    order >= B lies in all three ideals for every xi, since e_k >= ord.
+    Cached on the tree, as ``_rhs_table`` is."""
+    if "_jet_bound" not in tree.__dict__:
+        tree.__dict__["_jet_bound"] = max((n.total_multiplicity for n in tree.nodes), default=1)
+    return tree.__dict__["_jet_bound"]
 
 
 Levels = Sequence[Tuple[int, bool]]
@@ -243,51 +251,49 @@ def _rhs_table(tree: ResolutionTree) -> Dict[Monomial, Tuple[int, ...]]:
     return tree.__dict__["_rhs_table"]
 
 
-def ideal_triple(tree: ResolutionTree, xi):
-    """The strict, weight-one and log ideals at xi, each read off its
-    staircase by a walk that tests O(jet bound) monomials."""
+def _levels_at(tree: ResolutionTree, xi) -> Levels:
+    """The node floors at xi, once xi is checked to be a point of (0, 1]^r."""
     xi = _rationals(xi, "xi")
     if len(xi) != tree.r:
         raise BadGerm("xi must have one coordinate per component")
     if any(not 0 < x <= 1 for x in xi):
         raise BadGerm("xi coordinates must lie in (0, 1]")
-    return _ideals_at(tree, _node_floors(tree, _over_one_denominator(xi)))
+    return _node_floors(tree, _over_one_denominator(xi))
 
 
-def _ideals_at(tree: ResolutionTree, levels: Levels):
-    """The strict, weight-one and log ideals at the point whose node floors
-    are given; the three staircase walks share one memo of membership
-    triples."""
+def _staircase(tree: ResolutionTree, levels: Levels, i: int) -> LocalIdealDescription:
+    """The ideal of variant VARIANTS[i] at the point whose node floors are
+    given, by a walk along its boundary: h(0) by climbing column 0, then
+    h(alpha) <= h(alpha - 1), found by descending from the previous height."""
     rhs_of, bound = _rhs_table(tree), jet_bound(tree)
-    memo: Dict[Monomial, Tuple[bool, bool, bool]] = {}
 
-    def memberships(mono: Monomial) -> Tuple[bool, bool, bool]:
-        if mono not in memo:
-            memo[mono] = _memberships(tree, levels, rhs_of.get(mono, ()))
-        return memo[mono]
+    def member(mono: Monomial) -> bool:
+        return _memberships(tree, levels, rhs_of.get(mono, ()))[i]
 
-    out = []
-    for i in range(len(VARIANTS)):
-        # h(0) by climbing column 0; then h(alpha) <= h(alpha - 1), found by
-        # descending from the previous height
-        height, nonmembers = 0, []
-        while height < bound and not memberships((0, height))[i]:
-            height += 1
-        for alpha in range(bound):
-            height = min(height, bound - alpha)
-            while height and memberships((alpha, height - 1))[i]:
-                height -= 1
-            if not height:
-                break
-            nonmembers.extend((alpha, beta) for beta in range(height))
-        out.append(LocalIdealDescription(bound, tuple(nonmembers)))
-    return tuple(out)
+    height, alpha, nonmembers = 0, 0, []
+    while height < bound and not member((0, height)):
+        height += 1
+    while height:
+        nonmembers.extend((alpha, beta) for beta in range(height))
+        alpha += 1
+        height = min(height, bound - alpha)
+        while height and member((alpha, height - 1)):
+            height -= 1
+    return LocalIdealDescription(bound, tuple(nonmembers))
+
+
+def ideal_triple(tree: ResolutionTree, xi):
+    """The strict, weight-one and log ideals at xi: three staircase walks."""
+    levels = _levels_at(tree, xi)
+    return tuple(_staircase(tree, levels, i) for i in range(len(VARIANTS)))
 
 
 def ideal_of_quasiadjunction(tree: ResolutionTree, xi, variant: str = "strict") -> LocalIdealDescription:
-    """The ideal of one variant in VARIANTS at xi; ValidationError for any
-    other variant."""
-    return ideal_triple(tree, xi)[_variant_index(variant)]
+    """The ideal of one variant in VARIANTS at xi, by the walk of its
+    staircase alone; BadGerm for a point outside (0, 1]^r, checked first,
+    and ValidationError for any other variant."""
+    levels = _levels_at(tree, xi)
+    return _staircase(tree, levels, _variant_index(variant))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +386,9 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
     dimensions attached per face.
 
     Each candidate point is an integer point (p, q) of ``polytope``: its
-    node floors are read off p and q, its three ideals off their staircase
-    walks, once per distinct tuple of node floors, and its face off a
+    node floors are read off p and q, its strict and log ideals off their
+    staircase walks, once per distinct tuple of node floors, its weight-one
+    ideal likewise but only where it reports a face, and its face off a
     lookup that builds only the faces asked for.
     A point becomes ``Fraction``s only as a reported level point."""
     from .polytope import RationalPolytope, as_vector, tightest
@@ -409,7 +416,7 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
                 built.add(key)
                 pool.extend(RationalPolytope(r, rows, solved).faces())
     found: Dict[Tuple[Monomial, ...], Tuple[QuasiPolytope, Callable]] = {}
-    seen_points, seen_faces, triples = set(), set(), {}
+    seen_points, seen_faces, walked, weight1 = set(), set(), {}, {}
     for face in pool:
         point = face.relative_interior_point()
         # a point met again would give the same ideals and the same face
@@ -417,10 +424,9 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
             continue
         seen_points.add(point)
         levels = tuple(_node_floors(tree, point))
-        if levels not in triples:
-            triples[levels] = _ideals_at(tree, levels)
-        ideals = triples[levels]
-        strict_ideal, _, log_ideal = ideals
+        if levels not in walked:
+            walked[levels] = (_staircase(tree, levels, 0), _staircase(tree, levels, 2))
+        strict_ideal, log_ideal = walked[levels]
         if strict_ideal.nonmembers == log_ideal.nonmembers:
             continue
         key = log_ideal.nonmembers
@@ -437,11 +443,13 @@ def polytopes_and_faces(tree: ResolutionTree) -> List[QuasiPolytope]:
         if face_key in seen_faces:
             continue
         seen_faces.add(face_key)
+        if levels not in weight1:
+            weight1[levels] = _staircase(tree, levels, 1)
         qp.faces.append(
             QuasiFace(
                 face=canonical,
                 level_point=as_vector(point),
-                ideals=ideals,
+                ideals=(strict_ideal, weight1[levels], log_ideal),
                 dim_quotient=strict_ideal.colength - log_ideal.colength,  # strict <= log
             )
         )
@@ -518,14 +526,13 @@ def lct_threshold(tree: ResolutionTree, direction: Sequence) -> Fraction:
         raise BadGerm("direction must have one entry per component")
     if any(d < 0 for d in direction) or all(d == 0 for d in direction):
         raise BadGerm("direction must point into the positive orthant")
-    best = None
-    for d in direction:
-        if d > 0:
-            cap = Fraction(1) / d
-            best = cap if best is None else min(best, cap)
-    for node in tree.nodes:
-        slope = sum((a * d for a, d in zip(node.a, direction)), Fraction(0))
-        if slope > 0:
-            cap = Fraction(node.c + 1) / slope
-            best = cap if best is None else min(best, cap)
-    return best
+    # with d = n / den, each cap is den * top / bottom: 1 / d_i for every
+    # d_i > 0, and (c_k + 1) / (a_k . d) for every node with a_k . d > 0;
+    # the least is found by cross-multiplication, from 1 / 0 above them all
+    nums, den = _over_one_denominator(direction)
+    caps = [(1, n) for n in nums] + [(node.c + 1, sum(map(mul, node.a, nums))) for node in tree.nodes]
+    top, bottom = 1, 0
+    for t, b in caps:
+        if b > 0 and t * bottom < top * b:
+            top, bottom = t, b
+    return Fraction(top * den, bottom)

@@ -17,8 +17,9 @@ exact quotients over Z follow.  No gcd leaves Z: only
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as igcd, isqrt, lcm
-from typing import List, Union
+from typing import List, Tuple, Union
 
 from .errors import InternalError
 
@@ -244,12 +245,14 @@ def primitive(p: Poly) -> List[int]:
     return [c // g for c in ints]
 
 
-def divisors(n: int) -> List[int]:
+@lru_cache(maxsize=512)
+def divisors(n: int) -> Tuple[int, ...]:
     """The positive divisors of |n| in ascending order, by trial division
-    up to sqrt(|n|); none for 0."""
+    up to sqrt(|n|); none for 0.  Cached, with a bound, since
+    ``rational_roots`` asks for the divisors of arbitrary coefficients."""
     n = abs(n)
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+    return tuple(small + [n // d for d in reversed(small) if d * d != n])
 
 
 def rational_roots(p: Poly) -> List[Fraction]:

@@ -113,7 +113,7 @@ def full_sweep_at(tree, levels):
     """The strict, weight-one and log ideals at the point whose node floors
     are given, from one sweep of every monomial below the jet bound, in
     table order: the route that the staircase walk of
-    ``quasiadj._ideals_at`` replaced, kept as its oracle."""
+    ``quasiadj._staircase`` replaced, kept as its oracle."""
     from alexinv import quasiadj
 
     nonmembers: tuple = ([], [], [])
@@ -125,6 +125,25 @@ def full_sweep_at(tree, levels):
         quasiadj.LocalIdealDescription(quasiadj.jet_bound(tree), tuple(nonmembers[i]))
         for i in range(len(quasiadj.VARIANTS))
     )
+
+
+def reference_lct_threshold(tree, direction):
+    """The largest multiple of the direction in the log-canonical region
+    and the unit cube, by Fraction sums over the nodes: the route that the
+    integer caps of ``quasiadj.lct_threshold`` replaced, kept as its
+    oracle."""
+    direction = [Fraction(d) for d in direction]
+    best = None
+    for d in direction:
+        if d > 0:
+            cap = Fraction(1) / d
+            best = cap if best is None else min(best, cap)
+    for node in tree.nodes:
+        slope = sum((a * d for a, d in zip(node.a, direction)), Fraction(0))
+        if slope > 0:
+            cap = Fraction(node.c + 1) / slope
+            best = cap if best is None else min(best, cap)
+    return best
 
 
 def fraction_node_floors(tree, xi):

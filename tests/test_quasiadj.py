@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alexinv import biv, quasiadj
-from alexinv.errors import UseFacesForMultiComponent, ValidationError
+from alexinv.errors import BadGerm, UseFacesForMultiComponent, ValidationError
 from alexinv.quasiadj import (
     constants_of_quasiadjunction,
     germ_membership,
@@ -31,6 +31,7 @@ from conftest import (
     drawn_germs,
     full_sweep_at,
     full_sweep_triple,
+    reference_lct_threshold,
     reference_polytopes_and_faces,
     reference_rhs_table,
     resolve_drawn,
@@ -128,6 +129,29 @@ def test_float_coordinates_refused(cusp_tree, call):
         call(cusp_tree, [1 / 6])
     assert call(cusp_tree, [F(1, 6)]) == call(cusp_tree, ["1/6"])
     assert call(cusp_tree, [1]) == call(cusp_tree, [F(1)])
+
+
+def test_bad_xi_is_refused_before_an_unknown_variant(cusp_tree, two_cusp_tree):
+    """A point outside (0, 1]^r is an input of the wrong shape (BadGerm,
+    exit 3) whatever the variant, as through ``ideal_triple``: the point
+    is checked first."""
+    for tree, xi in ((cusp_tree, [0]), (cusp_tree, [F(7, 6)]), (two_cusp_tree, [F(1, 2), -1])):
+        with pytest.raises(BadGerm, match="xi coordinates must lie in"):
+            ideal_of_quasiadjunction(tree, xi, "adjoint")
+    with pytest.raises(BadGerm, match="one coordinate per component"):
+        ideal_of_quasiadjunction(two_cusp_tree, [F(1, 2)], "adjoint")
+
+
+@given(drawn_germs(), st.data())
+def test_single_walks_match_full_sweep_on_drawn_germs(texts, data):
+    """Each variant's ideal, walked alone, against the full sweep; the
+    triple against the three single calls."""
+    tree = resolve_drawn(texts)
+    xi = data.draw(_points(tree))
+    swept = full_sweep_triple(tree, xi)
+    singles = tuple(ideal_of_quasiadjunction(tree, xi, variant) for variant in quasiadj.VARIANTS)
+    assert singles == swept
+    assert ideal_triple(tree, xi) == singles
 
 
 def test_constants(cusp_tree, t25_tree):
@@ -374,29 +398,42 @@ def test_faces_match_full_sweep_oracle(fixture, request, monkeypatch):
     """polytopes_and_faces reads the same halfspaces, vertices, saturated
     constraints, ideal triples and quotient dimensions when every ideal
     comes from the full sweep in place of the staircase walk: every
-    triple passes through ``_ideals_at``, which is patched here."""
+    ideal passes through ``_staircase``, which is patched here."""
     tree = request.getfixturevalue(fixture)
     walked = _faces_dump(polytopes_and_faces(tree))
     assert walked
     swept = []
-    monkeypatch.setattr(quasiadj, "_ideals_at", lambda tree, levels: swept.append(levels) or full_sweep_at(tree, levels))
+    monkeypatch.setattr(
+        quasiadj, "_staircase", lambda tree, levels, i: swept.append(i) or full_sweep_at(tree, levels)[i]
+    )
     assert _faces_dump(polytopes_and_faces(tree)) == walked
-    assert swept
+    assert set(swept) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("fixture, points, walks", [("two_cusp_tree", 27, 20), ("three_branch_tree", 74, 41)])
 def test_faces_walk_once_per_floor_signature(fixture, points, walks, request, monkeypatch):
-    """polytopes_and_faces walks the staircases once per distinct tuple of
-    node floors, not once per candidate point: the candidate points are
-    counted through ``_node_floors``, the walks through ``_ideals_at``."""
+    """polytopes_and_faces walks the strict and log staircases once per
+    distinct tuple of node floors, not once per candidate point, and the
+    weight-one staircase once per tuple of node floors of a reported face:
+    the candidate points are counted through ``_node_floors``, the walks
+    through ``_staircase``."""
     tree = request.getfixturevalue(fixture)
-    floors, walked = [], []
-    node_floors, ideals_at = quasiadj._node_floors, quasiadj._ideals_at
+    floors, walked = [], ([], [], [])
+    node_floors, staircase = quasiadj._node_floors, quasiadj._staircase
     monkeypatch.setattr(quasiadj, "_node_floors", lambda tree, point: floors.append(point) or node_floors(tree, point))
-    monkeypatch.setattr(quasiadj, "_ideals_at", lambda tree, levels: walked.append(levels) or ideals_at(tree, levels))
-    polytopes_and_faces(tree)
+    monkeypatch.setattr(
+        quasiadj, "_staircase", lambda tree, levels, i: walked[i].append(levels) or staircase(tree, levels, i)
+    )
+    qps = polytopes_and_faces(tree)
+    strict, weight1, log = walked
     assert len(floors) == len(set(floors)) == points
-    assert len(walked) == len(set(walked)) == walks
+    assert len(strict) == len(set(strict)) == walks
+    assert log == strict
+    reported = {
+        tuple(node_floors(tree, quasiadj._over_one_denominator(f.level_point))) for qp in qps for f in qp.faces
+    }
+    assert len(weight1) == len(set(weight1)) == len(reported) < walks
+    assert set(weight1) == reported
 
 
 @pytest.mark.parametrize(
@@ -587,6 +624,22 @@ def test_lct_matches_region(cusp_tree):
     c = lct_threshold(cusp_tree, [1])
     assert lct_region(cusp_tree, [c])
     assert not lct_region(cusp_tree, [c + F(1, 30)])
+
+
+@given(drawn_germs(), st.data())
+def test_lct_threshold_matches_fraction_route(texts, data):
+    """The integer threshold against the Fraction sums it replaced, on
+    directions with zero entries and non-unit denominators; the region
+    holds at threshold * d, and just beyond it either fails or leaves the
+    unit cube."""
+    tree = resolve_drawn(texts)
+    coord = st.fractions(min_value=0, max_value=3, max_denominator=12)
+    direction = data.draw(st.lists(coord, min_size=tree.r, max_size=tree.r).filter(any))
+    threshold = lct_threshold(tree, direction)
+    assert threshold == reference_lct_threshold(tree, direction)
+    assert lct_region(tree, [threshold * d for d in direction])
+    beyond = [(threshold + F(1, 10**6)) * d for d in direction]
+    assert max(beyond) > 1 or not lct_region(tree, beyond)
 
 
 # ---------------------------------------------------------------------------

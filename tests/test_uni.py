@@ -124,7 +124,7 @@ def test_rational_roots_examples():
 def test_divisors_match_the_scan(n):
     """Ascending, as the cyclotomic factors and the Galois orbits of a
     cyclic cover are listed in this order."""
-    assert uni.divisors(n) == [d for d in range(1, abs(n) + 1) if n % d == 0]
+    assert list(uni.divisors(n)) == [d for d in range(1, abs(n) + 1) if n % d == 0]
 
 
 def test_inexact_division_is_an_internal_error():
